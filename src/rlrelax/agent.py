@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import Transition
+from .env import ActionSpace, Transition
 
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
@@ -202,6 +202,8 @@ class TrainConfig:
             raise ValueError("target_sync_period must be >= 1")
         if not 0.0 <= self.discount <= 1.0:
             raise ValueError("discount must be in [0, 1]")
+        if not 1 <= self.batch_size <= self.buffer_capacity:
+            raise ValueError("need 1 <= batch_size <= buffer_capacity")
 
 
 def cosine_lr(epoch: int, cfg: TrainConfig) -> float:
@@ -333,6 +335,11 @@ def load_checkpoint(path) -> tuple[NetworkParams, CheckpointMetadata]:
         flat = np.array([float(v) for v in values])
     except ValueError as exc:
         raise CheckpointParseError(f"bad parameter value: {exc}") from None
+    if not np.all(np.isfinite(flat)):
+        bad = int(np.argmin(np.isfinite(flat)))
+        raise CheckpointParseError(
+            f"non-finite parameter value {values[bad]!r} on line {bad + 4}"
+        )
     pieces = np.split(flat, np.cumsum(counts)[:-1])
     params = NetworkParams(
         w1=pieces[0].reshape(n_hidden, n_in),
@@ -340,10 +347,11 @@ def load_checkpoint(path) -> tuple[NetworkParams, CheckpointMetadata]:
         w2=pieces[2].reshape(n_out, n_hidden),
         b2=pieces[3],
     )
-    expected_out = {"exponential": 11, "linear-aa": 7, "linear-ca": 11}.get(
-        metadata.action_scheme
-    )
-    if expected_out is not None and n_out != expected_out:
+    try:
+        expected_out = ActionSpace.for_scheme(metadata.action_scheme).n_actions
+    except ValueError as exc:
+        raise CheckpointParseError(str(exc)) from None
+    if n_out != expected_out:
         raise CheckpointShapeError(
             f"scheme {metadata.action_scheme!r} implies {expected_out} outputs, "
             f"file declares {n_out}"

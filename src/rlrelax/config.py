@@ -7,7 +7,6 @@ fail loudly.  Lists are comma-separated.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field, fields
 
 from .agent import TrainConfig
@@ -90,12 +89,6 @@ class ExperimentConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def problem_set_hash(self) -> int:
-        """Stable fingerprint of (training problems, dims) for checkpoints."""
-        names = self.train_problems or self.problems
-        text = ";".join(f"{n}@{d}" for d in self.dims for n in names)
-        return zlib.crc32(text.encode())
 
 
 _LIST_STR_KEYS = {"problems", "train_problems", "test_problems"}

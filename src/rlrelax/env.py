@@ -9,12 +9,12 @@ progress.  An episode ends when the evaluation budget is spent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cop import BudgetCounter, ConstrainedProblem
-from .features import RunHistory, extract_state, mask_constraint_features, top5_violation_mean
+from .features import extract_state, mask_constraint_features, top5_violation_mean
 from .lshade import (
     Population,
     RunStats,
@@ -123,17 +123,6 @@ class Transition:
     terminal: bool
 
 
-@dataclass
-class RewardState:
-    """Trajectory snapshots feeding the reward at each step."""
-
-    f_gbest_0: float
-    nu_top5_0: float
-    f_agentbest: float            # best objective across all training so far
-    f_gbest_prev: float = field(default=np.inf)
-    nu_top5_prev: float = field(default=np.inf)
-
-
 def reward_components(f_gbest_prev: float, f_gbest_now: float, f_gbest_0: float,
                       f_agentbest: float, nu_prev: float, nu_now: float,
                       nu_0: float) -> tuple[float, float, float]:
@@ -216,48 +205,25 @@ class EpsilonControlEnv:
     def reset(self) -> np.ndarray:
         """Initialize the population, derive the relaxation base, observe."""
         self.budget = BudgetCounter(self.maxfes)
-        self.stats = RunStats(delta_acc=self.delta_acc)
+        self.stats = RunStats(delta_acc=self.delta_acc, budget=self.budget)
         self.hist = SuccessHistory.fresh()
         self.pop = init_population(self.problem, self.n_pop, self.rng, self.budget, self.stats)
         self.eps_base = EpsilonBase.from_population(self.pop, self.problem.n_ineq, self.delta)
         self.current_eps = self.eps_base.values.copy()
 
-        nu_top5 = top5_violation_mean(self.pop.members)
-        f_pbest = min(m.eval.f for m in self.pop.members)
-        self.run_history = RunHistory(
-            f_gbest=self.stats.f_gbest,
-            f_max=self.stats.f_max,
-            f_pbest_0=f_pbest,
-            nu_top5_0=nu_top5,
-            prev_action=1.0,
-            fes=self.budget.fes,
-            maxfes=self.maxfes,
-            nu_top5_prev=nu_top5,
-            nu_top5_now=nu_top5,
-        )
-        agentbest = self._initial_agentbest
-        self.reward_state = RewardState(
-            f_gbest_0=self.stats.f_gbest,
-            nu_top5_0=nu_top5,
-            f_agentbest=agentbest if agentbest is not None else np.inf,
-            f_gbest_prev=self.stats.f_gbest,
-            nu_top5_prev=nu_top5,
-        )
+        # the population only changes inside a step, so nu_top5 stays current
+        self.nu_top5 = top5_violation_mean(self.pop.members)
+        self.stats.f_pbest_0 = self.stats.f_gbest
+        self.stats.nu_top5_0 = self.nu_top5
+        # best objective across all training so far
+        self.f_agentbest = np.inf if self._initial_agentbest is None else self._initial_agentbest
         self.terminal = False
         self.step_index = 0
         self.state = self._observe()
         return self.state
 
-    @property
-    def f_agentbest(self) -> float:
-        return self.reward_state.f_agentbest
-
     def _observe(self) -> np.ndarray:
-        self.run_history.f_gbest = self.stats.f_gbest
-        self.run_history.f_max = self.stats.f_max
-        self.run_history.fes = self.budget.fes
-        s = extract_state(self.pop.members, self.problem.lower, self.problem.upper,
-                          self.run_history, self.delta_acc)
+        s = extract_state(self.pop.members, self.problem.lower, self.problem.upper, self.stats)
         if self.mask_state:
             s = mask_constraint_features(s)
         return s
@@ -286,9 +252,7 @@ class EpsilonControlEnv:
         if self.terminal:
             raise RuntimeError("episode is terminal; call reset() before stepping")
         state = self.state
-        rs = self.reward_state
-        rs.f_gbest_prev = self.stats.f_gbest
-        rs.nu_top5_prev = top5_violation_mean(self.pop.members)
+        f_gbest_prev, nu_prev = self.stats.f_gbest, self.nu_top5
 
         self.current_eps = np.asarray(eps, dtype=float)
         generation_step(self.pop, self.problem, self.current_eps, self.hist, self.rng,
@@ -296,18 +260,16 @@ class EpsilonControlEnv:
         self.terminal = self.budget.exhausted
         self.step_index += 1
 
-        nu_now = top5_violation_mean(self.pop.members)
+        self.nu_top5 = top5_violation_mean(self.pop.members)
         # the all-training best updates before the reward so r1 stays <= 1
-        rs.f_agentbest = min(rs.f_agentbest, self.stats.f_gbest)
+        self.f_agentbest = min(self.f_agentbest, self.stats.f_gbest)
         r1, r2, gamma = reward_components(
-            rs.f_gbest_prev, self.stats.f_gbest, rs.f_gbest_0, rs.f_agentbest,
-            rs.nu_top5_prev, nu_now, rs.nu_top5_0,
+            f_gbest_prev, self.stats.f_gbest, self.stats.f_pbest_0, self.f_agentbest,
+            nu_prev, self.nu_top5, self.stats.nu_top5_0,
         )
         reward = compute_reward(r1, r2, gamma, self.reward_variant)
 
-        self.run_history.prev_action = level
-        self.run_history.nu_top5_prev = self.run_history.nu_top5_now
-        self.run_history.nu_top5_now = nu_now
+        self.stats.prev_action = level
         next_state = self._observe()
         self.state = next_state
 
@@ -325,8 +287,3 @@ class EpsilonControlEnv:
             "sco": self.stats.best_sco,
         }
         return Transition(state, action, reward, next_state, self.terminal), info
-
-    @property
-    def steps_per_episode(self) -> int:
-        """Meta-steps in a full-budget episode with a non-shrinking population."""
-        return (self.maxfes - self.n_pop) // self.n_pop

@@ -9,33 +9,16 @@ pairwise objective/violation coupling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cop import is_feasible
-from .lshade import Individual
+from .lshade import Individual, RunStats
 
 STATE_DIM = 10
 # feature indices zeroed by the constraint-feature mask (0-based)
 MASKED_FEATURES = (5, 6, 8, 9)
 
 _S5_CLIP = 10.0
-
-
-@dataclass
-class RunHistory:
-    """Run-level quantities the features need beyond the population itself."""
-
-    f_gbest: float          # historical best objective this run
-    f_max: float            # historical worst objective this run
-    f_pbest_0: float        # population-best objective at generation 0
-    nu_top5_0: float        # initial top-5 violation average
-    prev_action: float      # last relaxation level, normalized to [0, 1]
-    fes: int
-    maxfes: int
-    nu_top5_prev: float = 0.0
-    nu_top5_now: float = 0.0
 
 
 def top5_violation_mean(members: list[Individual]) -> float:
@@ -48,7 +31,7 @@ def top5_violation_mean(members: list[Individual]) -> float:
 
 
 def extract_state(members: list[Individual], lower: np.ndarray, upper: np.ndarray,
-                  hist: RunHistory, delta_acc: float = 1e-3) -> np.ndarray:
+                  hist: RunStats) -> np.ndarray:
     """Build the 10-feature observation for the current population.
 
     s1  pooled std of box-normalized coordinates
@@ -57,7 +40,7 @@ def extract_state(members: list[Individual], lower: np.ndarray, upper: np.ndarra
     s4  mean of the same normalized objective values
     s5  population-best objective over its generation-0 value (guarded, clipped)
     s6  top-5 violation mean over its generation-0 value
-    s7  feasible fraction at accuracy delta_acc
+    s7  feasible fraction at the run's accuracy delta_acc
     s8  consumed budget fraction
     s9  previous relaxation level
     s10 fraction of member pairs whose objective and violation move together
@@ -91,8 +74,8 @@ def extract_state(members: list[Individual], lower: np.ndarray, upper: np.ndarra
     nu_top5 = top5_violation_mean(members)
     s6 = nu_top5 / hist.nu_top5_0 if hist.nu_top5_0 > 0.0 else 0.0
 
-    s7 = sum(is_feasible(m.eval, delta_acc) for m in members) / n
-    s8 = hist.fes / hist.maxfes
+    s7 = sum(is_feasible(m.eval, hist.delta_acc) for m in members) / n
+    s8 = hist.budget.fes / hist.budget.maxfes
     s9 = hist.prev_action
 
     if n >= 2:

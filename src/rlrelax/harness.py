@@ -9,6 +9,7 @@ randomness flows from named integer seed sequences.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -81,13 +82,12 @@ def train(cfg: ExperimentConfig, problems: list[str] | None = None,
         raise ConfigError("training requires a non-empty problem list")
     registry = registry or _registry(cfg)
     tc = cfg.train_config()
-    space = ActionSpace.for_scheme(cfg.action_scheme)
 
     instances = [(name, dim) for dim in cfg.dims for name in names]
     steps_per = {(n, d): (cfg.maxfes(d) - cfg.pop_size) // cfg.pop_size for n, d in instances}
     total_steps = tc.max_epoch * sum(steps_per.values())
 
-    params = qnet.init_params(n_out=space.n_actions, rng=_rng(cfg.seed, 101))
+    params = _init_params(cfg)
     target = params.copy()
     buffer = ReplayBuffer(tc.buffer_capacity)
     actor_rng = _rng(cfg.seed, 103)
@@ -100,14 +100,8 @@ def train(cfg: ExperimentConfig, problems: list[str] | None = None,
     for epoch in range(tc.max_epoch):
         lr = qnet.cosine_lr(epoch, tc)
         for k, (name, dim) in enumerate(instances):
-            problem = registry.lookup(name, dim)
-            env = EpsilonControlEnv(
-                problem, _rng(cfg.seed, 105, epoch, k),
-                n_pop=cfg.pop_size, maxfes=cfg.maxfes(dim), action_space=space,
-                delta=cfg.delta, delta_acc=cfg.delta_acc,
-                reward_variant=cfg.reward_variant, mask_state=cfg.mask_state,
-                lpsr=cfg.lpsr, f_agentbest=agentbest.get((name, dim)),
-            )
+            env = _make_env(cfg, registry.lookup(name, dim), _rng(cfg.seed, 105, epoch, k),
+                            mask_state=cfg.mask_state, f_agentbest=agentbest.get((name, dim)))
             state = env.reset()
             ep_return = 0.0
             ep_steps = 0
@@ -159,27 +153,47 @@ def _hash_instances(names: list[str], dims: list[int]) -> int:
 # Single runs and evaluation
 # ---------------------------------------------------------------------------
 
-def _run_env(cfg: ExperimentConfig, name: str, dim: int, run: int, method: str,
-             registry: ProblemRegistry, policy, *, mask_state: bool = False,
-             reward_variant: str | None = None,
-             f_agentbest: float | None = None) -> RunRecord:
-    """One budget-matched run; ``policy(env)`` performs a single meta-step."""
-    problem = registry.lookup(name, dim)
-    env = EpsilonControlEnv(
-        problem, _rng(cfg.seed, dim, run, name),
-        n_pop=cfg.pop_size, maxfes=cfg.maxfes(dim),
+def _init_params(cfg: ExperimentConfig) -> NetworkParams:
+    """The network every training run starts from, also the untrained baseline."""
+    n_out = ActionSpace.for_scheme(cfg.action_scheme).n_actions
+    return qnet.init_params(n_out=n_out, rng=_rng(cfg.seed, 101))
+
+
+def _make_env(cfg: ExperimentConfig, problem, rng: np.random.Generator, *,
+              mask_state: bool, f_agentbest: float | None) -> EpsilonControlEnv:
+    return EpsilonControlEnv(
+        problem, rng,
+        n_pop=cfg.pop_size, maxfes=cfg.maxfes(problem.dim),
         action_space=ActionSpace.for_scheme(cfg.action_scheme),
         delta=cfg.delta, delta_acc=cfg.delta_acc,
-        reward_variant=reward_variant or cfg.reward_variant,
-        mask_state=mask_state, lpsr=cfg.lpsr, f_agentbest=f_agentbest,
+        reward_variant=cfg.reward_variant, mask_state=mask_state,
+        lpsr=cfg.lpsr, f_agentbest=f_agentbest,
     )
-    env.reset()
-    steps = []
-    while not env.terminal:
-        _, info = policy(env)
-        steps.append(info)
-    return RunRecord(problem=name, dim=dim, method=method, run=run,
-                     final_sco=steps[-1]["sco"], steps=steps)
+
+
+def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
+                     problems: list[str] | None, registry: ProblemRegistry | None, *,
+                     mask_state: bool = False,
+                     f_agentbest: float | None = None) -> list[RunRecord]:
+    """cfg.runs paired-seed, budget-matched runs per (problem, dim);
+    ``policy(env)`` performs a single meta-step."""
+    names = problems if problems is not None else (cfg.test_problems or cfg.problems)
+    if not names:
+        raise ConfigError("evaluation requires a non-empty problem list")
+    registry = registry or _registry(cfg)
+    records = []
+    for dim in cfg.dims:
+        for name in names:
+            for run in range(cfg.runs):
+                env = _make_env(cfg, registry.lookup(name, dim), _rng(cfg.seed, dim, run, name),
+                                mask_state=mask_state, f_agentbest=f_agentbest)
+                env.reset()
+                steps = []
+                while not env.terminal:
+                    steps.append(policy(env)[1])
+                records.append(RunRecord(problem=name, dim=dim, method=method, run=run,
+                                         final_sco=steps[-1]["sco"], steps=steps))
+    return records
 
 
 def _greedy_policy(params: NetworkParams):
@@ -189,20 +203,21 @@ def _greedy_policy(params: NetworkParams):
 
 
 def _baseline_policy(cfg: ExperimentConfig, kind: str):
+    """(method label, one-meta-step policy) of a schedule baseline."""
     if kind == "feasibility-rule":
         def policy(env: EpsilonControlEnv):
             return env.step_with_epsilon(np.zeros(env.problem.n_constraints), 0.0)
-    elif kind == "static-eps":
+        return kind, policy
+    if kind == "static-eps":
         def policy(env: EpsilonControlEnv):
             eps = epsilon_from_action(cfg.static_level, env.eps_base)
             return env.step_with_epsilon(eps, cfg.static_level)
-    elif kind == "scheduled-eps":
-        def policy(env: EpsilonControlEnv):
-            factor = (1.0 - env.budget.fes / env.maxfes) ** cfg.sched_power
-            return env.step_with_epsilon(env.eps_base.values * factor, factor)
-    else:
-        raise ConfigError(f"unknown baseline {kind!r}; valid: {', '.join(BASELINES)}")
-    return policy
+        return f"static-eps[{cfg.static_level:g}]", policy
+
+    def policy(env: EpsilonControlEnv):  # scheduled-eps
+        factor = (1.0 - env.budget.fes / env.maxfes) ** cfg.sched_power
+        return env.step_with_epsilon(env.eps_base.values * factor, factor)
+    return f"scheduled-eps[{cfg.sched_power:g}]", policy
 
 
 def evaluate(cfg: ExperimentConfig, params: NetworkParams,
@@ -225,20 +240,11 @@ def evaluate(cfg: ExperimentConfig, params: NetworkParams,
                 f"checkpoint was trained with reward variant {trained_variant!r}, "
                 f"config requests {cfg.reward_variant!r}"
             )
-    names = problems if problems is not None else (cfg.test_problems or cfg.problems)
-    if not names:
-        raise ConfigError("evaluation requires a non-empty problem list")
-    registry = registry or _registry(cfg)
-    policy = _greedy_policy(params)
-    agentbest = metadata.f_agentbest if metadata is not None else None
-    mask = cfg.mask_state if mask_state is None else mask_state
-    records = []
-    for dim in cfg.dims:
-        for name in names:
-            for run in range(cfg.runs):
-                records.append(_run_env(cfg, name, dim, run, method, registry, policy,
-                                        mask_state=mask, f_agentbest=agentbest))
-    return records
+    return _evaluate_policy(
+        cfg, _greedy_policy(params), method, problems, registry,
+        mask_state=cfg.mask_state if mask_state is None else mask_state,
+        f_agentbest=metadata.f_agentbest if metadata is not None else None,
+    )
 
 
 def run_baseline(cfg: ExperimentConfig, name: str,
@@ -249,24 +255,10 @@ def run_baseline(cfg: ExperimentConfig, name: str,
     if name not in BASELINES:
         raise ConfigError(f"unknown baseline {name!r}; valid: {', '.join(BASELINES)}")
     if name == "untrained-agent":
-        space = ActionSpace.for_scheme(cfg.action_scheme)
-        params = qnet.init_params(n_out=space.n_actions, rng=_rng(cfg.seed, 101))
-        return evaluate(cfg, params, problems=problems, registry=registry,
-                        method="untrained-agent")
-    names = problems if problems is not None else (cfg.test_problems or cfg.problems)
-    if not names:
-        raise ConfigError("baseline evaluation requires a non-empty problem list")
-    registry = registry or _registry(cfg)
-    method = name if name != "static-eps" else f"static-eps[{cfg.static_level:g}]"
-    if name == "scheduled-eps":
-        method = f"scheduled-eps[{cfg.sched_power:g}]"
-    policy = _baseline_policy(cfg, name)
-    records = []
-    for dim in cfg.dims:
-        for pname in names:
-            for run in range(cfg.runs):
-                records.append(_run_env(cfg, pname, dim, run, method, registry, policy))
-    return records
+        return evaluate(cfg, _init_params(cfg), problems=problems, registry=registry,
+                        method=name)
+    method, policy = _baseline_policy(cfg, name)
+    return _evaluate_policy(cfg, policy, method, problems, registry)
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +345,14 @@ def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> list[RunRecord]:
         records += evaluate(cfg, full.params, full.metadata, problems=cfg.test_problems,
                             registry=registry, method="no-state", mask_state=True)
     elif variant == "no-train":
-        records += [r for r in run_baseline(cfg, "untrained-agent",
-                                            problems=cfg.test_problems, registry=registry)]
-        for r in records:
-            if r.method == "untrained-agent":
-                r.method = "no-train"
-    elif variant in _SCHEME_BY_VARIANT:
-        import copy
-
-        alt = copy.deepcopy(cfg)
-        alt.action_scheme = _SCHEME_BY_VARIANT[variant]
-        alt_result = train(alt, problems=alt.train_problems, registry=registry)
-        records += evaluate(alt, alt_result.params, alt_result.metadata,
-                            problems=alt.test_problems, registry=registry, method=variant)
-    else:  # reward variants
-        import copy
-
-        alt = copy.deepcopy(cfg)
-        alt.reward_variant = variant
+        records += evaluate(cfg, _init_params(cfg), problems=cfg.test_problems,
+                            registry=registry, method=variant)
+    else:  # retrain under a linear scheme or a reduced reward
+        if variant in _SCHEME_BY_VARIANT:
+            change = {"action_scheme": _SCHEME_BY_VARIANT[variant]}
+        else:
+            change = {"reward_variant": variant}
+        alt = dataclasses.replace(cfg, **change)
         alt_result = train(alt, problems=alt.train_problems, registry=registry)
         records += evaluate(alt, alt_result.params, alt_result.metadata,
                             problems=alt.test_problems, registry=registry, method=variant)

@@ -75,13 +75,20 @@ class SuccessHistory:
 
 @dataclass
 class RunStats:
-    """Run-historical bookkeeping over every evaluation of a run."""
+    """The state of one run: bookkeeping over every evaluation, the budget,
+    and the reference values the features and the reward read."""
 
     delta_acc: float = 1e-3
     f_gbest: float = math.inf        # best objective seen, any feasibility
     f_max: float = -math.inf         # worst objective seen
     best_feasible_f: float = math.inf
     best_sco: float = math.inf
+    budget: BudgetCounter | None = None  # holds fes and maxfes
+    # population-best objective at generation 0; equal to f_gbest right
+    # after initialization, so it is also the reward's f_gbest_0
+    f_pbest_0: float = math.nan
+    nu_top5_0: float = math.nan      # top-5 violation mean at generation 0
+    prev_action: float = 1.0         # last relaxation level, normalized to [0, 1]
 
     def observe(self, e: Evaluation) -> None:
         self.f_gbest = min(self.f_gbest, e.f)

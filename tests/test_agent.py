@@ -364,6 +364,26 @@ class TestCheckpoint:
         assert loaded.shapes == (10, 64, 7)
         assert meta2.action_scheme == "linear-aa"
 
+    def test_nonfinite_weight_is_parse_error(self, tmp_path):
+        # a nan weight would make forward return NaN and argmax pick level 0
+        rng = np.random.default_rng(22)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(init_params(rng=rng), self.meta(), path)
+        lines = path.read_text().splitlines()
+        lines[10] = "nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointParseError, match="non-finite"):
+            load_checkpoint(path)
+
+    def test_unknown_scheme_is_parse_error(self, tmp_path):
+        rng = np.random.default_rng(23)
+        meta = CheckpointMetadata(action_scheme="quadratic", f_agentbest=0.0,
+                                  seed=0, epochs=1)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(init_params(rng=rng), meta, path)
+        with pytest.raises(CheckpointParseError, match="quadratic"):
+            load_checkpoint(path)
+
     def test_scheme_head_mismatch_is_shape_error(self, tmp_path):
         # a 7-output head claiming the 11-action scheme is inconsistent
         rng = np.random.default_rng(21)

@@ -45,6 +45,13 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_RUNTIME
 
+    def test_batch_larger_than_buffer_is_config_error(self, tmp_path):
+        # such a buffer never holds a batch, so training would take no step
+        path = tmp_path / "bad.cfg"
+        path.write_text(TOY.replace("buffer_capacity = 64", "buffer_capacity = 4"))
+        code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+
     def test_unknown_baseline_is_config_error(self, cfg_path, tmp_path):
         code = main(["baseline", "--config", str(cfg_path), "--name", "magic",
                      "--out", str(tmp_path / "out")])

@@ -1,6 +1,7 @@
 import pytest
 
 from rlrelax.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from rlrelax.harness import _hash_instances
 
 
 GOOD = """
@@ -99,8 +100,11 @@ class TestDerived:
         assert tc.lr_start == 1e-2
 
     def test_problem_set_hash_stable_and_order_sensitive(self):
-        a = ExperimentConfig(problems=["cec12", "cec14"])
-        b = ExperimentConfig(problems=["cec12", "cec14"])
-        c = ExperimentConfig(problems=["cec14", "cec12"])
-        assert a.problem_set_hash() == b.problem_set_hash()
-        assert a.problem_set_hash() != c.problem_set_hash()
+        a = _hash_instances(["cec12", "cec14"], [10])
+        assert a == _hash_instances(["cec12", "cec14"], [10])
+        assert a != _hash_instances(["cec14", "cec12"], [10])
+        # the training problems of the committed benchmark checkpoint
+        names = [f"synthetic/{n}" for n in ("sphere-linear/0", "rastrigin-ring/1",
+                                            "ackley-ellipsoid/2", "griewank-plane/3",
+                                            "schwefel-band/4")]
+        assert _hash_instances(names, [10]) == 957165374

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from rlrelax.cop import Evaluation
+from rlrelax.cop import BudgetCounter, Evaluation
 from rlrelax.features import (
-    RunHistory,
     extract_state,
     mask_constraint_features,
     top5_violation_mean,
 )
-from rlrelax.lshade import Individual
+from rlrelax.lshade import Individual, RunStats
 
 
 def make_member(x, f, g=(), h=()):
@@ -18,10 +17,12 @@ def make_member(x, f, g=(), h=()):
 
 def make_hist(members, fes=50, maxfes=500, prev_action=1.0):
     fs = [m.eval.f for m in members]
-    return RunHistory(
+    budget = BudgetCounter(maxfes)
+    budget.fes = fes
+    return RunStats(
         f_gbest=min(fs), f_max=max(fs), f_pbest_0=min(fs),
         nu_top5_0=top5_violation_mean(members), prev_action=prev_action,
-        fes=fes, maxfes=maxfes,
+        budget=budget,
     )
 
 

@@ -8,7 +8,7 @@ satisfaction to objective descent.
 """
 import numpy as np
 
-from rlrelax import BudgetCounter, registry_lookup, violation
+from rlrelax import BudgetCounter, registry_lookup
 from rlrelax.lshade import RunStats, SuccessHistory, generation_step, init_population
 
 problem = registry_lookup("cec12", 10)
@@ -26,9 +26,9 @@ def run(eps, label):
     while not budget.exhausted:
         generation_step(pop, problem, eps, hist, rng, budget, stats)
         gen += 1
-        best = min(pop.members, key=lambda m: (m.nu_eps, m.eval.f))
+        best = pop.ranking()[0]
         print(f"gen {gen:2d}: best score {stats.best_sco:12.2f}   "
-              f"pop-best f={best.eval.f:12.2f} nu={violation(best.eval):12.2f}")
+              f"pop-best f={pop.f[best]:12.2f} nu={pop.nu[best]:12.2f}")
     return stats
 
 

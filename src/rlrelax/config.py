@@ -74,19 +74,11 @@ class ExperimentConfig:
         return self.maxfes_per_dim * dim
 
     def train_config(self) -> TrainConfig:
+        """The TrainConfig fields of the same name, and epochs as max_epoch."""
+        shared = {f.name: getattr(self, f.name)
+                  for f in fields(TrainConfig) if f.name != "max_epoch"}
         try:
-            return TrainConfig(
-                max_epoch=self.epochs,
-                lr_start=self.lr_start,
-                lr_end=self.lr_end,
-                discount=self.discount,
-                target_sync_period=self.target_sync_period,
-                explore_start=self.explore_start,
-                explore_end=self.explore_end,
-                explore_fraction=self.explore_fraction,
-                buffer_capacity=self.buffer_capacity,
-                batch_size=self.batch_size,
-            )
+            return TrainConfig(max_epoch=self.epochs, **shared)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -117,7 +109,6 @@ def _parse_value(key: str, raw: str, target_type: type):
 
 def parse_config_text(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    known = {f.name: f.type for f in fields(ExperimentConfig)}
     types = {f.name: type(getattr(cfg, f.name)) for f in fields(ExperimentConfig)}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -126,7 +117,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in known:
+        if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
             setattr(cfg, key, _parse_value(key, raw, types[key]))

@@ -79,23 +79,40 @@ class ConstrainedProblem:
         return self.n_ineq + self.n_eq
 
     def evaluate(self, x: np.ndarray, budget: "BudgetCounter | None" = None) -> Evaluation:
-        """Evaluate one candidate, charging ``budget`` when given.
+        """Evaluate one candidate: a one-row ``evaluate_batch``."""
+        f, C = self.evaluate_batch(np.asarray(x, dtype=float)[None, :], budget)
+        return Evaluation(f[0], C[0, :self.n_ineq], C[0, self.n_ineq:])
 
-        Raises BudgetExhaustedError before calling the evaluator if the
-        budget is spent, and ProblemDefinitionError if the evaluator
-        returns the wrong arity or non-finite values.
+    def evaluate_batch(self, X: np.ndarray,
+                       budget: "BudgetCounter | None" = None) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate the rows of X in order while ``budget`` lasts.
+
+        Returns ``(f, C)``, one entry of f and one row of C per evaluated
+        row; C holds the n_ineq inequality values, then the n_eq equality
+        values.  The budget is charged once.  A spent budget raises
+        BudgetExhaustedError before any call; a row with the wrong arity
+        or a non-finite value raises ProblemDefinitionError naming it, and
+        the batch charges nothing.
         """
+        X = np.asarray(X, dtype=float)
+        n = X.shape[0] if budget is None else min(X.shape[0], budget.remaining)
+        if n == 0 and X.shape[0]:
+            raise BudgetExhaustedError(f"budget of {budget.maxfes} evaluations exhausted")
+        evals = [self.evaluator(x) for x in X[:n]]
+        for k, e in enumerate(evals):
+            if e.g.shape != (self.n_ineq,) or e.h.shape != (self.n_eq,):
+                raise ProblemDefinitionError(
+                    f"{self.name}: row {k}: evaluator returned {e.g.size} inequality / "
+                    f"{e.h.size} equality values, declared {self.n_ineq}/{self.n_eq}")
+        f = np.array([e.f for e in evals])
+        C = np.array([np.concatenate((e.g, e.h)) for e in evals]).reshape(n, self.n_constraints)
+        bad = ~(np.isfinite(f) & np.all(np.isfinite(C), axis=1))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ProblemDefinitionError(f"{self.name}: row {k}: non-finite output at x={X[k]!r}")
         if budget is not None:
-            budget.spend()
-        e = self.evaluator(np.asarray(x, dtype=float))
-        if e.g.shape != (self.n_ineq,) or e.h.shape != (self.n_eq,):
-            raise ProblemDefinitionError(
-                f"{self.name}: evaluator returned {e.g.shape[0]} inequality / "
-                f"{e.h.shape[0]} equality values, declared {self.n_ineq}/{self.n_eq}"
-            )
-        if not (np.isfinite(e.f) and np.all(np.isfinite(e.g)) and np.all(np.isfinite(e.h))):
-            raise ProblemDefinitionError(f"{self.name}: non-finite evaluation at x={x!r}")
-        return e
+            budget.spend(n)
+        return f, C
 
 
 class BudgetCounter:
@@ -115,13 +132,10 @@ class BudgetCounter:
     def exhausted(self) -> bool:
         return self.fes >= self.maxfes
 
-    def spend(self) -> None:
-        if self.exhausted:
+    def spend(self, k: int = 1) -> None:
+        if k > self.remaining:
             raise BudgetExhaustedError(f"budget of {self.maxfes} evaluations exhausted")
-        self.fes += 1
-
-    def __repr__(self):
-        return f"BudgetCounter(fes={self.fes}, maxfes={self.maxfes})"
+        self.fes += k
 
 
 def epsilon_vector(values, m: int | None = None) -> np.ndarray:
@@ -155,6 +169,27 @@ def relaxed_violation(e: Evaluation, eps: np.ndarray) -> float:
     h_abs = np.abs(e.h)
     h_part = np.where(h_abs > eps[p:], h_abs, 0.0)
     return float(np.sum(g_part) + np.sum(h_part))
+
+
+def violations(C: np.ndarray, n_ineq: int) -> np.ndarray:
+    """``violation`` of every row of a constraint batch (inequalities first)."""
+    return np.sum(np.maximum(C[:, :n_ineq], 0.0), axis=1) + np.sum(np.abs(C[:, n_ineq:]), axis=1)
+
+
+def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarray:
+    """``relaxed_violation`` of every row of a constraint batch."""
+    eps = epsilon_vector(eps, C.shape[1])
+    g, h_abs = C[:, :n_ineq], np.abs(C[:, n_ineq:])
+    return (np.sum(np.where(g > eps[:n_ineq], g, 0.0), axis=1)
+            + np.sum(np.where(h_abs > eps[n_ineq:], h_abs, 0.0), axis=1))
+
+
+def feasible_rows(C: np.ndarray, n_ineq: int, delta_acc: float = 1e-3) -> np.ndarray:
+    """``is_feasible`` of every row of a constraint batch."""
+    if delta_acc <= 0:
+        raise ValueError("delta_acc must be positive")
+    return (np.all(C[:, :n_ineq] <= delta_acc, axis=1)
+            & np.all(np.abs(C[:, n_ineq:]) <= delta_acc, axis=1))
 
 
 def eps_compare(a: tuple[float, float], b: tuple[float, float]) -> int:

@@ -15,13 +15,7 @@ import numpy as np
 
 from .cop import BudgetCounter, ConstrainedProblem
 from .features import extract_state, mask_constraint_features, top5_violation_mean
-from .lshade import (
-    Population,
-    RunStats,
-    SuccessHistory,
-    generation_step,
-    init_population,
-)
+from .lshade import Population, RunStats, SuccessHistory, generation_step, init_population
 
 SCHEME_EXPONENTIAL = "exponential"
 SCHEME_LINEAR_AA = "linear-aa"   # aggressive multiplicative adjustment
@@ -86,10 +80,10 @@ class EpsilonBase:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_population(cls, pop: Population, n_ineq: int, delta: float = DELTA_DEFAULT) -> "EpsilonBase":
-        g = np.stack([np.maximum(m.eval.g, 0.0) for m in pop.members]) if n_ineq else np.zeros((len(pop.members), 0))
-        h = np.stack([np.abs(m.eval.h) for m in pop.members])
-        per_constraint = np.concatenate([g.mean(axis=0), h.mean(axis=0)])
+    def from_population(cls, pop: Population, delta: float = DELTA_DEFAULT) -> "EpsilonBase":
+        p = pop.n_ineq
+        per_constraint = np.concatenate([np.maximum(pop.C[:, :p], 0.0).mean(axis=0),
+                                         np.abs(pop.C[:, p:]).mean(axis=0)])
         return cls(values=per_constraint, delta=delta)
 
 
@@ -208,13 +202,12 @@ class EpsilonControlEnv:
         self.stats = RunStats(delta_acc=self.delta_acc, budget=self.budget)
         self.hist = SuccessHistory.fresh()
         self.pop = init_population(self.problem, self.n_pop, self.rng, self.budget, self.stats)
-        self.eps_base = EpsilonBase.from_population(self.pop, self.problem.n_ineq, self.delta)
+        self.eps_base = EpsilonBase.from_population(self.pop, self.delta)
         self.current_eps = self.eps_base.values.copy()
 
         # the population only changes inside a step, so nu_top5 stays current
-        self.nu_top5 = top5_violation_mean(self.pop.members)
+        self.stats.nu_top5 = self.stats.nu_top5_0 = top5_violation_mean(self.pop.nu)
         self.stats.f_pbest_0 = self.stats.f_gbest
-        self.stats.nu_top5_0 = self.nu_top5
         # best objective across all training so far
         self.f_agentbest = np.inf if self._initial_agentbest is None else self._initial_agentbest
         self.terminal = False
@@ -223,7 +216,7 @@ class EpsilonControlEnv:
         return self.state
 
     def _observe(self) -> np.ndarray:
-        s = extract_state(self.pop.members, self.problem.lower, self.problem.upper, self.stats)
+        s = extract_state(self.pop, self.problem.lower, self.problem.upper, self.stats)
         if self.mask_state:
             s = mask_constraint_features(s)
         return s
@@ -252,7 +245,7 @@ class EpsilonControlEnv:
         if self.terminal:
             raise RuntimeError("episode is terminal; call reset() before stepping")
         state = self.state
-        f_gbest_prev, nu_prev = self.stats.f_gbest, self.nu_top5
+        f_gbest_prev, nu_prev = self.stats.f_gbest, self.stats.nu_top5
 
         self.current_eps = np.asarray(eps, dtype=float)
         generation_step(self.pop, self.problem, self.current_eps, self.hist, self.rng,
@@ -260,12 +253,12 @@ class EpsilonControlEnv:
         self.terminal = self.budget.exhausted
         self.step_index += 1
 
-        self.nu_top5 = top5_violation_mean(self.pop.members)
+        self.stats.nu_top5 = top5_violation_mean(self.pop.nu)
         # the all-training best updates before the reward so r1 stays <= 1
         self.f_agentbest = min(self.f_agentbest, self.stats.f_gbest)
         r1, r2, gamma = reward_components(
             f_gbest_prev, self.stats.f_gbest, self.stats.f_pbest_0, self.f_agentbest,
-            nu_prev, self.nu_top5, self.stats.nu_top5_0,
+            nu_prev, self.stats.nu_top5, self.stats.nu_top5_0,
         )
         reward = compute_reward(r1, r2, gamma, self.reward_variant)
 

@@ -11,26 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cop import is_feasible
-from .lshade import Individual, RunStats
+from .lshade import Population, RunStats
 
-STATE_DIM = 10
 # feature indices zeroed by the constraint-feature mask (0-based)
 MASKED_FEATURES = (5, 6, 8, 9)
 
 _S5_CLIP = 10.0
 
 
-def top5_violation_mean(members: list[Individual]) -> float:
-    """Mean of the min(5, N) smallest exact violations in the population."""
-    if not members:
+def top5_violation_mean(nu: np.ndarray) -> float:
+    """Mean of the min(5, N) smallest exact violations ``nu`` of a population."""
+    if len(nu) == 0:
         raise ValueError("population must be non-empty")
-    nus = np.sort(np.array([m.nu for m in members]))
-    k = min(5, nus.size)
-    return float(np.mean(nus[:k]))
+    return float(np.mean(np.sort(nu)[:5]))
 
 
-def extract_state(members: list[Individual], lower: np.ndarray, upper: np.ndarray,
+def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
                   hist: RunStats) -> np.ndarray:
     """Build the 10-feature observation for the current population.
 
@@ -39,18 +35,16 @@ def extract_state(members: list[Individual], lower: np.ndarray, upper: np.ndarra
     s3  pooled mean of box-normalized coordinates
     s4  mean of the same normalized objective values
     s5  population-best objective over its generation-0 value (guarded, clipped)
-    s6  top-5 violation mean over its generation-0 value
+    s6  top-5 violation mean (kept current in hist.nu_top5) over its generation-0 value
     s7  feasible fraction at the run's accuracy delta_acc
     s8  consumed budget fraction
     s9  previous relaxation level
     s10 fraction of member pairs whose objective and violation move together
     """
-    if not members:
+    n = pop.size
+    if n == 0:
         raise ValueError("population must be non-empty")
-    xs = np.stack([m.x for m in members])
-    fs = np.array([m.eval.f for m in members])
-    nus = np.array([m.nu for m in members])
-    n = len(members)
+    xs, fs, nus = pop.x, pop.f, pop.nu
 
     coords = (xs - lower) / (upper - lower)
     s1 = float(np.std(coords))
@@ -71,10 +65,8 @@ def extract_state(members: list[Individual], lower: np.ndarray, upper: np.ndarra
     else:
         s5 = float(np.clip(f_pbest / hist.f_pbest_0, -_S5_CLIP, _S5_CLIP))
 
-    nu_top5 = top5_violation_mean(members)
-    s6 = nu_top5 / hist.nu_top5_0 if hist.nu_top5_0 > 0.0 else 0.0
-
-    s7 = sum(is_feasible(m.eval, hist.delta_acc) for m in members) / n
+    s6 = hist.nu_top5 / hist.nu_top5_0 if hist.nu_top5_0 > 0.0 else 0.0
+    s7 = int(np.count_nonzero(pop.feasible)) / n
     s8 = hist.budget.fes / hist.budget.maxfes
     s9 = hist.prev_action
 

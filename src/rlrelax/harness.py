@@ -21,6 +21,7 @@ from . import agent as qnet
 from .agent import CheckpointMetadata, NetworkParams, ReplayBuffer
 from .config import ConfigError, ExperimentConfig
 from .env import ActionSpace, EpsilonControlEnv, epsilon_from_action
+from .lshade import episode_steps
 from .problems import ProblemRegistry, load_shift_table
 
 BASELINES = ("static-eps", "scheduled-eps", "feasibility-rule", "untrained-agent")
@@ -84,8 +85,8 @@ def train(cfg: ExperimentConfig, problems: list[str] | None = None,
     tc = cfg.train_config()
 
     instances = [(name, dim) for dim in cfg.dims for name in names]
-    steps_per = {(n, d): (cfg.maxfes(d) - cfg.pop_size) // cfg.pop_size for n, d in instances}
-    total_steps = tc.max_epoch * sum(steps_per.values())
+    total_steps = tc.max_epoch * sum(episode_steps(cfg.maxfes(d), cfg.pop_size, cfg.lpsr)
+                                     for _, d in instances)
 
     params = _init_params(cfg)
     target = params.copy()
@@ -229,17 +230,12 @@ def evaluate(cfg: ExperimentConfig, params: NetworkParams,
     """Greedy-policy evaluation: cfg.runs paired-seed runs per (problem, dim)."""
     cfg.validate()
     if metadata is not None:
-        if metadata.action_scheme != cfg.action_scheme:
-            raise ConfigError(
-                f"checkpoint was trained with scheme {metadata.action_scheme!r}, "
-                f"config requests {cfg.action_scheme!r}"
-            )
-        trained_variant = metadata.extra.get("reward_variant")
-        if trained_variant is not None and trained_variant != cfg.reward_variant:
-            raise ConfigError(
-                f"checkpoint was trained with reward variant {trained_variant!r}, "
-                f"config requests {cfg.reward_variant!r}"
-            )
+        for what, trained, wanted in (
+                ("scheme", metadata.action_scheme, cfg.action_scheme),
+                ("reward variant", metadata.extra.get("reward_variant"), cfg.reward_variant)):
+            if trained is not None and trained != wanted:
+                raise ConfigError(f"checkpoint was trained with {what} {trained!r}, "
+                                  f"config requests {wanted!r}")
     return _evaluate_policy(
         cfg, _greedy_policy(params), method, problems, registry,
         mask_state=cfg.mask_state if mask_state is None else mask_state,
@@ -400,18 +396,16 @@ def write_jsonl(rows: list[dict], path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
+_TRACE_KEYS = ("step", "fes", "level", "eps_min", "eps_mean", "eps_max", "reward", "sco")
+
+
 def write_records_jsonl(records: list[RunRecord], path) -> None:
     """Per-generation trace lines, one JSON object per meta-step."""
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
             for s in r.steps:
-                fh.write(json.dumps({
-                    "problem": r.problem, "dim": r.dim, "method": r.method,
-                    "run": r.run, "step": s["step"], "fes": s["fes"],
-                    "level": s["level"], "eps_min": s["eps_min"],
-                    "eps_mean": s["eps_mean"], "eps_max": s["eps_max"],
-                    "reward": s["reward"], "sco": s["sco"],
-                }) + "\n")
+                fh.write(json.dumps({"problem": r.problem, "dim": r.dim, "method": r.method,
+                                     "run": r.run, **{k: s[k] for k in _TRACE_KEYS}}) + "\n")
 
 
 def load_records_jsonl(path) -> list[RunRecord]:
@@ -445,15 +439,10 @@ def export_curves(records: list[RunRecord], out_dir, stem: str = "curves") -> tu
     jsonl_path = out / f"{stem}.jsonl"
     write_records_jsonl(records, jsonl_path)
 
-    bounds: dict[tuple, tuple[float, float]] = {}
+    pooled: dict[tuple, list[float]] = {}
     for r in records:
-        scores = [s["sco"] for s in r.steps]
-        lo, hi = min(scores), max(scores)
-        key = (r.problem, r.dim)
-        if key in bounds:
-            bounds[key] = (min(bounds[key][0], lo), max(bounds[key][1], hi))
-        else:
-            bounds[key] = (lo, hi)
+        pooled.setdefault((r.problem, r.dim), []).extend(s["sco"] for s in r.steps)
+    bounds = {key: (min(scores), max(scores)) for key, scores in pooled.items()}
 
     series: dict[tuple, dict[int, list[float]]] = {}
     fes_of: dict[tuple, int] = {}

@@ -16,48 +16,63 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cop import (
-    BudgetCounter,
-    ConstrainedProblem,
-    Evaluation,
-    eps_compare,
-    is_feasible,
-    relaxed_violation,
-    sco,
-    violation,
-)
+from .cop import (BudgetCounter, ConstrainedProblem, eps_compare, feasible_rows,
+                  relaxed_violations, violations)
 
 H_MEMORY = 5         # success-history slots
 P_BEST_RATE = 0.11   # fraction of the population eligible as pbest
 N_MIN = 4            # smallest population current-to-pbest/1 can run on
 
 
-@dataclass
-class Individual:
-    x: np.ndarray
-    eval: Evaluation
-    nu: float        # exact violation, fixed once evaluated
-    nu_eps: float    # relaxed violation under the active epsilon
-
-    @classmethod
-    def from_evaluation(cls, x: np.ndarray, e: Evaluation, eps: np.ndarray | None = None) -> "Individual":
-        nu = violation(e)
-        nu_eps = nu if eps is None else relaxed_violation(e, eps)
-        return cls(x=np.asarray(x, dtype=float), eval=e, nu=nu, nu_eps=nu_eps)
-
-    def sort_key(self) -> tuple[float, float]:
-        return (self.nu_eps, self.eval.f)
+_ROW_FIELDS = ("x", "f", "C", "nu", "nu_eps", "feasible")
 
 
 @dataclass
 class Population:
-    members: list[Individual]
-    archive: list[Individual] = field(default_factory=list)
-    t: int = 0
+    """The members as row-aligned arrays, one row per member.
+
+    ``x`` (N, D) positions, ``f`` (N,) objectives, ``C`` (N, p+q) raw
+    constraint values with the p inequalities first, ``nu`` the exact and
+    ``nu_eps`` the relaxed violation under the active epsilon, ``feasible``
+    the mask at the run's delta_acc.  The archive holds the positions of
+    replaced parents.
+    """
+
+    x: np.ndarray
+    f: np.ndarray
+    C: np.ndarray
+    nu: np.ndarray
+    nu_eps: np.ndarray
+    feasible: np.ndarray
+    n_ineq: int
+    archive: list[np.ndarray] = field(default_factory=list)
+
+    @classmethod
+    def evaluated(cls, x, f, C, n_ineq: int, delta_acc: float = 1e-3,
+                  eps: np.ndarray | None = None) -> "Population":
+        """Rows from evaluator output; nu_eps is nu when no epsilon is given."""
+        nu = violations(C, n_ineq)
+        return cls(x=x, f=f, C=C, nu=nu,
+                   nu_eps=nu if eps is None else relaxed_violations(C, n_ineq, eps),
+                   feasible=feasible_rows(C, n_ineq, delta_acc), n_ineq=n_ineq)
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.f.size
+
+    def ranking(self) -> np.ndarray:
+        """Member indices best first by (nu_eps, f); ties keep index order."""
+        return np.lexsort((self.f, self.nu_eps))
+
+    def keep(self, rows) -> None:
+        """Keep only the given rows, in the given order."""
+        for name in _ROW_FIELDS:
+            setattr(self, name, getattr(self, name)[rows])
+
+    def replace(self, rows, other: "Population") -> None:
+        """Overwrite the given rows with the same rows of ``other``."""
+        for name in _ROW_FIELDS:
+            getattr(self, name)[rows] = getattr(other, name)[rows]
 
 
 @dataclass
@@ -88,14 +103,17 @@ class RunStats:
     # after initialization, so it is also the reward's f_gbest_0
     f_pbest_0: float = math.nan
     nu_top5_0: float = math.nan      # top-5 violation mean at generation 0
+    nu_top5: float = math.nan        # the same for the current population
     prev_action: float = 1.0         # last relaxation level, normalized to [0, 1]
 
-    def observe(self, e: Evaluation) -> None:
-        self.f_gbest = min(self.f_gbest, e.f)
-        self.f_max = max(self.f_max, e.f)
-        if is_feasible(e, self.delta_acc):
-            self.best_feasible_f = min(self.best_feasible_f, e.f)
-        self.best_sco = min(self.best_sco, sco(e, self.delta_acc))
+    def observe(self, batch: Population) -> None:
+        """Fold in a batch whose feasibility mask is taken at this delta_acc."""
+        f, ok = batch.f, batch.feasible
+        self.f_gbest = min(self.f_gbest, float(np.min(f)))
+        self.f_max = max(self.f_max, float(np.max(f)))
+        if ok.any():
+            self.best_feasible_f = min(self.best_feasible_f, float(np.min(f[ok])))
+        self.best_sco = min(self.best_sco, float(np.min(np.where(ok, f, f + batch.nu))))
 
 
 def init_population(problem: ConstrainedProblem, n: int, rng: np.random.Generator,
@@ -107,34 +125,31 @@ def init_population(problem: ConstrainedProblem, n: int, rng: np.random.Generato
         raise RuntimeError(
             f"budget of {budget.remaining} evaluations cannot initialize n={n}"
         ) from None
-    members = []
-    for _ in range(n):
-        x = rng.uniform(problem.lower, problem.upper)
-        e = problem.evaluate(x, budget)
-        if stats is not None:
-            stats.observe(e)
-        members.append(Individual.from_evaluation(x, e))
-    return Population(members=members)
+    stats = stats if stats is not None else RunStats()
+    x = rng.uniform(problem.lower, problem.upper, size=(n, problem.dim))
+    f, C = problem.evaluate_batch(x, budget)
+    pop = Population.evaluated(x, f, C, problem.n_ineq, stats.delta_acc)
+    stats.observe(pop)
+    return pop
 
 
 def refresh_relaxed(pop: Population, eps: np.ndarray) -> None:
-    """Recompute every cached relaxed violation against a new epsilon."""
-    for ind in pop.members:
-        ind.nu_eps = relaxed_violation(ind.eval, eps)
+    """Recompute every relaxed violation against a new epsilon."""
+    pop.nu_eps = relaxed_violations(pop.C, pop.n_ineq, eps)
 
 
-def mutate_current_to_pbest(i: int, members: list[Individual], archive: list[Individual],
-                            f_i: float, ranked: list[int], p_rate: float,
+def mutate_current_to_pbest(i: int, xs: np.ndarray, archive: list[np.ndarray],
+                            f_i: float, ranked, p_rate: float,
                             rng: np.random.Generator) -> np.ndarray:
     """current-to-pbest/1 donor: v = x_i + F (x_pbest - x_i) + F (x_r1 - x_r2).
 
     pbest is drawn from the ceil(p_rate * N) best under the active
     comparison order (``ranked``, best first); r1 comes from the
-    population, r2 from population + archive, with i, r1, r2 distinct.
+    population ``xs``, r2 from population + archive, with i, r1, r2 distinct.
     """
-    n = len(members)
+    n = len(xs)
     n_best = max(1, math.ceil(p_rate * n))
-    pbest = members[ranked[rng.integers(n_best)]].x
+    pbest = xs[ranked[rng.integers(n_best)]]
     r1 = int(rng.integers(n))
     while r1 == i:
         r1 = int(rng.integers(n))
@@ -142,9 +157,9 @@ def mutate_current_to_pbest(i: int, members: list[Individual], archive: list[Ind
     r2 = int(rng.integers(pool))
     while r2 == i or r2 == r1:
         r2 = int(rng.integers(pool))
-    x_r2 = members[r2].x if r2 < n else archive[r2 - n].x
-    x_i = members[i].x
-    return x_i + f_i * (pbest - x_i) + f_i * (members[r1].x - x_r2)
+    x_r2 = xs[r2] if r2 < n else archive[r2 - n]
+    x_i = xs[i]
+    return x_i + f_i * (pbest - x_i) + f_i * (xs[r1] - x_r2)
 
 
 def crossover_binomial(x_i: np.ndarray, v: np.ndarray, cr_i: float,
@@ -164,19 +179,18 @@ def crossover_binomial(x_i: np.ndarray, v: np.ndarray, cr_i: float,
     return u
 
 
-def select_survivor(parent: Individual, trial: Individual) -> tuple[Individual, bool, float]:
-    """Keep the eps_compare winner; ties keep the parent.
+def select_survivor(parent: tuple[float, float],
+                    trial: tuple[float, float]) -> tuple[tuple[float, float], bool, float]:
+    """Keep the eps_compare winner of two (objective, relaxed violation)
+    pairs; ties keep the parent.
 
     Returns (survivor, success, improvement weight).  The weight is the
     drop in the active sort key: violation decrease when the relaxed
     violations differ, objective decrease otherwise.
     """
-    if eps_compare((trial.eval.f, trial.nu_eps), (parent.eval.f, parent.nu_eps)) == -1:
-        if trial.nu_eps != parent.nu_eps:
-            w = parent.nu_eps - trial.nu_eps
-        else:
-            w = parent.eval.f - trial.eval.f
-        return trial, True, w
+    if eps_compare(trial, parent) == -1:
+        (f_p, nu_p), (f_t, nu_t) = parent, trial
+        return trial, True, (nu_p - nu_t if nu_t != nu_p else f_p - f_t)
     return parent, False, 0.0
 
 
@@ -224,6 +238,18 @@ def lpsr_target_size(fes: int, maxfes: int, n_init: int, n_min: int = N_MIN) -> 
     return int(round(n_init - (n_init - n_min) * fes / maxfes))
 
 
+def episode_steps(maxfes: int, n_pop: int, lpsr: bool = False, n_min: int = N_MIN) -> int:
+    """Generations one run takes after initialization: each evaluates its
+    trials until the budget runs dry, and LPSR shrinks the ones after it."""
+    fes, n, steps = n_pop, n_pop, 0
+    while fes < maxfes:
+        fes = min(fes + n, maxfes)
+        steps += 1
+        if lpsr:
+            n = min(n, max(n_min, lpsr_target_size(fes, maxfes, n_pop, n_min)))
+    return steps
+
+
 def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarray,
                     hist: SuccessHistory, rng: np.random.Generator,
                     budget: BudgetCounter, stats: RunStats | None = None,
@@ -238,54 +264,46 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     """
     if budget.exhausted:
         raise RuntimeError("generation_step requires at least one remaining evaluation")
+    stats = stats if stats is not None else RunStats()
     refresh_relaxed(pop, eps)
-    members = pop.members
-    n = len(members)
-    ranked = sorted(range(n), key=lambda j: members[j].sort_key())
+    n = pop.size
+    ranked = pop.ranking()
     archive_snapshot = list(pop.archive)
 
-    trials_x = []
+    trials_x = np.empty_like(pop.x)
     params = []
     for i in range(n):
         f_i, cr_i = sample_f_cr(hist, rng)
-        v = mutate_current_to_pbest(i, members, archive_snapshot, f_i, ranked, p_rate, rng)
-        u = crossover_binomial(members[i].x, v, cr_i, rng, problem.lower, problem.upper)
-        trials_x.append(u)
+        v = mutate_current_to_pbest(i, pop.x, archive_snapshot, f_i, ranked, p_rate, rng)
+        trials_x[i] = crossover_binomial(pop.x[i], v, cr_i, rng, problem.lower, problem.upper)
         params.append((f_i, cr_i))
 
-    survivors = list(members)
-    s_f, s_cr, s_w = [], [], []
-    evaluated = 0
-    for i in range(n):
-        if budget.exhausted:
-            break
-        e = problem.evaluate(trials_x[i], budget)
-        evaluated += 1
-        if stats is not None:
-            stats.observe(e)
-        trial = Individual.from_evaluation(trials_x[i], e, eps)
-        survivor, success, w = select_survivor(members[i], trial)
-        survivors[i] = survivor
+    f, C = problem.evaluate_batch(trials_x, budget)
+    trials = Population.evaluated(trials_x[:f.size], f, C, pop.n_ineq, stats.delta_acc, eps)
+    stats.observe(trials)
+
+    parents = list(zip(pop.f.tolist(), pop.nu_eps.tolist()))
+    s_f, s_cr, s_w, won = [], [], [], []
+    for i, trial in enumerate(zip(trials.f.tolist(), trials.nu_eps.tolist())):
+        _, success, w = select_survivor(parents[i], trial)
         if success:
-            pop.archive.append(members[i])
+            won.append(i)
+            pop.archive.append(pop.x[i].copy())  # replace() below writes pop.x in place
             if len(pop.archive) > n:
                 pop.archive.pop(int(rng.integers(len(pop.archive))))
             s_f.append(params[i][0])
             s_cr.append(params[i][1])
             s_w.append(w)
 
-    pop.members = survivors
-    pop.t += 1
+    pop.replace(won, trials)
     update_memory(hist, s_f, s_cr, s_w)
 
     if lpsr:
         n_target = max(n_min, lpsr_target_size(budget.fes, budget.maxfes,
                                                n_init if n_init is not None else n, n_min))
-        if n_target < len(pop.members):
-            order = sorted(range(len(pop.members)), key=lambda j: pop.members[j].sort_key())
-            keep = sorted(order[:n_target])
-            pop.members = [pop.members[j] for j in keep]
-        while len(pop.archive) > len(pop.members):
+        if n_target < pop.size:
+            pop.keep(np.sort(pop.ranking()[:n_target]))
+        while len(pop.archive) > pop.size:
             pop.archive.pop(int(rng.integers(len(pop.archive))))
 
-    return evaluated
+    return trials.size

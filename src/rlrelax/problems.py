@@ -103,35 +103,26 @@ def cec14_evaluation(x: np.ndarray, shift: np.ndarray) -> Evaluation:
     return Evaluation(f, np.array([g1]), np.array([h1]))
 
 
+def _box_problem(name: str, dim: int, n_ineq: int, n_eq: int, evaluator,
+                 feasible_point: np.ndarray | None) -> ConstrainedProblem:
+    """A problem on the search box [-SEARCH_BOUND, SEARCH_BOUND]^dim."""
+    return ConstrainedProblem(name=name, dim=dim, lower=np.full(dim, -SEARCH_BOUND),
+                              upper=np.full(dim, SEARCH_BOUND), n_ineq=n_ineq, n_eq=n_eq,
+                              evaluator=evaluator, feasible_point=feasible_point)
+
+
 def make_cec12(dim: int, shift: np.ndarray | None = None) -> ConstrainedProblem:
     o = make_shift("cec12", dim) if shift is None else np.asarray(shift, dtype=float)
-    return ConstrainedProblem(
-        name="cec12",
-        dim=dim,
-        lower=np.full(dim, -SEARCH_BOUND),
-        upper=np.full(dim, SEARCH_BOUND),
-        n_ineq=1,
-        n_eq=1,
-        evaluator=lambda x, o=o: cec12_evaluation(x, o),
-        # y = (1,1,1,1,0,...) hits the shell exactly when dim >= 4
-        feasible_point=(o + np.concatenate([np.ones(4), np.zeros(dim - 4)])) if dim >= 4 else None,
-    )
+    # y = (1,1,1,1,0,...) hits the shell exactly when dim >= 4
+    feas = (o + np.concatenate([np.ones(4), np.zeros(dim - 4)])) if dim >= 4 else None
+    return _box_problem("cec12", dim, 1, 1, lambda x, o=o: cec12_evaluation(x, o), feas)
 
 
 def make_cec14(dim: int, shift: np.ndarray | None = None) -> ConstrainedProblem:
     o = make_shift("cec14", dim) if shift is None else np.asarray(shift, dtype=float)
     # cos(f)+sin(f)=0 at f = 3*pi/4: put one coordinate there, rest at zero.
     feas = o + np.concatenate([[3.0 * np.pi / 4.0], np.zeros(dim - 1)])
-    return ConstrainedProblem(
-        name="cec14",
-        dim=dim,
-        lower=np.full(dim, -SEARCH_BOUND),
-        upper=np.full(dim, SEARCH_BOUND),
-        n_ineq=1,
-        n_eq=1,
-        evaluator=lambda x, o=o: cec14_evaluation(x, o),
-        feasible_point=feas,
-    )
+    return _box_problem("cec14", dim, 1, 1, lambda x, o=o: cec14_evaluation(x, o), feas)
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +247,7 @@ def synthetic_family(kind: str, seed: int, dim: int,
         p, q = 2, 0
         feas_y = np.full(dim, (low + 1.0) / dim)
 
-    return ConstrainedProblem(
-        name=f"synthetic/{kind}/{seed}",
-        dim=dim,
-        lower=np.full(dim, -SEARCH_BOUND),
-        upper=np.full(dim, SEARCH_BOUND),
-        n_ineq=p,
-        n_eq=q,
-        evaluator=ev,
-        feasible_point=o + feas_y,
-    )
+    return _box_problem(f"synthetic/{kind}/{seed}", dim, p, q, ev, o + feas_y)
 
 
 # ---------------------------------------------------------------------------

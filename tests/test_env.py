@@ -148,20 +148,19 @@ class TestEnvEpisode:
     def test_eps_base_from_initial_violations(self):
         env = make_env()
         env.reset()
-        g = np.stack([np.maximum(m.eval.g, 0.0) for m in env.pop.members])
-        h = np.stack([np.abs(m.eval.h) for m in env.pop.members])
+        p = env.problem.n_ineq
+        g = np.maximum(env.pop.C[:, :p], 0.0)
+        h = np.abs(env.pop.C[:, p:])
         expect = np.maximum(np.concatenate([g.mean(0), h.mean(0)]), 1e-3)
         assert np.allclose(env.eps_base.values, expect)
 
     def test_eps_base_mean_of_contributions(self):
         # two members violating one equality by 2 and 4 average to 3
-        from rlrelax.lshade import Individual, Population
+        from rlrelax.lshade import Population
 
-        members = [
-            Individual.from_evaluation(np.zeros(2), Evaluation(0.0, np.zeros(0), np.array([2.0]))),
-            Individual.from_evaluation(np.ones(2), Evaluation(1.0, np.zeros(0), np.array([-4.0]))),
-        ]
-        base = EpsilonBase.from_population(Population(members=members), n_ineq=0)
+        pop = Population.evaluated(np.array([np.zeros(2), np.ones(2)]), np.array([0.0, 1.0]),
+                                   np.array([[2.0], [-4.0]]), n_ineq=0)
+        base = EpsilonBase.from_population(pop)
         assert base.values[0] == pytest.approx(3.0)
 
     def test_episode_length_and_budget(self):

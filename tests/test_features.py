@@ -1,38 +1,38 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from rlrelax.cop import BudgetCounter, Evaluation
+from rlrelax.cop import BudgetCounter
 from rlrelax.features import (
     extract_state,
     mask_constraint_features,
     top5_violation_mean,
 )
-from rlrelax.lshade import Individual, RunStats
+from rlrelax.lshade import Population, RunStats
 
 
-def make_member(x, f, g=(), h=()):
-    e = Evaluation(f, np.array(g, dtype=float), np.array(h, dtype=float))
-    return Individual.from_evaluation(np.asarray(x, dtype=float), e)
+def make_pop(rows, n_ineq=1):
+    """A population from (x, f, constraint values) rows."""
+    xs, fs, cs = zip(*rows)
+    return Population.evaluated(np.array(xs, dtype=float), np.array(fs, dtype=float),
+                                np.array(cs, dtype=float), n_ineq)
 
 
-def make_hist(members, fes=50, maxfes=500, prev_action=1.0):
-    fs = [m.eval.f for m in members]
+def make_hist(pop, fes=50, maxfes=500, prev_action=1.0):
     budget = BudgetCounter(maxfes)
     budget.fes = fes
+    nu_top5 = top5_violation_mean(pop.nu)
     return RunStats(
-        f_gbest=min(fs), f_max=max(fs), f_pbest_0=min(fs),
-        nu_top5_0=top5_violation_mean(members), prev_action=prev_action,
-        budget=budget,
+        f_gbest=float(pop.f.min()), f_max=float(pop.f.max()), f_pbest_0=float(pop.f.min()),
+        nu_top5_0=nu_top5, nu_top5=nu_top5, prev_action=prev_action, budget=budget,
     )
 
 
 def random_population(rng, n, dim, p=1, q=1):
-    members = []
-    for _ in range(n):
-        x = rng.uniform(-5, 5, size=dim)
-        members.append(make_member(x, rng.normal(), g=rng.normal(size=p),
-                                   h=rng.normal(size=q)))
-    return members
+    rows = [(rng.uniform(-5, 5, size=dim), rng.normal(),
+             np.concatenate([rng.normal(size=p), rng.normal(size=q)])) for _ in range(n)]
+    return make_pop(rows, n_ineq=p)
 
 
 LOWER = np.full(3, -5.0)
@@ -41,33 +41,30 @@ UPPER = np.full(3, 5.0)
 
 class TestTop5:
     def test_five_zeros_dominate(self):
-        members = [make_member(np.zeros(1), 0.0, g=[v]) for v in (0, 0, 0, 0, 0, 7)]
-        assert top5_violation_mean(members) == 0.0
+        assert top5_violation_mean(np.array([0, 0, 0, 0, 0, 7.0])) == 0.0
 
     def test_mean_of_smallest_five(self):
-        members = [make_member(np.zeros(1), 0.0, g=[v]) for v in (1, 2, 3, 4, 5, 100)]
-        assert top5_violation_mean(members) == pytest.approx(3.0)
+        assert top5_violation_mean(np.array([1, 2, 3, 4, 5, 100.0])) == pytest.approx(3.0)
 
     def test_small_population_uses_all(self):
-        members = [make_member(np.zeros(1), 0.0, g=[v]) for v in (3, 6, 9)]
-        assert top5_violation_mean(members) == pytest.approx(6.0)
+        assert top5_violation_mean(np.array([3, 6, 9.0])) == pytest.approx(6.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            top5_violation_mean([])
+            top5_violation_mean(np.zeros(0))
 
 
 class TestExtractState:
     def test_all_feasible_gives_full_fraction(self):
-        members = [make_member(np.zeros(3), float(i), g=[-1.0]) for i in range(4)]
-        s = extract_state(members, LOWER, UPPER, make_hist(members))
+        pop = make_pop([(np.zeros(3), float(i), [-1.0]) for i in range(4)])
+        s = extract_state(pop, LOWER, UPPER, make_hist(pop))
         assert s[6] == 1.0
 
     def test_initial_conventions(self):
         rng = np.random.default_rng(0)
-        members = random_population(rng, 10, 3)
-        hist = make_hist(members, fes=50, maxfes=500, prev_action=1.0)
-        s = extract_state(members, LOWER, UPPER, hist)
+        pop = random_population(rng, 10, 3)
+        hist = make_hist(pop, fes=50, maxfes=500, prev_action=1.0)
+        s = extract_state(pop, LOWER, UPPER, hist)
         assert s[8] == 1.0          # previous action starts fully relaxed
         assert s[7] == pytest.approx(50 / 500)
         assert s[4] == pytest.approx(1.0)  # pbest ratio at generation zero
@@ -75,50 +72,47 @@ class TestExtractState:
             assert s[5] == pytest.approx(1.0)
 
     def test_pairwise_tradeoff_single_pair(self):
-        a = make_member(np.zeros(3), 1.0, g=[0.5])
-        b = make_member(np.ones(3), 2.0, g=[1.0])
-        s = extract_state([a, b], LOWER, UPPER, make_hist([a, b]))
+        a = (np.zeros(3), 1.0, [0.5])
+        pop = make_pop([a, (np.ones(3), 2.0, [1.0])])
+        s = extract_state(pop, LOWER, UPPER, make_hist(pop))
         assert s[9] == 1.0
-        b2 = make_member(np.ones(3), 2.0, g=[0.25])
-        s = extract_state([a, b2], LOWER, UPPER, make_hist([a, b2]))
+        pop2 = make_pop([a, (np.ones(3), 2.0, [0.25])])
+        s = extract_state(pop2, LOWER, UPPER, make_hist(pop2))
         assert s[9] == 0.0
 
     def test_equal_violation_pairs_count_zero(self):
-        a = make_member(np.zeros(3), 1.0, g=[0.5])
-        b = make_member(np.ones(3), 2.0, g=[0.5])
-        s = extract_state([a, b], LOWER, UPPER, make_hist([a, b]))
+        pop = make_pop([(np.zeros(3), 1.0, [0.5]), (np.ones(3), 2.0, [0.5])])
+        s = extract_state(pop, LOWER, UPPER, make_hist(pop))
         assert s[9] == 0.0
 
     def test_tradeoff_permutation_invariant_and_bounded(self):
         rng = np.random.default_rng(1)
-        members = random_population(rng, 12, 3)
-        hist = make_hist(members)
-        s = extract_state(members, LOWER, UPPER, hist)
-        perm = [members[i] for i in rng.permutation(12)]
+        pop = random_population(rng, 12, 3)
+        hist = make_hist(pop)
+        s = extract_state(pop, LOWER, UPPER, hist)
+        perm = dataclasses.replace(pop)  # keep() rebinds the copy's arrays only
+        perm.keep(rng.permutation(12))
         s_perm = extract_state(perm, LOWER, UPPER, hist)
         assert s[9] == pytest.approx(s_perm[9])
         assert 0.0 <= s[9] <= 1.0
 
     def test_affine_rescale_leaves_coordinates_features(self):
         rng = np.random.default_rng(2)
-        members = random_population(rng, 8, 3)
-        hist = make_hist(members)
-        s = extract_state(members, LOWER, UPPER, hist)
+        pop = random_population(rng, 8, 3)
+        hist = make_hist(pop)
+        s = extract_state(pop, LOWER, UPPER, hist)
         # rescale bounds and points by the same affine map
         scale, offset = 3.0, 7.0
-        moved = []
-        for m in members:
-            moved.append(Individual(x=m.x * scale + offset, eval=m.eval,
-                                    nu=m.nu, nu_eps=m.nu_eps))
+        moved = dataclasses.replace(pop, x=pop.x * scale + offset)
         s2 = extract_state(moved, LOWER * scale + offset, UPPER * scale + offset, hist)
         assert s2[0] == pytest.approx(s[0])
         assert s2[2] == pytest.approx(s[2])
 
     def test_degenerate_population_finite(self):
         # identical members: objective range collapses, features stay finite
-        members = [make_member(np.ones(3), 5.0, g=[2.0]) for _ in range(6)]
-        hist = make_hist(members)
-        s = extract_state(members, LOWER, UPPER, hist)
+        pop = make_pop([(np.ones(3), 5.0, [2.0]) for _ in range(6)])
+        hist = make_hist(pop)
+        s = extract_state(pop, LOWER, UPPER, hist)
         assert np.all(np.isfinite(s))
         assert s[1] == 0.0 and s[3] == 0.0
 
@@ -126,32 +120,33 @@ class TestExtractState:
         rng = np.random.default_rng(3)
         for _ in range(100):
             n = int(rng.integers(1, 20))
-            members = random_population(rng, n, 3)
-            hist = make_hist(members, fes=int(rng.integers(1, 500)), maxfes=500,
+            pop = random_population(rng, n, 3)
+            hist = make_hist(pop, fes=int(rng.integers(1, 500)), maxfes=500,
                              prev_action=float(rng.uniform()))
-            s = extract_state(members, LOWER, UPPER, hist)
+            s = extract_state(pop, LOWER, UPPER, hist)
             assert s.shape == (10,)
             assert np.all(np.isfinite(s))
 
     def test_all_infeasible_finite(self):
-        members = [make_member(np.full(3, i * 0.1), float(i), g=[5.0 + i]) for i in range(6)]
-        s = extract_state(members, LOWER, UPPER, make_hist(members))
+        pop = make_pop([(np.full(3, i * 0.1), float(i), [5.0 + i]) for i in range(6)])
+        s = extract_state(pop, LOWER, UPPER, make_hist(pop))
         assert np.all(np.isfinite(s))
         assert s[6] == 0.0
 
     def test_pbest_ratio_guard_and_clip(self):
-        members = [make_member(np.zeros(3), 5.0, g=[-1.0])]
-        hist = make_hist(members)
+        pop = make_pop([(np.zeros(3), 5.0, [-1.0])])
+        hist = make_hist(pop)
         hist.f_pbest_0 = 0.0  # near-zero initial best
-        s = extract_state(members, LOWER, UPPER, hist)
+        s = extract_state(pop, LOWER, UPPER, hist)
         assert s[4] == 1.0
         hist.f_pbest_0 = 1e-3  # ratio would be 5000; clipped
-        s = extract_state(members, LOWER, UPPER, hist)
+        s = extract_state(pop, LOWER, UPPER, hist)
         assert s[4] == 10.0
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            extract_state([], LOWER, UPPER, None)
+            empty = Population.evaluated(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 1)), 1)
+            extract_state(empty, LOWER, UPPER, None)
 
 
 class TestMask:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from rlrelax.cop import BudgetCounter, ConstrainedProblem, Evaluation, violation
+from rlrelax.cop import BudgetCounter, ConstrainedProblem, Evaluation, relaxed_violation, violation
 from rlrelax.lshade import (
-    Individual,
     RunStats,
     SuccessHistory,
     crossover_binomial,
@@ -38,9 +37,10 @@ def toy_constrained(dim):
     )
 
 
-def make_ind(x, f, g=(), h=(), eps=None):
+def make_pair(f, g=(), h=(), eps=None):
+    """(objective, relaxed violation) of one candidate, as selection sees it."""
     e = Evaluation(f, np.array(g, dtype=float), np.array(h, dtype=float))
-    return Individual.from_evaluation(np.atleast_1d(np.asarray(x, dtype=float)), e, eps)
+    return (e.f, violation(e) if eps is None else relaxed_violation(e, eps))
 
 
 class TestInit:
@@ -49,15 +49,14 @@ class TestInit:
         pop = init_population(sphere(10), 50, np.random.default_rng(0), budget)
         assert pop.size == 50
         assert budget.fes == 50
-        for m in pop.members:
-            assert np.all(m.x >= -100) and np.all(m.x <= 100)
+        assert pop.x.shape == (50, 10)
+        assert np.all(pop.x >= -100) and np.all(pop.x <= 100)
 
     def test_deterministic(self):
         a = init_population(sphere(5), 10, np.random.default_rng(42), BudgetCounter(100))
         b = init_population(sphere(5), 10, np.random.default_rng(42), BudgetCounter(100))
-        for ma, mb in zip(a.members, b.members):
-            assert np.array_equal(ma.x, mb.x)
-            assert ma.eval.f == mb.eval.f
+        assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.f, b.f)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -70,21 +69,20 @@ class TestInit:
 
 class TestMutation:
     def test_zero_f_returns_parent(self):
-        members = [make_ind([float(i)], float(i)) for i in range(5)]
+        xs = np.arange(5.0)[:, None]
         rng = np.random.default_rng(1)
-        v = mutate_current_to_pbest(0, members, [], 0.0, list(range(5)), 0.11, rng)
-        assert np.array_equal(v, members[0].x)
+        v = mutate_current_to_pbest(0, xs, [], 0.0, list(range(5)), 0.11, rng)
+        assert np.array_equal(v, xs[0])
 
     def test_identical_points_collapse(self):
-        members = [make_ind([2.0, 3.0], 1.0) for _ in range(6)]
+        xs = np.tile([2.0, 3.0], (6, 1))
         rng = np.random.default_rng(2)
-        v = mutate_current_to_pbest(0, members, [], 0.7, list(range(6)), 0.11, rng)
+        v = mutate_current_to_pbest(0, xs, [], 0.7, list(range(6)), 0.11, rng)
         assert np.allclose(v, [2.0, 3.0])
 
     def test_hand_arithmetic_1d(self):
         # v = x_i + F (x_pbest - x_i) + F (x_r1 - x_r2) = 0 + 0.5*2 + 0.5*1 = 1.5
-        members = [make_ind([0.0], 5.0), make_ind([2.0], 0.0),
-                   make_ind([1.0], 3.0), make_ind([0.0], 4.0)]
+        xs = np.array([[0.0], [2.0], [1.0], [0.0]])
         ranked = [1, 2, 3, 0]
 
         class FixedRng:
@@ -95,15 +93,15 @@ class TestMutation:
                 return self.seq.pop(0)
 
         # pbest slot -> member 1, r1 = 2, r2 = 3 (x = 0)
-        v = mutate_current_to_pbest(0, members, [], 0.5, ranked, 0.25, FixedRng([0, 2, 3]))
+        v = mutate_current_to_pbest(0, xs, [], 0.5, ranked, 0.25, FixedRng([0, 2, 3]))
         assert v[0] == pytest.approx(1.5)
 
     def test_indices_distinct(self):
-        members = [make_ind([float(i)], float(i)) for i in range(6)]
+        xs = np.arange(6.0)[:, None]
         rng = np.random.default_rng(3)
         for i in range(6):
             for _ in range(50):
-                mutate_current_to_pbest(i, members, members[:2], 0.5,
+                mutate_current_to_pbest(i, xs, list(xs[:2]), 0.5,
                                         list(range(6)), 0.11, rng)
         # reaching here means the distinctness loops always terminated
 
@@ -136,27 +134,27 @@ class TestCrossover:
 
 class TestSelection:
     def test_trial_wins_on_objective(self):
-        parent = make_ind([0.0], 2.0)
-        trial = make_ind([1.0], 1.0)
+        parent = make_pair(2.0)
+        trial = make_pair(1.0)
         survivor, success, w = select_survivor(parent, trial)
         assert survivor is trial and success
         assert w == pytest.approx(1.0)
 
     def test_tie_keeps_parent(self):
-        parent = make_ind([0.0], 1.0)
-        trial = make_ind([1.0], 1.0)
+        parent = make_pair(1.0)
+        trial = make_pair(1.0)
         survivor, success, _ = select_survivor(parent, trial)
         assert survivor is parent and not success
 
     def test_violation_dominates_objective(self):
-        parent = make_ind([0.0], 99.0, g=[0.1])
-        trial = make_ind([1.0], 0.0, g=[0.2])
+        parent = make_pair(99.0, g=[0.1])
+        trial = make_pair(0.0, g=[0.2])
         survivor, success, _ = select_survivor(parent, trial)
         assert survivor is parent and not success
 
     def test_weight_uses_violation_drop_when_nus_differ(self):
-        parent = make_ind([0.0], 5.0, g=[0.5])
-        trial = make_ind([1.0], 9.0, g=[0.2])
+        parent = make_pair(5.0, g=[0.5])
+        trial = make_pair(9.0, g=[0.2])
         survivor, success, w = select_survivor(parent, trial)
         assert success and w == pytest.approx(0.3)
 
@@ -271,10 +269,10 @@ class TestGenerationStep:
         hist = SuccessHistory.fresh()
         eps = np.array([0.5, 0.5])
         refresh_relaxed(pop, eps)
-        best = min((m.nu_eps, m.eval.f) for m in pop.members)
+        best = min(zip(pop.nu_eps, pop.f))
         while not budget.exhausted:
             generation_step(pop, problem, eps, hist, rng, budget)
-            now = min((m.nu_eps, m.eval.f) for m in pop.members)
+            now = min(zip(pop.nu_eps, pop.f))
             assert now <= best
             best = now
 
@@ -297,23 +295,24 @@ class TestGenerationStep:
         # feasible beats infeasible, then objective, then violation order
         rng = np.random.default_rng(15)
         for _ in range(500):
-            parent = make_ind([0.0], rng.normal(), g=rng.normal(size=1),
-                              h=rng.normal(size=1), eps=np.zeros(2))
-            trial = make_ind([1.0], rng.normal(), g=rng.normal(size=1),
-                             h=rng.normal(size=1), eps=np.zeros(2))
+            e_parent, e_trial = (Evaluation(rng.normal(), rng.normal(size=1), rng.normal(size=1))
+                                 for _ in range(2))
+            parent, trial = (make_pair(e.f, e.g, e.h, eps=np.zeros(2))
+                             for e in (e_parent, e_trial))
             survivor, _, _ = select_survivor(parent, trial)
 
             def direct_rule(a, b):
-                nu_a, nu_b = violation(a.eval), violation(b.eval)
+                nu_a, nu_b = violation(a), violation(b)
                 if nu_a == 0.0 and nu_b > 0.0:
                     return a
                 if nu_b == 0.0 and nu_a > 0.0:
                     return b
                 if nu_a == nu_b:
-                    return b if b.eval.f < a.eval.f else a
+                    return b if b.f < a.f else a
                 return a if nu_a < nu_b else b
 
-            assert survivor is direct_rule(parent, trial)
+            expected = trial if direct_rule(e_parent, e_trial) is e_trial else parent
+            assert survivor is expected
 
     def test_sphere_sanity_quick(self):
         problem = sphere(10)

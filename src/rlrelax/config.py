@@ -59,6 +59,16 @@ class ExperimentConfig:
             raise ConfigError("runs must be >= 1")
         if self.pop_size < 4:
             raise ConfigError("pop_size must be >= 4")
+        if self.epochs < 1:
+            raise ConfigError("epochs must be >= 1")
+        if not self.dims:
+            raise ConfigError("dims must list at least one dimension")
+        for key in ("delta", "delta_acc"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive")
+        for key in ("explore_start", "explore_end", "explore_fraction"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ConfigError(f"{key} must be in [0, 1]")
         for d in self.dims:
             if self.maxfes_per_dim * d < 2 * self.pop_size:
                 raise ConfigError(

@@ -29,7 +29,7 @@ class BudgetExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One evaluator call: objective value plus raw constraint values."""
+    """One candidate's objective value plus raw constraint values."""
 
     f: float
     g: np.ndarray  # inequality values, length p; feasible when <= 0
@@ -45,10 +45,12 @@ class Evaluation:
 class ConstrainedProblem:
     """A bound-constrained minimization problem with explicit g/h constraints.
 
-    The evaluator must be deterministic and return exactly ``n_ineq``
-    inequality values and ``n_eq`` equality values for every in-bounds x.
-    Candidates outside the box are never passed to the evaluator; bound
-    repair is the optimizer's job.
+    The evaluator takes a batch of candidates as the rows of X (n, dim)
+    and returns ``(f, C)``: f of shape (n,) and C of shape (n, n_ineq +
+    n_eq), the inequality values first.  It must be deterministic, and a
+    row's values must not depend on the other rows.  Candidates outside
+    the box are never passed to the evaluator; bound repair is the
+    optimizer's job.
     """
 
     name: str
@@ -57,7 +59,7 @@ class ConstrainedProblem:
     upper: np.ndarray
     n_ineq: int
     n_eq: int
-    evaluator: Callable[[np.ndarray], Evaluation]
+    evaluator: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     feasible_point: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -89,23 +91,22 @@ class ConstrainedProblem:
 
         Returns ``(f, C)``, one entry of f and one row of C per evaluated
         row; C holds the n_ineq inequality values, then the n_eq equality
-        values.  The budget is charged once.  A spent budget raises
-        BudgetExhaustedError before any call; a row with the wrong arity
-        or a non-finite value raises ProblemDefinitionError naming it, and
-        the batch charges nothing.
+        values.  The evaluator is called once, on the rows the budget
+        covers, and the budget is charged once.  A spent budget raises
+        BudgetExhaustedError before any call; output of the wrong shape
+        raises ProblemDefinitionError naming both shapes, a non-finite
+        value one naming its first row, and the batch then charges nothing.
         """
         X = np.asarray(X, dtype=float)
         n = X.shape[0] if budget is None else min(X.shape[0], budget.remaining)
         if n == 0 and X.shape[0]:
             raise BudgetExhaustedError(f"budget of {budget.maxfes} evaluations exhausted")
-        evals = [self.evaluator(x) for x in X[:n]]
-        for k, e in enumerate(evals):
-            if e.g.shape != (self.n_ineq,) or e.h.shape != (self.n_eq,):
-                raise ProblemDefinitionError(
-                    f"{self.name}: row {k}: evaluator returned {e.g.size} inequality / "
-                    f"{e.h.size} equality values, declared {self.n_ineq}/{self.n_eq}")
-        f = np.array([e.f for e in evals])
-        C = np.array([np.concatenate((e.g, e.h)) for e in evals]).reshape(n, self.n_constraints)
+        f, C = (np.asarray(a, dtype=float) for a in self.evaluator(X[:n]))
+        if f.shape != (n,) or C.shape != (n, self.n_constraints):
+            raise ProblemDefinitionError(
+                f"{self.name}: evaluator returned f {f.shape}, C {C.shape} for {n} rows, "
+                f"declared f {(n,)}, C {(n, self.n_constraints)} "
+                f"({self.n_ineq} inequality / {self.n_eq} equality)")
         bad = ~(np.isfinite(f) & np.all(np.isfinite(C), axis=1))
         if bad.any():
             k = int(np.argmax(bad))
@@ -116,7 +117,7 @@ class ConstrainedProblem:
 
 
 class BudgetCounter:
-    """Hard cap on evaluator calls; every call costs exactly one unit."""
+    """Hard cap on evaluations; every evaluated candidate costs exactly one unit."""
 
     def __init__(self, maxfes: int):
         if maxfes < 0:

@@ -32,6 +32,11 @@ _SCHEME_BY_VARIANT = {"aa": "linear-aa", "ca": "linear-ca"}
 METHOD_TRAINED = "trained-agent"
 
 
+class RunFailedError(RuntimeError):
+    """One run or training episode raised; the message names its problem,
+    dim and run (or epoch), and the original error is the cause."""
+
+
 def _crc(name: str) -> int:
     return zlib.crc32(name.encode())
 
@@ -101,28 +106,32 @@ def train(cfg: ExperimentConfig, problems: list[str] | None = None,
     for epoch in range(tc.max_epoch):
         lr = qnet.cosine_lr(epoch, tc)
         for k, (name, dim) in enumerate(instances):
-            env = _make_env(cfg, registry.lookup(name, dim), _rng(cfg.seed, 105, epoch, k),
-                            mask_state=cfg.mask_state, f_agentbest=agentbest.get((name, dim)))
-            state = env.reset()
-            ep_return = 0.0
-            ep_steps = 0
-            while not env.terminal:
-                q = qnet.forward(state, params)
-                eps_greedy = qnet.explore_rate(meta_step, total_steps, tc)
-                action = qnet.act_eps_greedy(q, eps_greedy, actor_rng)
-                tr, _ = env.step(action)
-                buffer.push(tr)
-                if len(buffer) >= tc.batch_size:
-                    batch = buffer.sample(tc.batch_size, actor_rng)
-                    _, grads = qnet.loss_and_grad(batch, params, target, tc.discount)
-                    qnet.sgd_step(params, grads, lr)
-                    grad_steps += 1
-                    if grad_steps % tc.target_sync_period == 0:
-                        qnet.sync_target(params, target)
-                state = tr.next_state
-                ep_return += tr.reward
-                meta_step += 1
-                ep_steps += 1
+            try:
+                env = _make_env(cfg, registry.lookup(name, dim), _rng(cfg.seed, 105, epoch, k),
+                                mask_state=cfg.mask_state, f_agentbest=agentbest.get((name, dim)))
+                state = env.reset()
+                ep_return = 0.0
+                ep_steps = 0
+                while not env.terminal:
+                    q = qnet.forward(state, params)
+                    eps_greedy = qnet.explore_rate(meta_step, total_steps, tc)
+                    action = qnet.act_eps_greedy(q, eps_greedy, actor_rng)
+                    tr, _ = env.step(action)
+                    buffer.push(tr)
+                    if len(buffer) >= tc.batch_size:
+                        batch = buffer.sample(tc.batch_size, actor_rng)
+                        _, grads = qnet.loss_and_grad(batch, params, target, tc.discount)
+                        qnet.sgd_step(params, grads, lr)
+                        grad_steps += 1
+                        if grad_steps % tc.target_sync_period == 0:
+                            qnet.sync_target(params, target)
+                    state = tr.next_state
+                    ep_return += tr.reward
+                    meta_step += 1
+                    ep_steps += 1
+            except Exception as exc:
+                raise RunFailedError(f"training on {name} (dim {dim}, epoch {epoch}) "
+                                     f"failed: {exc}") from exc
             agentbest[(name, dim)] = env.f_agentbest
             episodes.append({
                 "epoch": epoch, "problem": name, "dim": dim,
@@ -186,12 +195,17 @@ def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
     for dim in cfg.dims:
         for name in names:
             for run in range(cfg.runs):
-                env = _make_env(cfg, registry.lookup(name, dim), _rng(cfg.seed, dim, run, name),
-                                mask_state=mask_state, f_agentbest=f_agentbest)
-                env.reset()
-                steps = []
-                while not env.terminal:
-                    steps.append(policy(env)[1])
+                try:
+                    env = _make_env(cfg, registry.lookup(name, dim),
+                                    _rng(cfg.seed, dim, run, name),
+                                    mask_state=mask_state, f_agentbest=f_agentbest)
+                    env.reset()
+                    steps = []
+                    while not env.terminal:
+                        steps.append(policy(env)[1])
+                except Exception as exc:
+                    raise RunFailedError(f"{method} on {name} (dim {dim}, run {run}) "
+                                         f"failed: {exc}") from exc
                 records.append(RunRecord(problem=name, dim=dim, method=method, run=run,
                                          final_sco=steps[-1]["sco"], steps=steps))
     return records
@@ -275,9 +289,8 @@ def leave_one_out(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
     for held_out in names:
         rest = [n for n in names if n != held_out]
         result = train(cfg, problems=rest, registry=registry)
-        for row in result.episodes:
-            assert row["problem"] != held_out, "held-out problem leaked into training"
-            train_log.append({"holdout": held_out, **row})
+        _check_no_leak(result, [held_out])
+        train_log.extend({"holdout": held_out, **row} for row in result.episodes)
         ckpt_path = out / f"checkpoint_{_safe_name(held_out)}.txt"
         qnet.save_checkpoint(result.params, result.metadata, ckpt_path)
         all_records.extend(
@@ -288,6 +301,12 @@ def leave_one_out(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
     write_jsonl(train_log, out / "train_log.jsonl")
     write_table_csv(aggregate_table(all_records), out / "loo_results.csv")
     return all_records
+
+
+def _check_no_leak(result: TrainResult, held_out: list[str]) -> None:
+    leaked = sorted({row["problem"] for row in result.episodes} & set(held_out))
+    if leaked:
+        raise RuntimeError(f"held-out problems leaked into training: {leaked}")
 
 
 def split_protocol(cfg: ExperimentConfig, train_names: list[str],
@@ -303,8 +322,7 @@ def split_protocol(cfg: ExperimentConfig, train_names: list[str],
     out.mkdir(parents=True, exist_ok=True)
     registry = _registry(cfg)
     result = train(cfg, problems=train_names, registry=registry)
-    for row in result.episodes:
-        assert row["problem"] not in test_names, "test problem leaked into training"
+    _check_no_leak(result, test_names)
     qnet.save_checkpoint(result.params, result.metadata, out / "checkpoint.txt")
     records = evaluate(cfg, result.params, result.metadata, problems=test_names,
                        registry=registry)

@@ -7,6 +7,11 @@ archive of replaced parents, binomial crossover with midpoint bound repair,
 then keep whichever of parent/trial wins under eps_compare at the currently
 active relaxation vector (ties keep the parent).  Linear population size
 reduction is available behind a flag and off by default.
+
+generation_step makes the random draws per member and does the arithmetic
+over the whole population; sample_f_cr, mutate_current_to_pbest,
+crossover_binomial and select_survivor are the same steps for one member,
+kept as the reference the array form is tested against.
 """
 
 from __future__ import annotations
@@ -260,43 +265,72 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     Trials are generated synchronously from the parent generation, then
     evaluated in order until the budget runs dry; unevaluated trials are
     skipped and their parents survive untouched.  Returns the number of
-    trials actually evaluated.
+    trials actually evaluated.  The rng is consumed exactly as by a loop of
+    sample_f_cr, mutate_current_to_pbest and crossover_binomial over the
+    members, then one archive pop per overflow, so the results are those
+    of the per-member reference bit for bit.
     """
     if budget.exhausted:
         raise RuntimeError("generation_step requires at least one remaining evaluation")
     stats = stats if stats is not None else RunStats()
     refresh_relaxed(pop, eps)
-    n = pop.size
+    n, d = pop.x.shape
     ranked = pop.ranking()
-    archive_snapshot = list(pop.archive)
+    n_best = max(1, math.ceil(p_rate * n))
+    pool = n + len(pop.archive)
 
-    trials_x = np.empty_like(pop.x)
-    params = []
+    # The random draws, in the per-candidate order of sample_f_cr,
+    # mutate_current_to_pbest and crossover_binomial; the arithmetic on
+    # them is done below over all candidates at once.
+    m_f, terminal = hist.m_f.tolist(), np.isnan(hist.m_cr).tolist()
+    f_z, idx = [], []  # (F before clipping, CR's normal draw), (slot, pbest rank, r1, r2, j)
+    u_cr = np.empty((n, d))
     for i in range(n):
-        f_i, cr_i = sample_f_cr(hist, rng)
-        v = mutate_current_to_pbest(i, pop.x, archive_snapshot, f_i, ranked, p_rate, rng)
-        trials_x[i] = crossover_binomial(pop.x[i], v, cr_i, rng, problem.lower, problem.upper)
-        params.append((f_i, cr_i))
+        r = int(rng.integers(hist.m_f.size))
+        f_i = m_f[r] + 0.1 * rng.standard_cauchy()
+        while f_i <= 0.0:
+            f_i = m_f[r] + 0.1 * rng.standard_cauchy()
+        f_z.append((f_i, 0.0 if terminal[r] else rng.standard_normal()))
+        pb = int(rng.integers(n_best))
+        r1 = int(rng.integers(n))
+        while r1 == i:
+            r1 = int(rng.integers(n))
+        r2 = int(rng.integers(pool))
+        while r2 == i or r2 == r1:
+            r2 = int(rng.integers(pool))
+        rng.random(out=u_cr[i])
+        idx.append((r, pb, r1, r2, int(rng.integers(d))))  # j: crossover's forced index
+
+    (f_raw, z), (slot, pb, r1, r2, j) = np.array(f_z).T, np.array(idx).T
+    F = np.minimum(f_raw, 1.0)
+    CR = np.where(np.isnan(hist.m_cr[slot]), 0.0,
+                  np.clip(hist.m_cr[slot] + 0.1 * z, 0.0, 1.0))
+    x = pop.x
+    x_r2 = np.concatenate([x, np.array(pop.archive).reshape(-1, d)])[r2]
+    v = x + F[:, None] * (x[ranked[pb]] - x) + F[:, None] * (x[r1] - x_r2)
+    mask = u_cr < CR[:, None]
+    mask[np.arange(n), j] = True
+    trials_x = np.where(mask, v, x)
+    trials_x = np.where(trials_x < problem.lower, (x + problem.lower) / 2.0, trials_x)
+    trials_x = np.where(trials_x > problem.upper, (x + problem.upper) / 2.0, trials_x)
 
     f, C = problem.evaluate_batch(trials_x, budget)
     trials = Population.evaluated(trials_x[:f.size], f, C, pop.n_ineq, stats.delta_acc, eps)
     stats.observe(trials)
 
-    parents = list(zip(pop.f.tolist(), pop.nu_eps.tolist()))
-    s_f, s_cr, s_w, won = [], [], [], []
-    for i, trial in enumerate(zip(trials.f.tolist(), trials.nu_eps.tolist())):
-        _, success, w = select_survivor(parents[i], trial)
-        if success:
-            won.append(i)
-            pop.archive.append(pop.x[i].copy())  # replace() below writes pop.x in place
-            if len(pop.archive) > n:
-                pop.archive.pop(int(rng.integers(len(pop.archive))))
-            s_f.append(params[i][0])
-            s_cr.append(params[i][1])
-            s_w.append(w)
+    # eps_compare(trial, parent) == -1, with select_survivor's weight
+    k = trials.size
+    f_p, nu_p = pop.f[:k], pop.nu_eps[:k]
+    nu_t = trials.nu_eps
+    won = np.flatnonzero((nu_t < nu_p) | ((nu_t == nu_p) & (trials.f < f_p)))
+    weight = np.where(nu_t != nu_p, nu_p - nu_t, f_p - trials.f)
+    for i in won.tolist():
+        pop.archive.append(pop.x[i].copy())  # replace() below writes pop.x in place
+        if len(pop.archive) > n:
+            pop.archive.pop(int(rng.integers(len(pop.archive))))
 
     pop.replace(won, trials)
-    update_memory(hist, s_f, s_cr, s_w)
+    update_memory(hist, F[won], CR[won], weight[won])
 
     if lpsr:
         n_target = max(n_min, lpsr_target_size(budget.fes, budget.maxfes,

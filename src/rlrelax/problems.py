@@ -74,6 +74,33 @@ def load_shift_table(path) -> dict[tuple[str, int], np.ndarray]:
 # ---------------------------------------------------------------------------
 # The two closed-form benchmark functions
 # ---------------------------------------------------------------------------
+#
+# Every formula works on the rows of X (n, D) with axis=-1 reductions and
+# returns (f (n,), C (n, p+q)), inequalities first.  Each reduction runs
+# over one contiguous row, so a row's values are bitwise those of the same
+# formula applied to that row alone.
+
+def _cec12_rows(X, o):
+    y = X - o
+    f = np.sum(y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0, axis=-1)
+    g1 = 4.0 - np.sum(np.abs(y), axis=-1)
+    h1 = np.sum(y * y, axis=-1) - 4.0
+    return f, np.stack([g1, h1], axis=-1)
+
+
+def _cec14_rows(X, o):
+    y = X - o
+    f = np.max(np.abs(y), axis=-1)
+    g1 = np.sum(y * y, axis=-1) - 100.0 * y.shape[-1]
+    h1 = np.cos(f) + np.sin(f)
+    return f, np.stack([g1, h1], axis=-1)
+
+
+def _one_row(rows, x, shift) -> Evaluation:
+    """One candidate through a row formula with one inequality, one equality."""
+    f, C = rows(np.asarray(x, dtype=float)[None, :], shift)
+    return Evaluation(f[0], C[0, :1], C[0, 1:])
+
 
 def cec12_evaluation(x: np.ndarray, shift: np.ndarray) -> Evaluation:
     """Shifted rastrigin restricted near a sphere shell.
@@ -82,11 +109,7 @@ def cec12_evaluation(x: np.ndarray, shift: np.ndarray) -> Evaluation:
     g1(y) = 4 - sum |y_i|        (keeps solutions away from the axes)
     h1(y) = sum y_i^2 - 4        (sphere-surface equality)
     """
-    y = np.asarray(x, dtype=float) - shift
-    f = float(np.sum(y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0))
-    g1 = 4.0 - float(np.sum(np.abs(y)))
-    h1 = float(np.sum(y * y)) - 4.0
-    return Evaluation(f, np.array([g1]), np.array([h1]))
+    return _one_row(_cec12_rows, x, shift)
 
 
 def cec14_evaluation(x: np.ndarray, shift: np.ndarray) -> Evaluation:
@@ -96,11 +119,7 @@ def cec14_evaluation(x: np.ndarray, shift: np.ndarray) -> Evaluation:
     g1(y) = sum y_i^2 - 100 D
     h1(y) = cos(f) + sin(f)      (feasible only at discrete objective levels)
     """
-    y = np.asarray(x, dtype=float) - shift
-    f = float(np.max(np.abs(y)))
-    g1 = float(np.sum(y * y)) - 100.0 * y.size
-    h1 = np.cos(f) + np.sin(f)
-    return Evaluation(f, np.array([g1]), np.array([h1]))
+    return _one_row(_cec14_rows, x, shift)
 
 
 def _box_problem(name: str, dim: int, n_ineq: int, n_eq: int, evaluator,
@@ -115,14 +134,14 @@ def make_cec12(dim: int, shift: np.ndarray | None = None) -> ConstrainedProblem:
     o = make_shift("cec12", dim) if shift is None else np.asarray(shift, dtype=float)
     # y = (1,1,1,1,0,...) hits the shell exactly when dim >= 4
     feas = (o + np.concatenate([np.ones(4), np.zeros(dim - 4)])) if dim >= 4 else None
-    return _box_problem("cec12", dim, 1, 1, lambda x, o=o: cec12_evaluation(x, o), feas)
+    return _box_problem("cec12", dim, 1, 1, lambda X, o=o: _cec12_rows(X, o), feas)
 
 
 def make_cec14(dim: int, shift: np.ndarray | None = None) -> ConstrainedProblem:
     o = make_shift("cec14", dim) if shift is None else np.asarray(shift, dtype=float)
     # cos(f)+sin(f)=0 at f = 3*pi/4: put one coordinate there, rest at zero.
     feas = o + np.concatenate([[3.0 * np.pi / 4.0], np.zeros(dim - 1)])
-    return _box_problem("cec14", dim, 1, 1, lambda x, o=o: cec14_evaluation(x, o), feas)
+    return _box_problem("cec14", dim, 1, 1, lambda X, o=o: _cec14_rows(X, o), feas)
 
 
 # ---------------------------------------------------------------------------
@@ -130,30 +149,28 @@ def make_cec14(dim: int, shift: np.ndarray | None = None) -> ConstrainedProblem:
 # ---------------------------------------------------------------------------
 
 def _rastrigin(y):
-    return float(np.sum(y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0))
+    return np.sum(y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0, axis=-1)
 
 
 def _rosenbrock(y):
-    return float(np.sum(100.0 * (y[1:] - y[:-1] ** 2) ** 2 + (1.0 - y[:-1]) ** 2))
+    return np.sum(100.0 * (y[:, 1:] - y[:, :-1] ** 2) ** 2 + (1.0 - y[:, :-1]) ** 2, axis=-1)
 
 
 def _ackley(y):
-    d = y.size
-    return float(
-        -20.0 * np.exp(-0.2 * np.sqrt(np.sum(y * y) / d))
-        - np.exp(np.sum(np.cos(2.0 * np.pi * y)) / d)
-        + 20.0
-        + np.e
-    )
+    d = y.shape[-1]
+    return (-20.0 * np.exp(-0.2 * np.sqrt(np.sum(y * y, axis=-1) / d))
+            - np.exp(np.sum(np.cos(2.0 * np.pi * y), axis=-1) / d)
+            + 20.0
+            + np.e)
 
 
 def _griewank(y):
-    idx = np.arange(1, y.size + 1, dtype=float)
-    return float(np.sum(y * y) / 4000.0 - np.prod(np.cos(y / np.sqrt(idx))) + 1.0)
+    idx = np.arange(1, y.shape[-1] + 1, dtype=float)
+    return np.sum(y * y, axis=-1) / 4000.0 - np.prod(np.cos(y / np.sqrt(idx)), axis=-1) + 1.0
 
 
 def _schwefel12(y):
-    return float(np.sum(np.cumsum(y) ** 2))
+    return np.sum(np.cumsum(y, axis=-1) ** 2, axis=-1)
 
 
 def synthetic_family(kind: str, seed: int, dim: int,
@@ -180,20 +197,22 @@ def synthetic_family(kind: str, seed: int, dim: int,
 
     if kind == "sphere-linear":
         # f = |y|^2, g1 = 1 - sum(y); feasible at y = (2, 0, ..., 0)
-        def ev(x, o=o):
-            y = x - o
-            return Evaluation(float(np.sum(y * y)), np.array([1.0 - float(np.sum(y))]), np.zeros(0))
+        def ev(X, o=o):
+            y = X - o
+            return np.sum(y * y, axis=-1), (1.0 - np.sum(y, axis=-1))[:, None]
 
         p, q = 1, 0
         feas_y = np.concatenate([[2.0], np.zeros(dim - 1)])
 
     elif kind == "rosenbrock-cubic":
         # classic cubic + line pair on the first two coordinates
-        def ev(x, o=o):
-            y = x - o
-            g1 = (y[0] - 1.0) ** 3 - y[1] + 1.0
-            g2 = y[0] + y[1] - 2.0
-            return Evaluation(_rosenbrock(y), np.array([g1, g2]), np.zeros(0))
+        def ev(X, o=o):
+            y = X - o
+            # each cube is a scalar pow: an array ** 3 rounds some rows differently
+            cube = np.array([(v - 1.0) ** 3 for v in y[:, 0].tolist()])
+            g1 = cube - y[:, 1] + 1.0
+            g2 = y[:, 0] + y[:, 1] - 2.0
+            return _rosenbrock(y), np.stack([g1, g2], axis=-1)
 
         p, q = 2, 0
         feas_y = np.concatenate([[0.0, 0.5], np.zeros(dim - 2)])
@@ -202,11 +221,11 @@ def synthetic_family(kind: str, seed: int, dim: int,
         # equality ring of seeded radius plus an axis-exclusion inequality
         r = rng.uniform(1.5, 2.5)
 
-        def ev(x, o=o, r=r):
-            y = x - o
-            g1 = 1.0 - float(np.sum(np.abs(y)))
-            h1 = float(np.sum(y * y)) - r * r
-            return Evaluation(_rastrigin(y), np.array([g1]), np.array([h1]))
+        def ev(X, o=o, r=r):
+            y = X - o
+            g1 = 1.0 - np.sum(np.abs(y), axis=-1)
+            h1 = np.sum(y * y, axis=-1) - r * r
+            return _rastrigin(y), np.stack([g1, h1], axis=-1)
 
         p, q = 1, 1
         feas_y = np.concatenate([[r], np.zeros(dim - 1)])
@@ -215,9 +234,9 @@ def synthetic_family(kind: str, seed: int, dim: int,
         w = rng.uniform(0.5, 2.0, size=dim)
         c = rng.uniform(4.0, 25.0)
 
-        def ev(x, o=o, w=w, c=c):
-            y = x - o
-            return Evaluation(_ackley(y), np.array([float(np.sum(w * y * y)) - c]), np.zeros(0))
+        def ev(X, o=o, w=w, c=c):
+            y = X - o
+            return _ackley(y), (np.sum(w * y * y, axis=-1) - c)[:, None]
 
         p, q = 1, 0
         feas_y = np.zeros(dim)
@@ -226,11 +245,11 @@ def synthetic_family(kind: str, seed: int, dim: int,
         c = rng.uniform(-1.0, 1.0, size=dim)
         c[np.abs(c) < 0.1] = 0.1  # keep the plane normal well away from zero
 
-        def ev(x, o=o, c=c):
-            y = x - o
-            g1 = 1.0 - float(np.sum((y - 1.0) ** 2))
-            h1 = float(np.sum(c * y))
-            return Evaluation(_griewank(y), np.array([g1]), np.array([h1]))
+        def ev(X, o=o, c=c):
+            y = X - o
+            g1 = 1.0 - np.sum((y - 1.0) ** 2, axis=-1)
+            h1 = np.sum(c * y, axis=-1)
+            return _griewank(y), np.stack([g1, h1], axis=-1)
 
         p, q = 1, 1
         feas_y = np.zeros(dim)
@@ -239,10 +258,10 @@ def synthetic_family(kind: str, seed: int, dim: int,
         low = rng.uniform(1.0, 3.0)
         high = low + 2.0
 
-        def ev(x, o=o, low=low, high=high):
-            y = x - o
-            s = float(np.sum(y))
-            return Evaluation(_schwefel12(y), np.array([s - high, low - s]), np.zeros(0))
+        def ev(X, o=o, low=low, high=high):
+            y = X - o
+            s = np.sum(y, axis=-1)
+            return _schwefel12(y), np.stack([s - high, low - s], axis=-1)
 
         p, q = 2, 0
         feas_y = np.full(dim, (low + 1.0) / dim)

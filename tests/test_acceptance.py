@@ -225,7 +225,7 @@ def test_criterion_6_optimizer_sanity_sphere():
         name="sphere10", dim=10,
         lower=np.full(10, -100.0), upper=np.full(10, 100.0),
         n_ineq=0, n_eq=0,
-        evaluator=lambda x: Evaluation(float(np.sum(x * x)), np.zeros(0), np.zeros(0)),
+        evaluator=lambda X: (np.sum(X * X, axis=-1), np.zeros((len(X), 0))),
     )
     finals = []
     for seed in range(10):

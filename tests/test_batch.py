@@ -1,7 +1,11 @@
 """The array-native generation: batched evaluation and constraint accounting
 against the scalar definitions, the ranking against eps_compare, the budget
-truncation, the fail-loud batch boundary, and the episode length."""
+truncation, the fail-loud batch boundary, the episode length, the batch
+evaluators against their one-row outputs, and generation_step against the
+per-candidate generation it replaced."""
 
+import copy
+import dataclasses
 import functools
 
 import numpy as np
@@ -29,14 +33,31 @@ from rlrelax.cop import (
 from rlrelax.env import EpsilonControlEnv
 from rlrelax.harness import train
 from rlrelax.lshade import (
+    H_MEMORY,
+    N_MIN,
+    P_BEST_RATE,
     Population,
     RunStats,
     SuccessHistory,
+    crossover_binomial,
     episode_steps,
     generation_step,
     init_population,
+    lpsr_target_size,
+    mutate_current_to_pbest,
+    refresh_relaxed,
+    sample_f_cr,
+    select_survivor,
+    update_memory,
 )
-from rlrelax.problems import synthetic_family
+from rlrelax.problems import (
+    SYNTHETIC_KINDS,
+    cec12_evaluation,
+    cec14_evaluation,
+    make_shift,
+    registry_lookup,
+    synthetic_family,
+)
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -113,11 +134,14 @@ class TestRanking:
 
 
 def counting_problem(calls, fault=None):
-    """1 inequality, 1 equality; ``fault(k, x)`` may replace call k's output."""
-    def evaluator(x):
-        calls.append(x.copy())
-        e = Evaluation(float(np.sum(x * x)), np.array([x[0]]), np.array([x[1]]))
-        return fault(len(calls) - 1, e) if fault else e
+    """1 inequality, 1 equality; ``calls`` records every row evaluated, and
+    ``fault(i, f, C)`` replaces the output of the batch holding row 8,
+    which is its row i."""
+    def evaluator(X):
+        first = len(calls)
+        calls.extend(x.copy() for x in X)
+        f, C = np.sum(X * X, axis=-1), X[:, :2].copy()
+        return fault(8 - first, f, C) if fault and first <= 8 < len(calls) else (f, C)
 
     return ConstrainedProblem(name="counting", dim=2, lower=np.full(2, -5.0),
                               upper=np.full(2, 5.0), n_ineq=1, n_eq=1, evaluator=evaluator)
@@ -150,17 +174,19 @@ class TestEvaluateBatch:
         assert (e.f, e.g.tolist(), e.h.tolist()) == (f[0], C[0, :1].tolist(), C[0, 1:].tolist())
 
     @pytest.mark.parametrize("fault, message", [
-        (lambda e: Evaluation(e.f, np.zeros(2), e.h),
-         r"counting: row 2: .*2 inequality / 1 equality.*declared 1/1"),
-        (lambda e: Evaluation(e.f, e.g, np.zeros(0)),
-         r"counting: row 2: .*1 inequality / 0 equality"),
-        (lambda e: Evaluation(np.nan, e.g, e.h), r"counting: row 2: non-finite"),
-        (lambda e: Evaluation(e.f, e.g, np.array([np.inf])), r"counting: row 2: non-finite"),
+        (lambda i, f, C: (f, np.column_stack([np.zeros((len(f), 2)), C[:, 1:]])),
+         r"counting: evaluator returned f \(6,\), C \(6, 3\) for 6 rows, "
+         r"declared f \(6,\), C \(6, 2\) \(1 inequality / 1 equality\)"),
+        (lambda i, f, C: (f, C[:, :1]), r"counting: .*C \(6, 1\).*declared .*C \(6, 2\)"),
+        (lambda i, f, C: (np.where(np.arange(len(f)) == i, np.nan, f), C),
+         r"counting: row 2: non-finite"),
+        (lambda i, f, C: (f, np.where(np.arange(len(f))[:, None] == i, [0.0, np.inf], C)),
+         r"counting: row 2: non-finite"),
     ])
     def test_bad_row_is_named_and_never_reaches_the_population(self, fault, message):
-        # init takes calls 0-5; the first generation's third trial is call 8
+        # init evaluates rows 0-5; the first generation's third trial is row 8
         calls = []
-        prob = counting_problem(calls, lambda k, e: fault(e) if k == 8 else e)
+        prob = counting_problem(calls, fault)
         budget, stats = BudgetCounter(30), RunStats()
         pop = init_population(prob, 6, np.random.default_rng(0), budget, stats)
         before = (pop.x.copy(), pop.f.copy(), pop.C.copy())
@@ -210,3 +236,151 @@ class TestEpisodeSteps:
                                seed=2, epochs=2, buffer_capacity=32, batch_size=4)
         result = train(cfg)
         assert horizons == {sum(row["steps"] for row in result.episodes)}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+ALL_PROBLEMS = ["cec12", "cec14"] + [f"synthetic/{kind}/{seed}"
+                                     for seed, kind in enumerate(SYNTHETIC_KINDS)]
+
+
+class TestBatchEvaluators:
+    @pytest.mark.parametrize("dim", [10, 30, 50])
+    @pytest.mark.parametrize("name", ALL_PROBLEMS)
+    def test_batch_rows_equal_one_row_outputs(self, name, dim):
+        problem = registry_lookup(name, dim)
+        rng = np.random.default_rng(dim)
+        X = np.concatenate([rng.uniform(problem.lower, problem.upper, size=(30, dim)),
+                            problem.feasible_point + rng.normal(scale=1e-3, size=(10, dim))])
+        f, C = problem.evaluator(X)
+        assert f.shape == (40,) and C.shape == (40, problem.n_constraints)
+        for k in (1, 7, 40):
+            f_k, C_k = problem.evaluator(X[:k])
+            assert same_bits(f_k, f[:k]) and same_bits(C_k, C[:k])
+        for i, x in enumerate(X):
+            f_i, C_i = problem.evaluator(X[i:i + 1])
+            assert same_bits(f_i, f[i:i + 1]) and same_bits(C_i, C[i:i + 1])
+            e = problem.evaluate(x)
+            assert same_bits(e.f, f[i]) and same_bits(np.concatenate((e.g, e.h)), C[i])
+
+    def test_rosenbrock_cubic_cubes_each_value_as_a_scalar(self):
+        # an array ** 3 rounds about 3% of these cubes differently from pow()
+        rng = np.random.default_rng(3)
+        o = rng.uniform(-50.0, 50.0, size=10)
+        X = rng.uniform(-100.0, 100.0, size=(400, 10))
+        _, C = synthetic_family("rosenbrock-cubic", 5, 10, shift=o).evaluator(X)
+        y = (X - o).tolist()
+        assert same_bits(C[:, 0], np.array([(r[0] - 1.0) ** 3 - r[1] + 1.0 for r in y]))
+
+    @pytest.mark.parametrize("name, one_row", [("cec12", cec12_evaluation),
+                                               ("cec14", cec14_evaluation)])
+    def test_public_closed_forms_are_one_row_views(self, name, one_row):
+        problem, o = registry_lookup(name, 10), make_shift(name, 10)
+        X = np.random.default_rng(5).uniform(-100.0, 100.0, size=(12, 10))
+        f, C = problem.evaluator(X)
+        for i, x in enumerate(X):
+            e = one_row(x, o)
+            assert same_bits(e.f, f[i]) and same_bits(np.concatenate((e.g, e.h)), C[i])
+
+
+def reference_generation(pop, problem, eps, hist, rng, budget, stats, p_rate=P_BEST_RATE,
+                         lpsr=False, n_init=None, n_min=N_MIN):
+    """One generation as a per-candidate loop over the scalar operators:
+    the oracle the array form of generation_step must match bit for bit."""
+    refresh_relaxed(pop, eps)
+    n = pop.size
+    ranked = pop.ranking()
+    archive_snapshot = list(pop.archive)
+    trials_x = np.empty_like(pop.x)
+    params = []
+    for i in range(n):
+        f_i, cr_i = sample_f_cr(hist, rng)
+        v = mutate_current_to_pbest(i, pop.x, archive_snapshot, f_i, ranked, p_rate, rng)
+        trials_x[i] = crossover_binomial(pop.x[i], v, cr_i, rng, problem.lower, problem.upper)
+        params.append((f_i, cr_i))
+
+    f, C = problem.evaluate_batch(trials_x, budget)
+    trials = Population.evaluated(trials_x[:f.size], f, C, pop.n_ineq, stats.delta_acc, eps)
+    stats.observe(trials)
+
+    parents = list(zip(pop.f.tolist(), pop.nu_eps.tolist()))
+    s_f, s_cr, s_w, won = [], [], [], []
+    for i, trial in enumerate(zip(trials.f.tolist(), trials.nu_eps.tolist())):
+        _, success, w = select_survivor(parents[i], trial)
+        if success:
+            won.append(i)
+            pop.archive.append(pop.x[i].copy())
+            if len(pop.archive) > n:
+                pop.archive.pop(int(rng.integers(len(pop.archive))))
+            s_f.append(params[i][0])
+            s_cr.append(params[i][1])
+            s_w.append(w)
+    pop.replace(won, trials)
+    update_memory(hist, s_f, s_cr, s_w)
+
+    if lpsr:
+        n_target = max(n_min, lpsr_target_size(budget.fes, budget.maxfes,
+                                               n_init if n_init is not None else n, n_min))
+        if n_target < pop.size:
+            pop.keep(np.sort(pop.ranking()[:n_target]))
+        while len(pop.archive) > pop.size:
+            pop.archive.pop(int(rng.integers(len(pop.archive))))
+    return trials.size
+
+
+def stepped_problem(dim):
+    """Rounded values, so ties in the objective and in the relaxed violation
+    (which keep the parent) are common."""
+    def evaluator(X):
+        return (np.floor(np.sum(X * X, axis=-1)),
+                np.stack([np.floor(1.0 - np.sum(X, axis=-1)), np.round(X[:, 0])], axis=-1))
+
+    return ConstrainedProblem(name="stepped", dim=dim, lower=np.full(dim, -3.0),
+                              upper=np.full(dim, 3.0), n_ineq=1, n_eq=1, evaluator=evaluator)
+
+
+def run_state(pop, hist, stats, budget, rng):
+    rows = [getattr(pop, name) for name in ("x", "f", "C", "nu", "nu_eps", "feasible")]
+    numbers = [getattr(stats, f.name) for f in dataclasses.fields(stats) if f.name != "budget"]
+    return (rows, pop.archive, [hist.m_f, hist.m_cr], hist.k, numbers,
+            (budget.fes, budget.maxfes), rng.bit_generator.state)
+
+
+def assert_same_run_state(a, b):
+    rows_a, archive_a, hist_a, k_a, nums_a, budget_a, rng_a = a
+    rows_b, archive_b, hist_b, k_b, nums_b, budget_b, rng_b = b
+    for arrays_a, arrays_b in ((rows_a, rows_b), (archive_a, archive_b), (hist_a, hist_b)):
+        assert len(arrays_a) == len(arrays_b)
+        assert all(same_bits(u, v) for u, v in zip(arrays_a, arrays_b))
+    assert all(same_bits(np.float64(u), np.float64(v)) for u, v in zip(nums_a, nums_b))
+    assert (k_a, budget_a, rng_a) == (k_b, budget_b, rng_b)
+
+
+class TestGenerationStepEqualsScalarReference:
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(4, 30), dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           archive_fill=st.floats(0.0, 1.0), extra=st.integers(1, 90), lpsr=st.booleans(),
+           terminal=st.lists(st.booleans(), min_size=H_MEMORY, max_size=H_MEMORY),
+           positive_eps=st.booleans())
+    def test_bitwise_equal_over_a_run(self, n, dim, seed, archive_fill, extra, lpsr,
+                                      terminal, positive_eps):
+        problem = stepped_problem(dim)
+        rng = np.random.default_rng(seed)
+        budget, stats = BudgetCounter(n + extra), RunStats()
+        pop = init_population(problem, n, rng, budget, stats)
+        pop.archive = [rng.uniform(-3.0, 3.0, size=dim) for _ in range(round(archive_fill * n))]
+        hist = SuccessHistory(m_f=rng.uniform(0.05, 1.0, size=H_MEMORY),
+                              m_cr=np.where(terminal, np.nan, rng.uniform(size=H_MEMORY)),
+                              k=int(rng.integers(H_MEMORY)))
+        eps = rng.uniform(0.0, 3.0, size=2) if positive_eps else np.zeros(2)
+        kwargs = dict(lpsr=lpsr, n_init=n + int(rng.integers(n)))
+        ref = copy.deepcopy((pop, hist, stats, budget, rng))
+        ref_pop, ref_hist, ref_stats, ref_budget, ref_rng = ref
+        while not budget.exhausted:  # the last generation may end mid-way
+            evaluated = generation_step(pop, problem, eps, hist, rng, budget, stats, **kwargs)
+            assert evaluated == reference_generation(ref_pop, problem, eps, ref_hist, ref_rng,
+                                                     ref_budget, ref_stats, **kwargs)
+            assert_same_run_state(run_state(pop, hist, stats, budget, rng), run_state(*ref))

@@ -50,13 +50,14 @@ def test_probes_install_trace_a_run_and_restore(tmp_path):
             lshade.refresh_relaxed) == originals
 
     names = [span[0] for span in tracer.spans]
-    # 2 problems x 1 run x 2 generations of 10 trials each
+    # 2 problems x 1 run x 2 generations of 10 trials each; the evaluator
+    # runs once per batch (init and each generation), selection is vectorised
     assert names.count("env.reset") == 2
     assert names.count("lshade.generation_step") == 4
     assert names.count("features.extract_state") == 6
     assert names.count("features.top5_violation_mean") == 6
-    assert names.count("problems.evaluator") == 2 * 30
-    assert names.count("lshade.select_survivor") == 40
+    assert names.count("problems.evaluator") == 2 * 3
+    assert names.count("lshade.select_survivor") == 0
     assert tracer.counts["lshade.trials_evaluated"] == 40
     assert not [k for k in tracer.counts if k.endswith(".errors")]
 

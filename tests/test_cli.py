@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from rlrelax.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from rlrelax.problems import ProblemRegistry
 
 
 TOY = """
@@ -56,6 +59,56 @@ class TestExitCodes:
         code = main(["baseline", "--config", str(cfg_path), "--name", "magic",
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", [
+        "epochs = 0", "dims =", "delta = 0", "delta_acc = -1",
+        "explore_start = 1.5", "explore_end = -0.1", "explore_fraction = 1.01",
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TOY + line + "\n")
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not (out / "checkpoint.txt").exists()
+
+
+class TestFailedRunIsNamed:
+    """Every verb reports which (problem, dim, run or epoch) raised."""
+
+    @pytest.mark.parametrize("verb, args, context", [
+        ("train", [], "training on synthetic/sphere-linear/0 (dim 4, epoch 0)"),
+        ("evaluate", ["--checkpoint"],
+         "trained-agent on synthetic/rastrigin-ring/1 (dim 4, run 0)"),
+        ("baseline", ["--name", "scheduled-eps"],
+         "scheduled-eps[5] on synthetic/rastrigin-ring/1 (dim 4, run 0)"),
+        ("loo", [], "training on synthetic/rastrigin-ring/1 (dim 4, epoch 0)"),
+        ("split", [], "training on synthetic/sphere-linear/0 (dim 4, epoch 0)"),
+        ("ablate", ["--variant", "no-train"],
+         "training on synthetic/sphere-linear/0 (dim 4, epoch 0)"),
+    ])
+    def test_second_batch_non_finite(self, cfg_path, tmp_path, monkeypatch, capsys,
+                                     verb, args, context):
+        if verb == "evaluate":
+            assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+            args = args + [str(tmp_path / "checkpoint.txt")]
+        lookup = ProblemRegistry.lookup
+
+        def faulty_lookup(registry, name, dim):
+            problem, batches = lookup(registry, name, dim), []
+
+            def evaluator(X):
+                batches.append(len(X))
+                f, C = problem.evaluator(X)
+                return (f * np.nan if len(batches) == 2 else f), C
+
+            return dataclasses.replace(problem, evaluator=evaluator)
+
+        monkeypatch.setattr(ProblemRegistry, "lookup", faulty_lookup)
+        capsys.readouterr()
+        code = main([verb, "--config", str(cfg_path), "--out", str(tmp_path / "out"), *args])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert context in err and "row 0: non-finite" in err
 
 
 class TestVerbs:

@@ -154,7 +154,7 @@ class TestProblemWrapper:
         )
 
     def test_charges_budget(self):
-        prob = self._problem(lambda x: Evaluation(0.0, np.zeros(1), np.zeros(0)))
+        prob = self._problem(lambda X: (np.zeros(len(X)), np.zeros((len(X), 1))))
         b = BudgetCounter(1)
         prob.evaluate(np.zeros(2), b)
         assert b.fes == 1
@@ -162,12 +162,12 @@ class TestProblemWrapper:
             prob.evaluate(np.zeros(2), b)
 
     def test_wrong_arity_rejected(self):
-        prob = self._problem(lambda x: Evaluation(0.0, np.zeros(2), np.zeros(0)))
+        prob = self._problem(lambda X: (np.zeros(len(X)), np.zeros((len(X), 2))))
         with pytest.raises(ProblemDefinitionError):
             prob.evaluate(np.zeros(2))
 
     def test_nonfinite_rejected(self):
-        prob = self._problem(lambda x: Evaluation(np.inf, np.zeros(1), np.zeros(0)))
+        prob = self._problem(lambda X: (np.full(len(X), np.inf), np.zeros((len(X), 1))))
         with pytest.raises(ProblemDefinitionError):
             prob.evaluate(np.zeros(2))
 
@@ -175,7 +175,7 @@ class TestProblemWrapper:
         with pytest.raises(ValueError):
             ConstrainedProblem(
                 name="bad", dim=2, lower=np.array([1.0, 0.0]), upper=np.array([1.0, 1.0]),
-                n_ineq=0, n_eq=0, evaluator=lambda x: Evaluation(0.0, np.zeros(0), np.zeros(0)),
+                n_ineq=0, n_eq=0, evaluator=lambda X: (np.zeros(len(X)), np.zeros((len(X), 0))),
             )
 
 

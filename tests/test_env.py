@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rlrelax.cop import ConstrainedProblem, Evaluation
+from rlrelax.cop import ConstrainedProblem
 from rlrelax.env import (
     ActionSpace,
     EpsilonBase,
@@ -280,9 +280,8 @@ class TestEnvEpisode:
             name="always-feasible", dim=4,
             lower=np.full(4, -5.0), upper=np.full(4, 5.0),
             n_ineq=1, n_eq=0,
-            evaluator=lambda x: Evaluation(float(np.sum(x * x)),
-                                           np.array([-1.0 - float(np.sum(x * x))]),
-                                           np.zeros(0)),
+            evaluator=lambda X: (np.sum(X * X, axis=-1),
+                                 (-1.0 - np.sum(X * X, axis=-1))[:, None]),
         )
 
         def run(eps_fn):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rlrelax import agent as qnet
+from rlrelax import harness
 from rlrelax.config import ConfigError, ExperimentConfig
 from rlrelax.harness import (
     BASELINES,
@@ -199,6 +200,30 @@ class TestProtocols:
         import json
         for line in (tmp_path / "train_log.jsonl").read_text().splitlines():
             assert json.loads(line)["problem"] == "synthetic/sphere-linear/0"
+
+
+class TestLeakCheck:
+    """The hold-out check is a raised error, so it holds under python -O."""
+
+    @pytest.mark.parametrize("protocol, leaked", [("loo", "sphere-linear/0"),
+                                                  ("split", "rastrigin-ring/1")])
+    def test_leaked_problem_raises(self, monkeypatch, tmp_path, protocol, leaked):
+        real_train = harness.train
+
+        def leaky_train(cfg, problems=None, registry=None):
+            result = real_train(cfg, problems=problems, registry=registry)
+            result.episodes.extend({**result.episodes[0], "problem": name}
+                                   for name in cfg.problems)
+            return result
+
+        monkeypatch.setattr(harness, "train", leaky_train)
+        cfg = toy_cfg(epochs=1, runs=1)
+        with pytest.raises(RuntimeError, match=f"leaked into training: .*{leaked}"):
+            if protocol == "loo":
+                leave_one_out(cfg, tmp_path)
+            else:
+                split_protocol(cfg, ["synthetic/sphere-linear/0"],
+                               ["synthetic/rastrigin-ring/1"], tmp_path)
 
 
 class TestAblate:

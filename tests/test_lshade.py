@@ -21,7 +21,7 @@ def sphere(dim):
         name="sphere", dim=dim,
         lower=np.full(dim, -100.0), upper=np.full(dim, 100.0),
         n_ineq=0, n_eq=0,
-        evaluator=lambda x: Evaluation(float(np.sum(x * x)), np.zeros(0), np.zeros(0)),
+        evaluator=lambda X: (np.sum(X * X, axis=-1), np.zeros((len(X), 0))),
     )
 
 
@@ -31,8 +31,8 @@ def toy_constrained(dim):
         name="toy", dim=dim,
         lower=np.full(dim, -10.0), upper=np.full(dim, 10.0),
         n_ineq=1, n_eq=1,
-        evaluator=lambda x: Evaluation(
-            float(np.sum(x * x)), np.array([1.0 - float(np.sum(x))]), np.array([x[0]])
+        evaluator=lambda X: (
+            np.sum(X * X, axis=-1), np.stack([1.0 - np.sum(X, axis=-1), X[:, 0]], axis=-1)
         ),
     )
 

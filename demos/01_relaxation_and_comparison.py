@@ -6,20 +6,23 @@ ordered (violations first, objective on ties).
 """
 import numpy as np
 
-from rlrelax import Evaluation, eps_compare, is_feasible, relaxed_violation, sco, violation
+from rlrelax import eps_compare
+from rlrelax.cop import feasible_rows, relaxed_violations, violations
 
-# a candidate with one inequality (g <= 0 feasible) and one equality (h = 0)
-e = Evaluation(f=2.5, g=np.array([0.4]), h=np.array([-0.05]))
-print("objective        :", e.f)
-print("raw constraints  : g =", e.g, " h =", e.h)
-print("exact violation  :", violation(e))  # 0.4 + |−0.05| = 0.45
+# a candidate with one inequality (g <= 0 feasible) and one equality (h = 0):
+# its objective and its row of constraint values, inequalities first; the
+# functions below take a batch of such rows and return one value per row
+f, C = 2.5, np.array([[0.4, -0.05]])
+print("objective        :", f)
+print("raw constraints  : g =", C[0, :1], " h =", C[0, 1:])
+print("exact violation  :", violations(C, 1)[0])  # 0.4 + |−0.05| = 0.45
 
 # relax both constraints at 0.1: the equality residual drops out
 eps = np.array([0.1, 0.1])
-print("relaxed at 0.1   :", relaxed_violation(e, eps))  # only g remains
+print("relaxed at 0.1   :", relaxed_violations(C, 1, eps)[0])  # only g remains
 
 # a generous relaxation hides everything
-print("relaxed at 1.0   :", relaxed_violation(e, np.array([1.0, 1.0])))
+print("relaxed at 1.0   :", relaxed_violations(C, 1, np.array([1.0, 1.0]))[0])
 
 # comparison: violations dominate, objective breaks ties
 nearly_feasible = (99.0, 0.1)   # poor objective, small violation
@@ -32,7 +35,8 @@ print("(f=1, nu=0) vs (f=2, nu=0)      ->", "first wins" if tied_violations == -
 
 # the score used for reporting: objective plus violation, with the
 # violation forgiven inside the feasibility accuracy of 1e-3
-almost = Evaluation(f=4.0, g=np.array([9e-4]), h=np.zeros(0))
-print("\nfeasible within accuracy:", is_feasible(almost), " score:", sco(almost))
-truly_violated = Evaluation(f=4.0, g=np.array([2.0]), h=np.zeros(0))
-print("violated:                ", is_feasible(truly_violated), "score:", sco(truly_violated))
+f, C = np.array([4.0, 4.0]), np.array([[9e-4], [2.0]])  # almost feasible, truly violated
+feasible = feasible_rows(C, 1)
+score = np.where(feasible, f, f + violations(C, 1))
+print("\nfeasible within accuracy:", feasible[0], " score:", score[0])
+print("violated:                ", feasible[1], "score:", score[1])

@@ -7,26 +7,9 @@ population observation, an episodic control environment, a hand-rolled
 double-estimator Q-network, and a reproducible experiment harness.
 """
 
-from .cop import (
-    BudgetCounter,
-    ConstrainedProblem,
-    Evaluation,
-    eps_compare,
-    is_feasible,
-    relaxed_violation,
-    sco,
-    violation,
-)
-from .env import (
-    ActionSpace,
-    EpsilonBase,
-    EpsilonControlEnv,
-    Transition,
-    compute_reward,
-    epsilon_from_action,
-    epsilon_linear_step,
-    reward_components,
-)
+from .cop import BudgetCounter, ConstrainedProblem, eps_compare
+from .env import (ActionSpace, EpsilonBase, EpsilonControlEnv, Transition, compute_reward,
+                  epsilon_from_action, epsilon_linear_step, reward_components)
 from .features import extract_state, mask_constraint_features, top5_violation_mean
 from .problems import ProblemRegistry, registry_lookup, synthetic_family
 from .agent import NetworkParams, ReplayBuffer, TrainConfig, forward, load_checkpoint, save_checkpoint
@@ -40,7 +23,6 @@ __all__ = [
     "ConstrainedProblem",
     "EpsilonBase",
     "EpsilonControlEnv",
-    "Evaluation",
     "ExperimentConfig",
     "NetworkParams",
     "ProblemRegistry",
@@ -53,16 +35,12 @@ __all__ = [
     "epsilon_linear_step",
     "extract_state",
     "forward",
-    "is_feasible",
     "load_checkpoint",
     "load_config",
     "mask_constraint_features",
     "registry_lookup",
-    "relaxed_violation",
     "reward_components",
     "save_checkpoint",
-    "sco",
     "synthetic_family",
     "top5_violation_mean",
-    "violation",
 ]

@@ -88,7 +88,10 @@ def _load_cfg(args) -> ExperimentConfig:
     if args.runs is not None:
         cfg.runs = args.runs
     if args.dims is not None:
-        cfg.dims = [int(v) for v in args.dims.split(",") if v.strip()]
+        try:
+            cfg.dims = [int(v) for v in args.dims.split(",") if v.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"--dims: {exc}") from None
     cfg.validate()
     return cfg
 

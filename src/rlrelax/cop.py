@@ -28,20 +28,6 @@ class BudgetExhaustedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Evaluation:
-    """One candidate's objective value plus raw constraint values."""
-
-    f: float
-    g: np.ndarray  # inequality values, length p; feasible when <= 0
-    h: np.ndarray  # equality residuals, length q; feasible when == 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "g", np.atleast_1d(np.asarray(self.g, dtype=float)))
-        object.__setattr__(self, "h", np.atleast_1d(np.asarray(self.h, dtype=float)))
-        object.__setattr__(self, "f", float(self.f))
-
-
-@dataclass(frozen=True)
 class ConstrainedProblem:
     """A bound-constrained minimization problem with explicit g/h constraints.
 
@@ -80,10 +66,12 @@ class ConstrainedProblem:
     def n_constraints(self) -> int:
         return self.n_ineq + self.n_eq
 
-    def evaluate(self, x: np.ndarray, budget: "BudgetCounter | None" = None) -> Evaluation:
-        """Evaluate one candidate: a one-row ``evaluate_batch``."""
+    # bench/spans.py patches this name unguarded; it stays until its probe moves
+    def evaluate(self, x: np.ndarray,
+                 budget: "BudgetCounter | None" = None) -> tuple[float, np.ndarray]:
+        """One candidate as a one-row ``evaluate_batch``: its f and its row of C."""
         f, C = self.evaluate_batch(np.asarray(x, dtype=float)[None, :], budget)
-        return Evaluation(f[0], C[0, :self.n_ineq], C[0, self.n_ineq:])
+        return float(f[0]), C[0]
 
     def evaluate_batch(self, X: np.ndarray,
                        budget: "BudgetCounter | None" = None) -> tuple[np.ndarray, np.ndarray]:
@@ -149,36 +137,19 @@ def epsilon_vector(values, m: int | None = None) -> np.ndarray:
     return eps
 
 
-def violation(e: Evaluation) -> float:
-    """Exact aggregated violation: positive inequality excess plus |h|."""
-    if not (np.all(np.isfinite(e.g)) and np.all(np.isfinite(e.h))):
-        raise ProblemDefinitionError("non-finite constraint value")
-    return float(np.sum(np.maximum(e.g, 0.0)) + np.sum(np.abs(e.h)))
-
-
-def relaxed_violation(e: Evaluation, eps: np.ndarray) -> float:
-    """Aggregated violation with per-constraint thresholds zeroed out.
-
-    An inequality contributes g_i only when g_i > eps_i; an equality
-    contributes |h_j| only when |h_j| > eps_{p+j}.  The first p entries of
-    ``eps`` belong to the inequalities.  A value exactly at its threshold
-    is zeroed.
-    """
-    p = e.g.shape[0]
-    eps = epsilon_vector(eps, p + e.h.shape[0])
-    g_part = np.where(e.g > eps[:p], e.g, 0.0)
-    h_abs = np.abs(e.h)
-    h_part = np.where(h_abs > eps[p:], h_abs, 0.0)
-    return float(np.sum(g_part) + np.sum(h_part))
-
-
 def violations(C: np.ndarray, n_ineq: int) -> np.ndarray:
-    """``violation`` of every row of a constraint batch (inequalities first)."""
+    """Exact violation of every row of a constraint batch, the n_ineq
+    inequalities first: the positive inequality excess plus |h|."""
     return np.sum(np.maximum(C[:, :n_ineq], 0.0), axis=1) + np.sum(np.abs(C[:, n_ineq:]), axis=1)
 
 
 def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarray:
-    """``relaxed_violation`` of every row of a constraint batch."""
+    """Violation of every row with per-constraint thresholds zeroed out.
+
+    An inequality contributes g_i only when g_i > eps_i; an equality
+    contributes |h_j| only when |h_j| > eps_{n_ineq+j}.  A value exactly at
+    its threshold is zeroed.
+    """
     eps = epsilon_vector(eps, C.shape[1])
     g, h_abs = C[:, :n_ineq], np.abs(C[:, n_ineq:])
     return (np.sum(np.where(g > eps[:n_ineq], g, 0.0), axis=1)
@@ -186,7 +157,8 @@ def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarra
 
 
 def feasible_rows(C: np.ndarray, n_ineq: int, delta_acc: float = 1e-3) -> np.ndarray:
-    """``is_feasible`` of every row of a constraint batch."""
+    """Feasibility of every row at accuracy delta_acc: every g <= delta_acc
+    and every |h| <= delta_acc."""
     if delta_acc <= 0:
         raise ValueError("delta_acc must be positive")
     return (np.all(C[:, :n_ineq] <= delta_acc, axis=1)
@@ -207,18 +179,3 @@ def eps_compare(a: tuple[float, float], b: tuple[float, float]) -> int:
     if f_a != f_b:
         return -1 if f_a < f_b else 1
     return 0
-
-
-def is_feasible(e: Evaluation, delta_acc: float = 1e-3) -> bool:
-    """Feasibility at accuracy level delta_acc: every g <= delta, |h| <= delta."""
-    if delta_acc <= 0:
-        raise ValueError("delta_acc must be positive")
-    return bool(np.all(e.g <= delta_acc) and np.all(np.abs(e.h) <= delta_acc))
-
-
-def sco(e: Evaluation, delta_acc: float = 1e-3) -> float:
-    """Scoring metric: objective plus violation, with the violation zeroed
-    for solutions feasible within delta_acc."""
-    if is_feasible(e, delta_acc):
-        return e.f
-    return e.f + violation(e)

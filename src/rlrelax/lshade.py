@@ -9,9 +9,8 @@ active relaxation vector (ties keep the parent).  Linear population size
 reduction is available behind a flag and off by default.
 
 generation_step makes the random draws per member and does the arithmetic
-over the whole population; sample_f_cr, mutate_current_to_pbest,
-crossover_binomial and select_survivor are the same steps for one member,
-kept as the reference the array form is tested against.
+over the whole population.  The same steps for one member, the reference
+generation_step is tested against bit for bit, are in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ class RunStats:
     f_gbest: float = math.inf        # best objective seen, any feasibility
     f_max: float = -math.inf         # worst objective seen
     best_feasible_f: float = math.inf
-    best_sco: float = math.inf
+    best_sco: float = math.inf       # best f + violation, the violation zeroed if feasible
     budget: BudgetCounter | None = None  # holds fes and maxfes
     # population-best objective at generation 0; equal to f_gbest right
     # after initialization, so it is also the reward's f_gbest_0
@@ -143,47 +142,7 @@ def refresh_relaxed(pop: Population, eps: np.ndarray) -> None:
     pop.nu_eps = relaxed_violations(pop.C, pop.n_ineq, eps)
 
 
-def mutate_current_to_pbest(i: int, xs: np.ndarray, archive: list[np.ndarray],
-                            f_i: float, ranked, p_rate: float,
-                            rng: np.random.Generator) -> np.ndarray:
-    """current-to-pbest/1 donor: v = x_i + F (x_pbest - x_i) + F (x_r1 - x_r2).
-
-    pbest is drawn from the ceil(p_rate * N) best under the active
-    comparison order (``ranked``, best first); r1 comes from the
-    population ``xs``, r2 from population + archive, with i, r1, r2 distinct.
-    """
-    n = len(xs)
-    n_best = max(1, math.ceil(p_rate * n))
-    pbest = xs[ranked[rng.integers(n_best)]]
-    r1 = int(rng.integers(n))
-    while r1 == i:
-        r1 = int(rng.integers(n))
-    pool = n + len(archive)
-    r2 = int(rng.integers(pool))
-    while r2 == i or r2 == r1:
-        r2 = int(rng.integers(pool))
-    x_r2 = xs[r2] if r2 < n else archive[r2 - n]
-    x_i = xs[i]
-    return x_i + f_i * (pbest - x_i) + f_i * (xs[r1] - x_r2)
-
-
-def crossover_binomial(x_i: np.ndarray, v: np.ndarray, cr_i: float,
-                       rng: np.random.Generator,
-                       lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Binomial crossover with one forced donor index, then midpoint repair.
-
-    Out-of-bounds trial components are pulled to the midpoint between the
-    parent component and the violated bound.
-    """
-    d = x_i.size
-    mask = rng.random(d) < cr_i
-    mask[rng.integers(d)] = True
-    u = np.where(mask, v, x_i)
-    u = np.where(u < lower, (x_i + lower) / 2.0, u)
-    u = np.where(u > upper, (x_i + upper) / 2.0, u)
-    return u
-
-
+# bench/spans.py patches this name unguarded; it stays until its probe moves
 def select_survivor(parent: tuple[float, float],
                     trial: tuple[float, float]) -> tuple[tuple[float, float], bool, float]:
     """Keep the eps_compare winner of two (objective, relaxed violation)
@@ -220,24 +179,6 @@ def update_memory(hist: SuccessHistory, f_vals, cr_vals, weights) -> None:
     hist.k = (hist.k + 1) % hist.m_f.size
 
 
-def sample_f_cr(hist: SuccessHistory, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw one (F, CR) pair from a random memory slot.
-
-    F ~ Cauchy(m_f[r], 0.1), resampled while <= 0 and clipped to 1;
-    CR ~ Normal(m_cr[r], 0.1) clipped to [0, 1], or 0 on a terminal slot.
-    """
-    r = int(rng.integers(hist.m_f.size))
-    f_i = hist.m_f[r] + 0.1 * rng.standard_cauchy()
-    while f_i <= 0.0:
-        f_i = hist.m_f[r] + 0.1 * rng.standard_cauchy()
-    f_i = min(f_i, 1.0)
-    if np.isnan(hist.m_cr[r]):
-        cr_i = 0.0
-    else:
-        cr_i = float(np.clip(hist.m_cr[r] + 0.1 * rng.standard_normal(), 0.0, 1.0))
-    return float(f_i), cr_i
-
-
 def lpsr_target_size(fes: int, maxfes: int, n_init: int, n_min: int = N_MIN) -> int:
     """Linear population size schedule from n_init down to n_min."""
     return int(round(n_init - (n_init - n_min) * fes / maxfes))
@@ -265,10 +206,10 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     Trials are generated synchronously from the parent generation, then
     evaluated in order until the budget runs dry; unevaluated trials are
     skipped and their parents survive untouched.  Returns the number of
-    trials actually evaluated.  The rng is consumed exactly as by a loop of
-    sample_f_cr, mutate_current_to_pbest and crossover_binomial over the
-    members, then one archive pop per overflow, so the results are those
-    of the per-member reference bit for bit.
+    trials actually evaluated.  The rng is consumed exactly as by the
+    per-member loop of tests/reference.py (sample_f_cr,
+    mutate_current_to_pbest and crossover_binomial, then one archive pop
+    per overflow), so the results are that reference's bit for bit.
     """
     if budget.exhausted:
         raise RuntimeError("generation_step requires at least one remaining evaluation")
@@ -279,9 +220,9 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     n_best = max(1, math.ceil(p_rate * n))
     pool = n + len(pop.archive)
 
-    # The random draws, in the per-candidate order of sample_f_cr,
-    # mutate_current_to_pbest and crossover_binomial; the arithmetic on
-    # them is done below over all candidates at once.
+    # The random draws, in the per-candidate order of the reference's
+    # sample_f_cr, mutate_current_to_pbest and crossover_binomial; the
+    # arithmetic on them is done below over all candidates at once.
     m_f, terminal = hist.m_f.tolist(), np.isnan(hist.m_cr).tolist()
     f_z, idx = [], []  # (F before clipping, CR's normal draw), (slot, pbest rank, r1, r2, j)
     u_cr = np.empty((n, d))

@@ -13,7 +13,7 @@ import zlib
 
 import numpy as np
 
-from .cop import ConstrainedProblem, Evaluation
+from .cop import ConstrainedProblem
 
 SEARCH_BOUND = 100.0
 SHIFT_BOUND = 50.0
@@ -81,6 +81,12 @@ def load_shift_table(path) -> dict[tuple[str, int], np.ndarray]:
 # formula applied to that row alone.
 
 def _cec12_rows(X, o):
+    """Shifted rastrigin restricted near a sphere shell.
+
+    f(y)  = sum(y_i^2 - 10 cos(2 pi y_i) + 10)
+    g1(y) = 4 - sum |y_i|        (keeps solutions away from the axes)
+    h1(y) = sum y_i^2 - 4        (sphere-surface equality)
+    """
     y = X - o
     f = np.sum(y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0, axis=-1)
     g1 = 4.0 - np.sum(np.abs(y), axis=-1)
@@ -89,37 +95,17 @@ def _cec12_rows(X, o):
 
 
 def _cec14_rows(X, o):
-    y = X - o
-    f = np.max(np.abs(y), axis=-1)
-    g1 = np.sum(y * y, axis=-1) - 100.0 * y.shape[-1]
-    h1 = np.cos(f) + np.sin(f)
-    return f, np.stack([g1, h1], axis=-1)
-
-
-def _one_row(rows, x, shift) -> Evaluation:
-    """One candidate through a row formula with one inequality, one equality."""
-    f, C = rows(np.asarray(x, dtype=float)[None, :], shift)
-    return Evaluation(f[0], C[0, :1], C[0, 1:])
-
-
-def cec12_evaluation(x: np.ndarray, shift: np.ndarray) -> Evaluation:
-    """Shifted rastrigin restricted near a sphere shell.
-
-    f(y)  = sum(y_i^2 - 10 cos(2 pi y_i) + 10)
-    g1(y) = 4 - sum |y_i|        (keeps solutions away from the axes)
-    h1(y) = sum y_i^2 - 4        (sphere-surface equality)
-    """
-    return _one_row(_cec12_rows, x, shift)
-
-
-def cec14_evaluation(x: np.ndarray, shift: np.ndarray) -> Evaluation:
     """Shifted max-abs objective with a quantized equality constraint.
 
     f(y)  = max |y_i|
     g1(y) = sum y_i^2 - 100 D
     h1(y) = cos(f) + sin(f)      (feasible only at discrete objective levels)
     """
-    return _one_row(_cec14_rows, x, shift)
+    y = X - o
+    f = np.max(np.abs(y), axis=-1)
+    g1 = np.sum(y * y, axis=-1) - 100.0 * y.shape[-1]
+    h1 = np.cos(f) + np.sin(f)
+    return f, np.stack([g1, h1], axis=-1)
 
 
 def _box_problem(name: str, dim: int, n_ineq: int, n_eq: int, evaluator,

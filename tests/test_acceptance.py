@@ -18,7 +18,7 @@ from rlrelax.agent import (
     td_target,
 )
 from rlrelax.config import ExperimentConfig
-from rlrelax.cop import BudgetCounter, Evaluation, eps_compare, relaxed_violation, violation
+from rlrelax.cop import BudgetCounter, eps_compare, relaxed_violations, violations
 from rlrelax.env import (
     EpsilonBase,
     EpsilonControlEnv,
@@ -94,12 +94,13 @@ def test_criterion_2_comparison_rule_oracle():
     va = np.maximum(g_a, 0.0) + np.abs(h_a)
     vb = np.maximum(g_b, 0.0) + np.abs(h_b)
 
-    # the vectorized oracle must agree with the library on a subsample
+    # the vectorized oracle must agree with the library on a subsample,
+    # one candidate (one constraint row) per call
     ok = True
     for i in range(0, n, 50):
-        e = Evaluation(f_a[i], np.array([g_a[i]]), np.array([h_a[i]]))
-        ok &= relaxed_violation(e, eps[i]) == nu_a[i]
-        ok &= violation(e) == va[i]
+        c = np.array([[g_a[i], h_a[i]]])
+        ok &= relaxed_violations(c, 1, eps[i])[0] == nu_a[i]
+        ok &= violations(c, 1)[0] == va[i]
 
     for i in range(n):
         ok &= eps_compare((f_a[i], nu_a[i]), (f_b[i], nu_b[i])) == \

@@ -353,6 +353,30 @@ class TestCheckpoint:
         with pytest.raises(CheckpointParseError):
             load_checkpoint(path)
 
+    def edited_metadata(self, tmp_path, token, replacement):
+        """A saved checkpoint with one token of its metadata line replaced."""
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(init_params(rng=np.random.default_rng(24)), self.meta(), path)
+        lines = path.read_text().splitlines()
+        assert token in lines[2].split()
+        lines[2] = " ".join(replacement if t == token else t for t in lines[2].split())
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("key, token", [("seed", "seed=3"), ("epochs", "epochs=50"),
+                                            ("f_agentbest", "f_agentbest=1.25")])
+    def test_non_numeric_metadata_names_the_key(self, tmp_path, key, token):
+        path = self.edited_metadata(tmp_path, token, f"{key}=x7")
+        with pytest.raises(CheckpointParseError, match=f"metadata {key}:"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_f_agentbest_is_parse_error(self, tmp_path, value):
+        # a nan here would make every evaluation step's r1 zero
+        path = self.edited_metadata(tmp_path, "f_agentbest=1.25", f"f_agentbest={value}")
+        with pytest.raises(CheckpointParseError, match="f_agentbest: non-finite"):
+            load_checkpoint(path)
+
     def test_shapes_follow_action_space(self, tmp_path):
         rng = np.random.default_rng(20)
         params = init_params(n_out=7, rng=rng)  # aggressive-adjustment head

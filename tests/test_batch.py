@@ -1,8 +1,9 @@
 """The array-native generation: batched evaluation and constraint accounting
 against the scalar definitions, the ranking against eps_compare, the budget
 truncation, the fail-loud batch boundary, the episode length, the batch
-evaluators against their one-row outputs, and generation_step against the
-per-candidate generation it replaced."""
+evaluators against their one-row outputs, the paper's invariants of the
+row functions, and generation_step against the per-candidate generation of
+tests/reference.py."""
 
 import copy
 import dataclasses
@@ -19,45 +20,26 @@ from rlrelax.cop import (
     BudgetCounter,
     BudgetExhaustedError,
     ConstrainedProblem,
-    Evaluation,
     ProblemDefinitionError,
     eps_compare,
     feasible_rows,
-    is_feasible,
-    relaxed_violation,
     relaxed_violations,
-    sco,
-    violation,
     violations,
 )
 from rlrelax.env import EpsilonControlEnv
 from rlrelax.harness import train
 from rlrelax.lshade import (
     H_MEMORY,
-    N_MIN,
-    P_BEST_RATE,
     Population,
     RunStats,
     SuccessHistory,
-    crossover_binomial,
     episode_steps,
     generation_step,
     init_population,
-    lpsr_target_size,
-    mutate_current_to_pbest,
-    refresh_relaxed,
-    sample_f_cr,
-    select_survivor,
-    update_memory,
 )
-from rlrelax.problems import (
-    SYNTHETIC_KINDS,
-    cec12_evaluation,
-    cec14_evaluation,
-    make_shift,
-    registry_lookup,
-    synthetic_family,
-)
+from rlrelax.problems import SYNTHETIC_KINDS, registry_lookup, synthetic_family
+from reference import (Evaluation, is_feasible, reference_generation, relaxed_violation, sco,
+                       violation)
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -119,6 +101,54 @@ class TestBatchedAccounting:
         assert feasible_rows(np.array([[1e-3, -1e-3]]), 1, 1e-3).tolist() == [True]
 
 
+class TestRowInvariants:
+    """The invariants the paper relies on, on the shipped row functions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(constraint_batches())
+    def test_relaxed_violation_at_most_exact(self, batch):
+        _, C, p, eps, _ = batch
+        assert np.all(relaxed_violations(C, p, eps) <= violations(C, p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(constraint_batches(), st.data())
+    def test_relaxed_violation_monotone_non_increasing_in_eps(self, batch, data):
+        _, C, p, eps, _ = batch
+        wider = eps + np.array([data.draw(st.floats(0.0, 10.0)) for _ in eps])
+        at_zero = relaxed_violations(C, p, np.zeros_like(eps))
+        assert np.array_equal(at_zero, violations(C, p))
+        assert np.all(relaxed_violations(C, p, eps) <= at_zero)
+        assert np.all(relaxed_violations(C, p, wider) <= relaxed_violations(C, p, eps))
+
+    @settings(max_examples=300, deadline=None)
+    @given(constraint_batches())
+    def test_value_exactly_at_threshold_is_zeroed(self, batch):
+        # zeroing every entry at its threshold changes nothing
+        _, C, p, eps, delta_acc = batch
+        at_eps = np.where(np.abs(C) == eps, 0.0, C)
+        assert np.array_equal(relaxed_violations(at_eps, p, eps), relaxed_violations(C, p, eps))
+        at_delta = np.where(np.abs(C) == delta_acc, 0.0, C)
+        assert np.array_equal(feasible_rows(at_delta, p, delta_acc),
+                              feasible_rows(C, p, delta_acc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(constraint_batches())
+    def test_violation_non_negative_and_zero_iff_exactly_feasible(self, batch):
+        _, C, p, _, _ = batch
+        nu = violations(C, p)
+        exactly_feasible = np.all(C[:, :p] <= 0.0, axis=1) & np.all(C[:, p:] == 0.0, axis=1)
+        assert np.all(nu >= 0.0)
+        assert np.array_equal(nu == 0.0, exactly_feasible)
+
+    @settings(max_examples=100, deadline=None)
+    @given(constraint_batches(), st.data())
+    def test_eps_length_mismatch_is_rejected(self, batch, data):
+        _, C, p, _, _ = batch
+        m = data.draw(st.integers(0, 8).filter(lambda m: m != C.shape[1]))
+        with pytest.raises(ValueError, match="length"):
+            relaxed_violations(C, p, np.ones(m))
+
+
 class TestRanking:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 2.5, 7.0]),
@@ -169,9 +199,10 @@ class TestEvaluateBatch:
 
     def test_one_row_evaluate_matches_batch(self):
         prob = counting_problem([])
-        e = prob.evaluate(np.array([1.0, -2.0]))
+        f_1, c_1 = prob.evaluate(np.array([1.0, -2.0]))
         f, C = prob.evaluate_batch(np.array([[1.0, -2.0]]))
-        assert (e.f, e.g.tolist(), e.h.tolist()) == (f[0], C[0, :1].tolist(), C[0, 1:].tolist())
+        assert type(f_1) is float and c_1.shape == (prob.n_constraints,)
+        assert (f_1, c_1.tolist()) == (f[0], C[0].tolist())
 
     @pytest.mark.parametrize("fault, message", [
         (lambda i, f, C: (f, np.column_stack([np.zeros((len(f), 2)), C[:, 1:]])),
@@ -263,8 +294,8 @@ class TestBatchEvaluators:
         for i, x in enumerate(X):
             f_i, C_i = problem.evaluator(X[i:i + 1])
             assert same_bits(f_i, f[i:i + 1]) and same_bits(C_i, C[i:i + 1])
-            e = problem.evaluate(x)
-            assert same_bits(e.f, f[i]) and same_bits(np.concatenate((e.g, e.h)), C[i])
+            f_1, c_1 = problem.evaluate(x)
+            assert same_bits(np.float64(f_1), f[i]) and same_bits(c_1, C[i])
 
     def test_rosenbrock_cubic_cubes_each_value_as_a_scalar(self):
         # an array ** 3 rounds about 3% of these cubes differently from pow()
@@ -274,61 +305,6 @@ class TestBatchEvaluators:
         _, C = synthetic_family("rosenbrock-cubic", 5, 10, shift=o).evaluator(X)
         y = (X - o).tolist()
         assert same_bits(C[:, 0], np.array([(r[0] - 1.0) ** 3 - r[1] + 1.0 for r in y]))
-
-    @pytest.mark.parametrize("name, one_row", [("cec12", cec12_evaluation),
-                                               ("cec14", cec14_evaluation)])
-    def test_public_closed_forms_are_one_row_views(self, name, one_row):
-        problem, o = registry_lookup(name, 10), make_shift(name, 10)
-        X = np.random.default_rng(5).uniform(-100.0, 100.0, size=(12, 10))
-        f, C = problem.evaluator(X)
-        for i, x in enumerate(X):
-            e = one_row(x, o)
-            assert same_bits(e.f, f[i]) and same_bits(np.concatenate((e.g, e.h)), C[i])
-
-
-def reference_generation(pop, problem, eps, hist, rng, budget, stats, p_rate=P_BEST_RATE,
-                         lpsr=False, n_init=None, n_min=N_MIN):
-    """One generation as a per-candidate loop over the scalar operators:
-    the oracle the array form of generation_step must match bit for bit."""
-    refresh_relaxed(pop, eps)
-    n = pop.size
-    ranked = pop.ranking()
-    archive_snapshot = list(pop.archive)
-    trials_x = np.empty_like(pop.x)
-    params = []
-    for i in range(n):
-        f_i, cr_i = sample_f_cr(hist, rng)
-        v = mutate_current_to_pbest(i, pop.x, archive_snapshot, f_i, ranked, p_rate, rng)
-        trials_x[i] = crossover_binomial(pop.x[i], v, cr_i, rng, problem.lower, problem.upper)
-        params.append((f_i, cr_i))
-
-    f, C = problem.evaluate_batch(trials_x, budget)
-    trials = Population.evaluated(trials_x[:f.size], f, C, pop.n_ineq, stats.delta_acc, eps)
-    stats.observe(trials)
-
-    parents = list(zip(pop.f.tolist(), pop.nu_eps.tolist()))
-    s_f, s_cr, s_w, won = [], [], [], []
-    for i, trial in enumerate(zip(trials.f.tolist(), trials.nu_eps.tolist())):
-        _, success, w = select_survivor(parents[i], trial)
-        if success:
-            won.append(i)
-            pop.archive.append(pop.x[i].copy())
-            if len(pop.archive) > n:
-                pop.archive.pop(int(rng.integers(len(pop.archive))))
-            s_f.append(params[i][0])
-            s_cr.append(params[i][1])
-            s_w.append(w)
-    pop.replace(won, trials)
-    update_memory(hist, s_f, s_cr, s_w)
-
-    if lpsr:
-        n_target = max(n_min, lpsr_target_size(budget.fes, budget.maxfes,
-                                               n_init if n_init is not None else n, n_min))
-        if n_target < pop.size:
-            pop.keep(np.sort(pop.ranking()[:n_target]))
-        while len(pop.archive) > pop.size:
-            pop.archive.pop(int(rng.integers(len(pop.archive))))
-    return trials.size
 
 
 def stepped_problem(dim):

@@ -60,6 +60,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
 
+    def test_bad_dims_override_is_config_error(self, cfg_path, tmp_path, capsys):
+        # the same value exits 2 from the config file, so it does from --dims
+        out = tmp_path / "out"
+        code = main(["baseline", "--config", str(cfg_path), "--name", "static-eps",
+                     "--dims", "4,abc", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--dims" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line", [
         "epochs = 0", "dims =", "delta = 0", "delta_acc = -1",
         "explore_start = 1.5", "explore_end = -0.1", "explore_fraction = 1.01",

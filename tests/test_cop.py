@@ -5,81 +5,106 @@ from rlrelax.cop import (
     BudgetCounter,
     BudgetExhaustedError,
     ConstrainedProblem,
-    Evaluation,
     ProblemDefinitionError,
     eps_compare,
     epsilon_vector,
-    is_feasible,
-    relaxed_violation,
-    sco,
-    violation,
+    feasible_rows,
+    relaxed_violations,
+    violations,
 )
+from rlrelax.lshade import Population, RunStats
 
 
-def ev(f=0.0, g=(), h=()):
-    return Evaluation(f, np.array(g, dtype=float), np.array(h, dtype=float))
+def row(g=(), h=()):
+    """One candidate's constraint row, inequalities first, as a batch of one."""
+    return np.array([[*g, *h]], dtype=float)
+
+
+def nu(g=(), h=()):
+    return violations(row(g, h), len(g))[0]
+
+
+def nu_eps(eps, g=(), h=()):
+    return relaxed_violations(row(g, h), len(g), eps)[0]
+
+
+def feasible(g=(), h=(), delta_acc=1e-3):
+    return feasible_rows(row(g, h), len(g), delta_acc)[0]
+
+
+def sco(f, g=(), h=(), delta_acc=1e-3):
+    """The score RunStats folds in for one candidate: objective plus
+    violation, the violation zeroed when feasible within delta_acc."""
+    stats = RunStats(delta_acc=delta_acc)
+    stats.observe(Population.evaluated(np.zeros((1, 1)), np.array([f]), row(g, h), len(g),
+                                       delta_acc))
+    return stats.best_sco
 
 
 class TestViolation:
     def test_satisfied_inequality_contributes_zero(self):
-        assert violation(ev(g=[-2.0])) == 0.0
+        assert nu(g=[-2.0]) == 0.0
 
     def test_hand_arithmetic(self):
-        assert violation(ev(g=[3.0], h=[-1.5])) == 4.5
+        assert nu(g=[3.0], h=[-1.5]) == 4.5
 
     def test_boundary_zero(self):
-        assert violation(ev(g=[0.0], h=[0.0])) == 0.0
+        assert nu(g=[0.0], h=[0.0]) == 0.0
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ProblemDefinitionError):
-            violation(ev(g=[np.nan]))
+        # the row functions take checked batches; evaluate_batch is where a
+        # non-finite constraint value is rejected
+        prob = ConstrainedProblem(
+            name="t", dim=2, lower=np.full(2, -1.0), upper=np.ones(2), n_ineq=1, n_eq=0,
+            evaluator=lambda X: (np.zeros(len(X)), np.full((len(X), 1), np.nan)))
+        with pytest.raises(ProblemDefinitionError, match="non-finite"):
+            prob.evaluate_batch(np.zeros((3, 2)))
 
     def test_nonnegative_and_zero_iff_feasible(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            e = ev(g=rng.normal(size=3), h=rng.normal(size=2))
-            nu = violation(e)
-            assert nu >= 0.0
-            exact_feasible = bool(np.all(e.g <= 0) and np.all(e.h == 0))
-            assert (nu == 0.0) == exact_feasible
+        C = np.column_stack([rng.normal(size=(200, 3)), rng.normal(size=(200, 2))])
+        nus = violations(C, 3)
+        assert np.all(nus >= 0.0)
+        exact_feasible = np.all(C[:, :3] <= 0, axis=1) & np.all(C[:, 3:] == 0, axis=1)
+        assert np.array_equal(nus == 0.0, exact_feasible)
 
 
 class TestRelaxedViolation:
     def test_below_threshold_zeroed(self):
-        assert relaxed_violation(ev(g=[0.5]), [1.0]) == 0.0
+        assert nu_eps([1.0], g=[0.5]) == 0.0
 
     def test_equality_above_threshold_kept(self):
-        assert relaxed_violation(ev(h=[-2.0]), [1.0]) == 2.0
+        assert nu_eps([1.0], h=[-2.0]) == 2.0
 
     def test_mixed(self):
-        assert relaxed_violation(ev(g=[0.5, 3.0]), [1.0, 1.0]) == 3.0
+        assert nu_eps([1.0, 1.0], g=[0.5, 3.0]) == 3.0
 
     def test_exactly_at_threshold_zeroed(self):
-        assert relaxed_violation(ev(g=[1.0]), [1.0]) == 0.0
+        assert nu_eps([1.0], g=[1.0]) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            relaxed_violation(ev(g=[0.5]), [1.0, 2.0])
+            nu_eps([1.0, 2.0], g=[0.5])
 
     def test_zero_eps_equals_exact(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
             p, q = rng.integers(0, 4), rng.integers(0, 4)
-            e = ev(g=rng.normal(size=p) * 5, h=rng.normal(size=q) * 5)
-            assert relaxed_violation(e, np.zeros(p + q)) == violation(e)
+            g, h = rng.normal(size=p) * 5, rng.normal(size=q) * 5
+            assert nu_eps(np.zeros(p + q), g, h) == nu(g, h)
 
     def test_bounded_by_exact_and_monotone(self):
         rng = np.random.default_rng(13)
         for _ in range(300):
-            e = ev(g=rng.normal(size=2) * 3, h=rng.normal(size=2) * 3)
+            g, h = rng.normal(size=2) * 3, rng.normal(size=2) * 3
             eps = rng.uniform(0, 4, size=4)
-            r = relaxed_violation(e, eps)
-            assert r <= violation(e) + 1e-15
+            r = nu_eps(eps, g, h)
+            assert r <= nu(g, h) + 1e-15
             # raising any single component never increases the result
             j = rng.integers(4)
             bumped = eps.copy()
             bumped[j] += rng.uniform(0, 3)
-            assert relaxed_violation(e, bumped) <= r + 1e-15
+            assert nu_eps(bumped, g, h) <= r + 1e-15
 
 
 class TestEpsCompare:
@@ -104,30 +129,29 @@ class TestEpsCompare:
 
 class TestFeasibilityAndSco:
     def test_feasible_simple(self):
-        assert is_feasible(ev(g=[-1.0], h=[0.0]))
+        assert feasible(g=[-1.0], h=[0.0])
 
     def test_within_accuracy(self):
-        assert is_feasible(ev(g=[5e-4], h=[9e-4]), delta_acc=1e-3)
+        assert feasible(g=[5e-4], h=[9e-4], delta_acc=1e-3)
 
     def test_exceeds_accuracy(self):
-        assert not is_feasible(ev(g=[2e-3]), delta_acc=1e-3)
+        assert not feasible(g=[2e-3], delta_acc=1e-3)
 
     def test_sco_feasible_is_objective(self):
-        assert sco(ev(f=4.0, g=[0.0], h=[0.0])) == 4.0
+        assert sco(4.0, g=[0.0], h=[0.0]) == 4.0
 
     def test_sco_infeasible_adds_violation(self):
-        e = ev(f=0.0, g=[4.0], h=[-4.0])
-        assert violation(e) == 8.0
-        assert sco(e) == 8.0
+        assert nu(g=[4.0], h=[-4.0]) == 8.0
+        assert sco(0.0, g=[4.0], h=[-4.0]) == 8.0
 
     def test_sco_zeroes_violation_within_accuracy(self):
-        assert sco(ev(f=4.0, g=[9e-4]), delta_acc=1e-3) == 4.0
+        assert sco(4.0, g=[9e-4], delta_acc=1e-3) == 4.0
 
     def test_sco_at_least_objective_when_nonnegative(self):
         rng = np.random.default_rng(19)
         for _ in range(200):
-            e = ev(f=abs(rng.normal()), g=rng.normal(size=2))
-            assert sco(e) >= e.f
+            f = abs(rng.normal())
+            assert sco(f, g=rng.normal(size=2)) >= f
 
 
 class TestBudgetCounter:

@@ -1,4 +1,5 @@
-"""The walkthrough scripts under demos/ run to completion."""
+"""The walkthrough scripts under demos/ run to completion and print exactly
+their recorded output, tests/golden/<NN>.txt (demo output is deterministic)."""
 
 import os
 import subprocess
@@ -24,3 +25,5 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    golden = ROOT / "tests" / "golden" / f"{demo[:2]}.txt"
+    assert proc.stdout == golden.read_text(encoding="utf-8")

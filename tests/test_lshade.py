@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 
-from rlrelax.cop import BudgetCounter, ConstrainedProblem, Evaluation, relaxed_violation, violation
+from rlrelax.cop import BudgetCounter, ConstrainedProblem, relaxed_violations, violations
 from rlrelax.lshade import (
     RunStats,
     SuccessHistory,
-    crossover_binomial,
     generation_step,
     init_population,
     lpsr_target_size,
-    mutate_current_to_pbest,
     refresh_relaxed,
     select_survivor,
     update_memory,
 )
+from reference import Evaluation, crossover_binomial, mutate_current_to_pbest, violation
 
 
 def sphere(dim):
@@ -39,8 +38,9 @@ def toy_constrained(dim):
 
 def make_pair(f, g=(), h=(), eps=None):
     """(objective, relaxed violation) of one candidate, as selection sees it."""
-    e = Evaluation(f, np.array(g, dtype=float), np.array(h, dtype=float))
-    return (e.f, violation(e) if eps is None else relaxed_violation(e, eps))
+    C = np.array([[*g, *h]], dtype=float)
+    nu = violations(C, len(g)) if eps is None else relaxed_violations(C, len(g), eps)
+    return (float(f), float(nu[0]))
 
 
 class TestInit:

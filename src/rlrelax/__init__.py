@@ -12,7 +12,7 @@ from .env import (ActionSpace, EpsilonBase, EpsilonControlEnv, Transition, compu
                   epsilon_from_action, epsilon_linear_step, reward_components)
 from .features import extract_state, mask_constraint_features, top5_violation_mean
 from .problems import ProblemRegistry, registry_lookup, synthetic_family
-from .agent import NetworkParams, ReplayBuffer, TrainConfig, forward, load_checkpoint, save_checkpoint
+from .agent import NetworkParams, ReplayBuffer, forward, load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, load_config
 
 __version__ = "0.1.0"
@@ -27,7 +27,6 @@ __all__ = [
     "NetworkParams",
     "ProblemRegistry",
     "ReplayBuffer",
-    "TrainConfig",
     "Transition",
     "compute_reward",
     "eps_compare",

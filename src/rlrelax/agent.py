@@ -11,10 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .env import ActionSpace, Transition
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
@@ -182,42 +186,16 @@ def sync_target(online: NetworkParams, target: NetworkParams) -> None:
     np.copyto(target.b2, online.b2)
 
 
-@dataclass
-class TrainConfig:
-    """Meta-training hyperparameters."""
-
-    max_epoch: int = 50
-    lr_start: float = 5e-3
-    lr_end: float = 1e-4
-    discount: float = 1.0
-    target_sync_period: int = 10   # counted in gradient steps
-    explore_start: float = 0.9
-    explore_end: float = 0.05
-    explore_fraction: float = 0.8  # share of total meta-steps spent decaying
-    buffer_capacity: int = 4096
-    batch_size: int = 64
-
-    def __post_init__(self):
-        if not 0 < self.lr_end <= self.lr_start:
-            raise ValueError("need 0 < lr_end <= lr_start")
-        if self.target_sync_period < 1:
-            raise ValueError("target_sync_period must be >= 1")
-        if not 0.0 <= self.discount <= 1.0:
-            raise ValueError("discount must be in [0, 1]")
-        if not 1 <= self.batch_size <= self.buffer_capacity:
-            raise ValueError("need 1 <= batch_size <= buffer_capacity")
-
-
-def cosine_lr(epoch: int, cfg: TrainConfig) -> float:
-    """Cosine decay from lr_start at epoch 0 to lr_end at max_epoch."""
-    if not 0 <= epoch <= cfg.max_epoch:
-        raise ValueError(f"epoch must be in [0, {cfg.max_epoch}]")
+def cosine_lr(epoch: int, cfg: ExperimentConfig) -> float:
+    """Cosine decay from lr_start at epoch 0 to lr_end at cfg.epochs."""
+    if not 0 <= epoch <= cfg.epochs:
+        raise ValueError(f"epoch must be in [0, {cfg.epochs}]")
     return cfg.lr_end + 0.5 * (cfg.lr_start - cfg.lr_end) * (
-        1.0 + math.cos(math.pi * epoch / cfg.max_epoch)
+        1.0 + math.cos(math.pi * epoch / cfg.epochs)
     )
 
 
-def explore_rate(step: int, total_steps: int, cfg: TrainConfig) -> float:
+def explore_rate(step: int, total_steps: int, cfg: ExperimentConfig) -> float:
     """Linear decay from explore_start to explore_end over the first
     explore_fraction of the meta-steps, constant afterwards."""
     horizon = max(1, int(cfg.explore_fraction * total_steps))

@@ -21,6 +21,7 @@ from .harness import (
     export_curves,
     leave_one_out,
     load_records_jsonl,
+    problem_registry,
     run_baseline,
     split_protocol,
     train,
@@ -93,6 +94,7 @@ def _load_cfg(args) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"--dims: {exc}") from None
     cfg.validate()
+    problem_registry(cfg)
     return cfg
 
 

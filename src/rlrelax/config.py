@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from .agent import TrainConfig
-from .env import REWARD_VARIANTS, SCHEMES
+from .env import DELTA_DEFAULT, REWARD_VARIANTS, SCHEMES
+from .lshade import N_MIN
 
 
 class ConfigError(ValueError):
@@ -38,15 +38,15 @@ class ExperimentConfig:
     lr_start: float = 5e-3
     lr_end: float = 1e-4
     discount: float = 1.0
-    target_sync_period: int = 10
+    target_sync_period: int = 10  # counted in gradient steps
     explore_start: float = 0.9
     explore_end: float = 0.05
-    explore_fraction: float = 0.8
+    explore_fraction: float = 0.8  # share of the meta-steps spent decaying
     buffer_capacity: int = 4096
     batch_size: int = 64
     static_level: float = 0.5     # static baseline's fixed relaxation level
     sched_power: float = 5.0      # tightening exponent of the scheduled baseline
-    delta: float = 1e-3
+    delta: float = DELTA_DEFAULT
     delta_acc: float = 1e-3
     shift_file: str = ""          # optional shift-data override, see problems.py
 
@@ -57,10 +57,18 @@ class ExperimentConfig:
             raise ConfigError(f"reward_variant must be one of {REWARD_VARIANTS}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.pop_size < 4:
-            raise ConfigError("pop_size must be >= 4")
+        if self.pop_size < N_MIN:
+            raise ConfigError(f"pop_size must be >= {N_MIN}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
+        if not 0 < self.lr_end <= self.lr_start:
+            raise ConfigError("need 0 < lr_end <= lr_start")
+        if self.target_sync_period < 1:
+            raise ConfigError("target_sync_period must be >= 1")
+        if not 0.0 <= self.discount <= 1.0:
+            raise ConfigError("discount must be in [0, 1]")
+        if not 1 <= self.batch_size <= self.buffer_capacity:
+            raise ConfigError("need 1 <= batch_size <= buffer_capacity")
         if not self.dims:
             raise ConfigError("dims must list at least one dimension")
         for key in ("delta", "delta_acc"):
@@ -82,15 +90,6 @@ class ExperimentConfig:
 
     def maxfes(self, dim: int) -> int:
         return self.maxfes_per_dim * dim
-
-    def train_config(self) -> TrainConfig:
-        """The TrainConfig fields of the same name, and epochs as max_epoch."""
-        shared = {f.name: getattr(self, f.name)
-                  for f in fields(TrainConfig) if f.name != "max_epoch"}
-        try:
-            return TrainConfig(max_epoch=self.epochs, **shared)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
 
 
 _LIST_STR_KEYS = {"problems", "train_problems", "test_problems"}

@@ -169,7 +169,7 @@ class EpsilonControlEnv:
     """
 
     def __init__(self, problem: ConstrainedProblem, rng: np.random.Generator, *,
-                 n_pop: int = 50, maxfes: int | None = None,
+                 n_pop: int, maxfes: int,
                  action_space: ActionSpace | None = None,
                  delta: float = DELTA_DEFAULT, delta_acc: float = 1e-3,
                  reward_variant: str = "full", mask_state: bool = False,
@@ -179,8 +179,8 @@ class EpsilonControlEnv:
         self.problem = problem
         self.rng = rng
         self.n_pop = n_pop
-        self.maxfes = maxfes if maxfes is not None else 50 * problem.dim
-        if self.maxfes < 2 * n_pop:
+        self.maxfes = maxfes
+        if maxfes < 2 * n_pop:
             raise ValueError("budget must cover at least two generations")
         self.action_space = action_space or ActionSpace.for_scheme(SCHEME_EXPONENTIAL)
         self.delta = delta

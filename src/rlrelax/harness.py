@@ -22,7 +22,7 @@ from .agent import CheckpointMetadata, NetworkParams, ReplayBuffer
 from .config import ConfigError, ExperimentConfig
 from .env import ActionSpace, EpsilonControlEnv, epsilon_from_action
 from .lshade import episode_steps
-from .problems import ProblemRegistry, load_shift_table
+from .problems import ProblemRegistry, UnknownProblemError, load_shift_table
 
 BASELINES = ("static-eps", "scheduled-eps", "feasibility-rule", "untrained-agent")
 ABLATION_VARIANTS = ("no-state", "aa", "ca", "r1", "r2", "r1r2", "no-train")
@@ -45,9 +45,17 @@ def _rng(*parts) -> np.random.Generator:
     return np.random.default_rng([p if isinstance(p, int) else _crc(str(p)) for p in parts])
 
 
-def _registry(cfg: ExperimentConfig) -> ProblemRegistry:
-    table = load_shift_table(cfg.shift_file) if cfg.shift_file else None
-    return ProblemRegistry(table)
+def problem_registry(cfg: ExperimentConfig) -> ProblemRegistry:
+    """The registry over the config's shift file, once every name in the
+    config's problem lists resolves at every dim; ConfigError otherwise."""
+    try:
+        registry = ProblemRegistry(load_shift_table(cfg.shift_file) if cfg.shift_file else None)
+        for name in dict.fromkeys(cfg.problems + cfg.train_problems + cfg.test_problems):
+            for dim in cfg.dims:
+                registry.lookup(name, dim)
+    except (UnknownProblemError, ValueError) as exc:  # a bad shift file is a ValueError
+        raise ConfigError(str(exc)) from None
+    return registry
 
 
 @dataclass
@@ -86,16 +94,15 @@ def train(cfg: ExperimentConfig, problems: list[str] | None = None,
     names = problems if problems is not None else (cfg.train_problems or cfg.problems)
     if not names:
         raise ConfigError("training requires a non-empty problem list")
-    registry = registry or _registry(cfg)
-    tc = cfg.train_config()
+    registry = registry or problem_registry(cfg)
 
     instances = [(name, dim) for dim in cfg.dims for name in names]
-    total_steps = tc.max_epoch * sum(episode_steps(cfg.maxfes(d), cfg.pop_size, cfg.lpsr)
-                                     for _, d in instances)
+    total_steps = cfg.epochs * sum(episode_steps(cfg.maxfes(d), cfg.pop_size, cfg.lpsr)
+                                   for _, d in instances)
 
     params = _init_params(cfg)
     target = params.copy()
-    buffer = ReplayBuffer(tc.buffer_capacity)
+    buffer = ReplayBuffer(cfg.buffer_capacity)
     actor_rng = _rng(cfg.seed, 103)
 
     agentbest: dict[tuple[str, int], float] = {}
@@ -103,8 +110,8 @@ def train(cfg: ExperimentConfig, problems: list[str] | None = None,
     meta_step = 0
     grad_steps = 0
 
-    for epoch in range(tc.max_epoch):
-        lr = qnet.cosine_lr(epoch, tc)
+    for epoch in range(cfg.epochs):
+        lr = qnet.cosine_lr(epoch, cfg)
         for k, (name, dim) in enumerate(instances):
             try:
                 env = _make_env(cfg, registry.lookup(name, dim), _rng(cfg.seed, 105, epoch, k),
@@ -114,16 +121,16 @@ def train(cfg: ExperimentConfig, problems: list[str] | None = None,
                 ep_steps = 0
                 while not env.terminal:
                     q = qnet.forward(state, params)
-                    eps_greedy = qnet.explore_rate(meta_step, total_steps, tc)
+                    eps_greedy = qnet.explore_rate(meta_step, total_steps, cfg)
                     action = qnet.act_eps_greedy(q, eps_greedy, actor_rng)
                     tr, _ = env.step(action)
                     buffer.push(tr)
-                    if len(buffer) >= tc.batch_size:
-                        batch = buffer.sample(tc.batch_size, actor_rng)
-                        _, grads = qnet.loss_and_grad(batch, params, target, tc.discount)
+                    if len(buffer) >= cfg.batch_size:
+                        batch = buffer.sample(cfg.batch_size, actor_rng)
+                        _, grads = qnet.loss_and_grad(batch, params, target, cfg.discount)
                         qnet.sgd_step(params, grads, lr)
                         grad_steps += 1
-                        if grad_steps % tc.target_sync_period == 0:
+                        if grad_steps % cfg.target_sync_period == 0:
                             qnet.sync_target(params, target)
                     state = tr.next_state
                     ep_return += tr.reward
@@ -143,13 +150,13 @@ def train(cfg: ExperimentConfig, problems: list[str] | None = None,
         action_scheme=cfg.action_scheme,
         f_agentbest=best,
         seed=cfg.seed,
-        epochs=tc.max_epoch,
+        epochs=cfg.epochs,
         extra={
             "problem_set_hash": _hash_instances(names, cfg.dims),
             "reward_variant": cfg.reward_variant,
-            "lr_start": f"{tc.lr_start:.17g}",
-            "lr_end": f"{tc.lr_end:.17g}",
-            "discount": f"{tc.discount:.17g}",
+            "lr_start": f"{cfg.lr_start:.17g}",
+            "lr_end": f"{cfg.lr_end:.17g}",
+            "discount": f"{cfg.discount:.17g}",
         },
     )
     return TrainResult(params=params, metadata=metadata, episodes=episodes)
@@ -190,7 +197,7 @@ def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
     names = problems if problems is not None else (cfg.test_problems or cfg.problems)
     if not names:
         raise ConfigError("evaluation requires a non-empty problem list")
-    registry = registry or _registry(cfg)
+    registry = registry or problem_registry(cfg)
     records = []
     for dim in cfg.dims:
         for name in names:
@@ -283,7 +290,7 @@ def leave_one_out(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
         raise ConfigError("leave-one-out needs at least two problems")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    registry = _registry(cfg)
+    registry = problem_registry(cfg)
     all_records: list[RunRecord] = []
     train_log: list[dict] = []
     for held_out in names:
@@ -320,7 +327,7 @@ def split_protocol(cfg: ExperimentConfig, train_names: list[str],
         raise ConfigError(f"train/test lists overlap: {sorted(overlap)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    registry = _registry(cfg)
+    registry = problem_registry(cfg)
     result = train(cfg, problems=train_names, registry=registry)
     _check_no_leak(result, test_names)
     qnet.save_checkpoint(result.params, result.metadata, out / "checkpoint.txt")
@@ -349,7 +356,7 @@ def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> list[RunRecord]:
         raise ConfigError("ablation needs train_problems and test_problems")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    registry = _registry(cfg)
+    registry = problem_registry(cfg)
 
     full = train(cfg, problems=cfg.train_problems, registry=registry)
     records = evaluate(cfg, full.params, full.metadata, problems=cfg.test_problems,

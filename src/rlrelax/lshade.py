@@ -100,7 +100,6 @@ class RunStats:
     delta_acc: float = 1e-3
     f_gbest: float = math.inf        # best objective seen, any feasibility
     f_max: float = -math.inf         # worst objective seen
-    best_feasible_f: float = math.inf
     best_sco: float = math.inf       # best f + violation, the violation zeroed if feasible
     budget: BudgetCounter | None = None  # holds fes and maxfes
     # population-best objective at generation 0; equal to f_gbest right
@@ -115,13 +114,11 @@ class RunStats:
         f, ok = batch.f, batch.feasible
         self.f_gbest = min(self.f_gbest, float(np.min(f)))
         self.f_max = max(self.f_max, float(np.max(f)))
-        if ok.any():
-            self.best_feasible_f = min(self.best_feasible_f, float(np.min(f[ok])))
         self.best_sco = min(self.best_sco, float(np.min(np.where(ok, f, f + batch.nu))))
 
 
 def init_population(problem: ConstrainedProblem, n: int, rng: np.random.Generator,
-                    budget: BudgetCounter, stats: RunStats | None = None) -> Population:
+                    budget: BudgetCounter, stats: RunStats) -> Population:
     """Sample n points uniformly in the box and evaluate them all."""
     if n < N_MIN:
         raise ValueError(f"population size must be >= {N_MIN}, got {n}")
@@ -129,7 +126,6 @@ def init_population(problem: ConstrainedProblem, n: int, rng: np.random.Generato
         raise RuntimeError(
             f"budget of {budget.remaining} evaluations cannot initialize n={n}"
         ) from None
-    stats = stats if stats is not None else RunStats()
     x = rng.uniform(problem.lower, problem.upper, size=(n, problem.dim))
     f, C = problem.evaluate_batch(x, budget)
     pop = Population.evaluated(x, f, C, problem.n_ineq, stats.delta_acc)
@@ -179,12 +175,12 @@ def update_memory(hist: SuccessHistory, f_vals, cr_vals, weights) -> None:
     hist.k = (hist.k + 1) % hist.m_f.size
 
 
-def lpsr_target_size(fes: int, maxfes: int, n_init: int, n_min: int = N_MIN) -> int:
-    """Linear population size schedule from n_init down to n_min."""
-    return int(round(n_init - (n_init - n_min) * fes / maxfes))
+def lpsr_target_size(fes: int, maxfes: int, n_init: int) -> int:
+    """Linear population size schedule from n_init down to N_MIN."""
+    return max(N_MIN, int(round(n_init - (n_init - N_MIN) * fes / maxfes)))
 
 
-def episode_steps(maxfes: int, n_pop: int, lpsr: bool = False, n_min: int = N_MIN) -> int:
+def episode_steps(maxfes: int, n_pop: int, lpsr: bool = False) -> int:
     """Generations one run takes after initialization: each evaluates its
     trials until the budget runs dry, and LPSR shrinks the ones after it."""
     fes, n, steps = n_pop, n_pop, 0
@@ -192,15 +188,14 @@ def episode_steps(maxfes: int, n_pop: int, lpsr: bool = False, n_min: int = N_MI
         fes = min(fes + n, maxfes)
         steps += 1
         if lpsr:
-            n = min(n, max(n_min, lpsr_target_size(fes, maxfes, n_pop, n_min)))
+            n = min(n, lpsr_target_size(fes, maxfes, n_pop))
     return steps
 
 
 def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarray,
                     hist: SuccessHistory, rng: np.random.Generator,
-                    budget: BudgetCounter, stats: RunStats | None = None,
-                    p_rate: float = P_BEST_RATE, lpsr: bool = False,
-                    n_init: int | None = None, n_min: int = N_MIN) -> int:
+                    budget: BudgetCounter, stats: RunStats, lpsr: bool = False,
+                    n_init: int | None = None) -> int:
     """Advance the population by one generation under the given epsilon.
 
     Trials are generated synchronously from the parent generation, then
@@ -213,11 +208,10 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     """
     if budget.exhausted:
         raise RuntimeError("generation_step requires at least one remaining evaluation")
-    stats = stats if stats is not None else RunStats()
     refresh_relaxed(pop, eps)
     n, d = pop.x.shape
     ranked = pop.ranking()
-    n_best = max(1, math.ceil(p_rate * n))
+    n_best = max(1, math.ceil(P_BEST_RATE * n))
     pool = n + len(pop.archive)
 
     # The random draws, in the per-candidate order of the reference's
@@ -274,8 +268,8 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     update_memory(hist, F[won], CR[won], weight[won])
 
     if lpsr:
-        n_target = max(n_min, lpsr_target_size(budget.fes, budget.maxfes,
-                                               n_init if n_init is not None else n, n_min))
+        n_target = lpsr_target_size(budget.fes, budget.maxfes,
+                                    n_init if n_init is not None else n)
         if n_target < pop.size:
             pop.keep(np.sort(pop.ranking()[:n_target]))
         while len(pop.archive) > pop.size:

@@ -42,6 +42,10 @@ def make_shift(name: str, dim: int) -> np.ndarray:
     return rng.uniform(-SHIFT_BOUND, SHIFT_BOUND, size=dim)
 
 
+class ShiftFileError(ValueError):
+    """A shift-data file that cannot be read or parsed; names the file and line."""
+
+
 def load_shift_table(path) -> dict[tuple[str, int], np.ndarray]:
     """Parse a shift-data file.
 
@@ -49,24 +53,33 @@ def load_shift_table(path) -> dict[tuple[str, int], np.ndarray]:
     dim shift values as decimals separated by spaces.  Blank lines and
     ``#`` comments are ignored.
     """
-    table: dict[tuple[str, int], np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1)]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ShiftFileError(f"shift file {path}: {exc}") from None
+    lines = [(n, ln) for n, ln in lines if ln and not ln.startswith("#")]
     if len(lines) % 2 != 0:
-        raise ValueError(f"{path}: expected name/values line pairs")
-    for head, values in zip(lines[0::2], lines[1::2]):
-        parts = head.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}: bad header line {head!r}")
-        name, dim = parts[0], int(parts[1])
-        o = np.array([float(v) for v in values.split()])
+        raise ShiftFileError(f"{path} line {lines[-1][0]}: header without a values line; "
+                             f"expected name/values line pairs")
+    table: dict[tuple[str, int], np.ndarray] = {}
+    for (n_head, head), (n_values, values) in zip(lines[0::2], lines[1::2]):
+        try:
+            name, dim = head.split()
+            dim = int(dim)
+        except ValueError:
+            raise ShiftFileError(f"{path} line {n_head}: bad header line {head!r}, "
+                                 f"expected 'name dim'") from None
+        try:
+            o = np.array([float(v) for v in values.split()])
+        except ValueError as exc:
+            raise ShiftFileError(f"{path} line {n_values}: {exc}") from None
         if o.shape != (dim,):
-            raise ValueError(f"{path}: {name} declares dim {dim} but has {o.size} values")
+            raise ShiftFileError(f"{path} line {n_values}: {name} declares dim {dim} "
+                                 f"but has {o.size} values")
         if not np.all(np.abs(o) < SEARCH_BOUND):
-            raise ValueError(
-                f"{path}: {name} shift must lie strictly inside +-{SEARCH_BOUND}"
-            )
+            raise ShiftFileError(f"{path} line {n_values}: {name} shift must lie strictly "
+                                 f"inside +-{SEARCH_BOUND}")
         table[(name, dim)] = o
     return table
 

@@ -177,7 +177,7 @@ def reference_generation(pop, problem, eps, hist, rng, budget, stats, p_rate=P_B
 
     if lpsr:
         n_target = max(n_min, lpsr_target_size(budget.fes, budget.maxfes,
-                                               n_init if n_init is not None else n, n_min))
+                                               n_init if n_init is not None else n))
         if n_target < pop.size:
             pop.keep(np.sort(pop.ranking()[:n_target]))
         while len(pop.archive) > pop.size:

@@ -9,7 +9,6 @@ from rlrelax.agent import (
     CheckpointVersionError,
     NetworkParams,
     ReplayBuffer,
-    TrainConfig,
     act_eps_greedy,
     cosine_lr,
     explore_rate,
@@ -25,6 +24,7 @@ from rlrelax.agent import (
     sync_target,
     td_target,
 )
+from rlrelax.config import ExperimentConfig
 from rlrelax.env import Transition
 
 
@@ -235,13 +235,13 @@ class TestSgdAndSchedules:
         assert params.w1[0, 0] == pytest.approx(1.0 - 2 * 0.1 * 2.0)
 
     def test_cosine_schedule(self):
-        cfg = TrainConfig()
+        cfg = ExperimentConfig()
         assert cosine_lr(0, cfg) == pytest.approx(5e-3, rel=1e-15)
         assert cosine_lr(50, cfg) == pytest.approx(1e-4, rel=1e-15)
         assert cosine_lr(25, cfg) == pytest.approx((5e-3 + 1e-4) / 2, rel=1e-12)
 
     def test_explore_schedule(self):
-        cfg = TrainConfig()
+        cfg = ExperimentConfig()
         assert explore_rate(0, 1000, cfg) == pytest.approx(0.9)
         assert explore_rate(800, 1000, cfg) == pytest.approx(0.05)
         assert explore_rate(1000, 1000, cfg) == pytest.approx(0.05)

@@ -2,14 +2,14 @@
 
 bench/spans.py patches rlrelax functions by name where their callers look
 them up. A rename or a changed return shape would only surface when the
-benchmark runs with ``--trace 1``; this test installs the probes, runs one
-tiny evaluation under them, and restores the originals.
+benchmark runs with ``--trace 1``; these tests install the probes, run one
+tiny evaluation or training under them, and restore the originals.
 """
 
 import importlib.util
 from pathlib import Path
 
-from rlrelax import env, lshade
+from rlrelax import agent, cli, env, lshade
 from rlrelax.cli import EXIT_OK, main  # install_probes patches the imported modules
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -22,6 +22,12 @@ pop_size = 10
 maxfes_per_dim = 3
 runs = 1
 seed = 0
+"""
+
+
+TRAIN = TINY.replace("maxfes_per_dim = 3", "maxfes_per_dim = 5") + """
+epochs = 2
+batch_size = 4
 """
 
 
@@ -64,3 +70,35 @@ def test_probes_install_trace_a_run_and_restore(tmp_path):
     metrics = spans.layer_metrics(tracer, 1, 1.0)
     assert metrics["lshade.trials_evaluated"] == 40
     assert 0.0 <= metrics["lshade.success_ratio"] <= 1.0
+
+
+def test_probes_trace_training_and_restore(tmp_path):
+    spans = load_spans()
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(TRAIN)
+    originals = (agent.loss_and_grad, agent.td_target, agent.ReplayBuffer.push,
+                 agent.ReplayBuffer.sample, cli.train, env.generation_step)
+    tracer = spans.Tracer()
+    spans.install_probes(tracer)
+    try:
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    finally:
+        tracer.restore()
+    assert code == EXIT_OK
+    assert (agent.loss_and_grad, agent.td_target, agent.ReplayBuffer.push,
+            agent.ReplayBuffer.sample, cli.train, env.generation_step) == originals
+
+    names = [span[0] for span in tracer.spans]
+    # 2 problems x 2 epochs x 4 generations: 16 transitions; a batch of 4 is
+    # first available at the 4th, so 13 updates of 4 targets each
+    assert names.count("harness.train") == 1
+    assert names.count("env.reset") == 4
+    assert names.count("agent.replay_push") == 16
+    assert names.count("agent.replay_sample") == 13
+    assert names.count("agent.loss_and_grad") == 13
+    assert names.count("agent.td_target") == 13 * 4
+    assert names.count("agent.sgd_step") == 13
+    assert names.count("agent.sync_target") == 1  # target_sync_period 10
+    assert names.count("harness.write_checkpoint") == 1
+    assert tracer.counts["lshade.trials_evaluated"] == 16 * 10
+    assert not [k for k in tracer.counts if k.endswith(".errors")]

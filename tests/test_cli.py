@@ -80,6 +80,36 @@ class TestExitCodes:
         assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert not (out / "checkpoint.txt").exists()
 
+    @pytest.mark.parametrize("verb, args", [
+        ("train", []), ("evaluate", ["--checkpoint", "none.txt"]),
+        ("baseline", ["--name", "static-eps"]), ("loo", []), ("split", []),
+        ("ablate", ["--variant", "no-train"]), ("export-curves", []),
+    ])
+    @pytest.mark.parametrize("lines, message", [
+        ("lr_end = 1e-2", "need 0 < lr_end <= lr_start"),
+        ("target_sync_period = 0", "target_sync_period must be >= 1"),
+        ("discount = 1.5", "discount must be in [0, 1]"),
+        ("batch_size = 0", "need 1 <= batch_size <= buffer_capacity"),
+        ("shift_file = {bad_shift}", "bad.shift line 2: bad header line 'cec12 abc'"),
+        ("shift_file = {missing_shift}", "missing.shift"),
+        ("problems = synthetic/sphere-linear/0, cec13", "unknown problem 'cec13'"),
+        ("test_problems = synthetic/sphere-linear/x", "bad synthetic seed"),
+        ("problems = cec12\ndims = 20", "cec12 supports dims [10, 30, 50, 100], got 20"),
+        ("pop_size = 4\nmaxfes_per_dim = 8\ndims = 1", "synthetic problems need dim >= 2"),
+    ])
+    def test_rejected_at_load_before_out_is_created(self, tmp_path, capsys, verb, args,
+                                                    lines, message):
+        bad_shift = tmp_path / "bad.shift"
+        bad_shift.write_text("# header with a non-integer dim\ncec12 abc\n1.0 2.0\n")
+        lines = lines.format(bad_shift=bad_shift, missing_shift=tmp_path / "missing.shift")
+        path = tmp_path / "bad.cfg"
+        path.write_text(TOY + lines + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([verb, "--config", str(path), "--out", str(out), *args]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFailedRunIsNamed:
     """Every verb reports which (problem, dim, run or epoch) raised."""

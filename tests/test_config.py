@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from rlrelax.config import ConfigError, ExperimentConfig, load_config, parse_config_text
@@ -86,18 +90,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match="runs"):
             parse_config_text("runs = 0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("lr_end = 0", "need 0 < lr_end <= lr_start"),
+        ("lr_start = 1e-4\nlr_end = 1e-3", "need 0 < lr_end <= lr_start"),
+        ("target_sync_period = 0", "target_sync_period must be >= 1"),
+        ("discount = -0.1", "discount must be in"),
+        ("batch_size = 0", "need 1 <= batch_size <= buffer_capacity"),
+        ("batch_size = 65\nbuffer_capacity = 64", "need 1 <= batch_size <= buffer_capacity"),
+        ("pop_size = 3", "pop_size must be >= 4"),
+    ])
+    def test_training_ranges(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_text(text + "\n")
+
 
 class TestDerived:
     def test_maxfes_rule(self):
         cfg = ExperimentConfig()
         assert cfg.maxfes(10) == 500
         assert cfg.maxfes(50) == 2500
-
-    def test_train_config_roundtrip(self):
-        cfg = ExperimentConfig(epochs=7, lr_start=1e-2, lr_end=1e-3)
-        tc = cfg.train_config()
-        assert tc.max_epoch == 7
-        assert tc.lr_start == 1e-2
 
     def test_problem_set_hash_stable_and_order_sensitive(self):
         a = _hash_instances(["cec12", "cec14"], [10])
@@ -108,3 +119,22 @@ class TestDerived:
                                             "ackley-ellipsoid/2", "griewank-plane/3",
                                             "schwefel-band/4")]
         assert _hash_instances(names, [10]) == 957165374
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadmeConfigBlock:
+    """The README's config block lists every key with its default."""
+
+    def block(self):
+        text = README.read_text(encoding="utf-8")
+        return re.search(r"## Config file.*?```ini\n(.*?)```", text, re.S).group(1)
+
+    def test_keys_are_the_fields(self):
+        keys = [line.split("=", 1)[0].strip() for line in self.block().splitlines()
+                if "=" in line.split("#", 1)[0]]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+    def test_values_are_the_defaults(self):
+        assert parse_config_text(self.block()) == ExperimentConfig()

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlrelax.cop import ConstrainedProblem
 from rlrelax.env import (
+    REWARD_VARIANTS,
+    SCHEMES,
     ActionSpace,
     EpsilonBase,
     EpsilonControlEnv,
@@ -11,7 +15,8 @@ from rlrelax.env import (
     epsilon_linear_step,
     reward_components,
 )
-from rlrelax.problems import synthetic_family
+from rlrelax.lshade import N_MIN, episode_steps
+from rlrelax.problems import SYNTHETIC_KINDS, registry_lookup, synthetic_family
 
 
 class TestActionSpace:
@@ -301,3 +306,37 @@ class TestEnvEpisode:
         zero = run(lambda env: np.zeros(1))
         relaxed = run(lambda env: env.eps_base.values)
         assert zero == relaxed
+
+
+# every registry problem: the two CEC ones exist only from dim 10 on
+RUN_PROBLEMS = ["cec12", "cec14"] + [f"synthetic/{kind}/{seed}"
+                                     for seed, kind in enumerate(SYNTHETIC_KINDS)]
+
+
+class TestWholeRunInvariants:
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(RUN_PROBLEMS), synthetic_dim=st.integers(2, 6),
+           n_pop=st.integers(N_MIN, 16), extra=st.integers(0, 60), lpsr=st.booleans(),
+           scheme=st.sampled_from(SCHEMES), variant=st.sampled_from(REWARD_VARIANTS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_run_keeps_budget_population_and_reward_bounds(self, name, synthetic_dim, n_pop,
+                                                          extra, lpsr, scheme, variant, seed):
+        # budgets of two generations plus a remainder, so runs end mid-generation
+        maxfes = 2 * n_pop + extra
+        problem = registry_lookup(name, 10 if name.startswith("cec") else synthetic_dim)
+        rng = np.random.default_rng(seed)
+        space = ActionSpace.for_scheme(scheme)
+        env = EpsilonControlEnv(problem, rng, n_pop=n_pop, maxfes=maxfes,
+                                action_space=space, reward_variant=variant, lpsr=lpsr)
+        state, steps = env.reset(), 0
+        assert np.all(np.isfinite(state))
+        while not env.terminal:
+            tr, _ = env.step(int(rng.integers(space.n_actions)))
+            steps += 1
+            pop = env.pop
+            assert np.all(np.isfinite(tr.next_state))
+            assert np.all(pop.nu_eps <= pop.nu)
+            assert 0.0 <= tr.reward <= 1.0
+            assert N_MIN <= pop.size and len(pop.archive) <= pop.size
+        assert env.budget.fes == maxfes
+        assert steps == episode_steps(maxfes, n_pop, lpsr)

@@ -46,25 +46,27 @@ def make_pair(f, g=(), h=(), eps=None):
 class TestInit:
     def test_sizes_and_budget(self):
         budget = BudgetCounter(500)
-        pop = init_population(sphere(10), 50, np.random.default_rng(0), budget)
+        pop = init_population(sphere(10), 50, np.random.default_rng(0), budget, RunStats())
         assert pop.size == 50
         assert budget.fes == 50
         assert pop.x.shape == (50, 10)
         assert np.all(pop.x >= -100) and np.all(pop.x <= 100)
 
     def test_deterministic(self):
-        a = init_population(sphere(5), 10, np.random.default_rng(42), BudgetCounter(100))
-        b = init_population(sphere(5), 10, np.random.default_rng(42), BudgetCounter(100))
+        a = init_population(sphere(5), 10, np.random.default_rng(42), BudgetCounter(100),
+                            RunStats())
+        b = init_population(sphere(5), 10, np.random.default_rng(42), BudgetCounter(100),
+                            RunStats())
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.f, b.f)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            init_population(sphere(5), 3, np.random.default_rng(0), BudgetCounter(100))
+            init_population(sphere(5), 3, np.random.default_rng(0), BudgetCounter(100), RunStats())
 
     def test_insufficient_budget(self):
         with pytest.raises(RuntimeError):
-            init_population(sphere(5), 10, np.random.default_rng(0), BudgetCounter(5))
+            init_population(sphere(5), 10, np.random.default_rng(0), BudgetCounter(5), RunStats())
 
 
 class TestMutation:
@@ -207,11 +209,12 @@ class TestLpsr:
         problem = toy_constrained(5)
         budget = BudgetCounter(1000)
         rng = np.random.default_rng(8)
-        pop = init_population(problem, 20, rng, budget)
+        stats = RunStats()
+        pop = init_population(problem, 20, rng, budget, stats)
         hist = SuccessHistory.fresh()
         eps = np.zeros(2)
         while not budget.exhausted:
-            generation_step(pop, problem, eps, hist, rng, budget,
+            generation_step(pop, problem, eps, hist, rng, budget, stats,
                             lpsr=True, n_init=20)
         assert pop.size < 20
         assert len(pop.archive) <= pop.size
@@ -222,10 +225,11 @@ class TestGenerationStep:
         problem = toy_constrained(5)
         budget = BudgetCounter(500)
         rng = np.random.default_rng(9)
-        pop = init_population(problem, 20, rng, budget)
+        stats = RunStats()
+        pop = init_population(problem, 20, rng, budget, stats)
         before = budget.fes
         evaluated = generation_step(pop, problem, np.zeros(2),
-                                    SuccessHistory.fresh(), rng, budget)
+                                    SuccessHistory.fresh(), rng, budget, stats)
         assert evaluated == 20
         assert budget.fes - before == 20
 
@@ -233,9 +237,10 @@ class TestGenerationStep:
         problem = toy_constrained(5)
         budget = BudgetCounter(25)  # init 20, then only 5 trials fit
         rng = np.random.default_rng(10)
-        pop = init_population(problem, 20, rng, budget)
+        stats = RunStats()
+        pop = init_population(problem, 20, rng, budget, stats)
         evaluated = generation_step(pop, problem, np.zeros(2),
-                                    SuccessHistory.fresh(), rng, budget)
+                                    SuccessHistory.fresh(), rng, budget, stats)
         assert evaluated == 5
         assert budget.exhausted
 
@@ -244,11 +249,12 @@ class TestGenerationStep:
         problem = toy_constrained(10)
         budget = BudgetCounter(500)
         rng = np.random.default_rng(11)
-        pop = init_population(problem, 50, rng, budget)
+        stats = RunStats()
+        pop = init_population(problem, 50, rng, budget, stats)
         hist = SuccessHistory.fresh()
         gens = 0
         while not budget.exhausted:
-            generation_step(pop, problem, np.zeros(2), hist, rng, budget)
+            generation_step(pop, problem, np.zeros(2), hist, rng, budget, stats)
             gens += 1
         assert gens == 9
         assert budget.fes == 500
@@ -257,21 +263,24 @@ class TestGenerationStep:
         problem = toy_constrained(5)
         budget = BudgetCounter(20)
         rng = np.random.default_rng(12)
-        pop = init_population(problem, 20, rng, budget)
+        stats = RunStats()
+        pop = init_population(problem, 20, rng, budget, stats)
         with pytest.raises(RuntimeError):
-            generation_step(pop, problem, np.zeros(2), SuccessHistory.fresh(), rng, budget)
+            generation_step(pop, problem, np.zeros(2), SuccessHistory.fresh(), rng, budget,
+                            stats)
 
     def test_elitism_under_fixed_eps(self):
         problem = toy_constrained(5)
         budget = BudgetCounter(2000)
         rng = np.random.default_rng(13)
-        pop = init_population(problem, 20, rng, budget)
+        stats = RunStats()
+        pop = init_population(problem, 20, rng, budget, stats)
         hist = SuccessHistory.fresh()
         eps = np.array([0.5, 0.5])
         refresh_relaxed(pop, eps)
         best = min(zip(pop.nu_eps, pop.f))
         while not budget.exhausted:
-            generation_step(pop, problem, eps, hist, rng, budget)
+            generation_step(pop, problem, eps, hist, rng, budget, stats)
             now = min(zip(pop.nu_eps, pop.f))
             assert now <= best
             best = now
@@ -283,12 +292,11 @@ class TestGenerationStep:
         stats = RunStats()
         pop = init_population(problem, 20, rng, budget, stats)
         hist = SuccessHistory.fresh()
-        prev_feasible, prev_sco = stats.best_feasible_f, stats.best_sco
+        prev_sco = stats.best_sco
         while not budget.exhausted:
             generation_step(pop, problem, np.zeros(2), hist, rng, budget, stats)
-            assert stats.best_feasible_f <= prev_feasible
             assert stats.best_sco <= prev_sco
-            prev_feasible, prev_sco = stats.best_feasible_f, stats.best_sco
+            prev_sco = stats.best_sco
 
     def test_zero_eps_matches_feasibility_first_rule(self):
         # pairwise selection under eps = 0 equals the classic rule:

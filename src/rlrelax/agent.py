@@ -73,10 +73,9 @@ class NetworkParams:
         return (self.w1, self.b1, self.w2, self.b2)
 
 
-def init_params(n_in: int = STATE_SIZE, n_hidden: int = HIDDEN_SIZE, n_out: int = 11,
-                rng: np.random.Generator | None = None) -> NetworkParams:
+def init_params(n_in: int = STATE_SIZE, n_hidden: int = HIDDEN_SIZE, n_out: int = 11, *,
+                rng: np.random.Generator) -> NetworkParams:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-    rng = rng or np.random.default_rng()
     lim1 = math.sqrt(6.0 / (n_in + n_hidden))
     lim2 = math.sqrt(6.0 / (n_hidden + n_out))
     return NetworkParams(

@@ -2,6 +2,7 @@
 
 Verbs: train, evaluate, baseline, loo, split, ablate, export-curves.
 Exit codes: 0 on success, 2 on configuration errors, 3 on runtime failures.
+A verb creates its output directory only once it has results to write.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ def _load_cfg(args) -> ExperimentConfig:
 def _dispatch(args) -> int:
     cfg = _load_cfg(args)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.verb == "train":
         result = train(cfg)
+        out.mkdir(parents=True, exist_ok=True)
         ckpt = out / "checkpoint.txt"
         qnet.save_checkpoint(result.params, result.metadata, ckpt)
         write_jsonl(result.episodes, out / "train_log.jsonl")
@@ -114,12 +115,14 @@ def _dispatch(args) -> int:
     elif args.verb == "evaluate":
         params, metadata = qnet.load_checkpoint(args.checkpoint)
         records = evaluate(cfg, params, metadata)
+        out.mkdir(parents=True, exist_ok=True)
         write_records_jsonl(records, out / "records.jsonl")
         write_table_csv(aggregate_table(records), out / "results.csv")
         print(f"evaluated {len(records)} runs -> {out / 'results.csv'}")
 
     elif args.verb == "baseline":
         records = run_baseline(cfg, args.name)
+        out.mkdir(parents=True, exist_ok=True)
         write_records_jsonl(records, out / f"records_{args.name}.jsonl")
         write_table_csv(aggregate_table(records), out / f"baseline_{args.name}.csv")
         print(f"baseline {args.name}: {len(records)} runs -> "
@@ -130,7 +133,7 @@ def _dispatch(args) -> int:
         print(f"leave-one-out: {len(records)} runs -> {out / 'loo_results.csv'}")
 
     elif args.verb == "split":
-        records = split_protocol(cfg, cfg.train_problems, cfg.test_problems, out)
+        records = split_protocol(cfg, out)
         print(f"split: {len(records)} runs -> {out / 'split_results.csv'}")
 
     elif args.verb == "ablate":

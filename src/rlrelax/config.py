@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .cop import DELTA_ACC_DEFAULT
 from .env import DELTA_DEFAULT, REWARD_VARIANTS, SCHEMES
 from .lshade import N_MIN
 
@@ -47,7 +48,7 @@ class ExperimentConfig:
     static_level: float = 0.5     # static baseline's fixed relaxation level
     sched_power: float = 5.0      # tightening exponent of the scheduled baseline
     delta: float = DELTA_DEFAULT
-    delta_acc: float = 1e-3
+    delta_acc: float = DELTA_ACC_DEFAULT
     shift_file: str = ""          # optional shift-data override, see problems.py
 
     def validate(self) -> None:

@@ -18,6 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+DELTA_ACC_DEFAULT = 1e-3  # feasibility accuracy: every g and every |h| at most this
+
 
 class ProblemDefinitionError(ValueError):
     """A problem evaluator returned malformed output (wrong arity, NaN, inf)."""
@@ -156,7 +158,7 @@ def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarra
             + np.sum(np.where(h_abs > eps[n_ineq:], h_abs, 0.0), axis=1))
 
 
-def feasible_rows(C: np.ndarray, n_ineq: int, delta_acc: float = 1e-3) -> np.ndarray:
+def feasible_rows(C: np.ndarray, n_ineq: int, delta_acc: float = DELTA_ACC_DEFAULT) -> np.ndarray:
     """Feasibility of every row at accuracy delta_acc: every g <= delta_acc
     and every |h| <= delta_acc."""
     if delta_acc <= 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cop import BudgetCounter, ConstrainedProblem
+from .cop import DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem
 from .features import extract_state, mask_constraint_features, top5_violation_mean
 from .lshade import Population, RunStats, SuccessHistory, generation_step, init_population
 
@@ -171,7 +171,7 @@ class EpsilonControlEnv:
     def __init__(self, problem: ConstrainedProblem, rng: np.random.Generator, *,
                  n_pop: int, maxfes: int,
                  action_space: ActionSpace | None = None,
-                 delta: float = DELTA_DEFAULT, delta_acc: float = 1e-3,
+                 delta: float = DELTA_DEFAULT, delta_acc: float = DELTA_ACC_DEFAULT,
                  reward_variant: str = "full", mask_state: bool = False,
                  lpsr: bool = False, f_agentbest: float | None = None):
         if reward_variant not in REWARD_VARIANTS:

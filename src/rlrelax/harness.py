@@ -25,9 +25,13 @@ from .lshade import episode_steps
 from .problems import ProblemRegistry, UnknownProblemError, load_shift_table
 
 BASELINES = ("static-eps", "scheduled-eps", "feasibility-rule", "untrained-agent")
-ABLATION_VARIANTS = ("no-state", "aa", "ca", "r1", "r2", "r1r2", "no-train")
 
-_SCHEME_BY_VARIANT = {"aa": "linear-aa", "ca": "linear-ca"}
+# each ablation as the config change it makes to the full method
+ABLATIONS = {"no-state": {"mask_state": True},
+             "aa": {"action_scheme": "linear-aa"}, "ca": {"action_scheme": "linear-ca"},
+             "r1": {"reward_variant": "r1"}, "r2": {"reward_variant": "r2"},
+             "r1r2": {"reward_variant": "r1r2"}, "no-train": {}}
+ABLATION_VARIANTS = tuple(ABLATIONS)
 
 METHOD_TRAINED = "trained-agent"
 
@@ -81,8 +85,7 @@ class TrainResult:
 # Training (meta-level loop)
 # ---------------------------------------------------------------------------
 
-def train(cfg: ExperimentConfig, problems: list[str] | None = None,
-          registry: ProblemRegistry | None = None) -> TrainResult:
+def train(cfg: ExperimentConfig, problems: list[str] | None = None) -> TrainResult:
     """Train the controller over epochs x problems x dims.
 
     Every meta-step pushes one transition and, once the buffer holds a
@@ -94,7 +97,7 @@ def train(cfg: ExperimentConfig, problems: list[str] | None = None,
     names = problems if problems is not None else (cfg.train_problems or cfg.problems)
     if not names:
         raise ConfigError("training requires a non-empty problem list")
-    registry = registry or problem_registry(cfg)
+    registry = problem_registry(cfg)
 
     instances = [(name, dim) for dim in cfg.dims for name in names]
     total_steps = cfg.epochs * sum(episode_steps(cfg.maxfes(d), cfg.pop_size, cfg.lpsr)
@@ -115,7 +118,7 @@ def train(cfg: ExperimentConfig, problems: list[str] | None = None,
         for k, (name, dim) in enumerate(instances):
             try:
                 env = _make_env(cfg, registry.lookup(name, dim), _rng(cfg.seed, 105, epoch, k),
-                                mask_state=cfg.mask_state, f_agentbest=agentbest.get((name, dim)))
+                                agentbest.get((name, dim)))
                 state = env.reset()
                 ep_return = 0.0
                 ep_steps = 0
@@ -176,36 +179,34 @@ def _init_params(cfg: ExperimentConfig) -> NetworkParams:
     return qnet.init_params(n_out=n_out, rng=_rng(cfg.seed, 101))
 
 
-def _make_env(cfg: ExperimentConfig, problem, rng: np.random.Generator, *,
-              mask_state: bool, f_agentbest: float | None) -> EpsilonControlEnv:
+def _make_env(cfg: ExperimentConfig, problem, rng: np.random.Generator,
+              f_agentbest: float | None) -> EpsilonControlEnv:
     return EpsilonControlEnv(
         problem, rng,
         n_pop=cfg.pop_size, maxfes=cfg.maxfes(problem.dim),
         action_space=ActionSpace.for_scheme(cfg.action_scheme),
         delta=cfg.delta, delta_acc=cfg.delta_acc,
-        reward_variant=cfg.reward_variant, mask_state=mask_state,
+        reward_variant=cfg.reward_variant, mask_state=cfg.mask_state,
         lpsr=cfg.lpsr, f_agentbest=f_agentbest,
     )
 
 
 def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
-                     problems: list[str] | None, registry: ProblemRegistry | None, *,
-                     mask_state: bool = False,
+                     problems: list[str] | None,
                      f_agentbest: float | None = None) -> list[RunRecord]:
     """cfg.runs paired-seed, budget-matched runs per (problem, dim);
     ``policy(env)`` performs a single meta-step."""
     names = problems if problems is not None else (cfg.test_problems or cfg.problems)
     if not names:
         raise ConfigError("evaluation requires a non-empty problem list")
-    registry = registry or problem_registry(cfg)
+    registry = problem_registry(cfg)
     records = []
     for dim in cfg.dims:
         for name in names:
             for run in range(cfg.runs):
                 try:
                     env = _make_env(cfg, registry.lookup(name, dim),
-                                    _rng(cfg.seed, dim, run, name),
-                                    mask_state=mask_state, f_agentbest=f_agentbest)
+                                    _rng(cfg.seed, dim, run, name), f_agentbest)
                     env.reset()
                     steps = []
                     while not env.terminal:
@@ -245,9 +246,7 @@ def _baseline_policy(cfg: ExperimentConfig, kind: str):
 def evaluate(cfg: ExperimentConfig, params: NetworkParams,
              metadata: CheckpointMetadata | None = None,
              problems: list[str] | None = None,
-             registry: ProblemRegistry | None = None,
-             method: str = METHOD_TRAINED,
-             mask_state: bool | None = None) -> list[RunRecord]:
+             method: str = METHOD_TRAINED) -> list[RunRecord]:
     """Greedy-policy evaluation: cfg.runs paired-seed runs per (problem, dim)."""
     cfg.validate()
     if metadata is not None:
@@ -257,30 +256,41 @@ def evaluate(cfg: ExperimentConfig, params: NetworkParams,
             if trained is not None and trained != wanted:
                 raise ConfigError(f"checkpoint was trained with {what} {trained!r}, "
                                   f"config requests {wanted!r}")
-    return _evaluate_policy(
-        cfg, _greedy_policy(params), method, problems, registry,
-        mask_state=cfg.mask_state if mask_state is None else mask_state,
-        f_agentbest=metadata.f_agentbest if metadata is not None else None,
-    )
+    return _evaluate_policy(cfg, _greedy_policy(params), method, problems,
+                            metadata.f_agentbest if metadata is not None else None)
 
 
 def run_baseline(cfg: ExperimentConfig, name: str,
-                 problems: list[str] | None = None,
-                 registry: ProblemRegistry | None = None) -> list[RunRecord]:
+                 problems: list[str] | None = None) -> list[RunRecord]:
     """Evaluate one epsilon-schedule baseline under the shared seeds."""
     cfg.validate()
     if name not in BASELINES:
         raise ConfigError(f"unknown baseline {name!r}; valid: {', '.join(BASELINES)}")
     if name == "untrained-agent":
-        return evaluate(cfg, _init_params(cfg), problems=problems, registry=registry,
-                        method=name)
+        return evaluate(cfg, _init_params(cfg), problems=problems, method=name)
     method, policy = _baseline_policy(cfg, name)
-    return _evaluate_policy(cfg, policy, method, problems, registry)
+    return _evaluate_policy(cfg, policy, method, problems)
 
 
 # ---------------------------------------------------------------------------
 # Protocols
 # ---------------------------------------------------------------------------
+
+def _train_and_evaluate(cfg: ExperimentConfig, train_names: list[str], test_names: list[str],
+                        method: str) -> tuple[TrainResult, list[RunRecord]]:
+    """Train on train_names, then evaluate on the disjoint, held-out test_names."""
+    if not train_names or not test_names:
+        raise ConfigError("train_problems and test_problems must be non-empty")
+    overlap = set(train_names) & set(test_names)
+    if overlap:
+        raise ConfigError(f"train/test lists overlap: {sorted(overlap)}")
+    result = train(cfg, problems=train_names)
+    leaked = sorted({row["problem"] for row in result.episodes} & set(test_names))
+    if leaked:
+        raise RuntimeError(f"held-out problems leaked into training: {leaked}")
+    return result, evaluate(cfg, result.params, result.metadata, problems=test_names,
+                            method=method)
+
 
 def leave_one_out(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
     """For each problem: train on the rest, evaluate on the held-out one."""
@@ -288,51 +298,32 @@ def leave_one_out(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
     names = cfg.problems
     if len(names) < 2:
         raise ConfigError("leave-one-out needs at least two problems")
+    folds = [(held_out, *_train_and_evaluate(cfg, [n for n in names if n != held_out],
+                                             [held_out], METHOD_TRAINED))
+             for held_out in names]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    registry = problem_registry(cfg)
     all_records: list[RunRecord] = []
     train_log: list[dict] = []
-    for held_out in names:
-        rest = [n for n in names if n != held_out]
-        result = train(cfg, problems=rest, registry=registry)
-        _check_no_leak(result, [held_out])
+    for held_out, result, records in folds:
         train_log.extend({"holdout": held_out, **row} for row in result.episodes)
-        ckpt_path = out / f"checkpoint_{_safe_name(held_out)}.txt"
-        qnet.save_checkpoint(result.params, result.metadata, ckpt_path)
-        all_records.extend(
-            evaluate(cfg, result.params, result.metadata, problems=[held_out],
-                     registry=registry)
-        )
+        qnet.save_checkpoint(result.params, result.metadata,
+                             out / f"checkpoint_{_safe_name(held_out)}.txt")
+        all_records.extend(records)
     write_records_jsonl(all_records, out / "records.jsonl")
     write_jsonl(train_log, out / "train_log.jsonl")
     write_table_csv(aggregate_table(all_records), out / "loo_results.csv")
     return all_records
 
 
-def _check_no_leak(result: TrainResult, held_out: list[str]) -> None:
-    leaked = sorted({row["problem"] for row in result.episodes} & set(held_out))
-    if leaked:
-        raise RuntimeError(f"held-out problems leaked into training: {leaked}")
-
-
-def split_protocol(cfg: ExperimentConfig, train_names: list[str],
-                   test_names: list[str], out_dir) -> list[RunRecord]:
-    """Train once on train_names, evaluate on the disjoint test_names."""
+def split_protocol(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
+    """Train once on cfg.train_problems, evaluate on the disjoint cfg.test_problems."""
     cfg.validate()
-    if not train_names or not test_names:
-        raise ConfigError("split protocol needs non-empty train and test lists")
-    overlap = set(train_names) & set(test_names)
-    if overlap:
-        raise ConfigError(f"train/test lists overlap: {sorted(overlap)}")
+    result, records = _train_and_evaluate(cfg, cfg.train_problems, cfg.test_problems,
+                                          METHOD_TRAINED)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    registry = problem_registry(cfg)
-    result = train(cfg, problems=train_names, registry=registry)
-    _check_no_leak(result, test_names)
     qnet.save_checkpoint(result.params, result.metadata, out / "checkpoint.txt")
-    records = evaluate(cfg, result.params, result.metadata, problems=test_names,
-                       registry=registry)
     write_records_jsonl(records, out / "records.jsonl")
     write_jsonl(result.episodes, out / "train_log.jsonl")
     write_table_csv(aggregate_table(records), out / "split_results.csv")
@@ -342,42 +333,28 @@ def split_protocol(cfg: ExperimentConfig, train_names: list[str],
 def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> list[RunRecord]:
     """Compare the full method against one ablated configuration.
 
-    no-state masks the constraint features at evaluation only; aa/ca
-    retrain under the linear adjustment schemes; r1/r2/r1r2 retrain with
-    the reduced rewards; no-train evaluates a freshly initialized network.
-    All variants share evaluation seeds with the full method.
+    no-state evaluates the full method's weights with masked constraint
+    features; aa/ca retrain under the linear schemes; r1/r2/r1r2 retrain
+    with the reduced rewards; no-train evaluates a freshly initialized
+    network.  All variants share evaluation seeds with the full method.
     """
     cfg.validate()
-    if variant not in ABLATION_VARIANTS:
+    if variant not in ABLATIONS:
         raise ConfigError(
             f"unknown ablation {variant!r}; valid: {', '.join(ABLATION_VARIANTS)}"
         )
-    if not cfg.train_problems or not cfg.test_problems:
-        raise ConfigError("ablation needs train_problems and test_problems")
+    full, records = _train_and_evaluate(cfg, cfg.train_problems, cfg.test_problems,
+                                        METHOD_TRAINED)
+    alt = dataclasses.replace(cfg, **ABLATIONS[variant])
+    if variant == "no-state":
+        records += evaluate(alt, full.params, full.metadata, problems=alt.test_problems,
+                            method=variant)
+    elif variant == "no-train":
+        records += evaluate(alt, _init_params(alt), problems=alt.test_problems, method=variant)
+    else:
+        records += _train_and_evaluate(alt, alt.train_problems, alt.test_problems, variant)[1]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    registry = problem_registry(cfg)
-
-    full = train(cfg, problems=cfg.train_problems, registry=registry)
-    records = evaluate(cfg, full.params, full.metadata, problems=cfg.test_problems,
-                       registry=registry, method=METHOD_TRAINED)
-
-    if variant == "no-state":
-        records += evaluate(cfg, full.params, full.metadata, problems=cfg.test_problems,
-                            registry=registry, method="no-state", mask_state=True)
-    elif variant == "no-train":
-        records += evaluate(cfg, _init_params(cfg), problems=cfg.test_problems,
-                            registry=registry, method=variant)
-    else:  # retrain under a linear scheme or a reduced reward
-        if variant in _SCHEME_BY_VARIANT:
-            change = {"action_scheme": _SCHEME_BY_VARIANT[variant]}
-        else:
-            change = {"reward_variant": variant}
-        alt = dataclasses.replace(cfg, **change)
-        alt_result = train(alt, problems=alt.train_problems, registry=registry)
-        records += evaluate(alt, alt_result.params, alt_result.metadata,
-                            problems=alt.test_problems, registry=registry, method=variant)
-
     write_records_jsonl(records, out / "records.jsonl")
     write_table_csv(aggregate_table(records), out / f"ablate_{variant}.csv")
     return records

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cop import (BudgetCounter, ConstrainedProblem, eps_compare, feasible_rows,
-                  relaxed_violations, violations)
+from .cop import (DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem, eps_compare,
+                  feasible_rows, relaxed_violations, violations)
 
 H_MEMORY = 5         # success-history slots
 P_BEST_RATE = 0.11   # fraction of the population eligible as pbest
@@ -52,7 +52,7 @@ class Population:
     archive: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def evaluated(cls, x, f, C, n_ineq: int, delta_acc: float = 1e-3,
+    def evaluated(cls, x, f, C, n_ineq: int, delta_acc: float = DELTA_ACC_DEFAULT,
                   eps: np.ndarray | None = None) -> "Population":
         """Rows from evaluator output; nu_eps is nu when no epsilon is given."""
         nu = violations(C, n_ineq)
@@ -97,7 +97,7 @@ class RunStats:
     """The state of one run: bookkeeping over every evaluation, the budget,
     and the reference values the features and the reward read."""
 
-    delta_acc: float = 1e-3
+    delta_acc: float = DELTA_ACC_DEFAULT
     f_gbest: float = math.inf        # best objective seen, any feasibility
     f_max: float = -math.inf         # worst objective seen
     best_sco: float = math.inf       # best f + violation, the violation zeroed if feasible

@@ -110,6 +110,28 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # a rejected problem list or variant creates nothing, like a rejected config
+    @pytest.mark.parametrize("verb, args, lines, message", [
+        ("train", [], "problems =\ntrain_problems =", "non-empty problem list"),
+        ("baseline", ["--name", "static-eps"], "problems =\ntest_problems =",
+         "non-empty problem list"),
+        ("loo", [], "problems = synthetic/sphere-linear/0", "at least two problems"),
+        ("split", [], "test_problems =", "must be non-empty"),
+        ("split", [], "test_problems = synthetic/sphere-linear/0", "overlap"),
+        ("ablate", ["--variant", "no-state"], "train_problems =", "must be non-empty"),
+        ("ablate", ["--variant", "r1"], "test_problems = synthetic/sphere-linear/0",
+         "overlap"),
+        ("ablate", ["--variant", "bogus"], "", "unknown ablation 'bogus'"),
+    ])
+    def test_list_fault_creates_no_out(self, tmp_path, capsys, verb, args, lines, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TOY + lines + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([verb, "--config", str(path), "--out", str(out), *args]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFailedRunIsNamed:
     """Every verb reports which (problem, dim, run or epoch) raised."""

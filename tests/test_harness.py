@@ -187,16 +187,16 @@ class TestProtocols:
                    (tmp_path / "b" / name).read_bytes()
 
     def test_split_rejects_overlap_and_empty(self, tmp_path):
-        cfg = toy_cfg()
+        cfg = toy_cfg(train_problems=["cec12"], test_problems=["cec12"])
         with pytest.raises(ConfigError, match="overlap"):
-            split_protocol(cfg, ["cec12"], ["cec12"], tmp_path)
+            split_protocol(cfg, tmp_path)
         with pytest.raises(ConfigError, match="non-empty"):
-            split_protocol(cfg, ["cec12"], [], tmp_path)
+            split_protocol(toy_cfg(train_problems=["cec12"]), tmp_path)
 
     def test_split_keeps_test_out_of_training(self, tmp_path):
-        cfg = toy_cfg(runs=1, epochs=1)
-        split_protocol(cfg, ["synthetic/sphere-linear/0"],
-                       ["synthetic/rastrigin-ring/1"], tmp_path)
+        cfg = toy_cfg(runs=1, epochs=1, train_problems=["synthetic/sphere-linear/0"],
+                      test_problems=["synthetic/rastrigin-ring/1"])
+        split_protocol(cfg, tmp_path)
         import json
         for line in (tmp_path / "train_log.jsonl").read_text().splitlines():
             assert json.loads(line)["problem"] == "synthetic/sphere-linear/0"
@@ -206,24 +206,28 @@ class TestLeakCheck:
     """The hold-out check is a raised error, so it holds under python -O."""
 
     @pytest.mark.parametrize("protocol, leaked", [("loo", "sphere-linear/0"),
-                                                  ("split", "rastrigin-ring/1")])
+                                                  ("split", "rastrigin-ring/1"),
+                                                  ("ablate", "rastrigin-ring/1")])
     def test_leaked_problem_raises(self, monkeypatch, tmp_path, protocol, leaked):
         real_train = harness.train
 
-        def leaky_train(cfg, problems=None, registry=None):
-            result = real_train(cfg, problems=problems, registry=registry)
+        def leaky_train(cfg, problems=None):
+            result = real_train(cfg, problems=problems)
             result.episodes.extend({**result.episodes[0], "problem": name}
                                    for name in cfg.problems)
             return result
 
         monkeypatch.setattr(harness, "train", leaky_train)
-        cfg = toy_cfg(epochs=1, runs=1)
+        cfg = toy_cfg(epochs=1, runs=1, train_problems=["synthetic/sphere-linear/0"],
+                      test_problems=["synthetic/rastrigin-ring/1"])
         with pytest.raises(RuntimeError, match=f"leaked into training: .*{leaked}"):
             if protocol == "loo":
                 leave_one_out(cfg, tmp_path)
+            elif protocol == "split":
+                split_protocol(cfg, tmp_path)
             else:
-                split_protocol(cfg, ["synthetic/sphere-linear/0"],
-                               ["synthetic/rastrigin-ring/1"], tmp_path)
+                ablate(cfg, "no-train", tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 class TestAblate:
@@ -258,6 +262,16 @@ class TestAblate:
         cfg = toy_cfg()
         with pytest.raises(ConfigError, match="train_problems"):
             ablate(cfg, "no-state", tmp_path)
+
+    @pytest.mark.parametrize("variant", ["no-state", "r1"])
+    def test_rejects_overlap(self, tmp_path, variant):
+        # the split protocol rejects the same lists; no result is reported
+        cfg = toy_cfg(runs=1, epochs=1, train_problems=["synthetic/sphere-linear/0",
+                                                        "synthetic/rastrigin-ring/1"],
+                      test_problems=["synthetic/rastrigin-ring/1"])
+        with pytest.raises(ConfigError, match="overlap: .*rastrigin-ring/1"):
+            ablate(cfg, variant, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestExport:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cop import DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem
+from .cop import DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem, epsilon_vector
 from .features import extract_state, mask_constraint_features, top5_violation_mean
 from .lshade import Population, RunStats, SuccessHistory, generation_step, init_population
 
@@ -244,10 +244,12 @@ class EpsilonControlEnv:
         """
         if self.terminal:
             raise RuntimeError("episode is terminal; call reset() before stepping")
+        # a rejected vector must leave the episode as it was
+        eps = epsilon_vector(eps, self.problem.n_constraints)
         state = self.state
         f_gbest_prev, nu_prev = self.stats.f_gbest, self.stats.nu_top5
 
-        self.current_eps = np.asarray(eps, dtype=float)
+        self.current_eps = eps
         generation_step(self.pop, self.problem, self.current_eps, self.hist, self.rng,
                         self.budget, self.stats, lpsr=self.lpsr, n_init=self.n_pop)
         self.terminal = self.budget.exhausted

@@ -26,6 +26,19 @@ def top5_violation_mean(nu: np.ndarray) -> float:
     return float(np.mean(np.sort(nu)[:5]))
 
 
+def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray) -> float:
+    """Fraction of member pairs whose objective and violation move together;
+    pairs tied in either count as not moving together, and fewer than two
+    members give 0."""
+    n = f.size
+    if n < 2:
+        return 0.0
+    # the product matrix is symmetric with a zero diagonal, so every
+    # concordant pair is counted twice
+    prod = (f[:, None] - f[None, :]) * (nu[:, None] - nu[None, :])
+    return int(np.count_nonzero(prod > 0.0)) // 2 / (n * (n - 1) // 2)
+
+
 def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
                   hist: RunStats) -> np.ndarray:
     """Build the 10-feature observation for the current population.
@@ -70,14 +83,7 @@ def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
     s8 = hist.budget.fes / hist.budget.maxfes
     s9 = hist.prev_action
 
-    if n >= 2:
-        df = fs[:, None] - fs[None, :]
-        dnu = nus[:, None] - nus[None, :]
-        iu = np.triu_indices(n, k=1)
-        # pairs with equal violations (or equal objectives) contribute zero
-        s10 = float(np.mean((df[iu] * dnu[iu]) > 0.0))
-    else:
-        s10 = 0.0
+    s10 = pairwise_tradeoff(fs, nus)
 
     state = np.array([s1, s2, s3, s4, s5, s6, s7, s8, s9, s10], dtype=float)
     if not np.all(np.isfinite(state)):

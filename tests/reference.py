@@ -81,6 +81,18 @@ def sco(e: Evaluation, delta_acc: float = 1e-3) -> float:
     return e.f + violation(e)
 
 
+def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray) -> float:
+    """The s10 feature over the upper triangle of member pairs: the share
+    whose objective and violation differences have the same strict sign."""
+    n = len(f)
+    if n < 2:
+        return 0.0
+    df = f[:, None] - f[None, :]
+    dnu = nu[:, None] - nu[None, :]
+    iu = np.triu_indices(n, k=1)
+    return float(np.mean((df[iu] * dnu[iu]) > 0.0))
+
+
 def mutate_current_to_pbest(i: int, xs: np.ndarray, archive: list[np.ndarray],
                             f_i: float, ranked, p_rate: float,
                             rng: np.random.Generator) -> np.ndarray:

@@ -251,6 +251,23 @@ class TestEnvEpisode:
         assert np.array_equal(tr_a.next_state, tr_b.next_state)
         assert tr_a.reward == tr_b.reward
 
+    def test_rejected_epsilon_leaves_episode_unchanged(self):
+        problem = registry_lookup("cec12", 10)
+        env = EpsilonControlEnv(problem, np.random.default_rng(3), n_pop=20, maxfes=200,
+                                action_space=ActionSpace.for_scheme("linear-aa"))
+        env.reset()
+        env.step(1)
+        before = (env.current_eps.copy(), env.pop.x.copy(), env.step_index, env.budget.fes)
+        for bad in ([-1.0, -1.0], [np.nan, 1.0], [1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError):
+                env.step_with_epsilon(bad, 0.5)
+        after = (env.current_eps, env.pop.x, env.step_index, env.budget.fes)
+        assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+        # the next linear step still scales the last valid vector
+        assert np.array_equal(env.epsilon_for_action(2), np.clip(
+            before[0] * (1.0 - env.action_space.level(2)), 0.0, env.eps_base.values))
+
     def test_linear_scheme_epsilon_evolves_from_base(self):
         problem = synthetic_family("rastrigin-ring", 1, 4)
         env = EpsilonControlEnv(problem, np.random.default_rng(0), n_pop=50,

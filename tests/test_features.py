@@ -2,14 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlrelax.cop import BudgetCounter
 from rlrelax.features import (
     extract_state,
     mask_constraint_features,
+    pairwise_tradeoff,
     top5_violation_mean,
 )
 from rlrelax.lshade import Population, RunStats
+from reference import pairwise_tradeoff as reference_tradeoff
 
 
 def make_pop(rows, n_ineq=1):
@@ -147,6 +151,23 @@ class TestExtractState:
         with pytest.raises(ValueError):
             empty = Population.evaluated(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 1)), 1)
             extract_state(empty, LOWER, UPPER, None)
+
+
+# few distinct values, so ties in f, in nu and in both are common; the
+# extremes make differences overflow to +-inf
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1.7e308, -1.7e308]),
+                    st.floats(-1e6, 1e6))
+
+
+class TestPairwiseTradeoff:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(_VALUES, _VALUES.map(abs)), max_size=40))
+    def test_equals_upper_triangle_oracle(self, pairs):
+        f, nu = np.array(pairs, dtype=float).reshape(-1, 2).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = pairwise_tradeoff(f, nu), reference_tradeoff(f, nu)
+        assert type(got) is float
+        assert got == want
 
 
 class TestMask:

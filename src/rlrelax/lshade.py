@@ -8,15 +8,18 @@ then keep whichever of parent/trial wins under eps_compare at the currently
 active relaxation vector (ties keep the parent).  Linear population size
 reduction is available behind a flag and off by default.
 
-generation_step makes the random draws per member and does the arithmetic
-over the whole population.  The same steps for one member, the reference
-generation_step is tested against bit for bit, are in tests/reference.py.
+generation_step draws each random quantity once for the whole population,
+as one vector, and does the arithmetic on (N, D) arrays.  The draws follow
+L-SHADE's distributions (Tanabe & Fukunaga, CEC 2014), not the stream of a
+per-member loop; tests/test_lshade.py pins the distributions and
+tests/test_digests.py the stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,6 +195,47 @@ def episode_steps(maxfes: int, n_pop: int, lpsr: bool = False) -> int:
     return steps
 
 
+class Draws(NamedTuple):
+    """One generation's random quantities, entry i belonging to member i."""
+
+    slot: np.ndarray   # success-history slot
+    F: np.ndarray      # scale factor in (0, 1]
+    CR: np.ndarray     # crossover rate in [0, 1], 0 on a terminal slot
+    pbest: np.ndarray  # rank of the pbest among the ceil(P_BEST_RATE * n) best
+    r1: np.ndarray     # population index other than i
+    r2: np.ndarray     # population-then-archive index other than i and r1
+    u: np.ndarray      # (n, d) crossover uniforms
+    j: np.ndarray      # crossover's forced donor coordinate
+
+
+def draw_generation(hist: SuccessHistory, n: int, n_archive: int, d: int,
+                    rng: np.random.Generator) -> Draws:
+    """Draw a generation's random quantities as eight vectors, in this order:
+    memory slots, F's Cauchy draws (redrawn only where F <= 0), CR's normal
+    draws (one per member, unused on a terminal slot), pbest ranks, r1, r2,
+    crossover's uniforms and its forced coordinates."""
+    slot = rng.integers(hist.m_f.size, size=n)
+    f_raw = hist.m_f[slot] + 0.1 * rng.standard_cauchy(n)
+    redraw = np.flatnonzero(f_raw <= 0.0)
+    while redraw.size:
+        f_raw[redraw] = hist.m_f[slot[redraw]] + 0.1 * rng.standard_cauchy(redraw.size)
+        redraw = redraw[f_raw[redraw] <= 0.0]
+    z = rng.standard_normal(n)
+    CR = np.where(np.isnan(hist.m_cr[slot]), 0.0, np.clip(hist.m_cr[slot] + 0.1 * z, 0.0, 1.0))
+    pbest = rng.integers(max(1, math.ceil(P_BEST_RATE * n)), size=n)
+    # r1 and r2 are drawn from ranges short by the excluded indices, then
+    # stepped past each excluded index in increasing order
+    i = np.arange(n)
+    r1 = rng.integers(n - 1, size=n)
+    r1 += r1 >= i
+    r2 = rng.integers(n + n_archive - 2, size=n)
+    r2 += r2 >= np.minimum(i, r1)
+    r2 += r2 >= np.maximum(i, r1)
+    u = rng.random((n, d))
+    j = rng.integers(d, size=n)
+    return Draws(slot, np.minimum(f_raw, 1.0), CR, pbest, r1, r2, u, j)
+
+
 def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarray,
                     hist: SuccessHistory, rng: np.random.Generator,
                     budget: BudgetCounter, stats: RunStats, lpsr: bool = False,
@@ -201,50 +245,23 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     Trials are generated synchronously from the parent generation, then
     evaluated in order until the budget runs dry; unevaluated trials are
     skipped and their parents survive untouched.  Returns the number of
-    trials actually evaluated.  The rng is consumed exactly as by the
-    per-member loop of tests/reference.py (sample_f_cr,
-    mutate_current_to_pbest and crossover_binomial, then one archive pop
-    per overflow), so the results are that reference's bit for bit.
+    trials actually evaluated.
+
+    The random quantities come from draw_generation; the archive's upkeep
+    then pops one random entry per overflow, winner by winner.
     """
     if budget.exhausted:
         raise RuntimeError("generation_step requires at least one remaining evaluation")
     refresh_relaxed(pop, eps)
     n, d = pop.x.shape
     ranked = pop.ranking()
-    n_best = max(1, math.ceil(P_BEST_RATE * n))
-    pool = n + len(pop.archive)
-
-    # The random draws, in the per-candidate order of the reference's
-    # sample_f_cr, mutate_current_to_pbest and crossover_binomial; the
-    # arithmetic on them is done below over all candidates at once.
-    m_f, terminal = hist.m_f.tolist(), np.isnan(hist.m_cr).tolist()
-    f_z, idx = [], []  # (F before clipping, CR's normal draw), (slot, pbest rank, r1, r2, j)
-    u_cr = np.empty((n, d))
-    for i in range(n):
-        r = int(rng.integers(hist.m_f.size))
-        f_i = m_f[r] + 0.1 * rng.standard_cauchy()
-        while f_i <= 0.0:
-            f_i = m_f[r] + 0.1 * rng.standard_cauchy()
-        f_z.append((f_i, 0.0 if terminal[r] else rng.standard_normal()))
-        pb = int(rng.integers(n_best))
-        r1 = int(rng.integers(n))
-        while r1 == i:
-            r1 = int(rng.integers(n))
-        r2 = int(rng.integers(pool))
-        while r2 == i or r2 == r1:
-            r2 = int(rng.integers(pool))
-        rng.random(out=u_cr[i])
-        idx.append((r, pb, r1, r2, int(rng.integers(d))))  # j: crossover's forced index
-
-    (f_raw, z), (slot, pb, r1, r2, j) = np.array(f_z).T, np.array(idx).T
-    F = np.minimum(f_raw, 1.0)
-    CR = np.where(np.isnan(hist.m_cr[slot]), 0.0,
-                  np.clip(hist.m_cr[slot] + 0.1 * z, 0.0, 1.0))
+    draws = draw_generation(hist, n, len(pop.archive), d, rng)
+    F = draws.F[:, None]
     x = pop.x
-    x_r2 = np.concatenate([x, np.array(pop.archive).reshape(-1, d)])[r2]
-    v = x + F[:, None] * (x[ranked[pb]] - x) + F[:, None] * (x[r1] - x_r2)
-    mask = u_cr < CR[:, None]
-    mask[np.arange(n), j] = True
+    x_r2 = np.concatenate([x, np.array(pop.archive).reshape(-1, d)])[draws.r2]
+    v = x + F * (x[ranked[draws.pbest]] - x) + F * (x[draws.r1] - x_r2)
+    mask = draws.u < draws.CR[:, None]
+    mask[np.arange(n), draws.j] = True
     trials_x = np.where(mask, v, x)
     trials_x = np.where(trials_x < problem.lower, (x + problem.lower) / 2.0, trials_x)
     trials_x = np.where(trials_x > problem.upper, (x + problem.upper) / 2.0, trials_x)
@@ -265,7 +282,7 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
             pop.archive.pop(int(rng.integers(len(pop.archive))))
 
     pop.replace(won, trials)
-    update_memory(hist, F[won], CR[won], weight[won])
+    update_memory(hist, draws.F[won], draws.CR[won], weight[won])
 
     if lpsr:
         n_target = lpsr_target_size(budget.fes, budget.maxfes,

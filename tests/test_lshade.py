@@ -1,10 +1,20 @@
+import copy
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlrelax.cop import BudgetCounter, ConstrainedProblem, relaxed_violations, violations
 from rlrelax.lshade import (
+    H_MEMORY,
+    N_MIN,
+    P_BEST_RATE,
+    Population,
     RunStats,
     SuccessHistory,
+    draw_generation,
     generation_step,
     init_population,
     lpsr_target_size,
@@ -12,7 +22,7 @@ from rlrelax.lshade import (
     select_survivor,
     update_memory,
 )
-from reference import Evaluation, crossover_binomial, mutate_current_to_pbest, violation
+from reference import Evaluation, violation
 
 
 def sphere(dim):
@@ -69,69 +79,156 @@ class TestInit:
             init_population(sphere(5), 10, np.random.default_rng(0), BudgetCounter(5), RunStats())
 
 
-class TestMutation:
-    def test_zero_f_returns_parent(self):
-        xs = np.arange(5.0)[:, None]
-        rng = np.random.default_rng(1)
-        v = mutate_current_to_pbest(0, xs, [], 0.0, list(range(5)), 0.11, rng)
-        assert np.array_equal(v, xs[0])
-
-    def test_identical_points_collapse(self):
-        xs = np.tile([2.0, 3.0], (6, 1))
-        rng = np.random.default_rng(2)
-        v = mutate_current_to_pbest(0, xs, [], 0.7, list(range(6)), 0.11, rng)
-        assert np.allclose(v, [2.0, 3.0])
-
-    def test_hand_arithmetic_1d(self):
-        # v = x_i + F (x_pbest - x_i) + F (x_r1 - x_r2) = 0 + 0.5*2 + 0.5*1 = 1.5
-        xs = np.array([[0.0], [2.0], [1.0], [0.0]])
-        ranked = [1, 2, 3, 0]
-
-        class FixedRng:
-            def __init__(self, seq):
-                self.seq = list(seq)
-
-            def integers(self, *_a, **_k):
-                return self.seq.pop(0)
-
-        # pbest slot -> member 1, r1 = 2, r2 = 3 (x = 0)
-        v = mutate_current_to_pbest(0, xs, [], 0.5, ranked, 0.25, FixedRng([0, 2, 3]))
-        assert v[0] == pytest.approx(1.5)
-
-    def test_indices_distinct(self):
-        xs = np.arange(6.0)[:, None]
-        rng = np.random.default_rng(3)
-        for i in range(6):
-            for _ in range(50):
-                mutate_current_to_pbest(i, xs, list(xs[:2]), 0.5,
-                                        list(range(6)), 0.11, rng)
-        # reaching here means the distinctness loops always terminated
+def chi_square(counts) -> tuple[float, int]:
+    """Pearson's statistic of counts against equal frequencies, and its
+    degrees of freedom."""
+    counts = np.asarray(counts, dtype=float).ravel()
+    expected = counts.sum() / counts.size
+    return float(np.sum((counts - expected) ** 2) / expected), counts.size - 1
 
 
-class TestCrossover:
-    def test_cr_one_takes_donor(self):
+def assert_uniform(counts):
+    # about six standard deviations above the mean of the statistic; every
+    # sample is drawn at a fixed seed, so the check cannot flake
+    stat, dof = chi_square(counts)
+    assert stat < dof + 6.0 * math.sqrt(2.0 * dof), (stat, dof)
+
+
+class TestDrawGeneration:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(N_MIN, 40), fill=st.floats(0.0, 1.0), d=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), low=st.sampled_from([1e-6, 0.05]),
+           terminal=st.lists(st.booleans(), min_size=H_MEMORY, max_size=H_MEMORY))
+    def test_ranges_and_exclusions(self, n, fill, d, seed, low, terminal):
+        rng = np.random.default_rng(seed)
+        hist = SuccessHistory(m_f=rng.uniform(low, 1.0, size=H_MEMORY),
+                              m_cr=np.where(terminal, np.nan, rng.uniform(size=H_MEMORY)))
+        n_archive = round(fill * n)
+        g = draw_generation(hist, n, n_archive, d, rng)
+        i = np.arange(n)
+        assert all(a.shape == (n,) for a in (g.slot, g.F, g.CR, g.pbest, g.r1, g.r2, g.j))
+        assert g.u.shape == (n, d) and np.all((g.u >= 0.0) & (g.u < 1.0))
+        assert np.all((g.slot >= 0) & (g.slot < H_MEMORY))
+        assert np.all((g.F > 0.0) & (g.F <= 1.0))
+        assert np.all((g.CR >= 0.0) & (g.CR <= 1.0))
+        assert np.all(g.CR[np.array(terminal)[g.slot]] == 0.0)
+        assert np.all((g.pbest >= 0) & (g.pbest < math.ceil(P_BEST_RATE * n)))
+        assert np.all((g.r1 >= 0) & (g.r1 < n) & (g.r1 != i))
+        assert np.all((g.r2 >= 0) & (g.r2 < n + n_archive) & (g.r2 != i) & (g.r2 != g.r1))
+        assert np.all((g.j >= 0) & (g.j < d))
+
+    def test_indices_uniform_over_allowed_values(self):
+        n, n_archive, d, calls = 19, 3, 4, 10_000  # 3 pbest ranks
+        pool, n_best = n + n_archive, math.ceil(P_BEST_RATE * n)
+        rng = np.random.default_rng(20240)
+        hist = SuccessHistory.fresh()
+        slot, pbest, j = np.zeros(H_MEMORY), np.zeros(n_best), np.zeros(d)
+        r1 = np.zeros((n, n))
+        r1r2 = np.zeros((n, n, pool))
+        for _ in range(calls):
+            g = draw_generation(hist, n, n_archive, d, rng)
+            for counts, values in ((slot, g.slot), (pbest, g.pbest), (j, g.j)):
+                np.add.at(counts, values, 1)
+            np.add.at(r1, (np.arange(n), g.r1), 1)
+            np.add.at(r1r2, (np.arange(n), g.r1, g.r2), 1)
+        for counts in (slot, pbest, j):
+            assert_uniform(counts)
+        for i in range(n):
+            others = [k for k in range(n) if k != i]
+            assert_uniform(r1[i, others])
+            # r2 given i: uniform over the (r1, r2) pairs of distinct
+            # indices, archive rows included
+            allowed = [(a, b) for a in others for b in range(pool) if b not in (i, a)]
+            assert_uniform([r1r2[i, a, b] for a, b in allowed])
+            assert r1r2[i, :, n:].sum() > 0 and r1r2[i, :, :n].sum() > 0
+            assert r1r2[i, i].sum() == 0 and all(r1r2[i, a, a] == 0 for a in range(n))
+
+    def test_f_is_a_cauchy_truncated_at_zero(self):
+        # m_f = 0.05 puts a third of the Cauchy below zero; redrawing only
+        # those entries must leave the Cauchy conditioned on F > 0
+        hist = SuccessHistory(m_f=np.full(H_MEMORY, 0.05), m_cr=np.full(H_MEMORY, 0.5))
+        rng = np.random.default_rng(7)
+        F = np.concatenate([draw_generation(hist, 1000, 0, 1, rng).F for _ in range(200)])
+
+        def cauchy_cdf(t):
+            return 0.5 + math.atan((t - 0.05) / 0.1) / math.pi
+
+        for t in (0.02, 0.05, 0.2, 0.5):
+            want = (cauchy_cdf(t) - cauchy_cdf(0.0)) / (1.0 - cauchy_cdf(0.0))
+            assert abs(np.mean(F <= t) - want) < 0.005  # 5 standard errors
+        assert np.mean(F == 1.0) == pytest.approx(
+            (1.0 - cauchy_cdf(1.0)) / (1.0 - cauchy_cdf(0.0)), abs=0.005)
+
+
+def sphere_rows(X):
+    return np.sum(X * X, axis=-1), np.zeros((len(X), 0))
+
+
+def one_generation(x, archive, hist, lower, upper, seed=0):
+    """One generation of a sphere population at x, with the box given.
+    Returns the trials the evaluator saw, the draws (made again from a copy
+    of the rng, which generation_step draws from first) and the ranking the
+    pbest ranks index."""
+    batches = []
+
+    def evaluator(X):
+        batches.append(X.copy())
+        return sphere_rows(X)
+
+    n, d = x.shape
+    problem = ConstrainedProblem(name="sphere", dim=d, lower=np.full(d, lower),
+                                 upper=np.full(d, upper), n_ineq=0, n_eq=0,
+                                 evaluator=evaluator)
+    pop = Population.evaluated(x.copy(), *sphere_rows(x), n_ineq=0)
+    pop.archive = [row.copy() for row in archive]
+    rng = np.random.default_rng(seed)
+    draws = draw_generation(copy.deepcopy(hist), n, len(archive), d, copy.deepcopy(rng))
+    ranked = pop.ranking()
+    generation_step(pop, problem, np.zeros(0), hist, rng, BudgetCounter(10 * n), RunStats())
+    return batches[0], draws, ranked
+
+
+def donors(x, archive, draws, ranked):
+    """current-to-pbest/1: v = x_i + F (x_pbest - x_i) + F (x_r1 - x_r2)."""
+    F = draws.F[:, None]
+    x_r2 = np.concatenate([x, np.reshape(archive, (-1, x.shape[1]))])[draws.r2]
+    return x + F * (x[ranked[draws.pbest]] - x) + F * (x[draws.r1] - x_r2)
+
+
+class TestVariation:
+    def test_cr_zero_copies_exactly_coordinate_j(self):
         rng = np.random.default_rng(4)
-        x = np.zeros(8)
-        v = np.ones(8) * 0.5
-        u = crossover_binomial(x, v, 1.0, rng, np.full(8, -1.0), np.full(8, 1.0))
-        assert np.array_equal(u, v)
+        x = rng.uniform(-1.0, 1.0, size=(20, 8))
+        hist = SuccessHistory(m_f=np.full(H_MEMORY, 0.5), m_cr=np.full(H_MEMORY, np.nan))
+        trials, draws, _ = one_generation(x, [], hist, -100.0, 100.0)
+        for i in range(20):
+            assert np.flatnonzero(trials[i] != x[i]).tolist() == [draws.j[i]]
 
-    def test_cr_zero_single_component(self):
+    def test_cr_one_takes_the_donor(self):
         rng = np.random.default_rng(5)
-        x = np.zeros(8)
-        v = np.ones(8) * 0.5
-        u = crossover_binomial(x, v, 0.0, rng, np.full(8, -1.0), np.full(8, 1.0))
-        assert np.sum(u != x) == 1
+        x, archive = rng.uniform(-1.0, 1.0, size=(12, 6)), rng.uniform(-1.0, 1.0, size=(7, 6))
+        hist = SuccessHistory(m_f=np.full(H_MEMORY, 0.5), m_cr=np.full(H_MEMORY, 50.0))
+        trials, draws, ranked = one_generation(x, archive, hist, -100.0, 100.0)
+        assert np.all(draws.CR == 1.0) and np.any(draws.r2 >= 12)
+        assert np.array_equal(trials, donors(x, archive, draws, ranked))
 
     def test_midpoint_repair(self):
+        # donors leave the box [-1, 1] on both sides; each such coordinate
+        # lands halfway between the parent and the bound it crossed
         rng = np.random.default_rng(6)
-        x = np.array([0.5])
-        v = np.array([3.0])  # above the upper bound of 1
-        u = crossover_binomial(x, v, 1.0, rng, np.array([-1.0]), np.array([1.0]))
-        assert u[0] == pytest.approx((0.5 + 1.0) / 2.0)
-        v = np.array([-9.0])
-        u = crossover_binomial(x, v, 1.0, rng, np.array([-1.0]), np.array([1.0]))
-        assert u[0] == pytest.approx((0.5 - 1.0) / 2.0)
+        x = rng.uniform(-1.0, 1.0, size=(30, 5))
+        hist = SuccessHistory(m_f=np.full(H_MEMORY, 0.9), m_cr=np.full(H_MEMORY, 50.0))
+        trials, draws, ranked = one_generation(x, [], hist, -1.0, 1.0)
+        v = donors(x, [], draws, ranked)
+        assert np.any(v < -1.0) and np.any(v > 1.0)
+        expected = np.where(v < -1.0, (x - 1.0) / 2.0, np.where(v > 1.0, (x + 1.0) / 2.0, v))
+        assert np.array_equal(trials, expected)
+        assert np.all((trials >= -1.0) & (trials <= 1.0))
+
+    def test_identical_points_collapse(self):
+        x = np.tile([2.0, 3.0], (6, 1))
+        trials, _, _ = one_generation(x, x[:3], SuccessHistory.fresh(), -10.0, 10.0)
+        assert np.array_equal(trials, x)
 
 
 class TestSelection:

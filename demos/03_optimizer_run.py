@@ -9,22 +9,20 @@ satisfaction to objective descent.
 import numpy as np
 
 from rlrelax import BudgetCounter, registry_lookup
-from rlrelax.lshade import RunStats, SuccessHistory, generation_step, init_population
+from rlrelax.lshade import RunStats, generation_step, init_population
 
 problem = registry_lookup("cec12", 10)
 
 
 def run(eps, label):
-    budget = BudgetCounter(500)          # 50 evaluations per generation
-    rng = np.random.default_rng(7)       # same seed for both settings
-    stats = RunStats()
-    pop = init_population(problem, 50, rng, budget, stats)
-    hist = SuccessHistory.fresh()
+    stats = RunStats(BudgetCounter(500), 50)  # 50 evaluations per generation
+    rng = np.random.default_rng(7)            # same seed for both settings
+    pop = init_population(problem, rng, stats)
     print(f"\n--- {label} ---")
     print(f"gen  0: best score {stats.best_sco:12.2f}")
     gen = 0
-    while not budget.exhausted:
-        generation_step(pop, problem, eps, hist, rng, budget, stats)
+    while not stats.budget.exhausted:
+        generation_step(pop, problem, eps, rng, stats)
         gen += 1
         best = pop.ranking()[0]
         print(f"gen {gen:2d}: best score {stats.best_sco:12.2f}   "

@@ -5,6 +5,8 @@ held-out problems against the untrained network and the tightening
 schedule baseline, with paired initialization seeds.  Takes roughly a
 minute on a laptop-class CPU.
 """
+import dataclasses
+
 from rlrelax.config import ExperimentConfig
 from rlrelax.harness import aggregate_table, evaluate, run_baseline, train
 
@@ -27,12 +29,12 @@ print(f"episodes: {len(result.episodes)}, "
       f"mean return first 10: {sum(returns[:10]) / 10:.3f}, "
       f"last 10: {sum(returns[-10:]) / 10:.3f}")
 
-held_out = ["cec12", "synthetic/rosenbrock-cubic/5"]
-print(f"\nevaluating on held-out problems: {', '.join(held_out)}")
-records = evaluate(cfg, result.params, result.metadata, problems=held_out)
-records += run_baseline(cfg, "untrained-agent", problems=held_out)
-records += run_baseline(cfg, "scheduled-eps", problems=held_out)
-records += run_baseline(cfg, "feasibility-rule", problems=held_out)
+held_out = dataclasses.replace(cfg, test_problems=["cec12", "synthetic/rosenbrock-cubic/5"])
+print(f"\nevaluating on held-out problems: {', '.join(held_out.test_problems)}")
+records = evaluate(held_out, result.params, result.metadata)
+records += run_baseline(held_out, "untrained-agent")
+records += run_baseline(held_out, "scheduled-eps")
+records += run_baseline(held_out, "feasibility-rule")
 
 print(f"\n{'problem':34s} {'method':22s} {'mean score':>14s} {'std':>12s}")
 for row in aggregate_table(records):

@@ -145,9 +145,7 @@ def _dispatch(args) -> int:
         records_path = out / "records.jsonl"
         if not records_path.exists():
             raise ConfigError(f"no records file at {records_path}; run evaluate first")
-        records = load_records_jsonl(records_path)
-        jsonl_path, csv_path = export_curves(records, out)
-        print(f"curves -> {csv_path}")
+        print(f"curves -> {export_curves(load_records_jsonl(records_path), out)}")
 
     return EXIT_OK
 

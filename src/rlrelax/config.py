@@ -7,6 +7,7 @@ fail loudly.  Lists are comma-separated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .cop import DELTA_ACC_DEFAULT
@@ -52,30 +53,32 @@ class ExperimentConfig:
     shift_file: str = ""          # optional shift-data override, see problems.py
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.action_scheme not in SCHEMES:
             raise ConfigError(f"action_scheme must be one of {SCHEMES}")
         if self.reward_variant not in REWARD_VARIANTS:
             raise ConfigError(f"reward_variant must be one of {REWARD_VARIANTS}")
-        if self.runs < 1:
-            raise ConfigError("runs must be >= 1")
+        for key in ("runs", "epochs", "target_sync_period"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         if self.pop_size < N_MIN:
             raise ConfigError(f"pop_size must be >= {N_MIN}")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
         if not 0 < self.lr_end <= self.lr_start:
             raise ConfigError("need 0 < lr_end <= lr_start")
-        if self.target_sync_period < 1:
-            raise ConfigError("target_sync_period must be >= 1")
-        if not 0.0 <= self.discount <= 1.0:
-            raise ConfigError("discount must be in [0, 1]")
         if not 1 <= self.batch_size <= self.buffer_capacity:
             raise ConfigError("need 1 <= batch_size <= buffer_capacity")
         if not self.dims:
             raise ConfigError("dims must list at least one dimension")
-        for key in ("delta", "delta_acc"):
+        for key in ("delta", "delta_acc", "sched_power"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive")
-        for key in ("explore_start", "explore_end", "explore_fraction"):
+        for key in ("discount", "explore_start", "explore_end", "explore_fraction",
+                    "static_level"):
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise ConfigError(f"{key} must be in [0, 1]")
         for d in self.dims:
@@ -84,10 +87,6 @@ class ExperimentConfig:
                     f"budget {self.maxfes_per_dim}*{d} is below two generations "
                     f"of pop_size {self.pop_size}"
                 )
-        if not 0.0 <= self.static_level <= 1.0:
-            raise ConfigError("static_level must be in [0, 1]")
-        if self.sched_power <= 0:
-            raise ConfigError("sched_power must be positive")
 
     def maxfes(self, dim: int) -> int:
         return self.maxfes_per_dim * dim

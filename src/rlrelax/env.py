@@ -15,7 +15,7 @@ import numpy as np
 
 from .cop import DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem, epsilon_vector
 from .features import extract_state, mask_constraint_features, top5_violation_mean
-from .lshade import Population, RunStats, SuccessHistory, generation_step, init_population
+from .lshade import Population, RunStats, generation_step, init_population
 
 SCHEME_EXPONENTIAL = "exponential"
 SCHEME_LINEAR_AA = "linear-aa"   # aggressive multiplicative adjustment
@@ -166,6 +166,8 @@ class EpsilonControlEnv:
     Construct, ``reset()`` once, then ``step(action_index)`` until the
     ``terminal`` flag flips.  Baseline schedules that bypass the discrete
     action set drive the same machinery through ``step_with_epsilon``.
+    ``reset()`` builds ``stats``, the run's one ``RunStats`` record: its
+    budget, success-history memory and LPSR schedule.
     """
 
     def __init__(self, problem: ConstrainedProblem, rng: np.random.Generator, *,
@@ -191,17 +193,16 @@ class EpsilonControlEnv:
         self._initial_agentbest = f_agentbest
 
         self.pop: Population | None = None
-        self.budget: BudgetCounter | None = None
+        self.stats: RunStats | None = None
         self.terminal = True
 
     # -- episode lifecycle ---------------------------------------------------
 
     def reset(self) -> np.ndarray:
         """Initialize the population, derive the relaxation base, observe."""
-        self.budget = BudgetCounter(self.maxfes)
-        self.stats = RunStats(delta_acc=self.delta_acc, budget=self.budget)
-        self.hist = SuccessHistory.fresh()
-        self.pop = init_population(self.problem, self.n_pop, self.rng, self.budget, self.stats)
+        self.stats = RunStats(BudgetCounter(self.maxfes), self.n_pop, lpsr=self.lpsr,
+                              delta_acc=self.delta_acc)
+        self.pop = init_population(self.problem, self.rng, self.stats)
         self.eps_base = EpsilonBase.from_population(self.pop, self.delta)
         self.current_eps = self.eps_base.values.copy()
 
@@ -250,9 +251,8 @@ class EpsilonControlEnv:
         f_gbest_prev, nu_prev = self.stats.f_gbest, self.stats.nu_top5
 
         self.current_eps = eps
-        generation_step(self.pop, self.problem, self.current_eps, self.hist, self.rng,
-                        self.budget, self.stats, lpsr=self.lpsr, n_init=self.n_pop)
-        self.terminal = self.budget.exhausted
+        generation_step(self.pop, self.problem, self.current_eps, self.rng, self.stats)
+        self.terminal = self.stats.budget.exhausted
         self.step_index += 1
 
         self.stats.nu_top5 = top5_violation_mean(self.pop.nu)
@@ -270,7 +270,7 @@ class EpsilonControlEnv:
 
         info = {
             "step": self.step_index,
-            "fes": self.budget.fes,
+            "fes": self.stats.budget.fes,
             "level": level,
             "eps_min": float(np.min(self.current_eps)) if self.current_eps.size else 0.0,
             "eps_mean": float(np.mean(self.current_eps)) if self.current_eps.size else 0.0,

@@ -40,7 +40,7 @@ def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray) -> float:
 
 
 def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
-                  hist: RunStats) -> np.ndarray:
+                  stats: RunStats) -> np.ndarray:
     """Build the 10-feature observation for the current population.
 
     s1  pooled std of box-normalized coordinates
@@ -48,7 +48,7 @@ def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
     s3  pooled mean of box-normalized coordinates
     s4  mean of the same normalized objective values
     s5  population-best objective over its generation-0 value (guarded, clipped)
-    s6  top-5 violation mean (kept current in hist.nu_top5) over its generation-0 value
+    s6  top-5 violation mean (kept current in stats.nu_top5) over its generation-0 value
     s7  feasible fraction at the run's accuracy delta_acc
     s8  consumed budget fraction
     s9  previous relaxation level
@@ -63,9 +63,9 @@ def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
     s1 = float(np.std(coords))
     s3 = float(np.mean(coords))
 
-    f_range = hist.f_max - hist.f_gbest
+    f_range = stats.f_max - stats.f_gbest
     if f_range > 0.0:
-        norm_f = (fs - hist.f_gbest) / f_range
+        norm_f = (fs - stats.f_gbest) / f_range
         s2 = float(np.std(norm_f))
         s4 = float(np.mean(norm_f))
     else:
@@ -73,15 +73,15 @@ def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
         s4 = 0.0
 
     f_pbest = float(np.min(fs))
-    if abs(hist.f_pbest_0) < 1e-12:
+    if abs(stats.f_pbest_0) < 1e-12:
         s5 = 1.0
     else:
-        s5 = float(np.clip(f_pbest / hist.f_pbest_0, -_S5_CLIP, _S5_CLIP))
+        s5 = float(np.clip(f_pbest / stats.f_pbest_0, -_S5_CLIP, _S5_CLIP))
 
-    s6 = hist.nu_top5 / hist.nu_top5_0 if hist.nu_top5_0 > 0.0 else 0.0
+    s6 = stats.nu_top5 / stats.nu_top5_0 if stats.nu_top5_0 > 0.0 else 0.0
     s7 = int(np.count_nonzero(pop.feasible)) / n
-    s8 = hist.budget.fes / hist.budget.maxfes
-    s9 = hist.prev_action
+    s8 = stats.budget.fes / stats.budget.maxfes
+    s9 = stats.prev_action
 
     s10 = pairwise_tradeoff(fs, nus)
 

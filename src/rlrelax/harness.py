@@ -85,8 +85,8 @@ class TrainResult:
 # Training (meta-level loop)
 # ---------------------------------------------------------------------------
 
-def train(cfg: ExperimentConfig, problems: list[str] | None = None) -> TrainResult:
-    """Train the controller over epochs x problems x dims.
+def train(cfg: ExperimentConfig) -> TrainResult:
+    """Train the controller over epochs x cfg.train_problems (or problems) x dims.
 
     Every meta-step pushes one transition and, once the buffer holds a
     batch, performs one gradient-descent update; the target network is
@@ -94,7 +94,7 @@ def train(cfg: ExperimentConfig, problems: list[str] | None = None) -> TrainResu
     rate follows the cosine schedule across epochs.
     """
     cfg.validate()
-    names = problems if problems is not None else (cfg.train_problems or cfg.problems)
+    names = cfg.train_problems or cfg.problems
     if not names:
         raise ConfigError("training requires a non-empty problem list")
     registry = problem_registry(cfg)
@@ -192,11 +192,10 @@ def _make_env(cfg: ExperimentConfig, problem, rng: np.random.Generator,
 
 
 def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
-                     problems: list[str] | None,
                      f_agentbest: float | None = None) -> list[RunRecord]:
-    """cfg.runs paired-seed, budget-matched runs per (problem, dim);
-    ``policy(env)`` performs a single meta-step."""
-    names = problems if problems is not None else (cfg.test_problems or cfg.problems)
+    """cfg.runs paired-seed, budget-matched runs per (problem, dim) of
+    cfg.test_problems (or problems); ``policy(env)`` performs one meta-step."""
+    names = cfg.test_problems or cfg.problems
     if not names:
         raise ConfigError("evaluation requires a non-empty problem list")
     registry = problem_registry(cfg)
@@ -238,14 +237,13 @@ def _baseline_policy(cfg: ExperimentConfig, kind: str):
         return f"static-eps[{cfg.static_level:g}]", policy
 
     def policy(env: EpsilonControlEnv):  # scheduled-eps
-        factor = (1.0 - env.budget.fes / env.maxfes) ** cfg.sched_power
+        factor = (1.0 - env.stats.budget.fes / env.maxfes) ** cfg.sched_power
         return env.step_with_epsilon(env.eps_base.values * factor, factor)
     return f"scheduled-eps[{cfg.sched_power:g}]", policy
 
 
 def evaluate(cfg: ExperimentConfig, params: NetworkParams,
              metadata: CheckpointMetadata | None = None,
-             problems: list[str] | None = None,
              method: str = METHOD_TRAINED) -> list[RunRecord]:
     """Greedy-policy evaluation: cfg.runs paired-seed runs per (problem, dim)."""
     cfg.validate()
@@ -256,40 +254,38 @@ def evaluate(cfg: ExperimentConfig, params: NetworkParams,
             if trained is not None and trained != wanted:
                 raise ConfigError(f"checkpoint was trained with {what} {trained!r}, "
                                   f"config requests {wanted!r}")
-    return _evaluate_policy(cfg, _greedy_policy(params), method, problems,
+    return _evaluate_policy(cfg, _greedy_policy(params), method,
                             metadata.f_agentbest if metadata is not None else None)
 
 
-def run_baseline(cfg: ExperimentConfig, name: str,
-                 problems: list[str] | None = None) -> list[RunRecord]:
+def run_baseline(cfg: ExperimentConfig, name: str) -> list[RunRecord]:
     """Evaluate one epsilon-schedule baseline under the shared seeds."""
     cfg.validate()
     if name not in BASELINES:
         raise ConfigError(f"unknown baseline {name!r}; valid: {', '.join(BASELINES)}")
     if name == "untrained-agent":
-        return evaluate(cfg, _init_params(cfg), problems=problems, method=name)
+        return evaluate(cfg, _init_params(cfg), method=name)
     method, policy = _baseline_policy(cfg, name)
-    return _evaluate_policy(cfg, policy, method, problems)
+    return _evaluate_policy(cfg, policy, method)
 
 
 # ---------------------------------------------------------------------------
 # Protocols
 # ---------------------------------------------------------------------------
 
-def _train_and_evaluate(cfg: ExperimentConfig, train_names: list[str], test_names: list[str],
+def _train_and_evaluate(cfg: ExperimentConfig,
                         method: str) -> tuple[TrainResult, list[RunRecord]]:
-    """Train on train_names, then evaluate on the disjoint, held-out test_names."""
-    if not train_names or not test_names:
+    """Train on cfg.train_problems, evaluate on the disjoint cfg.test_problems."""
+    if not cfg.train_problems or not cfg.test_problems:
         raise ConfigError("train_problems and test_problems must be non-empty")
-    overlap = set(train_names) & set(test_names)
+    overlap = set(cfg.train_problems) & set(cfg.test_problems)
     if overlap:
         raise ConfigError(f"train/test lists overlap: {sorted(overlap)}")
-    result = train(cfg, problems=train_names)
-    leaked = sorted({row["problem"] for row in result.episodes} & set(test_names))
+    result = train(cfg)
+    leaked = sorted({row["problem"] for row in result.episodes} & set(cfg.test_problems))
     if leaked:
         raise RuntimeError(f"held-out problems leaked into training: {leaked}")
-    return result, evaluate(cfg, result.params, result.metadata, problems=test_names,
-                            method=method)
+    return result, evaluate(cfg, result.params, result.metadata, method=method)
 
 
 def leave_one_out(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
@@ -298,8 +294,9 @@ def leave_one_out(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
     names = cfg.problems
     if len(names) < 2:
         raise ConfigError("leave-one-out needs at least two problems")
-    folds = [(held_out, *_train_and_evaluate(cfg, [n for n in names if n != held_out],
-                                             [held_out], METHOD_TRAINED))
+    folds = [(held_out, *_train_and_evaluate(
+                 dataclasses.replace(cfg, train_problems=[n for n in names if n != held_out],
+                                     test_problems=[held_out]), METHOD_TRAINED))
              for held_out in names]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -319,8 +316,7 @@ def leave_one_out(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
 def split_protocol(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
     """Train once on cfg.train_problems, evaluate on the disjoint cfg.test_problems."""
     cfg.validate()
-    result, records = _train_and_evaluate(cfg, cfg.train_problems, cfg.test_problems,
-                                          METHOD_TRAINED)
+    result, records = _train_and_evaluate(cfg, METHOD_TRAINED)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     qnet.save_checkpoint(result.params, result.metadata, out / "checkpoint.txt")
@@ -343,16 +339,14 @@ def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> list[RunRecord]:
         raise ConfigError(
             f"unknown ablation {variant!r}; valid: {', '.join(ABLATION_VARIANTS)}"
         )
-    full, records = _train_and_evaluate(cfg, cfg.train_problems, cfg.test_problems,
-                                        METHOD_TRAINED)
+    full, records = _train_and_evaluate(cfg, METHOD_TRAINED)
     alt = dataclasses.replace(cfg, **ABLATIONS[variant])
     if variant == "no-state":
-        records += evaluate(alt, full.params, full.metadata, problems=alt.test_problems,
-                            method=variant)
+        records += evaluate(alt, full.params, full.metadata, method=variant)
     elif variant == "no-train":
-        records += evaluate(alt, _init_params(alt), problems=alt.test_problems, method=variant)
+        records += evaluate(alt, _init_params(alt), method=variant)
     else:
-        records += _train_and_evaluate(alt, alt.train_problems, alt.test_problems, variant)[1]
+        records += _train_and_evaluate(alt, variant)[1]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_records_jsonl(records, out / "records.jsonl")
@@ -426,8 +420,8 @@ def load_records_jsonl(path) -> list[RunRecord]:
     return list(runs.values())
 
 
-def export_curves(records: list[RunRecord], out_dir, stem: str = "curves") -> tuple[Path, Path]:
-    """Write per-generation traces plus per-problem normalized mean curves.
+def export_curves(records: list[RunRecord], out_dir, stem: str = "curves") -> Path:
+    """Write per-problem normalized mean curves; returns the CSV's path.
 
     Normalization pools every intermediate and final score of a (problem,
     dim) across all methods and runs, then min-max rescales; a zero range
@@ -438,8 +432,6 @@ def export_curves(records: list[RunRecord], out_dir, stem: str = "curves") -> tu
         raise ValueError("no records to export")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    jsonl_path = out / f"{stem}.jsonl"
-    write_records_jsonl(records, jsonl_path)
 
     pooled: dict[tuple, list[float]] = {}
     for r in records:
@@ -467,7 +459,7 @@ def export_curves(records: list[RunRecord], out_dir, stem: str = "curves") -> tu
             )
     csv_path = out / f"{stem}.csv"
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return jsonl_path, csv_path
+    return csv_path
 
 
 def _safe_name(name: str) -> str:

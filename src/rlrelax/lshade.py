@@ -5,8 +5,10 @@ One generation: for every member, sample (F, CR) from the success-history
 memory, build a current-to-pbest/1 donor against the population plus an
 archive of replaced parents, binomial crossover with midpoint bound repair,
 then keep whichever of parent/trial wins under eps_compare at the currently
-active relaxation vector (ties keep the parent).  Linear population size
-reduction is available behind a flag and off by default.
+active relaxation vector (ties keep the parent).  A run's RunStats record
+holds its budget, its success-history memory and its flag for linear
+population size reduction (LPSR, off by default), which shrinks the
+population linearly from its initial size.
 
 generation_step draws each random quantity once for the whole population,
 as one vector, and does the arithmetic on (N, D) arrays.  The draws follow
@@ -97,14 +99,18 @@ class SuccessHistory:
 
 @dataclass
 class RunStats:
-    """The state of one run: bookkeeping over every evaluation, the budget,
-    and the reference values the features and the reward read."""
+    """The record of one run: its budget, initial population size, LPSR flag
+    and success-history memory, the bookkeeping over every evaluation, and
+    the reference values the features and the reward read."""
 
+    budget: BudgetCounter            # holds fes and maxfes
+    n_init: int                      # initial population size, where LPSR starts
+    lpsr: bool = False               # linear population size reduction
+    hist: SuccessHistory = field(default_factory=SuccessHistory.fresh)
     delta_acc: float = DELTA_ACC_DEFAULT
     f_gbest: float = math.inf        # best objective seen, any feasibility
     f_max: float = -math.inf         # worst objective seen
     best_sco: float = math.inf       # best f + violation, the violation zeroed if feasible
-    budget: BudgetCounter | None = None  # holds fes and maxfes
     # population-best objective at generation 0; equal to f_gbest right
     # after initialization, so it is also the reward's f_gbest_0
     f_pbest_0: float = math.nan
@@ -120,9 +126,10 @@ class RunStats:
         self.best_sco = min(self.best_sco, float(np.min(np.where(ok, f, f + batch.nu))))
 
 
-def init_population(problem: ConstrainedProblem, n: int, rng: np.random.Generator,
-                    budget: BudgetCounter, stats: RunStats) -> Population:
-    """Sample n points uniformly in the box and evaluate them all."""
+def init_population(problem: ConstrainedProblem, rng: np.random.Generator,
+                    stats: RunStats) -> Population:
+    """Sample stats.n_init points uniformly in the box and evaluate them all."""
+    n, budget = stats.n_init, stats.budget
     if n < N_MIN:
         raise ValueError(f"population size must be >= {N_MIN}, got {n}")
     if budget.remaining < n:
@@ -237,25 +244,25 @@ def draw_generation(hist: SuccessHistory, n: int, n_archive: int, d: int,
 
 
 def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarray,
-                    hist: SuccessHistory, rng: np.random.Generator,
-                    budget: BudgetCounter, stats: RunStats, lpsr: bool = False,
-                    n_init: int | None = None) -> int:
+                    rng: np.random.Generator, stats: RunStats) -> int:
     """Advance the population by one generation under the given epsilon.
 
     Trials are generated synchronously from the parent generation, then
-    evaluated in order until the budget runs dry; unevaluated trials are
+    evaluated in order until stats.budget runs dry; unevaluated trials are
     skipped and their parents survive untouched.  Returns the number of
-    trials actually evaluated.
+    trials actually evaluated.  With stats.lpsr the population then shrinks
+    to lpsr_target_size from stats.n_init.
 
-    The random quantities come from draw_generation; the archive's upkeep
-    then pops one random entry per overflow, winner by winner.
+    The random quantities come from draw_generation on stats.hist; the
+    archive's upkeep then pops one random entry per overflow, winner by winner.
     """
+    budget = stats.budget
     if budget.exhausted:
         raise RuntimeError("generation_step requires at least one remaining evaluation")
     refresh_relaxed(pop, eps)
     n, d = pop.x.shape
     ranked = pop.ranking()
-    draws = draw_generation(hist, n, len(pop.archive), d, rng)
+    draws = draw_generation(stats.hist, n, len(pop.archive), d, rng)
     F = draws.F[:, None]
     x = pop.x
     x_r2 = np.concatenate([x, np.array(pop.archive).reshape(-1, d)])[draws.r2]
@@ -282,11 +289,10 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
             pop.archive.pop(int(rng.integers(len(pop.archive))))
 
     pop.replace(won, trials)
-    update_memory(hist, draws.F[won], draws.CR[won], weight[won])
+    update_memory(stats.hist, draws.F[won], draws.CR[won], weight[won])
 
-    if lpsr:
-        n_target = lpsr_target_size(budget.fes, budget.maxfes,
-                                    n_init if n_init is not None else n)
+    if stats.lpsr:
+        n_target = lpsr_target_size(budget.fes, budget.maxfes, stats.n_init)
         if n_target < pop.size:
             pop.keep(np.sort(pop.ranking()[:n_target]))
         while len(pop.archive) > pop.size:

@@ -5,6 +5,7 @@ and enforces its runtime budget.  The heavyweight train-and-compare
 experiment is shared by criteria 7 and 8 through a module-scoped fixture.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -28,7 +29,7 @@ from rlrelax.env import (
     reward_components,
 )
 from rlrelax.harness import aggregate_table, evaluate, leave_one_out, run_baseline, train
-from rlrelax.lshade import RunStats, SuccessHistory, generation_step, init_population
+from rlrelax.lshade import RunStats, generation_step, init_population
 from rlrelax.problems import SYNTHETIC_KINDS, synthetic_family
 from rlrelax.cop import ConstrainedProblem
 
@@ -232,11 +233,10 @@ def test_criterion_6_optimizer_sanity_sphere():
     for seed in range(10):
         budget = BudgetCounter(10_000)
         rng = np.random.default_rng(seed)
-        stats = RunStats()
-        pop = init_population(problem, 50, rng, budget, stats)
-        hist = SuccessHistory.fresh()
+        stats = RunStats(budget, 50)
+        pop = init_population(problem, rng, stats)
         while not budget.exhausted:
-            generation_step(pop, problem, np.zeros(0), hist, rng, budget, stats)
+            generation_step(pop, problem, np.zeros(0), rng, stats)
         finals.append(stats.f_gbest)
     elapsed = time.time() - t0
     ok = all(f <= 1e-2 for f in finals) and elapsed < 30.0
@@ -263,9 +263,10 @@ def trained_comparison():
     cfg = ExperimentConfig(problems=TRAIN_SET, dims=[10], pop_size=50,
                            maxfes_per_dim=50, runs=10, seed=0, epochs=50)
     result = train(cfg)
-    records = evaluate(cfg, result.params, result.metadata, problems=HELD_OUT)
-    records += run_baseline(cfg, "untrained-agent", problems=HELD_OUT)
-    records += run_baseline(cfg, "scheduled-eps", problems=HELD_OUT)
+    held_out = dataclasses.replace(cfg, test_problems=HELD_OUT)
+    records = evaluate(held_out, result.params, result.metadata)
+    records += run_baseline(held_out, "untrained-agent")
+    records += run_baseline(held_out, "scheduled-eps")
     means: dict[str, dict[str, float]] = {}
     for row in aggregate_table(records):
         means.setdefault(row["problem"], {})[row["method"]] = row["mean"]
@@ -330,7 +331,7 @@ def test_criterion_10_episode_accounting():
             steps += 1
             terminal_flags.append(tr.terminal)
         ok &= steps == 9
-        ok &= env.budget.fes == 500
+        ok &= env.stats.budget.fes == 500
         ok &= terminal_flags.count(True) == 1 and terminal_flags[-1]
     elapsed = time.time() - t0
     report(10, ok, "9 meta-steps per 10-D episode, budget 500 consumed exactly", elapsed)

@@ -86,7 +86,7 @@ class TestBatchedAccounting:
     @given(constraint_batches())
     def test_observe_equals_folding_scalar_rows(self, batch):
         f, C, p, eps, delta_acc = batch
-        batched = RunStats(delta_acc=delta_acc)
+        batched = RunStats(BudgetCounter(1), 1, delta_acc=delta_acc)
         batched.observe(Population.evaluated(np.zeros((len(f), 1)), f, C, p, delta_acc, eps))
         f_gbest, f_max, best_sco = np.inf, -np.inf, np.inf
         for e in rows(f, C, p):
@@ -218,13 +218,13 @@ class TestEvaluateBatch:
         # init evaluates rows 0-5; the first generation's third trial is row 8
         calls = []
         prob = counting_problem(calls, fault)
-        budget, stats = BudgetCounter(30), RunStats()
-        pop = init_population(prob, 6, np.random.default_rng(0), budget, stats)
+        budget = BudgetCounter(30)
+        stats = RunStats(budget, 6)
+        pop = init_population(prob, np.random.default_rng(0), stats)
         before = (pop.x.copy(), pop.f.copy(), pop.C.copy())
         snapshot = (budget.fes, stats.f_gbest, stats.f_max, stats.best_sco, len(pop.archive))
         with pytest.raises(ProblemDefinitionError, match=message):
-            generation_step(pop, prob, np.zeros(2), SuccessHistory.fresh(),
-                            np.random.default_rng(1), budget, stats)
+            generation_step(pop, prob, np.zeros(2), np.random.default_rng(1), stats)
         assert len(calls) == 12  # the batch is checked after its last call
         for a, b in zip(before, (pop.x, pop.f, pop.C)):
             assert np.array_equal(a, b)
@@ -336,18 +336,20 @@ class TestGenerationStepSelection:
 
         recording = dataclasses.replace(problem, evaluator=recording_evaluator)
         rng = np.random.default_rng(seed)
-        budget, stats = BudgetCounter(n + extra), RunStats()  # extra < n ends mid-way
-        pop = init_population(problem, n, rng, budget, stats)
-        hist = SuccessHistory(m_f=rng.uniform(0.05, 1.0, size=H_MEMORY),
-                              m_cr=np.where(terminal, np.nan, rng.uniform(size=H_MEMORY)),
-                              k=int(rng.integers(H_MEMORY)))
+        budget = BudgetCounter(n + extra)  # extra < n ends mid-way
+        stats = RunStats(budget, n)
+        pop = init_population(problem, rng, stats)
+        hist = stats.hist = SuccessHistory(
+            m_f=rng.uniform(0.05, 1.0, size=H_MEMORY),
+            m_cr=np.where(terminal, np.nan, rng.uniform(size=H_MEMORY)),
+            k=int(rng.integers(H_MEMORY)))
         eps = rng.uniform(0.0, 3.0, size=2) if positive_eps else np.zeros(2)
         refresh_relaxed(pop, eps)
         parent = copy.deepcopy(pop)
         draws = draw_generation(hist, n, 0, dim, copy.deepcopy(rng))
         expected_hist = copy.deepcopy(hist)
 
-        evaluated = generation_step(pop, recording, eps, hist, rng, budget, stats)
+        evaluated = generation_step(pop, recording, eps, rng, stats)
 
         f_t, C_t = problem.evaluator(batches[0])
         nu_t = relaxed_violations(C_t, 1, eps)

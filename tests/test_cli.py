@@ -72,13 +72,23 @@ class TestExitCodes:
     @pytest.mark.parametrize("line", [
         "epochs = 0", "dims =", "delta = 0", "delta_acc = -1",
         "explore_start = 1.5", "explore_end = -0.1", "explore_fraction = 1.01",
+        # non-finite floats and a negative seed pass a plain range check
+        "lr_start = inf", "delta = inf", "delta_acc = inf", "sched_power = inf",
+        "discount = nan", "seed = -1",
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(TOY + line + "\n")
         out = tmp_path / "out"
         assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-        assert not (out / "checkpoint.txt").exists()
+        assert not out.exists()
+
+    def test_negative_seed_flag_is_config_error(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["train", "--config", str(cfg_path), "--seed", "-1", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("verb, args", [
         ("train", []), ("evaluate", ["--checkpoint", "none.txt"]),
@@ -189,6 +199,7 @@ class TestVerbs:
         assert main(["export-curves", "--config", str(cfg_path),
                      "--out", str(out)]) == EXIT_OK
         assert (out / "curves.csv").exists()
+        assert not (out / "curves.jsonl").exists()  # records.jsonl already holds the traces
 
     def test_baseline_verb(self, cfg_path, tmp_path):
         out = tmp_path / "out"

@@ -98,6 +98,9 @@ class TestValidation:
         ("batch_size = 0", "need 1 <= batch_size <= buffer_capacity"),
         ("batch_size = 65\nbuffer_capacity = 64", "need 1 <= batch_size <= buffer_capacity"),
         ("pop_size = 3", "pop_size must be >= 4"),
+        ("lr_start = inf", "lr_start must be finite, got inf"),
+        ("delta_acc = inf", "delta_acc must be finite, got inf"),
+        ("seed = -1", "seed must be >= 0, got -1"),
     ])
     def test_training_ranges(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

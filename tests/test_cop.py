@@ -35,7 +35,7 @@ def feasible(g=(), h=(), delta_acc=1e-3):
 def sco(f, g=(), h=(), delta_acc=1e-3):
     """The score RunStats folds in for one candidate: objective plus
     violation, the violation zeroed when feasible within delta_acc."""
-    stats = RunStats(delta_acc=delta_acc)
+    stats = RunStats(BudgetCounter(1), 1, delta_acc=delta_acc)
     stats.observe(Population.evaluated(np.zeros((1, 1)), np.array([f]), row(g, h), len(g),
                                        delta_acc))
     return stats.best_sco

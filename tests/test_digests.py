@@ -85,13 +85,12 @@ CASES = {
         "records.jsonl":
             "803f09c7e5efb45efb5b2b767a99f359ef1fe78b9e398d65b243c2462b354aa2",
     }),
-    # export-curves reads the records.jsonl that evaluate leaves in --out
+    # export-curves reads the records.jsonl that evaluate leaves in --out and
+    # writes curves.csv alone
     "export-curves": ((EVALUATE, ["export-curves"]),
                       "problems = cec12, synthetic/rosenbrock-cubic/5\n", {
         "curves.csv":
             "f6014893d58141b1d6b630fa7cdab48596b212d9cb51e17546cf940f7a3a48d8",
-        "curves.jsonl":
-            "b03337de11dfbba802d69c703011e0dfa6c6e41847d4dd809901b2301c5c8df7",
         "records.jsonl":
             "b03337de11dfbba802d69c703011e0dfa6c6e41847d4dd809901b2301c5c8df7",
         "results.csv":

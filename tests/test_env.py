@@ -148,7 +148,7 @@ class TestEnvEpisode:
     def test_reset_consumes_population_budget(self):
         env = make_env()
         env.reset()
-        assert env.budget.fes == 50
+        assert env.stats.budget.fes == 50
 
     def test_eps_base_from_initial_violations(self):
         env = make_env()
@@ -176,7 +176,7 @@ class TestEnvEpisode:
             tr, _ = env.step(5)
             transitions.append(tr)
         assert len(transitions) == 9
-        assert env.budget.fes == 500
+        assert env.stats.budget.fes == 500
         assert sum(tr.terminal for tr in transitions) == 1
         assert transitions[-1].terminal
 
@@ -257,11 +257,11 @@ class TestEnvEpisode:
                                 action_space=ActionSpace.for_scheme("linear-aa"))
         env.reset()
         env.step(1)
-        before = (env.current_eps.copy(), env.pop.x.copy(), env.step_index, env.budget.fes)
+        before = (env.current_eps.copy(), env.pop.x.copy(), env.step_index, env.stats.budget.fes)
         for bad in ([-1.0, -1.0], [np.nan, 1.0], [1.0, 1.0, 1.0]):
             with pytest.raises(ValueError):
                 env.step_with_epsilon(bad, 0.5)
-        after = (env.current_eps, env.pop.x, env.step_index, env.budget.fes)
+        after = (env.current_eps, env.pop.x, env.step_index, env.stats.budget.fes)
         assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
         assert before[2:] == after[2:]
         # the next linear step still scales the last valid vector
@@ -291,7 +291,7 @@ class TestEnvEpisode:
         while not env.terminal:
             tr, _ = env.step(5)
             assert np.all(np.isfinite(tr.next_state))
-        assert env.budget.fes == 1000
+        assert env.stats.budget.fes == 1000
         assert env.pop.size < 50  # the population shrank along the way
         assert len(env.pop.archive) <= env.pop.size
 
@@ -355,5 +355,5 @@ class TestWholeRunInvariants:
             assert np.all(pop.nu_eps <= pop.nu)
             assert 0.0 <= tr.reward <= 1.0
             assert N_MIN <= pop.size and len(pop.archive) <= pop.size
-        assert env.budget.fes == maxfes
+        assert env.stats.budget.fes == maxfes
         assert steps == episode_steps(maxfes, n_pop, lpsr)

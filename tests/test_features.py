@@ -30,6 +30,7 @@ def make_hist(pop, fes=50, maxfes=500, prev_action=1.0):
     return RunStats(
         f_gbest=float(pop.f.min()), f_max=float(pop.f.max()), f_pbest_0=float(pop.f.min()),
         nu_top5_0=nu_top5, nu_top5=nu_top5, prev_action=prev_action, budget=budget,
+        n_init=pop.size,
     )
 
 

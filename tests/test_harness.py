@@ -211,8 +211,8 @@ class TestLeakCheck:
     def test_leaked_problem_raises(self, monkeypatch, tmp_path, protocol, leaked):
         real_train = harness.train
 
-        def leaky_train(cfg, problems=None):
-            result = real_train(cfg, problems=problems)
+        def leaky_train(cfg):
+            result = real_train(cfg)
             result.episodes.extend({**result.episodes[0], "problem": name}
                                    for name in cfg.problems)
             return result
@@ -284,8 +284,10 @@ class TestExport:
 
     def test_curves_files(self, tmp_path):
         records = self._records()
-        jsonl_path, csv_path = export_curves(records, tmp_path)
-        assert jsonl_path.exists() and csv_path.exists()
+        csv_path = export_curves(records, tmp_path)
+        # the traces are records.jsonl's to hold; only the CSV is written
+        assert [p.name for p in tmp_path.iterdir()] == ["curves.csv"]
+        assert csv_path == tmp_path / "curves.csv"
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "problem,dim,method,step,fes,norm_sco"
         values = [float(ln.split(",")[-1]) for ln in lines[1:]]
@@ -301,7 +303,7 @@ class TestExport:
                              final_sco=scores[-1], steps=steps)
 
         records = [rec("m1", [10.0, 8.0, 6.0]), rec("m2", [9.0, 5.0, 2.0])]
-        _, csv_path = export_curves(records, tmp_path)
+        csv_path = export_curves(records, tmp_path)
         rows = [ln.split(",") for ln in csv_path.read_text().splitlines()[1:]]
         values = {(r[2], int(r[3])): float(r[5]) for r in rows}
         assert values[("m1", 1)] == pytest.approx(1.0)
@@ -315,14 +317,14 @@ class TestExport:
                  for i in range(3)]
         record = RunRecord(problem="p", dim=2, method="m", run=0,
                            final_sco=5.0, steps=steps)
-        _, csv_path = export_curves([record], tmp_path)
+        csv_path = export_curves([record], tmp_path)
         values = [float(ln.split(",")[-1]) for ln in
                   csv_path.read_text().splitlines()[1:]]
         assert values == [0.0, 0.0, 0.0]
 
     def test_fes_strictly_increasing(self, tmp_path):
         records = self._records()
-        _, csv_path = export_curves(records, tmp_path)
+        csv_path = export_curves(records, tmp_path)
         by_series: dict[tuple, list[int]] = {}
         for ln in csv_path.read_text().splitlines()[1:]:
             parts = ln.split(",")

@@ -15,6 +15,7 @@ from rlrelax.lshade import (
     RunStats,
     SuccessHistory,
     draw_generation,
+    episode_steps,
     generation_step,
     init_population,
     lpsr_target_size,
@@ -56,27 +57,25 @@ def make_pair(f, g=(), h=(), eps=None):
 class TestInit:
     def test_sizes_and_budget(self):
         budget = BudgetCounter(500)
-        pop = init_population(sphere(10), 50, np.random.default_rng(0), budget, RunStats())
+        pop = init_population(sphere(10), np.random.default_rng(0), RunStats(budget, 50))
         assert pop.size == 50
         assert budget.fes == 50
         assert pop.x.shape == (50, 10)
         assert np.all(pop.x >= -100) and np.all(pop.x <= 100)
 
     def test_deterministic(self):
-        a = init_population(sphere(5), 10, np.random.default_rng(42), BudgetCounter(100),
-                            RunStats())
-        b = init_population(sphere(5), 10, np.random.default_rng(42), BudgetCounter(100),
-                            RunStats())
+        a = init_population(sphere(5), np.random.default_rng(42), RunStats(BudgetCounter(100), 10))
+        b = init_population(sphere(5), np.random.default_rng(42), RunStats(BudgetCounter(100), 10))
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.f, b.f)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            init_population(sphere(5), 3, np.random.default_rng(0), BudgetCounter(100), RunStats())
+            init_population(sphere(5), np.random.default_rng(0), RunStats(BudgetCounter(100), 3))
 
     def test_insufficient_budget(self):
         with pytest.raises(RuntimeError):
-            init_population(sphere(5), 10, np.random.default_rng(0), BudgetCounter(5), RunStats())
+            init_population(sphere(5), np.random.default_rng(0), RunStats(BudgetCounter(5), 10))
 
 
 def chi_square(counts) -> tuple[float, int]:
@@ -184,7 +183,7 @@ def one_generation(x, archive, hist, lower, upper, seed=0):
     rng = np.random.default_rng(seed)
     draws = draw_generation(copy.deepcopy(hist), n, len(archive), d, copy.deepcopy(rng))
     ranked = pop.ranking()
-    generation_step(pop, problem, np.zeros(0), hist, rng, BudgetCounter(10 * n), RunStats())
+    generation_step(pop, problem, np.zeros(0), rng, RunStats(BudgetCounter(10 * n), n, hist=hist))
     return batches[0], draws, ranked
 
 
@@ -303,18 +302,22 @@ class TestLpsr:
         assert lpsr_target_size(250, 500, 50) == 27
 
     def test_shrinks_population(self):
+        # each generation shrinks to the schedule from the initial 20, never
+        # from the current size, so the run takes episode_steps generations
         problem = toy_constrained(5)
         budget = BudgetCounter(1000)
         rng = np.random.default_rng(8)
-        stats = RunStats()
-        pop = init_population(problem, 20, rng, budget, stats)
-        hist = SuccessHistory.fresh()
-        eps = np.zeros(2)
+        stats = RunStats(budget, 20, lpsr=True)
+        pop = init_population(problem, rng, stats)
+        gens = 0
         while not budget.exhausted:
-            generation_step(pop, problem, eps, hist, rng, budget, stats,
-                            lpsr=True, n_init=20)
+            previous = pop.size
+            generation_step(pop, problem, np.zeros(2), rng, stats)
+            gens += 1
+            assert pop.size == min(previous, lpsr_target_size(budget.fes, budget.maxfes, 20))
+            assert len(pop.archive) <= pop.size
         assert pop.size < 20
-        assert len(pop.archive) <= pop.size
+        assert gens == episode_steps(budget.maxfes, 20, True)
 
 
 class TestGenerationStep:
@@ -322,11 +325,10 @@ class TestGenerationStep:
         problem = toy_constrained(5)
         budget = BudgetCounter(500)
         rng = np.random.default_rng(9)
-        stats = RunStats()
-        pop = init_population(problem, 20, rng, budget, stats)
+        stats = RunStats(budget, 20)
+        pop = init_population(problem, rng, stats)
         before = budget.fes
-        evaluated = generation_step(pop, problem, np.zeros(2),
-                                    SuccessHistory.fresh(), rng, budget, stats)
+        evaluated = generation_step(pop, problem, np.zeros(2), rng, stats)
         assert evaluated == 20
         assert budget.fes - before == 20
 
@@ -334,10 +336,9 @@ class TestGenerationStep:
         problem = toy_constrained(5)
         budget = BudgetCounter(25)  # init 20, then only 5 trials fit
         rng = np.random.default_rng(10)
-        stats = RunStats()
-        pop = init_population(problem, 20, rng, budget, stats)
-        evaluated = generation_step(pop, problem, np.zeros(2),
-                                    SuccessHistory.fresh(), rng, budget, stats)
+        stats = RunStats(budget, 20)
+        pop = init_population(problem, rng, stats)
+        evaluated = generation_step(pop, problem, np.zeros(2), rng, stats)
         assert evaluated == 5
         assert budget.exhausted
 
@@ -346,12 +347,11 @@ class TestGenerationStep:
         problem = toy_constrained(10)
         budget = BudgetCounter(500)
         rng = np.random.default_rng(11)
-        stats = RunStats()
-        pop = init_population(problem, 50, rng, budget, stats)
-        hist = SuccessHistory.fresh()
+        stats = RunStats(budget, 50)
+        pop = init_population(problem, rng, stats)
         gens = 0
         while not budget.exhausted:
-            generation_step(pop, problem, np.zeros(2), hist, rng, budget, stats)
+            generation_step(pop, problem, np.zeros(2), rng, stats)
             gens += 1
         assert gens == 9
         assert budget.fes == 500
@@ -360,24 +360,22 @@ class TestGenerationStep:
         problem = toy_constrained(5)
         budget = BudgetCounter(20)
         rng = np.random.default_rng(12)
-        stats = RunStats()
-        pop = init_population(problem, 20, rng, budget, stats)
+        stats = RunStats(budget, 20)
+        pop = init_population(problem, rng, stats)
         with pytest.raises(RuntimeError):
-            generation_step(pop, problem, np.zeros(2), SuccessHistory.fresh(), rng, budget,
-                            stats)
+            generation_step(pop, problem, np.zeros(2), rng, stats)
 
     def test_elitism_under_fixed_eps(self):
         problem = toy_constrained(5)
         budget = BudgetCounter(2000)
         rng = np.random.default_rng(13)
-        stats = RunStats()
-        pop = init_population(problem, 20, rng, budget, stats)
-        hist = SuccessHistory.fresh()
+        stats = RunStats(budget, 20)
+        pop = init_population(problem, rng, stats)
         eps = np.array([0.5, 0.5])
         refresh_relaxed(pop, eps)
         best = min(zip(pop.nu_eps, pop.f))
         while not budget.exhausted:
-            generation_step(pop, problem, eps, hist, rng, budget, stats)
+            generation_step(pop, problem, eps, rng, stats)
             now = min(zip(pop.nu_eps, pop.f))
             assert now <= best
             best = now
@@ -386,12 +384,11 @@ class TestGenerationStep:
         problem = toy_constrained(5)
         budget = BudgetCounter(2000)
         rng = np.random.default_rng(14)
-        stats = RunStats()
-        pop = init_population(problem, 20, rng, budget, stats)
-        hist = SuccessHistory.fresh()
+        stats = RunStats(budget, 20)
+        pop = init_population(problem, rng, stats)
         prev_sco = stats.best_sco
         while not budget.exhausted:
-            generation_step(pop, problem, np.zeros(2), hist, rng, budget, stats)
+            generation_step(pop, problem, np.zeros(2), rng, stats)
             assert stats.best_sco <= prev_sco
             prev_sco = stats.best_sco
 
@@ -423,9 +420,8 @@ class TestGenerationStep:
         problem = sphere(10)
         budget = BudgetCounter(10_000)
         rng = np.random.default_rng(16)
-        stats = RunStats()
-        pop = init_population(problem, 50, rng, budget, stats)
-        hist = SuccessHistory.fresh()
+        stats = RunStats(budget, 50)
+        pop = init_population(problem, rng, stats)
         while not budget.exhausted:
-            generation_step(pop, problem, np.zeros(0), hist, rng, budget, stats)
+            generation_step(pop, problem, np.zeros(0), rng, stats)
         assert stats.f_gbest <= 1e-2

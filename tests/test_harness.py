@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from rlrelax import agent as qnet
+from rlrelax import env as env_module
 from rlrelax import harness
+from rlrelax.cli import EXIT_RUNTIME
+from rlrelax.cli import main as cli_main
 from rlrelax.config import ConfigError, ExperimentConfig
 from rlrelax.harness import (
     BASELINES,
@@ -228,6 +231,49 @@ class TestLeakCheck:
             else:
                 ablate(cfg, "no-train", tmp_path)
         assert not any(tmp_path.iterdir())
+
+
+class TestRunFailedError:
+    """A generation that raises on one problem is reported as that problem's
+    run or training episode, with the original error as the cause."""
+
+    FAULTY = "synthetic/rastrigin-ring/1"
+
+    @pytest.fixture
+    def boom(self, monkeypatch):
+        real_step = env_module.generation_step
+        error = ValueError("boom")
+
+        def faulty_step(pop, problem, *args):
+            if problem.name == self.FAULTY:
+                raise error
+            return real_step(pop, problem, *args)
+
+        monkeypatch.setattr(env_module, "generation_step", faulty_step)
+        return error
+
+    @pytest.mark.parametrize("call, context", [
+        (lambda cfg: train(cfg), "training on {p} (dim 4, epoch 0)"),
+        (lambda cfg: evaluate(cfg, harness._init_params(cfg)),
+         "trained-agent on {p} (dim 4, run 0)"),
+        (lambda cfg: run_baseline(cfg, "feasibility-rule"),
+         "feasibility-rule on {p} (dim 4, run 0)"),
+    ], ids=["train", "evaluate", "run_baseline"])
+    def test_message_names_the_run_and_keeps_the_cause(self, boom, call, context):
+        with pytest.raises(harness.RunFailedError) as info:
+            call(toy_cfg(epochs=1))
+        assert str(info.value) == context.format(p=self.FAULTY) + " failed: boom"
+        assert info.value.__cause__ is boom
+
+    def test_cli_exits_3_and_writes_nothing(self, boom, tmp_path, capsys):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(f"problems = synthetic/sphere-linear/0, {self.FAULTY}\n"
+                       "dims = 4\npop_size = 20\nmaxfes_per_dim = 20\nepochs = 1\n")
+        out = tmp_path / "out"
+        assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"training on {self.FAULTY} (dim 4, epoch 0) failed: boom" in err
+        assert not out.exists()
 
 
 class TestAblate:

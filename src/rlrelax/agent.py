@@ -331,6 +331,9 @@ def load_checkpoint(path) -> tuple[NetworkParams, CheckpointMetadata]:
         w2=pieces[2].reshape(n_out, n_hidden),
         b2=pieces[3],
     )
+    if n_in != STATE_SIZE:
+        raise CheckpointShapeError(f"the state has {STATE_SIZE} features, "
+                                   f"file declares {n_in} inputs")
     try:
         expected_out = ActionSpace.for_scheme(metadata.action_scheme).n_actions
     except ValueError as exc:

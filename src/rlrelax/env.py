@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cop import DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem, epsilon_vector
-from .features import extract_state, mask_constraint_features, top5_violation_mean
+# bench/spans.py patches top5_violation_mean here unguarded; it stays until its probe moves
+from .features import extract_state, mask_constraint_features, top5_violation_mean  # noqa: F401
 from .lshade import Population, RunStats, generation_step, init_population
 
 SCHEME_EXPONENTIAL = "exponential"
@@ -163,11 +164,11 @@ def compute_reward(r1: float, r2: float, gamma: float, variant: str = "full") ->
 class EpsilonControlEnv:
     """One optimization run exposed as an episodic decision process.
 
-    Construct, ``reset()`` once, then ``step(action_index)`` until the
-    ``terminal`` flag flips.  Baseline schedules that bypass the discrete
-    action set drive the same machinery through ``step_with_epsilon``.
-    ``reset()`` builds ``stats``, the run's one ``RunStats`` record: its
-    budget, success-history memory and LPSR schedule.
+    Construct, ``reset()`` once, then ``step(action_index)`` until ``terminal``
+    (True before ``reset()`` and once the budget is spent).  Baseline schedules
+    drive the same machinery through ``step_with_epsilon``.  ``stats``, the
+    run's ``RunStats``, is kept by lshade; the env holds only the decision
+    process: epsilon base and current, ``f_agentbest``, ``step_index``, ``state``.
     """
 
     def __init__(self, problem: ConstrainedProblem, rng: np.random.Generator, *,
@@ -194,7 +195,10 @@ class EpsilonControlEnv:
 
         self.pop: Population | None = None
         self.stats: RunStats | None = None
-        self.terminal = True
+
+    @property
+    def terminal(self) -> bool:
+        return self.stats is None or self.stats.budget.exhausted
 
     # -- episode lifecycle ---------------------------------------------------
 
@@ -205,13 +209,8 @@ class EpsilonControlEnv:
         self.pop = init_population(self.problem, self.rng, self.stats)
         self.eps_base = EpsilonBase.from_population(self.pop, self.delta)
         self.current_eps = self.eps_base.values.copy()
-
-        # the population only changes inside a step, so nu_top5 stays current
-        self.stats.nu_top5 = self.stats.nu_top5_0 = top5_violation_mean(self.pop.nu)
-        self.stats.f_pbest_0 = self.stats.f_gbest
         # best objective across all training so far
         self.f_agentbest = np.inf if self._initial_agentbest is None else self._initial_agentbest
-        self.terminal = False
         self.step_index = 0
         self.state = self._observe()
         return self.state
@@ -252,10 +251,8 @@ class EpsilonControlEnv:
 
         self.current_eps = eps
         generation_step(self.pop, self.problem, self.current_eps, self.rng, self.stats)
-        self.terminal = self.stats.budget.exhausted
         self.step_index += 1
 
-        self.stats.nu_top5 = top5_violation_mean(self.pop.nu)
         # the all-training best updates before the reward so r1 stays <= 1
         self.f_agentbest = min(self.f_agentbest, self.stats.f_gbest)
         r1, r2, gamma = reward_components(

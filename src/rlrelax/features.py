@@ -9,9 +9,12 @@ pairwise objective/violation coupling.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .lshade import Population, RunStats
+if TYPE_CHECKING:
+    from .lshade import Population, RunStats
 
 # feature indices zeroed by the constraint-feature mask (0-based)
 MASKED_FEATURES = (5, 6, 8, 9)
@@ -48,7 +51,7 @@ def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
     s3  pooled mean of box-normalized coordinates
     s4  mean of the same normalized objective values
     s5  population-best objective over its generation-0 value (guarded, clipped)
-    s6  top-5 violation mean (kept current in stats.nu_top5) over its generation-0 value
+    s6  top-5 violation mean over its generation-0 value, both kept in stats by lshade
     s7  feasible fraction at the run's accuracy delta_acc
     s8  consumed budget fraction
     s9  previous relaxation level

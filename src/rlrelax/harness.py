@@ -88,10 +88,10 @@ class TrainResult:
 def train(cfg: ExperimentConfig) -> TrainResult:
     """Train the controller over epochs x cfg.train_problems (or problems) x dims.
 
-    Every meta-step pushes one transition and, once the buffer holds a
-    batch, performs one gradient-descent update; the target network is
-    refreshed every ``target_sync_period`` gradient steps.  The learning
-    rate follows the cosine schedule across epochs.
+    Each episode is one ``_run`` whose policy acts epsilon-greedily, pushes the
+    transition and, once the buffer holds a batch, makes one gradient-descent
+    update; the target network is refreshed every ``target_sync_period``
+    gradient steps.  The learning rate follows the cosine schedule across epochs.
     """
     cfg.validate()
     names = cfg.train_problems or cfg.problems
@@ -113,39 +113,32 @@ def train(cfg: ExperimentConfig) -> TrainResult:
     meta_step = 0
     grad_steps = 0
 
+    def learn(env: EpsilonControlEnv):
+        nonlocal meta_step, grad_steps
+        q = qnet.forward(env.state, params)
+        action = qnet.act_eps_greedy(q, qnet.explore_rate(meta_step, total_steps, cfg), actor_rng)
+        tr, info = env.step(action)
+        buffer.push(tr)
+        if len(buffer) >= cfg.batch_size:
+            batch = buffer.sample(cfg.batch_size, actor_rng)
+            _, grads = qnet.loss_and_grad(batch, params, target, cfg.discount)
+            qnet.sgd_step(params, grads, lr)
+            grad_steps += 1
+            if grad_steps % cfg.target_sync_period == 0:
+                qnet.sync_target(params, target)
+        meta_step += 1
+        return tr, info
+
     for epoch in range(cfg.epochs):
         lr = qnet.cosine_lr(epoch, cfg)
         for k, (name, dim) in enumerate(instances):
-            try:
-                env = _make_env(cfg, registry.lookup(name, dim), _rng(cfg.seed, 105, epoch, k),
-                                agentbest.get((name, dim)))
-                state = env.reset()
-                ep_return = 0.0
-                ep_steps = 0
-                while not env.terminal:
-                    q = qnet.forward(state, params)
-                    eps_greedy = qnet.explore_rate(meta_step, total_steps, cfg)
-                    action = qnet.act_eps_greedy(q, eps_greedy, actor_rng)
-                    tr, _ = env.step(action)
-                    buffer.push(tr)
-                    if len(buffer) >= cfg.batch_size:
-                        batch = buffer.sample(cfg.batch_size, actor_rng)
-                        _, grads = qnet.loss_and_grad(batch, params, target, cfg.discount)
-                        qnet.sgd_step(params, grads, lr)
-                        grad_steps += 1
-                        if grad_steps % cfg.target_sync_period == 0:
-                            qnet.sync_target(params, target)
-                    state = tr.next_state
-                    ep_return += tr.reward
-                    meta_step += 1
-                    ep_steps += 1
-            except Exception as exc:
-                raise RunFailedError(f"training on {name} (dim {dim}, epoch {epoch}) "
-                                     f"failed: {exc}") from exc
+            env, steps = _run(cfg, registry, name, dim, _rng(cfg.seed, 105, epoch, k),
+                              agentbest.get((name, dim)), learn,
+                              f"training on {name} (dim {dim}, epoch {epoch})")
             agentbest[(name, dim)] = env.f_agentbest
             episodes.append({
-                "epoch": epoch, "problem": name, "dim": dim,
-                "steps": ep_steps, "return": ep_return,
+                "epoch": epoch, "problem": name, "dim": dim, "steps": len(steps),
+                "return": sum((step["reward"] for step in steps), 0.0),
             })
 
     best = min(agentbest.values()) if agentbest else float("inf")
@@ -179,22 +172,34 @@ def _init_params(cfg: ExperimentConfig) -> NetworkParams:
     return qnet.init_params(n_out=n_out, rng=_rng(cfg.seed, 101))
 
 
-def _make_env(cfg: ExperimentConfig, problem, rng: np.random.Generator,
-              f_agentbest: float | None) -> EpsilonControlEnv:
-    return EpsilonControlEnv(
-        problem, rng,
-        n_pop=cfg.pop_size, maxfes=cfg.maxfes(problem.dim),
-        action_space=ActionSpace.for_scheme(cfg.action_scheme),
-        delta=cfg.delta, delta_acc=cfg.delta_acc,
-        reward_variant=cfg.reward_variant, mask_state=cfg.mask_state,
-        lpsr=cfg.lpsr, f_agentbest=f_agentbest,
-    )
+def _run(cfg: ExperimentConfig, registry: ProblemRegistry, name: str, dim: int,
+         rng: np.random.Generator, f_agentbest: float | None, policy,
+         what: str) -> tuple[EpsilonControlEnv, list[dict]]:
+    """Reset an env on ``name`` at ``dim`` and call ``policy(env)``, one meta-step
+    returning (transition, info), until it is terminal; return the env and the
+    infos.  A failure is re-raised as RunFailedError naming ``what``."""
+    try:
+        env = EpsilonControlEnv(
+            registry.lookup(name, dim), rng,
+            n_pop=cfg.pop_size, maxfes=cfg.maxfes(dim),
+            action_space=ActionSpace.for_scheme(cfg.action_scheme),
+            delta=cfg.delta, delta_acc=cfg.delta_acc,
+            reward_variant=cfg.reward_variant, mask_state=cfg.mask_state,
+            lpsr=cfg.lpsr, f_agentbest=f_agentbest,
+        )
+        env.reset()
+        steps = []
+        while not env.terminal:
+            steps.append(policy(env)[1])
+    except Exception as exc:
+        raise RunFailedError(f"{what} failed: {exc}") from exc
+    return env, steps
 
 
 def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
                      f_agentbest: float | None = None) -> list[RunRecord]:
     """cfg.runs paired-seed, budget-matched runs per (problem, dim) of
-    cfg.test_problems (or problems); ``policy(env)`` performs one meta-step."""
+    cfg.test_problems (or problems), each one ``_run`` of ``policy``."""
     names = cfg.test_problems or cfg.problems
     if not names:
         raise ConfigError("evaluation requires a non-empty problem list")
@@ -203,16 +208,8 @@ def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
     for dim in cfg.dims:
         for name in names:
             for run in range(cfg.runs):
-                try:
-                    env = _make_env(cfg, registry.lookup(name, dim),
-                                    _rng(cfg.seed, dim, run, name), f_agentbest)
-                    env.reset()
-                    steps = []
-                    while not env.terminal:
-                        steps.append(policy(env)[1])
-                except Exception as exc:
-                    raise RunFailedError(f"{method} on {name} (dim {dim}, run {run}) "
-                                         f"failed: {exc}") from exc
+                _, steps = _run(cfg, registry, name, dim, _rng(cfg.seed, dim, run, name),
+                                f_agentbest, policy, f"{method} on {name} (dim {dim}, run {run})")
                 records.append(RunRecord(problem=name, dim=dim, method=method, run=run,
                                          final_sco=steps[-1]["sco"], steps=steps))
     return records
@@ -237,7 +234,7 @@ def _baseline_policy(cfg: ExperimentConfig, kind: str):
         return f"static-eps[{cfg.static_level:g}]", policy
 
     def policy(env: EpsilonControlEnv):  # scheduled-eps
-        factor = (1.0 - env.stats.budget.fes / env.maxfes) ** cfg.sched_power
+        factor = (1.0 - env.stats.budget.fes / env.stats.budget.maxfes) ** cfg.sched_power
         return env.step_with_epsilon(env.eps_base.values * factor, factor)
     return f"scheduled-eps[{cfg.sched_power:g}]", policy
 

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import features
 from .cop import (DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem, eps_compare,
                   feasible_rows, relaxed_violations, violations)
 
@@ -101,7 +102,8 @@ class SuccessHistory:
 class RunStats:
     """The record of one run: its budget, initial population size, LPSR flag
     and success-history memory, the bookkeeping over every evaluation, and
-    the reference values the features and the reward read."""
+    the reference values the features and the reward read, complete from
+    generation 0: init_population sets them, generation_step keeps nu_top5."""
 
     budget: BudgetCounter            # holds fes and maxfes
     n_init: int                      # initial population size, where LPSR starts
@@ -111,9 +113,7 @@ class RunStats:
     f_gbest: float = math.inf        # best objective seen, any feasibility
     f_max: float = -math.inf         # worst objective seen
     best_sco: float = math.inf       # best f + violation, the violation zeroed if feasible
-    # population-best objective at generation 0; equal to f_gbest right
-    # after initialization, so it is also the reward's f_gbest_0
-    f_pbest_0: float = math.nan
+    f_pbest_0: float = math.nan      # best objective at generation 0, the reward's f_gbest_0
     nu_top5_0: float = math.nan      # top-5 violation mean at generation 0
     nu_top5: float = math.nan        # the same for the current population
     prev_action: float = 1.0         # last relaxation level, normalized to [0, 1]
@@ -128,7 +128,7 @@ class RunStats:
 
 def init_population(problem: ConstrainedProblem, rng: np.random.Generator,
                     stats: RunStats) -> Population:
-    """Sample stats.n_init points uniformly in the box and evaluate them all."""
+    """Sample stats.n_init points in the box, evaluate them, set stats' references."""
     n, budget = stats.n_init, stats.budget
     if n < N_MIN:
         raise ValueError(f"population size must be >= {N_MIN}, got {n}")
@@ -140,6 +140,8 @@ def init_population(problem: ConstrainedProblem, rng: np.random.Generator,
     f, C = problem.evaluate_batch(x, budget)
     pop = Population.evaluated(x, f, C, problem.n_ineq, stats.delta_acc)
     stats.observe(pop)
+    stats.nu_top5 = stats.nu_top5_0 = features.top5_violation_mean(pop.nu)
+    stats.f_pbest_0 = float(np.min(pop.f))
     return pop
 
 
@@ -251,7 +253,7 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     evaluated in order until stats.budget runs dry; unevaluated trials are
     skipped and their parents survive untouched.  Returns the number of
     trials actually evaluated.  With stats.lpsr the population then shrinks
-    to lpsr_target_size from stats.n_init.
+    to lpsr_target_size from stats.n_init; last, stats.nu_top5 is refreshed.
 
     The random quantities come from draw_generation on stats.hist; the
     archive's upkeep then pops one random entry per overflow, winner by winner.
@@ -298,4 +300,5 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
         while len(pop.archive) > pop.size:
             pop.archive.pop(int(rng.integers(len(pop.archive))))
 
+    stats.nu_top5 = features.top5_violation_mean(pop.nu)
     return trials.size

@@ -408,6 +408,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointParseError, match="quadratic"):
             load_checkpoint(path)
 
+    def test_wrong_input_size_is_shape_error(self, tmp_path):
+        # a 9-input network would load, then fail inside the first run's forward
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(init_params(n_in=9, rng=np.random.default_rng(25)), self.meta(), path)
+        with pytest.raises(CheckpointShapeError, match="10 features, file declares 9 inputs"):
+            load_checkpoint(path)
+
     def test_scheme_head_mismatch_is_shape_error(self, tmp_path):
         # a 7-output head claiming the 11-action scheme is inconsistent
         rng = np.random.default_rng(21)

@@ -180,6 +180,19 @@ class TestEnvEpisode:
         assert sum(tr.terminal for tr in transitions) == 1
         assert transitions[-1].terminal
 
+    def test_terminal_reads_the_budget_and_is_read_only(self):
+        env = make_env(dim=4, maxfes=200)
+        assert env.terminal  # before reset()
+        with pytest.raises(RuntimeError, match="terminal"):
+            env.step_with_epsilon(np.zeros(env.problem.n_constraints), 0.0)
+        env.reset()
+        assert not env.terminal
+        with pytest.raises(AttributeError):
+            env.terminal = True
+        while not env.terminal:
+            env.step(0)
+        assert env.stats.budget.exhausted
+
     def test_terminal_step_rejected(self):
         env = make_env(dim=4, maxfes=200)
         env.reset()

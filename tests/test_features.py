@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlrelax.cop import BudgetCounter
+from rlrelax.env import EpsilonControlEnv
 from rlrelax.features import (
     extract_state,
     mask_constraint_features,
     pairwise_tradeoff,
     top5_violation_mean,
 )
-from rlrelax.lshade import Population, RunStats
+from rlrelax.lshade import N_MIN, Population, RunStats, generation_step, init_population
+from rlrelax.problems import SYNTHETIC_KINDS, registry_lookup
 from reference import pairwise_tradeoff as reference_tradeoff
 
 
@@ -194,3 +196,39 @@ class TestMask:
         s = np.ones(10)
         mask_constraint_features(s)
         assert np.all(s == 1.0)
+
+
+class TestScriptedRunState:
+    """The run record is complete from generation 0: a scripted L-SHADE run,
+    with no env, observes finite features, and the same bits the env emits."""
+
+    INSTANCES = st.one_of(
+        st.tuples(st.sampled_from([f"synthetic/{k}/{s}" for k in SYNTHETIC_KINDS
+                                   for s in (0, 1)]), st.integers(2, 8)),
+        st.tuples(st.sampled_from(["cec12", "cec14"]), st.just(10)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(instance=INSTANCES, n_pop=st.integers(N_MIN, 24), extra=st.integers(0, 120),
+           lpsr=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_finite_from_generation_0_and_equal_to_env(self, instance, n_pop, extra, lpsr,
+                                                       seed):
+        problem = registry_lookup(*instance)
+        maxfes, level = 2 * n_pop + extra, 0.3
+        eps = np.full(problem.n_constraints, 0.05)
+
+        rng = np.random.default_rng(seed)
+        stats = RunStats(BudgetCounter(maxfes), n_pop, lpsr=lpsr)
+        pop = init_population(problem, rng, stats)
+        scripted = [extract_state(pop, problem.lower, problem.upper, stats)]
+        while not stats.budget.exhausted:
+            generation_step(pop, problem, eps, rng, stats)
+            stats.prev_action = level
+            scripted.append(extract_state(pop, problem.lower, problem.upper, stats))
+        assert all(np.all(np.isfinite(s)) for s in scripted)
+
+        env = EpsilonControlEnv(problem, np.random.default_rng(seed), n_pop=n_pop,
+                                maxfes=maxfes, lpsr=lpsr)
+        emitted = [env.reset()]
+        while not env.terminal:
+            emitted.append(env.step_with_epsilon(eps, level)[0].next_state)
+        assert [s.tobytes() for s in scripted] == [s.tobytes() for s in emitted]

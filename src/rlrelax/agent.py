@@ -95,11 +95,16 @@ def forward(s: np.ndarray, params: NetworkParams) -> np.ndarray:
     return sigmoid(params.w2 @ hidden + params.b2)
 
 
-# bench/spans.py patches this name unguarded; it stays until its probe moves
+# a stack of matrix-vector products keeps forward's bits on every row;
+# ``states @ w1.T`` would round differently in the last place
 def forward_batch(states: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Vectorized forward pass over a (batch, in) matrix of states."""
-    hidden = selu(states @ params.w1.T + params.b1)
-    return sigmoid(hidden @ params.w2.T + params.b2)
+    """Action values for a (batch, in) matrix of states, row i equal to
+    ``forward(states[i])`` bit for bit."""
+    states = np.asarray(states, dtype=float)
+    if not np.all(np.isfinite(states)):
+        raise ValueError("state contains non-finite entries")
+    hidden = selu(np.matmul(params.w1, states[:, :, None])[..., 0] + params.b1)
+    return sigmoid(np.matmul(params.w2, hidden[:, :, None])[..., 0] + params.b2)
 
 
 def act_eps_greedy(q: np.ndarray, explore_rate: float, rng: np.random.Generator) -> int:
@@ -112,7 +117,8 @@ def act_eps_greedy(q: np.ndarray, explore_rate: float, rng: np.random.Generator)
     return int(np.argmax(q))
 
 
-# bench/spans.py patches this name unguarded; a batched learner must keep it
+# the per-transition definition of loss_and_grad's batched targets, and the
+# tests' oracle for them; bench/spans.py patches this name unguarded
 def td_target(tr: Transition, online: NetworkParams, target: NetworkParams,
               discount: float) -> float:
     """Double-estimator target: the online net picks the next action, the
@@ -163,7 +169,13 @@ def loss_and_grad(batch: list[Transition], online: NetworkParams,
         raise ValueError("batch must be non-empty")
     states = np.stack([tr.state for tr in batch])
     actions = np.array([tr.action for tr in batch])
-    ys = np.array([td_target(tr, online, target, discount) for tr in batch])
+    ys = np.array([tr.reward for tr in batch], dtype=float)
+    live = np.array([not tr.terminal for tr in batch])
+    if live.any():  # equal to td_target per transition, two forwards per batch
+        next_states = np.stack([tr.next_state for tr in batch if not tr.terminal])
+        a_next = np.argmax(forward_batch(next_states, online), axis=1)
+        q_next = forward_batch(next_states, target)[np.arange(a_next.size), a_next]
+        ys[live] = ys[live] + discount * q_next
     return loss_with_fixed_targets(states, actions, ys, online)
 
 

@@ -231,6 +231,8 @@ class EpsilonControlEnv:
 
     def step(self, action: int) -> tuple[Transition, dict]:
         """Run one generation under the chosen action's relaxation level."""
+        if self.terminal:  # before reset() there is no eps_base to scale
+            raise RuntimeError("episode is terminal; call reset() before stepping")
         eps = self.epsilon_for_action(action)
         return self.step_with_epsilon(eps, self.action_space.normalized_level(action),
                                       action=action)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rlrelax import agent
 from rlrelax.agent import (
     SELU_LAMBDA,
     CheckpointMetadata,
@@ -85,20 +88,29 @@ class TestForward:
         assert q[0] == pytest.approx(expect, rel=1e-12)
         assert q[0] == pytest.approx(0.7409, abs=5e-5)
 
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(1)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 128),
+           log_scale=st.floats(-3.0, 2.0))
+    def test_batch_matches_single(self, seed, n, log_scale):
+        # bit for bit: the learner's batched targets stand in for td_target's
+        rng = np.random.default_rng(seed)
         params = init_params(rng=rng)
-        states = rng.normal(size=(6, 10))
+        states = rng.normal(size=(n, 10)) * 10.0 ** log_scale
         batch_q = forward_batch(states, params)
-        for i in range(6):
-            assert np.allclose(batch_q[i], forward(states[i], params))
+        assert batch_q.shape == (n, 11)
+        for i in range(n):
+            assert np.array_equal(batch_q[i], forward(states[i], params))
 
     def test_nonfinite_state_rejected(self):
         params = init_params(rng=np.random.default_rng(2))
         s = np.ones(10)
         s[3] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite"):
             forward(s, params)
+        states = np.ones((3, 10))
+        states[1, 7] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            forward_batch(states, params)
 
     def test_selu_negative_branch(self):
         x = np.array([-1.0])
@@ -206,6 +218,102 @@ class TestLossAndGrad:
         params = init_params(rng=np.random.default_rng(10))
         with pytest.raises(ValueError):
             loss_and_grad([], params, params.copy(), 1.0)
+
+
+def per_transition_loss_and_grad(batch, online, target, discount):
+    """The oracle: one td_target per transition, then the fixed-target loss."""
+    states = np.stack([tr.state for tr in batch])
+    actions = np.array([tr.action for tr in batch])
+    ys = np.array([td_target(tr, online, target, discount) for tr in batch])
+    return loss_with_fixed_targets(states, actions, ys, online)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_matches_oracle(batch, online, target, discount):
+    loss, grads = loss_and_grad(batch, online, target, discount)
+    expect_loss, expect = per_transition_loss_and_grad(batch, online, target, discount)
+    assert same_bits(loss, expect_loss)
+    for g, e in zip(grads.arrays(), expect.arrays()):
+        assert same_bits(g, e)
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """Counts the single-state and batched forwards loss_and_grad makes."""
+    calls = {"forward": 0, "forward_batch": []}
+
+    def counted_forward(s, params):
+        calls["forward"] += 1
+        return forward(s, params)
+
+    def counted_batch(states, params):
+        calls["forward_batch"].append(np.shape(states))
+        return forward_batch(states, params)
+
+    monkeypatch.setattr(agent, "forward", counted_forward)
+    monkeypatch.setattr(agent, "forward_batch", counted_batch)
+    return calls
+
+
+class TestBatchedTargets:
+    """loss_and_grad prices its targets in two batched forwards; td_target,
+    one transition at a time, is the definition it must reproduce bitwise."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           terminals=st.lists(st.booleans(), min_size=1, max_size=64),
+           discount=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_equals_per_transition_oracle(self, seed, terminals, discount):
+        rng = np.random.default_rng(seed)
+        online, target = init_params(rng=rng), init_params(rng=rng)
+        batch = [random_transition(rng, terminal=t) for t in terminals]
+        assert_matches_oracle(batch, online, target, discount)
+
+    def test_two_batched_forwards_over_the_live_rows(self, forward_calls):
+        rng = np.random.default_rng(11)
+        online, target = init_params(rng=rng), init_params(rng=rng)
+        batch = [random_transition(rng, terminal=bool(i % 3 == 0)) for i in range(7)]
+        loss_and_grad(batch, online, target, 1.0)
+        assert forward_calls == {"forward": 0, "forward_batch": [(4, 10), (4, 10)]}
+
+    def test_all_terminal_batch_makes_no_forward(self, forward_calls):
+        rng = np.random.default_rng(12)
+        online, target = init_params(rng=rng), init_params(rng=rng)
+        batch = [random_transition(rng, terminal=True) for _ in range(5)]
+        loss, _ = loss_and_grad(batch, online, target, 1.0)
+        assert forward_calls == {"forward": 0, "forward_batch": []}
+        assert np.isfinite(loss)
+        assert_matches_oracle(batch, online, target, 1.0)
+
+    @pytest.mark.parametrize("terminal", [False, True])
+    def test_batch_of_one(self, terminal):
+        rng = np.random.default_rng(13)
+        online, target = init_params(rng=rng), init_params(rng=rng)
+        for discount in (0.0, 0.5, 1.0):
+            assert_matches_oracle([random_transition(rng, terminal=terminal)],
+                                  online, target, discount)
+
+    def test_nonfinite_next_state_of_live_transition_rejected(self):
+        rng = np.random.default_rng(14)
+        online, target = init_params(rng=rng), init_params(rng=rng)
+        batch = [random_transition(rng) for _ in range(4)]
+        batch[2].next_state[5] = np.nan
+        with pytest.raises(ValueError, match="state contains non-finite entries"):
+            loss_and_grad(batch, online, target, 1.0)
+        with pytest.raises(ValueError, match="state contains non-finite entries"):
+            td_target(batch[2], online, target, 1.0)
+
+    def test_terminal_next_state_is_never_read(self):
+        rng = np.random.default_rng(15)
+        online, target = init_params(rng=rng), init_params(rng=rng)
+        batch = [random_transition(rng, terminal=i == 1) for i in range(4)]
+        batch[1].next_state[:] = np.nan
+        assert_matches_oracle(batch, online, target, 1.0)
+        assert_matches_oracle([batch[1]], online, target, 1.0)
 
 
 class TestSgdAndSchedules:

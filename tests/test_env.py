@@ -201,6 +201,14 @@ class TestEnvEpisode:
         with pytest.raises(RuntimeError):
             env.step(0)
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_step_before_reset_rejected(self, scheme):
+        # the terminal check comes before the action is turned into an epsilon
+        env = make_env(dim=4, maxfes=200, action_space=ActionSpace.for_scheme(scheme))
+        with pytest.raises(RuntimeError, match="call reset"):
+            env.step(0)
+        assert env.stats is None and env.pop is None
+
     def test_deterministic_transition_stream(self):
         rng = np.random.default_rng(99)
         actions = rng.integers(0, 11, size=9)

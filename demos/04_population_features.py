@@ -12,14 +12,14 @@ NAMES = ["coord spread", "objective spread", "coord mean", "objective mean",
          "budget used", "previous level", "f/nu coupling"]
 
 problem = registry_lookup("synthetic/rastrigin-ring/1", 10)
-env = EpsilonControlEnv(problem, np.random.default_rng(3), n_pop=50, maxfes=500)
-state = env.reset()
+env = EpsilonControlEnv(problem, [np.random.default_rng(3)], n_pop=50, maxfes=500)
+state = env.reset()[0]  # one run: the first row of the (runs, 10) observation
 
 print("feature".ljust(20), "reset ", sep="")
 history = [state]
 while not env.terminal:
-    tr, _ = env.step(7)  # a fixed mid-high relaxation level
-    history.append(tr.next_state)
+    transitions, _ = env.step(7)  # a fixed mid-high relaxation level
+    history.append(transitions[0].next_state)
 
 for i, name in enumerate(NAMES):
     row = "  ".join(f"{s[i]:7.3f}" for s in history[::2])

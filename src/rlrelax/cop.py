@@ -130,9 +130,10 @@ class BudgetCounter:
 
 
 def epsilon_vector(values, m: int | None = None) -> np.ndarray:
-    """Validate a per-constraint relaxation vector (non-negative, finite)."""
+    """Validate a per-constraint relaxation vector, or a stack of them with
+    the constraints last (non-negative, finite)."""
     eps = np.atleast_1d(np.asarray(values, dtype=float))
-    if m is not None and eps.shape != (m,):
+    if m is not None and eps.shape[-1:] != (m,):
         raise ValueError(f"epsilon vector must have length {m}, got shape {eps.shape}")
     if not np.all(np.isfinite(eps)) or np.any(eps < 0):
         raise ValueError("epsilon entries must be finite and >= 0")
@@ -140,9 +141,10 @@ def epsilon_vector(values, m: int | None = None) -> np.ndarray:
 
 
 def violations(C: np.ndarray, n_ineq: int) -> np.ndarray:
-    """Exact violation of every row of a constraint batch, the n_ineq
-    inequalities first: the positive inequality excess plus |h|."""
-    return np.sum(np.maximum(C[:, :n_ineq], 0.0), axis=1) + np.sum(np.abs(C[:, n_ineq:]), axis=1)
+    """Exact violation of every row of a constraint batch (..., p+q), the
+    n_ineq inequalities first: the positive inequality excess plus |h|."""
+    return (np.sum(np.maximum(C[..., :n_ineq], 0.0), axis=-1)
+            + np.sum(np.abs(C[..., n_ineq:]), axis=-1))
 
 
 def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarray:
@@ -150,12 +152,12 @@ def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarra
 
     An inequality contributes g_i only when g_i > eps_i; an equality
     contributes |h_j| only when |h_j| > eps_{n_ineq+j}.  A value exactly at
-    its threshold is zeroed.
+    its threshold is zeroed.  A stacked C (R, N, p+q) takes one eps row per run.
     """
-    eps = epsilon_vector(eps, C.shape[1])
-    g, h_abs = C[:, :n_ineq], np.abs(C[:, n_ineq:])
-    return (np.sum(np.where(g > eps[:n_ineq], g, 0.0), axis=1)
-            + np.sum(np.where(h_abs > eps[n_ineq:], h_abs, 0.0), axis=1))
+    eps = epsilon_vector(eps, C.shape[-1])[..., None, :]
+    g, h_abs = C[..., :n_ineq], np.abs(C[..., n_ineq:])
+    return (np.sum(np.where(g > eps[..., :n_ineq], g, 0.0), axis=-1)
+            + np.sum(np.where(h_abs > eps[..., n_ineq:], h_abs, 0.0), axis=-1))
 
 
 def feasible_rows(C: np.ndarray, n_ineq: int, delta_acc: float = DELTA_ACC_DEFAULT) -> np.ndarray:
@@ -163,8 +165,8 @@ def feasible_rows(C: np.ndarray, n_ineq: int, delta_acc: float = DELTA_ACC_DEFAU
     and every |h| <= delta_acc."""
     if delta_acc <= 0:
         raise ValueError("delta_acc must be positive")
-    return (np.all(C[:, :n_ineq] <= delta_acc, axis=1)
-            & np.all(np.abs(C[:, n_ineq:]) <= delta_acc, axis=1))
+    return (np.all(C[..., :n_ineq] <= delta_acc, axis=-1)
+            & np.all(np.abs(C[..., n_ineq:]) <= delta_acc, axis=-1))
 
 
 def eps_compare(a: tuple[float, float], b: tuple[float, float]) -> int:

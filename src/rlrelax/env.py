@@ -4,7 +4,9 @@ Each meta-step the controller picks a relaxation level, the level turns
 into a per-constraint epsilon vector, the optimizer advances exactly one
 generation under that epsilon, and the environment emits the next
 observation plus a reward that blends objective progress and violation
-progress.  An episode ends when the evaluation budget is spent.
+progress.  An episode ends when the evaluation budget is spent.  One
+environment runs R paired runs of a problem in lockstep, each with its own
+level, epsilon, observation and reward.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class ActionSpace:
 @dataclass(frozen=True)
 class EpsilonBase:
     """Fully-relaxed endpoint: per-constraint mean violation of the initial
-    population, floored at the small threshold delta."""
+    population, floored at the small threshold delta; one row per run."""
 
     values: np.ndarray
     delta: float = DELTA_DEFAULT
@@ -83,25 +85,30 @@ class EpsilonBase:
     @classmethod
     def from_population(cls, pop: Population, delta: float = DELTA_DEFAULT) -> "EpsilonBase":
         p = pop.n_ineq
-        per_constraint = np.concatenate([np.maximum(pop.C[:, :p], 0.0).mean(axis=0),
-                                         np.abs(pop.C[:, p:]).mean(axis=0)])
-        return cls(values=per_constraint, delta=delta)
+        return cls(values=np.array([np.concatenate([np.maximum(C[:, :p], 0.0).mean(axis=0),
+                                                    np.abs(C[:, p:]).mean(axis=0)])
+                                    for C in pop.C]), delta=delta)
 
 
-def epsilon_from_action(level: float, base: EpsilonBase) -> np.ndarray:
+def epsilon_from_action(level, base: EpsilonBase) -> np.ndarray:
     """Exponential interpolation between the floor delta and the base vector:
-    eps_i = base_i**a * delta**(1 - a).
+    eps_i = base_i**a * delta**(1 - a), for one level a or one per row of base.
 
     a = 0 lands exactly on delta, a = 1 exactly on the base, and the map
     is componentwise monotone in a because every base_i >= delta.
     """
-    if not 0.0 <= level <= 1.0:
+    levels = np.asarray(level, dtype=float).tolist()
+    if not all(0.0 <= a <= 1.0 for a in np.ravel(levels)):
         raise ValueError(f"exponential scheme level must be in [0, 1], got {level}")
-    return base.values ** level * base.delta ** (1.0 - level)
+    if isinstance(levels, float):
+        return base.values ** levels * base.delta ** (1.0 - levels)
+    # one float exponent per row: numpy's power with an array exponent rounds some differently
+    return np.array([v ** a * base.delta ** (1.0 - a) for v, a in zip(base.values, levels)])
 
 
-def epsilon_linear_step(prev_eps: np.ndarray, level: float, base: EpsilonBase) -> np.ndarray:
-    """Multiplicative sliding update eps <- eps * (1 - a), clipped to [0, base].
+def epsilon_linear_step(prev_eps: np.ndarray, level, base: EpsilonBase) -> np.ndarray:
+    """Multiplicative sliding update eps <- eps * (1 - a), clipped to [0, base];
+    a is one level or a column of one level per row of eps.
 
     Used by the two linear ablation schemes, whose levels may push the
     multiplier negative (floored at zero) or above one (capped at base).
@@ -132,11 +139,11 @@ def reward_components(f_gbest_prev: float, f_gbest_now: float, f_gbest_0: float,
     r1 = (f_gbest_prev - f_gbest_now) / denom if denom > 1e-12 else 0.0
     if nu_0 > 0.0:
         r2 = (nu_prev - nu_now) / nu_0
-        gamma = float(np.clip(nu_now / nu_0, 0.0, 1.0))
+        gamma = float(min(max(nu_now / nu_0, 0.0), 1.0))  # np.clip's bits, -0.0 and NaN too
     else:
         r2 = 0.0
         gamma = 0.0 if nu_now == 0.0 else 1.0
-    r2 = float(np.clip(r2, 0.0, 1.0))
+    r2 = float(min(max(r2, 0.0), 1.0))
     return float(r1), r2, gamma
 
 
@@ -158,20 +165,22 @@ def compute_reward(r1: float, r2: float, gamma: float, variant: str = "full") ->
         r = r1 + r2
     else:
         raise ValueError(f"unknown reward variant {variant!r}; choose from {REWARD_VARIANTS}")
-    return float(np.clip(r, 0.0, 1.0))
+    return float(min(max(r, 0.0), 1.0))
 
 
 class EpsilonControlEnv:
-    """One optimization run exposed as an episodic decision process.
+    """R paired optimization runs on one problem, one generator each in
+    ``rngs``, exposed as one episodic decision process with a run axis.
 
-    Construct, ``reset()`` once, then ``step(action_index)`` until ``terminal``
-    (True before ``reset()`` and once the budget is spent).  Baseline schedules
-    drive the same machinery through ``step_with_epsilon``.  ``stats``, the
-    run's ``RunStats``, is kept by lshade; the env holds only the decision
-    process: epsilon base and current, ``f_agentbest``, ``step_index``, ``state``.
+    Construct, ``reset()`` once, then ``step(actions)`` until ``terminal``
+    (True before ``reset()`` and once the shared budget is spent); a step
+    returns one Transition and one info dict per run.  Baseline schedules
+    drive the same machinery through ``step_with_epsilon``.  ``stats`` is
+    kept by lshade; the env holds only the decision process, per run:
+    ``eps_base`` and ``current_eps`` (R, p+q), ``f_agentbest``, ``state``.
     """
 
-    def __init__(self, problem: ConstrainedProblem, rng: np.random.Generator, *,
+    def __init__(self, problem: ConstrainedProblem, rngs: list[np.random.Generator], *,
                  n_pop: int, maxfes: int,
                  action_space: ActionSpace | None = None,
                  delta: float = DELTA_DEFAULT, delta_acc: float = DELTA_ACC_DEFAULT,
@@ -180,7 +189,7 @@ class EpsilonControlEnv:
         if reward_variant not in REWARD_VARIANTS:
             raise ValueError(f"unknown reward variant {reward_variant!r}")
         self.problem = problem
-        self.rng = rng
+        self.rngs = rngs
         self.n_pop = n_pop
         self.maxfes = maxfes
         if maxfes < 2 * n_pop:
@@ -203,14 +212,15 @@ class EpsilonControlEnv:
     # -- episode lifecycle ---------------------------------------------------
 
     def reset(self) -> np.ndarray:
-        """Initialize the population, derive the relaxation base, observe."""
+        """Initialize the populations, derive the relaxation bases, observe."""
         self.stats = RunStats(BudgetCounter(self.maxfes), self.n_pop, lpsr=self.lpsr,
                               delta_acc=self.delta_acc)
-        self.pop = init_population(self.problem, self.rng, self.stats)
+        self.pop = init_population(self.problem, self.rngs, self.stats)
         self.eps_base = EpsilonBase.from_population(self.pop, self.delta)
         self.current_eps = self.eps_base.values.copy()
         # best objective across all training so far
-        self.f_agentbest = np.inf if self._initial_agentbest is None else self._initial_agentbest
+        self.f_agentbest = np.full(len(self.rngs), np.inf if self._initial_agentbest is None
+                                   else self._initial_agentbest)
         self.step_index = 0
         self.state = self._observe()
         return self.state
@@ -223,61 +233,60 @@ class EpsilonControlEnv:
 
     # -- stepping ------------------------------------------------------------
 
-    def epsilon_for_action(self, action: int) -> np.ndarray:
-        level = self.action_space.level(action)
+    def epsilon_for_action(self, actions) -> np.ndarray:
+        """Each run's epsilon (R, p+q) under its action; one action serves all."""
+        levels = self.action_space.levels[actions]
         if self.action_space.scheme == SCHEME_EXPONENTIAL:
-            return epsilon_from_action(level, self.eps_base)
-        return epsilon_linear_step(self.current_eps, level, self.eps_base)
+            return epsilon_from_action(levels, self.eps_base)
+        return epsilon_linear_step(self.current_eps, levels[..., None], self.eps_base)
 
-    def step(self, action: int) -> tuple[Transition, dict]:
-        """Run one generation under the chosen action's relaxation level."""
+    def step(self, actions) -> tuple[list[Transition], list[dict]]:
+        """Run one generation of each run under its action's relaxation level."""
         if self.terminal:  # before reset() there is no eps_base to scale
             raise RuntimeError("episode is terminal; call reset() before stepping")
-        eps = self.epsilon_for_action(action)
-        return self.step_with_epsilon(eps, self.action_space.normalized_level(action),
-                                      action=action)
+        actions = np.full(len(self.rngs), actions)
+        return self.step_with_epsilon(self.epsilon_for_action(actions),
+                                      [self.action_space.normalized_level(a)
+                                       for a in actions.tolist()], action=actions)
 
-    def step_with_epsilon(self, eps: np.ndarray, level: float,
-                          action: int = -1) -> tuple[Transition, dict]:
-        """Advance one generation under an explicit relaxation vector.
+    def step_with_epsilon(self, eps: np.ndarray, level,
+                          action=-1) -> tuple[list[Transition], list[dict]]:
+        """Advance every run one generation under its row of ``eps`` (R, p+q).
 
         ``level`` is the [0, 1] knob recorded in the s9 feature and the
-        step trace; baseline schedules pass their own notion of it.
+        step trace; baseline schedules pass their own notion of it.  A
+        single vector, level or action serves every run.
         """
         if self.terminal:
             raise RuntimeError("episode is terminal; call reset() before stepping")
+        runs, m = len(self.rngs), self.problem.n_constraints
         # a rejected vector must leave the episode as it was
-        eps = epsilon_vector(eps, self.problem.n_constraints)
-        state = self.state
-        f_gbest_prev, nu_prev = self.stats.f_gbest, self.stats.nu_top5
+        eps = epsilon_vector(eps, m) * np.ones((runs, 1))  # exact, and (R, p+q)
+        levels = np.full(runs, level, dtype=float)
+        state, stats = self.state, self.stats
+        f_gbest_prev, nu_prev = stats.f_gbest, stats.nu_top5
 
         self.current_eps = eps
-        generation_step(self.pop, self.problem, self.current_eps, self.rng, self.stats)
+        generation_step(self.pop, self.problem, eps, self.rngs, stats)
         self.step_index += 1
 
         # the all-training best updates before the reward so r1 stays <= 1
-        self.f_agentbest = min(self.f_agentbest, self.stats.f_gbest)
-        r1, r2, gamma = reward_components(
-            f_gbest_prev, self.stats.f_gbest, self.stats.f_pbest_0, self.f_agentbest,
-            nu_prev, self.stats.nu_top5, self.stats.nu_top5_0,
-        )
-        reward = compute_reward(r1, r2, gamma, self.reward_variant)
+        self.f_agentbest = np.minimum(self.f_agentbest, stats.f_gbest)
+        stats.prev_action = levels
+        self.state = self._observe()
 
-        self.stats.prev_action = level
-        next_state = self._observe()
-        self.state = next_state
-
-        info = {
-            "step": self.step_index,
-            "fes": self.stats.budget.fes,
-            "level": level,
-            "eps_min": float(np.min(self.current_eps)) if self.current_eps.size else 0.0,
-            "eps_mean": float(np.mean(self.current_eps)) if self.current_eps.size else 0.0,
-            "eps_max": float(np.max(self.current_eps)) if self.current_eps.size else 0.0,
-            "reward": reward,
-            "r1": r1,
-            "r2": r2,
-            "gamma": gamma,
-            "sco": self.stats.best_sco,
-        }
-        return Transition(state, action, reward, next_state, self.terminal), info
+        eps_stats = ([eps.min(axis=1), eps.mean(axis=1), eps.max(axis=1)] if m
+                     else [np.zeros(runs)] * 3)
+        per_run = np.array([levels, *eps_stats, stats.best_sco,  # then reward_components' args
+                            f_gbest_prev, stats.f_gbest, stats.f_pbest_0, self.f_agentbest,
+                            nu_prev, stats.nu_top5, stats.nu_top5_0]).T.tolist()
+        transitions, infos = [], []
+        for s, s_next, a, (lv, e_min, e_mean, e_max, sco, *progress) in zip(
+                state, self.state, np.full(runs, action).tolist(), per_run):
+            r1, r2, gamma = reward_components(*progress)
+            reward = compute_reward(r1, r2, gamma, self.reward_variant)
+            transitions.append(Transition(s, a, reward, s_next, self.terminal))
+            infos.append(dict(step=self.step_index, fes=stats.budget.fes, level=lv,
+                              eps_min=e_min, eps_mean=e_mean, eps_max=e_max, reward=reward,
+                              r1=r1, r2=r2, gamma=gamma, sco=sco))
+        return transitions, infos

@@ -22,29 +22,36 @@ MASKED_FEATURES = (5, 6, 8, 9)
 _S5_CLIP = 10.0
 
 
-def top5_violation_mean(nu: np.ndarray) -> float:
-    """Mean of the min(5, N) smallest exact violations ``nu`` of a population."""
-    if len(nu) == 0:
+def top5_violation_mean(nu: np.ndarray):
+    """Mean of the min(5, N) smallest exact violations ``nu`` (..., N) of
+    each population."""
+    if nu.shape[-1] == 0:
         raise ValueError("population must be non-empty")
-    return float(np.mean(np.sort(nu)[:5]))
+    return np.mean(np.sort(nu, axis=-1)[..., :5], axis=-1)
 
 
-def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray) -> float:
-    """Fraction of member pairs whose objective and violation move together;
-    pairs tied in either count as not moving together, and fewer than two
-    members give 0."""
-    n = f.size
-    if n < 2:
-        return 0.0
+def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray):
+    """Fraction of member pairs whose objective and violation move together,
+    over the last axis of f and nu; pairs tied in either count as not moving
+    together, and fewer than two members give 0."""
+    n = f.shape[-1]
     # the product matrix is symmetric with a zero diagonal, so every
     # concordant pair is counted twice
-    prod = (f[:, None] - f[None, :]) * (nu[:, None] - nu[None, :])
-    return int(np.count_nonzero(prod > 0.0)) // 2 / (n * (n - 1) // 2)
+    prod = (f[..., :, None] - f[..., None, :]) * (nu[..., :, None] - nu[..., None, :])
+    return (prod > 0.0).sum(axis=(-2, -1)) // 2 / max(1, n * (n - 1) // 2)
+
+
+def _std_and_mean(a: np.ndarray, axis):
+    """np.std and np.mean of a over axis, bit for bit, with the mean summed once."""
+    mean = a.mean(axis=axis, keepdims=True)
+    dev = a - mean
+    return np.sqrt((dev * dev).mean(axis=axis)), mean.reshape(len(a))
 
 
 def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
                   stats: RunStats) -> np.ndarray:
-    """Build the 10-feature observation for the current population.
+    """Build the 10-feature observation of each run, one row per run (R, 10).
+    Every feature is reduced within its run, bitwise as for that run alone.
 
     s1  pooled std of box-normalized coordinates
     s2  std of objective values normalized by the historical (best, worst) range
@@ -60,35 +67,24 @@ def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
     n = pop.size
     if n == 0:
         raise ValueError("population must be non-empty")
-    xs, fs, nus = pop.x, pop.f, pop.nu
+    fs = pop.f
 
-    coords = (xs - lower) / (upper - lower)
-    s1 = float(np.std(coords))
-    s3 = float(np.mean(coords))
-
+    # the reductions run once over the stack; the guards, ratios and clip per run
+    coords = (pop.x - lower) / (upper - lower)
     f_range = stats.f_max - stats.f_gbest
-    if f_range > 0.0:
-        norm_f = (fs - stats.f_gbest) / f_range
-        s2 = float(np.std(norm_f))
-        s4 = float(np.mean(norm_f))
-    else:
-        s2 = 0.0
-        s4 = 0.0
-
-    f_pbest = float(np.min(fs))
-    if abs(stats.f_pbest_0) < 1e-12:
-        s5 = 1.0
-    else:
-        s5 = float(np.clip(f_pbest / stats.f_pbest_0, -_S5_CLIP, _S5_CLIP))
-
-    s6 = stats.nu_top5 / stats.nu_top5_0 if stats.nu_top5_0 > 0.0 else 0.0
-    s7 = int(np.count_nonzero(pop.feasible)) / n
+    norm_f = (fs - stats.f_gbest[:, None]) / np.where(f_range > 0.0, f_range, 1.0)[:, None]
+    per_run = np.array([*_std_and_mean(coords, (1, 2)), f_range,
+                        *_std_and_mean(norm_f, 1), fs.min(axis=1),
+                        stats.f_pbest_0, stats.nu_top5, stats.nu_top5_0,
+                        pop.feasible.sum(axis=1), np.full(len(fs), stats.prev_action),
+                        pairwise_tradeoff(fs, pop.nu)]).T.tolist()
     s8 = stats.budget.fes / stats.budget.maxfes
-    s9 = stats.prev_action
-
-    s10 = pairwise_tradeoff(fs, nus)
-
-    state = np.array([s1, s2, s3, s4, s5, s6, s7, s8, s9, s10], dtype=float)
+    state = np.array([
+        [s1, s2 if spread > 0.0 else 0.0, s3, s4 if spread > 0.0 else 0.0,
+         1.0 if abs(f_pbest_0) < 1e-12 else min(max(f_pbest / f_pbest_0, -_S5_CLIP), _S5_CLIP),
+         nu_top5 / nu_top5_0 if nu_top5_0 > 0.0 else 0.0, feasible / n, s8, s9, s10]
+        for s1, s3, spread, s2, s4, f_pbest, f_pbest_0, nu_top5, nu_top5_0, feasible, s9, s10
+        in per_run])
     if not np.all(np.isfinite(state)):
         raise ValueError(f"non-finite state features: {state}")
     return state
@@ -97,5 +93,5 @@ def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
 def mask_constraint_features(state: np.ndarray) -> np.ndarray:
     """Zero the constraint-aware features (s6, s7, s9, s10); idempotent."""
     masked = np.asarray(state, dtype=float).copy()
-    masked[list(MASKED_FEATURES)] = 0.0
+    masked[..., list(MASKED_FEATURES)] = 0.0
     return masked

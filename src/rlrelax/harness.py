@@ -9,6 +9,7 @@ randomness flows from named integer seed sequences.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import zlib
@@ -115,10 +116,10 @@ def train(cfg: ExperimentConfig) -> TrainResult:
 
     def learn(env: EpsilonControlEnv):
         nonlocal meta_step, grad_steps
-        q = qnet.forward(env.state, params)
+        q = qnet.forward(env.state[0], params)
         action = qnet.act_eps_greedy(q, qnet.explore_rate(meta_step, total_steps, cfg), actor_rng)
-        tr, info = env.step(action)
-        buffer.push(tr)
+        transitions, infos = env.step(action)
+        buffer.push(transitions[0])
         if len(buffer) >= cfg.batch_size:
             batch = buffer.sample(cfg.batch_size, actor_rng)
             _, grads = qnet.loss_and_grad(batch, params, target, cfg.discount)
@@ -127,15 +128,15 @@ def train(cfg: ExperimentConfig) -> TrainResult:
             if grad_steps % cfg.target_sync_period == 0:
                 qnet.sync_target(params, target)
         meta_step += 1
-        return tr, info
+        return transitions, infos
 
     for epoch in range(cfg.epochs):
         lr = qnet.cosine_lr(epoch, cfg)
         for k, (name, dim) in enumerate(instances):
-            env, steps = _run(cfg, registry, name, dim, _rng(cfg.seed, 105, epoch, k),
-                              agentbest.get((name, dim)), learn,
-                              f"training on {name} (dim {dim}, epoch {epoch})")
-            agentbest[(name, dim)] = env.f_agentbest
+            env, (steps,) = _run(cfg, registry, name, dim, [_rng(cfg.seed, 105, epoch, k)],
+                                 agentbest.get((name, dim)), learn,
+                                 [f"training on {name} (dim {dim}, epoch {epoch})"])
+            agentbest[(name, dim)] = float(env.f_agentbest[0])
             episodes.append({
                 "epoch": epoch, "problem": name, "dim": dim, "steps": len(steps),
                 "return": sum((step["reward"] for step in steps), 0.0),
@@ -173,14 +174,17 @@ def _init_params(cfg: ExperimentConfig) -> NetworkParams:
 
 
 def _run(cfg: ExperimentConfig, registry: ProblemRegistry, name: str, dim: int,
-         rng: np.random.Generator, f_agentbest: float | None, policy,
-         what: str) -> tuple[EpsilonControlEnv, list[dict]]:
-    """Reset an env on ``name`` at ``dim`` and call ``policy(env)``, one meta-step
-    returning (transition, info), until it is terminal; return the env and the
-    infos.  A failure is re-raised as RunFailedError naming ``what``."""
+         rngs: list[np.random.Generator], f_agentbest: float | None, policy,
+         what: list[str]) -> tuple[EpsilonControlEnv, list[list[dict]]]:
+    """Reset an env on ``name`` at ``dim`` with one run per generator of ``rngs``
+    and call ``policy(env)``, a meta-step returning (transitions, infos), until
+    it is terminal; return the env and each run's infos.  On a failure the runs
+    are replayed one at a time from copies of their generators, and the first
+    to fail alone is re-raised as RunFailedError naming its ``what[r]``."""
+    replay = [copy.deepcopy(rng) for rng in rngs] if len(rngs) > 1 else []
     try:
         env = EpsilonControlEnv(
-            registry.lookup(name, dim), rng,
+            registry.lookup(name, dim), rngs,
             n_pop=cfg.pop_size, maxfes=cfg.maxfes(dim),
             action_space=ActionSpace.for_scheme(cfg.action_scheme),
             delta=cfg.delta, delta_acc=cfg.delta_acc,
@@ -188,36 +192,42 @@ def _run(cfg: ExperimentConfig, registry: ProblemRegistry, name: str, dim: int,
             lpsr=cfg.lpsr, f_agentbest=f_agentbest,
         )
         env.reset()
-        steps = []
+        steps = [[] for _ in rngs]
         while not env.terminal:
-            steps.append(policy(env)[1])
+            for run_steps, info in zip(steps, policy(env)[1]):
+                run_steps.append(info)
     except Exception as exc:
-        raise RunFailedError(f"{what} failed: {exc}") from exc
+        for rng, label in zip(replay, what):
+            _run(cfg, registry, name, dim, [rng], f_agentbest, policy, [label])
+        raise RunFailedError(f"{' / '.join(what)} failed: {exc}") from exc
     return env, steps
 
 
 def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
                      f_agentbest: float | None = None) -> list[RunRecord]:
     """cfg.runs paired-seed, budget-matched runs per (problem, dim) of
-    cfg.test_problems (or problems), each one ``_run`` of ``policy``."""
+    cfg.test_problems (or problems), the runs of each (problem, dim) one
+    ``_run`` of ``policy``: run r starts from ``_rng(cfg.seed, dim, r, name)``."""
     names = cfg.test_problems or cfg.problems
     if not names:
         raise ConfigError("evaluation requires a non-empty problem list")
     registry = problem_registry(cfg)
     records = []
+    runs = range(cfg.runs)
     for dim in cfg.dims:
         for name in names:
-            for run in range(cfg.runs):
-                _, steps = _run(cfg, registry, name, dim, _rng(cfg.seed, dim, run, name),
-                                f_agentbest, policy, f"{method} on {name} (dim {dim}, run {run})")
-                records.append(RunRecord(problem=name, dim=dim, method=method, run=run,
-                                         final_sco=steps[-1]["sco"], steps=steps))
+            _, steps = _run(cfg, registry, name, dim,
+                            [_rng(cfg.seed, dim, run, name) for run in runs], f_agentbest,
+                            policy, [f"{method} on {name} (dim {dim}, run {run})" for run in runs])
+            records += [RunRecord(problem=name, dim=dim, method=method, run=run,
+                                  final_sco=run_steps[-1]["sco"], steps=run_steps)
+                        for run, run_steps in zip(runs, steps)]
     return records
 
 
 def _greedy_policy(params: NetworkParams):
     def policy(env: EpsilonControlEnv):
-        return env.step(int(np.argmax(qnet.forward(env.state, params))))
+        return env.step(np.argmax(qnet.forward_batch(env.state, params), axis=1))
     return policy
 
 

@@ -5,13 +5,15 @@ One generation: for every member, sample (F, CR) from the success-history
 memory, build a current-to-pbest/1 donor against the population plus an
 archive of replaced parents, binomial crossover with midpoint bound repair,
 then keep whichever of parent/trial wins under eps_compare at the currently
-active relaxation vector (ties keep the parent).  A run's RunStats record
-holds its budget, its success-history memory and its flag for linear
-population size reduction (LPSR, off by default), which shrinks the
-population linearly from its initial size.
+active relaxation vector (ties keep the parent).  Linear population size
+reduction (LPSR, off by default) shrinks the population linearly.
 
-generation_step draws each random quantity once for the whole population,
-as one vector, and does the arithmetic on (N, D) arrays.  The draws follow
+Everything carries a leading run axis: R paired runs of one problem share
+their budget, so they advance in lockstep as one (R, N, D) population.
+Each run keeps its generator and draw order, its archive and its memory;
+the evaluator, the row-wise accounting and the arithmetic run once over
+the stack.  generation_step draws each random quantity once per run, as
+one vector.  The draws follow
 L-SHADE's distributions (Tanabe & Fukunaga, CEC 2014), not the stream of a
 per-member loop; tests/test_lshade.py pins the distributions and
 tests/test_digests.py the stream.
@@ -39,13 +41,13 @@ _ROW_FIELDS = ("x", "f", "C", "nu", "nu_eps", "feasible")
 
 @dataclass
 class Population:
-    """The members as row-aligned arrays, one row per member.
+    """The members of R runs as row-aligned arrays, one row per member.
 
-    ``x`` (N, D) positions, ``f`` (N,) objectives, ``C`` (N, p+q) raw
-    constraint values with the p inequalities first, ``nu`` the exact and
-    ``nu_eps`` the relaxed violation under the active epsilon, ``feasible``
-    the mask at the run's delta_acc.  The archive holds the positions of
-    replaced parents.
+    ``x`` (R, N, D) positions, ``f`` (R, N) objectives, ``C`` (R, N, p+q)
+    raw constraint values with the p inequalities first, ``nu`` (R, N) the
+    exact and ``nu_eps`` the relaxed violation under the active epsilon,
+    ``feasible`` the mask at the runs' delta_acc.  ``archive[r]`` holds the
+    positions of run r's replaced parents.
     """
 
     x: np.ndarray
@@ -55,12 +57,14 @@ class Population:
     nu_eps: np.ndarray
     feasible: np.ndarray
     n_ineq: int
-    archive: list[np.ndarray] = field(default_factory=list)
+    archive: list[list[np.ndarray]] = field(default_factory=list)
 
     @classmethod
     def evaluated(cls, x, f, C, n_ineq: int, delta_acc: float = DELTA_ACC_DEFAULT,
                   eps: np.ndarray | None = None) -> "Population":
-        """Rows from evaluator output; nu_eps is nu when no epsilon is given."""
+        """Rows from evaluator output for the rows of x (R, N, D); nu_eps is nu
+        when no epsilon is given."""
+        f, C = f.reshape(x.shape[:2]), C.reshape(*x.shape[:2], C.shape[-1])
         nu = violations(C, n_ineq)
         return cls(x=x, f=f, C=C, nu=nu,
                    nu_eps=nu if eps is None else relaxed_violations(C, n_ineq, eps),
@@ -68,21 +72,23 @@ class Population:
 
     @property
     def size(self) -> int:
-        return self.f.size
+        return self.f.shape[-1]  # members per run
 
     def ranking(self) -> np.ndarray:
-        """Member indices best first by (nu_eps, f); ties keep index order."""
+        """Each run's member indices (R, N) best first by (nu_eps, f), ties in index order."""
         return np.lexsort((self.f, self.nu_eps))
 
     def keep(self, rows) -> None:
-        """Keep only the given rows, in the given order."""
+        """Keep only the given rows (R, n) of each run, in the given order."""
+        runs = np.arange(len(rows))[:, None]
         for name in _ROW_FIELDS:
-            setattr(self, name, getattr(self, name)[rows])
+            setattr(self, name, getattr(self, name)[runs, rows])
 
-    def replace(self, rows, other: "Population") -> None:
-        """Overwrite the given rows with the same rows of ``other``."""
+    def replace(self, won, other: "Population") -> None:
+        """Overwrite the first k rows of each run where ``won`` (R, k) holds with other's."""
         for name in _ROW_FIELDS:
-            getattr(self, name)[rows] = getattr(other, name)[rows]
+            rows = getattr(self, name)[:, :won.shape[1]]
+            np.copyto(rows, getattr(other, name), where=won if rows.ndim == 2 else won[..., None])
 
 
 @dataclass
@@ -100,15 +106,16 @@ class SuccessHistory:
 
 @dataclass
 class RunStats:
-    """The record of one run: its budget, initial population size, LPSR flag
-    and success-history memory, the bookkeeping over every evaluation, and
-    the reference values the features and the reward read, complete from
+    """The record of R runs in lockstep: their shared budget, initial
+    population size and LPSR flag, each run's success-history memory, and
+    per run, as (R,) arrays, the bookkeeping over every evaluation and the
+    reference values the features and the reward read, complete from
     generation 0: init_population sets them, generation_step keeps nu_top5."""
 
-    budget: BudgetCounter            # holds fes and maxfes
+    budget: BudgetCounter            # holds fes and maxfes of each run
     n_init: int                      # initial population size, where LPSR starts
     lpsr: bool = False               # linear population size reduction
-    hist: SuccessHistory = field(default_factory=SuccessHistory.fresh)
+    hist: list[SuccessHistory] = field(default_factory=list)  # one per run
     delta_acc: float = DELTA_ACC_DEFAULT
     f_gbest: float = math.inf        # best objective seen, any feasibility
     f_max: float = -math.inf         # worst objective seen
@@ -121,14 +128,15 @@ class RunStats:
     def observe(self, batch: Population) -> None:
         """Fold in a batch whose feasibility mask is taken at this delta_acc."""
         f, ok = batch.f, batch.feasible
-        self.f_gbest = min(self.f_gbest, float(np.min(f)))
-        self.f_max = max(self.f_max, float(np.max(f)))
-        self.best_sco = min(self.best_sco, float(np.min(np.where(ok, f, f + batch.nu))))
+        self.f_gbest = np.minimum(self.f_gbest, f.min(axis=-1))
+        self.f_max = np.maximum(self.f_max, f.max(axis=-1))
+        self.best_sco = np.minimum(self.best_sco, np.where(ok, f, f + batch.nu).min(axis=-1))
 
 
-def init_population(problem: ConstrainedProblem, rng: np.random.Generator,
+def init_population(problem: ConstrainedProblem, rngs: list[np.random.Generator],
                     stats: RunStats) -> Population:
-    """Sample stats.n_init points in the box, evaluate them, set stats' references."""
+    """Sample stats.n_init points in the box from each run's generator,
+    evaluate them in one batch, set stats' references and fresh memories."""
     n, budget = stats.n_init, stats.budget
     if n < N_MIN:
         raise ValueError(f"population size must be >= {N_MIN}, got {n}")
@@ -136,12 +144,16 @@ def init_population(problem: ConstrainedProblem, rng: np.random.Generator,
         raise RuntimeError(
             f"budget of {budget.remaining} evaluations cannot initialize n={n}"
         ) from None
-    x = rng.uniform(problem.lower, problem.upper, size=(n, problem.dim))
-    f, C = problem.evaluate_batch(x, budget)
+    x = np.array([rng.uniform(problem.lower, problem.upper, size=(n, problem.dim))
+                  for rng in rngs])
+    f, C = problem.evaluate_batch(x.reshape(-1, problem.dim))
+    budget.spend(n)
     pop = Population.evaluated(x, f, C, problem.n_ineq, stats.delta_acc)
+    pop.archive = [[] for _ in rngs]
+    stats.hist = stats.hist or [SuccessHistory.fresh() for _ in rngs]
     stats.observe(pop)
     stats.nu_top5 = stats.nu_top5_0 = features.top5_violation_mean(pop.nu)
-    stats.f_pbest_0 = float(np.min(pop.f))
+    stats.f_pbest_0 = np.min(pop.f, axis=-1)
     return pop
 
 
@@ -178,12 +190,12 @@ def update_memory(hist: SuccessHistory, f_vals, cr_vals, weights) -> None:
     weights = np.asarray(weights, dtype=float)
     if f_vals.size == 0:
         return
-    w = weights / max(np.sum(weights), 1e-300)
-    hist.m_f[hist.k] = np.sum(w * f_vals * f_vals) / np.sum(w * f_vals)
-    if np.isnan(hist.m_cr[hist.k]) or np.max(cr_vals) <= 0.0:
+    w = weights / max(weights.sum(), 1e-300)
+    hist.m_f[hist.k] = (w * f_vals * f_vals).sum() / (w * f_vals).sum()
+    if math.isnan(hist.m_cr[hist.k]) or cr_vals.max() <= 0.0:
         hist.m_cr[hist.k] = np.nan
     else:
-        hist.m_cr[hist.k] = np.sum(w * cr_vals)
+        hist.m_cr[hist.k] = (w * cr_vals).sum()
     hist.k = (hist.k + 1) % hist.m_f.size
 
 
@@ -229,8 +241,8 @@ def draw_generation(hist: SuccessHistory, n: int, n_archive: int, d: int,
     while redraw.size:
         f_raw[redraw] = hist.m_f[slot[redraw]] + 0.1 * rng.standard_cauchy(redraw.size)
         redraw = redraw[f_raw[redraw] <= 0.0]
-    z = rng.standard_normal(n)
-    CR = np.where(np.isnan(hist.m_cr[slot]), 0.0, np.clip(hist.m_cr[slot] + 0.1 * z, 0.0, 1.0))
+    m_cr = hist.m_cr[slot]
+    CR = np.where(np.isnan(m_cr), 0.0, np.clip(m_cr + 0.1 * rng.standard_normal(n), 0.0, 1.0))
     pbest = rng.integers(max(1, math.ceil(P_BEST_RATE * n)), size=n)
     # r1 and r2 are drawn from ranges short by the excluded indices, then
     # stepped past each excluded index in increasing order
@@ -246,59 +258,67 @@ def draw_generation(hist: SuccessHistory, n: int, n_archive: int, d: int,
 
 
 def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarray,
-                    rng: np.random.Generator, stats: RunStats) -> int:
-    """Advance the population by one generation under the given epsilon.
+                    rngs: list[np.random.Generator], stats: RunStats) -> int:
+    """Advance each run r of the population by one generation under row r
+    of eps (R, p+q), or one vector for all, drawing from rngs[r].
 
     Trials are generated synchronously from the parent generation, then
-    evaluated in order until stats.budget runs dry; unevaluated trials are
-    skipped and their parents survive untouched.  Returns the number of
-    trials actually evaluated.  With stats.lpsr the population then shrinks
-    to lpsr_target_size from stats.n_init; last, stats.nu_top5 is refreshed.
-
-    The random quantities come from draw_generation on stats.hist; the
-    archive's upkeep then pops one random entry per overflow, winner by winner.
+    evaluated in order, in one batch over the runs, until stats.budget runs
+    dry; unevaluated trials are skipped and their parents survive untouched.
+    Returns the number of trials evaluated across the runs.  With stats.lpsr
+    the population then shrinks to lpsr_target_size from stats.n_init; last,
+    stats.nu_top5 is refreshed.  Each run draws from draw_generation on its
+    stats.hist, and its archive pops one random entry per overflow.
     """
     budget = stats.budget
     if budget.exhausted:
         raise RuntimeError("generation_step requires at least one remaining evaluation")
     refresh_relaxed(pop, eps)
-    n, d = pop.x.shape
+    runs, n, d = pop.x.shape
     ranked = pop.ranking()
-    draws = draw_generation(stats.hist, n, len(pop.archive), d, rng)
-    F = draws.F[:, None]
+    per_run = [draw_generation(hist, n, len(archive), d, rng)
+               for hist, archive, rng in zip(stats.hist, pop.archive, rngs)]
+    draws = Draws(*map(np.array, zip(*per_run)))
+    F = draws.F[..., None]
     x = pop.x
-    x_r2 = np.concatenate([x, np.array(pop.archive).reshape(-1, d)])[draws.r2]
-    v = x + F * (x[ranked[draws.pbest]] - x) + F * (x[draws.r1] - x_r2)
-    mask = draws.u < draws.CR[:, None]
-    mask[np.arange(n), draws.j] = True
+    x_r2 = np.array([np.concatenate([x_run, np.array(archive).reshape(-1, d)])[g.r2]
+                     for x_run, archive, g in zip(x, pop.archive, per_run)])
+    run = np.arange(runs)[:, None]
+    v = x + F * (x[run, ranked[run, draws.pbest]] - x) + F * (x[run, draws.r1] - x_r2)
+    mask = draws.u < draws.CR[..., None]
+    mask[run, np.arange(n), draws.j] = True
     trials_x = np.where(mask, v, x)
     trials_x = np.where(trials_x < problem.lower, (x + problem.lower) / 2.0, trials_x)
     trials_x = np.where(trials_x > problem.upper, (x + problem.upper) / 2.0, trials_x)
 
-    f, C = problem.evaluate_batch(trials_x, budget)
-    trials = Population.evaluated(trials_x[:f.size], f, C, pop.n_ineq, stats.delta_acc, eps)
+    k = min(n, budget.remaining)
+    trials_x = trials_x[:, :k]
+    f, C = problem.evaluate_batch(trials_x.reshape(-1, d))
+    budget.spend(k)
+    trials = Population.evaluated(trials_x, f, C, pop.n_ineq, stats.delta_acc, eps)
     stats.observe(trials)
 
     # eps_compare(trial, parent) == -1, with select_survivor's weight
-    k = trials.size
-    f_p, nu_p = pop.f[:k], pop.nu_eps[:k]
+    f_p, nu_p = pop.f[:, :k], pop.nu_eps[:, :k]
     nu_t = trials.nu_eps
-    won = np.flatnonzero((nu_t < nu_p) | ((nu_t == nu_p) & (trials.f < f_p)))
+    won = (nu_t < nu_p) | ((nu_t == nu_p) & (trials.f < f_p))
     weight = np.where(nu_t != nu_p, nu_p - nu_t, f_p - trials.f)
-    for i in won.tolist():
-        pop.archive.append(pop.x[i].copy())  # replace() below writes pop.x in place
-        if len(pop.archive) > n:
-            pop.archive.pop(int(rng.integers(len(pop.archive))))
-
+    for r, (archive, rng) in enumerate(zip(pop.archive, rngs)):
+        won_r = np.flatnonzero(won[r])
+        for i in won_r.tolist():
+            archive.append(x[r, i].copy())  # replace() below writes pop.x in place
+            if len(archive) > n:
+                archive.pop(int(rng.integers(len(archive))))
+        update_memory(stats.hist[r], draws.F[r, won_r], draws.CR[r, won_r], weight[r, won_r])
     pop.replace(won, trials)
-    update_memory(stats.hist, draws.F[won], draws.CR[won], weight[won])
 
     if stats.lpsr:
         n_target = lpsr_target_size(budget.fes, budget.maxfes, stats.n_init)
         if n_target < pop.size:
-            pop.keep(np.sort(pop.ranking()[:n_target]))
-        while len(pop.archive) > pop.size:
-            pop.archive.pop(int(rng.integers(len(pop.archive))))
+            pop.keep(np.sort(pop.ranking()[:, :n_target], axis=1))
+        for archive, rng in zip(pop.archive, rngs):
+            while len(archive) > pop.size:
+                archive.pop(int(rng.integers(len(archive))))
 
     stats.nu_top5 = features.top5_violation_mean(pop.nu)
-    return trials.size
+    return trials.f.size

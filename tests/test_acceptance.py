@@ -139,11 +139,11 @@ def test_criterion_3_reward_bounds_and_worked_example():
     for episode in range(100):
         kind = SYNTHETIC_KINDS[episode % len(SYNTHETIC_KINDS)]
         problem = synthetic_family(kind, int(rng.integers(100)), 5)
-        env = EpsilonControlEnv(problem, np.random.default_rng(int(rng.integers(2**32))),
+        env = EpsilonControlEnv(problem, [np.random.default_rng(int(rng.integers(2**32)))],
                                 n_pop=50, maxfes=250)
         env.reset()
         while not env.terminal:
-            tr, _ = env.step(int(rng.integers(11)))
+            (tr,), _ = env.step(int(rng.integers(11)))
             bounded &= 0.0 <= tr.reward <= 1.0
     elapsed = time.time() - t0
     report(3, worked and bounded, "rewards bounded in [0,1]; worked example exact", elapsed)
@@ -234,10 +234,10 @@ def test_criterion_6_optimizer_sanity_sphere():
         budget = BudgetCounter(10_000)
         rng = np.random.default_rng(seed)
         stats = RunStats(budget, 50)
-        pop = init_population(problem, rng, stats)
+        pop = init_population(problem, [rng], stats)
         while not budget.exhausted:
-            generation_step(pop, problem, np.zeros(0), rng, stats)
-        finals.append(stats.f_gbest)
+            generation_step(pop, problem, np.zeros(0), [rng], stats)
+        finals.append(stats.f_gbest[0])
     elapsed = time.time() - t0
     ok = all(f <= 1e-2 for f in finals) and elapsed < 30.0
     report(6, ok, f"10-D sphere: worst final {max(finals):.2e} over 10 seeds", elapsed)
@@ -321,13 +321,13 @@ def test_criterion_10_episode_accounting():
     ok = True
     for seed in range(5):
         problem = synthetic_family("rastrigin-ring", seed, 10)
-        env = EpsilonControlEnv(problem, np.random.default_rng(seed), n_pop=50, maxfes=500)
+        env = EpsilonControlEnv(problem, [np.random.default_rng(seed)], n_pop=50, maxfes=500)
         env.reset()
         rng = np.random.default_rng(seed + 100)
         steps = 0
         terminal_flags = []
         while not env.terminal:
-            tr, _ = env.step(int(rng.integers(11)))
+            (tr,), _ = env.step(int(rng.integers(11)))
             steps += 1
             terminal_flags.append(tr.terminal)
         ok &= steps == 9

@@ -87,12 +87,13 @@ class TestBatchedAccounting:
     def test_observe_equals_folding_scalar_rows(self, batch):
         f, C, p, eps, delta_acc = batch
         batched = RunStats(BudgetCounter(1), 1, delta_acc=delta_acc)
-        batched.observe(Population.evaluated(np.zeros((len(f), 1)), f, C, p, delta_acc, eps))
+        batched.observe(Population.evaluated(np.zeros((1, len(f), 1)), f, C, p, delta_acc, eps))
         f_gbest, f_max, best_sco = np.inf, -np.inf, np.inf
         for e in rows(f, C, p):
             f_gbest, f_max = min(f_gbest, e.f), max(f_max, e.f)
             best_sco = min(best_sco, sco(e, delta_acc))
-        assert (batched.f_gbest, batched.f_max, batched.best_sco) == (f_gbest, f_max, best_sco)
+        assert (batched.f_gbest[0], batched.f_max[0], batched.best_sco[0]) == (f_gbest, f_max,
+                                                                              best_sco)
 
     def test_value_at_threshold_is_zeroed_and_feasible(self):
         C = np.array([[0.5, -0.25], [0.5000001, 0.25]])
@@ -220,16 +221,16 @@ class TestEvaluateBatch:
         prob = counting_problem(calls, fault)
         budget = BudgetCounter(30)
         stats = RunStats(budget, 6)
-        pop = init_population(prob, np.random.default_rng(0), stats)
+        pop = init_population(prob, [np.random.default_rng(0)], stats)
         before = (pop.x.copy(), pop.f.copy(), pop.C.copy())
-        snapshot = (budget.fes, stats.f_gbest, stats.f_max, stats.best_sco, len(pop.archive))
+        snapshot = (budget.fes, stats.f_gbest, stats.f_max, stats.best_sco, len(pop.archive[0]))
         with pytest.raises(ProblemDefinitionError, match=message):
-            generation_step(pop, prob, np.zeros(2), np.random.default_rng(1), stats)
+            generation_step(pop, prob, np.zeros(2), [np.random.default_rng(1)], stats)
         assert len(calls) == 12  # the batch is checked after its last call
         for a, b in zip(before, (pop.x, pop.f, pop.C)):
             assert np.array_equal(a, b)
         assert (budget.fes, stats.f_gbest, stats.f_max, stats.best_sco,
-                len(pop.archive)) == snapshot
+                len(pop.archive[0])) == snapshot
 
 
 class TestEpisodeSteps:
@@ -244,7 +245,7 @@ class TestEpisodeSteps:
     def test_equals_the_steps_the_env_takes(self, n_pop, extra, lpsr):
         maxfes = 2 * n_pop + extra
         env = EpsilonControlEnv(synthetic_family("sphere-linear", 0, 3),
-                                np.random.default_rng(0), n_pop=n_pop, maxfes=maxfes, lpsr=lpsr)
+                                [np.random.default_rng(0)], n_pop=n_pop, maxfes=maxfes, lpsr=lpsr)
         env.reset()
         steps = 0
         while not env.terminal:
@@ -338,34 +339,38 @@ class TestGenerationStepSelection:
         rng = np.random.default_rng(seed)
         budget = BudgetCounter(n + extra)  # extra < n ends mid-way
         stats = RunStats(budget, n)
-        pop = init_population(problem, rng, stats)
-        hist = stats.hist = SuccessHistory(
+        pop = init_population(problem, [rng], stats)
+        hist = SuccessHistory(
             m_f=rng.uniform(0.05, 1.0, size=H_MEMORY),
             m_cr=np.where(terminal, np.nan, rng.uniform(size=H_MEMORY)),
             k=int(rng.integers(H_MEMORY)))
+        stats.hist = [hist]
         eps = rng.uniform(0.0, 3.0, size=2) if positive_eps else np.zeros(2)
         refresh_relaxed(pop, eps)
         parent = copy.deepcopy(pop)
         draws = draw_generation(hist, n, 0, dim, copy.deepcopy(rng))
         expected_hist = copy.deepcopy(hist)
 
-        evaluated = generation_step(pop, recording, eps, rng, stats)
+        evaluated = generation_step(pop, recording, eps, [rng], stats)
+        # the rows of the one run
+        (x, f, archive), (x_0, f_0, nu_eps_0) = ((pop.x[0], pop.f[0], pop.archive[0]),
+                                                 (parent.x[0], parent.f[0], parent.nu_eps[0]))
 
         f_t, C_t = problem.evaluator(batches[0])
         nu_t = relaxed_violations(C_t, 1, eps)
         assert evaluated == min(n, extra) == len(batches[0])
         won, weights = [], []
         for i in range(evaluated):
-            _, success, w = select_survivor((float(parent.f[i]), float(parent.nu_eps[i])),
+            _, success, w = select_survivor((float(f_0[i]), float(nu_eps_0[i])),
                                             (float(f_t[i]), float(nu_t[i])))
-            assert same_bits(pop.x[i], (batches[0] if success else parent.x)[i])
-            assert same_bits(pop.f[i], (f_t if success else parent.f)[i])
+            assert same_bits(x[i], (batches[0] if success else x_0)[i])
+            assert same_bits(f[i], (f_t if success else f_0)[i])
             if success:
                 won.append(i)
                 weights.append(w)
-        assert same_bits(pop.x[evaluated:], parent.x[evaluated:])
-        assert len(pop.archive) == len(won)
-        assert all(same_bits(a, parent.x[i]) for a, i in zip(pop.archive, won))
+        assert same_bits(x[evaluated:], x_0[evaluated:])
+        assert len(archive) == len(won)
+        assert all(same_bits(a, x_0[i]) for a, i in zip(archive, won))
         update_memory(expected_hist, draws.F[won], draws.CR[won], weights)
         assert same_bits(hist.m_f, expected_hist.m_f) and same_bits(hist.m_cr, expected_hist.m_cr)
         assert hist.k == expected_hist.k

@@ -140,7 +140,7 @@ class TestReward:
 
 def make_env(seed=0, dim=10, maxfes=500, **kwargs):
     problem = synthetic_family("rastrigin-ring", 1, dim)
-    return EpsilonControlEnv(problem, np.random.default_rng(seed),
+    return EpsilonControlEnv(problem, [np.random.default_rng(seed)],
                              n_pop=50, maxfes=maxfes, **kwargs)
 
 
@@ -153,9 +153,9 @@ class TestEnvEpisode:
     def test_eps_base_from_initial_violations(self):
         env = make_env()
         env.reset()
-        p = env.problem.n_ineq
-        g = np.maximum(env.pop.C[:, :p], 0.0)
-        h = np.abs(env.pop.C[:, p:])
+        p, (C,) = env.problem.n_ineq, env.pop.C
+        g = np.maximum(C[:, :p], 0.0)
+        h = np.abs(C[:, p:])
         expect = np.maximum(np.concatenate([g.mean(0), h.mean(0)]), 1e-3)
         assert np.allclose(env.eps_base.values, expect)
 
@@ -163,17 +163,17 @@ class TestEnvEpisode:
         # two members violating one equality by 2 and 4 average to 3
         from rlrelax.lshade import Population
 
-        pop = Population.evaluated(np.array([np.zeros(2), np.ones(2)]), np.array([0.0, 1.0]),
+        pop = Population.evaluated(np.array([[np.zeros(2), np.ones(2)]]), np.array([0.0, 1.0]),
                                    np.array([[2.0], [-4.0]]), n_ineq=0)
         base = EpsilonBase.from_population(pop)
-        assert base.values[0] == pytest.approx(3.0)
+        assert base.values[0, 0] == pytest.approx(3.0)
 
     def test_episode_length_and_budget(self):
         env = make_env(dim=10, maxfes=500)
         env.reset()
         transitions = []
         while not env.terminal:
-            tr, _ = env.step(5)
+            (tr,), _ = env.step(5)
             transitions.append(tr)
         assert len(transitions) == 9
         assert env.stats.budget.fes == 500
@@ -218,7 +218,7 @@ class TestEnvEpisode:
             env.reset()
             out = []
             for a in actions:
-                tr, _ = env.step(int(a))
+                (tr,), _ = env.step(int(a))
                 out.append(tr)
             return out
 
@@ -231,7 +231,7 @@ class TestEnvEpisode:
     def test_next_state_records_action_level(self):
         env = make_env()
         env.reset()
-        tr, info = env.step(3)
+        (tr,), (info,) = env.step(3)
         assert tr.next_state[8] == pytest.approx(0.3)
         assert info["level"] == pytest.approx(0.3)
 
@@ -240,7 +240,7 @@ class TestEnvEpisode:
         env.reset()
         rng = np.random.default_rng(5)
         while not env.terminal:
-            tr, _ = env.step(int(rng.integers(11)))
+            (tr,), _ = env.step(int(rng.integers(11)))
             assert 0.0 <= tr.reward <= 1.0
 
     def test_objective_reward_telescopes_when_agentbest_frozen(self):
@@ -250,15 +250,15 @@ class TestEnvEpisode:
         env.reset()
         total_r1 = 0.0
         while not env.terminal:
-            _, info = env.step(8)
+            _, (info,) = env.step(8)
             total_r1 += info["r1"]
         assert total_r1 <= 1.0 + 1e-9
 
     def test_mask_state_zeroes_logged_features(self):
         env = make_env(mask_state=True)
-        s = env.reset()
+        s, = env.reset()
         assert s[5] == s[6] == s[8] == s[9] == 0.0
-        tr, _ = env.step(2)
+        (tr,), _ = env.step(2)
         assert tr.next_state[5] == tr.next_state[6] == tr.next_state[8] == tr.next_state[9] == 0.0
 
     def test_step_with_epsilon_matches_scheme_step(self):
@@ -266,15 +266,16 @@ class TestEnvEpisode:
         env_b = make_env(seed=21)
         env_a.reset()
         env_b.reset()
-        tr_a, _ = env_a.step(4)
+        (tr_a,), _ = env_a.step(4)
         eps = env_b.epsilon_for_action(4)
-        tr_b, _ = env_b.step_with_epsilon(eps, env_b.action_space.normalized_level(4), action=4)
+        (tr_b,), _ = env_b.step_with_epsilon(eps, env_b.action_space.normalized_level(4),
+                                             action=4)
         assert np.array_equal(tr_a.next_state, tr_b.next_state)
         assert tr_a.reward == tr_b.reward
 
     def test_rejected_epsilon_leaves_episode_unchanged(self):
         problem = registry_lookup("cec12", 10)
-        env = EpsilonControlEnv(problem, np.random.default_rng(3), n_pop=20, maxfes=200,
+        env = EpsilonControlEnv(problem, [np.random.default_rng(3)], n_pop=20, maxfes=200,
                                 action_space=ActionSpace.for_scheme("linear-aa"))
         env.reset()
         env.step(1)
@@ -291,7 +292,7 @@ class TestEnvEpisode:
 
     def test_linear_scheme_epsilon_evolves_from_base(self):
         problem = synthetic_family("rastrigin-ring", 1, 4)
-        env = EpsilonControlEnv(problem, np.random.default_rng(0), n_pop=50,
+        env = EpsilonControlEnv(problem, [np.random.default_rng(0)], n_pop=50,
                                 maxfes=200, action_space=ActionSpace.for_scheme("linear-ca"))
         env.reset()
         start = env.current_eps.copy()
@@ -302,19 +303,19 @@ class TestEnvEpisode:
     def test_infeasible_budget_config_rejected(self):
         problem = synthetic_family("sphere-linear", 0, 4)
         with pytest.raises(ValueError):
-            EpsilonControlEnv(problem, np.random.default_rng(0), n_pop=50, maxfes=80)
+            EpsilonControlEnv(problem, [np.random.default_rng(0)], n_pop=50, maxfes=80)
 
     def test_lpsr_episode_runs_to_termination(self):
         problem = synthetic_family("rastrigin-ring", 0, 10)
-        env = EpsilonControlEnv(problem, np.random.default_rng(8), n_pop=50,
+        env = EpsilonControlEnv(problem, [np.random.default_rng(8)], n_pop=50,
                                 maxfes=1000, lpsr=True)
         env.reset()
         while not env.terminal:
-            tr, _ = env.step(5)
+            (tr,), _ = env.step(5)
             assert np.all(np.isfinite(tr.next_state))
         assert env.stats.budget.fes == 1000
         assert env.pop.size < 50  # the population shrank along the way
-        assert len(env.pop.archive) <= env.pop.size
+        assert len(env.pop.archive[0]) <= env.pop.size
 
     def test_all_feasible_problem_policy_invariant(self):
         # when every candidate satisfies the constraints, the zero and the
@@ -328,14 +329,14 @@ class TestEnvEpisode:
         )
 
         def run(eps_fn):
-            env = EpsilonControlEnv(problem, np.random.default_rng(31),
+            env = EpsilonControlEnv(problem, [np.random.default_rng(31)],
                                     n_pop=20, maxfes=200)
             env.reset()
             # all members satisfy the constraint, so the base is floored
-            assert np.array_equal(env.eps_base.values, np.array([1e-3]))
+            assert np.array_equal(env.eps_base.values, np.array([[1e-3]]))
             trace = []
             while not env.terminal:
-                _, info = env.step_with_epsilon(eps_fn(env), 0.0)
+                _, (info,) = env.step_with_epsilon(eps_fn(env), 0.0)
                 trace.append(info["sco"])
             # with no violations anywhere the score is the objective best
             assert env.stats.best_sco == env.stats.f_gbest
@@ -364,17 +365,17 @@ class TestWholeRunInvariants:
         problem = registry_lookup(name, 10 if name.startswith("cec") else synthetic_dim)
         rng = np.random.default_rng(seed)
         space = ActionSpace.for_scheme(scheme)
-        env = EpsilonControlEnv(problem, rng, n_pop=n_pop, maxfes=maxfes,
+        env = EpsilonControlEnv(problem, [rng], n_pop=n_pop, maxfes=maxfes,
                                 action_space=space, reward_variant=variant, lpsr=lpsr)
         state, steps = env.reset(), 0
         assert np.all(np.isfinite(state))
         while not env.terminal:
-            tr, _ = env.step(int(rng.integers(space.n_actions)))
+            (tr,), _ = env.step(int(rng.integers(space.n_actions)))
             steps += 1
             pop = env.pop
             assert np.all(np.isfinite(tr.next_state))
             assert np.all(pop.nu_eps <= pop.nu)
             assert 0.0 <= tr.reward <= 1.0
-            assert N_MIN <= pop.size and len(pop.archive) <= pop.size
+            assert N_MIN <= pop.size and len(pop.archive[0]) <= pop.size
         assert env.stats.budget.fes == maxfes
         assert steps == episode_steps(maxfes, n_pop, lpsr)

@@ -19,9 +19,9 @@ from reference import pairwise_tradeoff as reference_tradeoff
 
 
 def make_pop(rows, n_ineq=1):
-    """A population from (x, f, constraint values) rows."""
+    """A one-run population from (x, f, constraint values) rows."""
     xs, fs, cs = zip(*rows)
-    return Population.evaluated(np.array(xs, dtype=float), np.array(fs, dtype=float),
+    return Population.evaluated(np.array(xs, dtype=float)[None], np.array(fs, dtype=float),
                                 np.array(cs, dtype=float), n_ineq)
 
 
@@ -30,7 +30,7 @@ def make_hist(pop, fes=50, maxfes=500, prev_action=1.0):
     budget.fes = fes
     nu_top5 = top5_violation_mean(pop.nu)
     return RunStats(
-        f_gbest=float(pop.f.min()), f_max=float(pop.f.max()), f_pbest_0=float(pop.f.min()),
+        f_gbest=pop.f.min(axis=1), f_max=pop.f.max(axis=1), f_pbest_0=pop.f.min(axis=1),
         nu_top5_0=nu_top5, nu_top5=nu_top5, prev_action=prev_action, budget=budget,
         n_init=pop.size,
     )
@@ -64,14 +64,14 @@ class TestTop5:
 class TestExtractState:
     def test_all_feasible_gives_full_fraction(self):
         pop = make_pop([(np.zeros(3), float(i), [-1.0]) for i in range(4)])
-        s = extract_state(pop, LOWER, UPPER, make_hist(pop))
+        s, = extract_state(pop, LOWER, UPPER, make_hist(pop))
         assert s[6] == 1.0
 
     def test_initial_conventions(self):
         rng = np.random.default_rng(0)
         pop = random_population(rng, 10, 3)
         hist = make_hist(pop, fes=50, maxfes=500, prev_action=1.0)
-        s = extract_state(pop, LOWER, UPPER, hist)
+        s, = extract_state(pop, LOWER, UPPER, hist)
         assert s[8] == 1.0          # previous action starts fully relaxed
         assert s[7] == pytest.approx(50 / 500)
         assert s[4] == pytest.approx(1.0)  # pbest ratio at generation zero
@@ -81,25 +81,25 @@ class TestExtractState:
     def test_pairwise_tradeoff_single_pair(self):
         a = (np.zeros(3), 1.0, [0.5])
         pop = make_pop([a, (np.ones(3), 2.0, [1.0])])
-        s = extract_state(pop, LOWER, UPPER, make_hist(pop))
+        s, = extract_state(pop, LOWER, UPPER, make_hist(pop))
         assert s[9] == 1.0
         pop2 = make_pop([a, (np.ones(3), 2.0, [0.25])])
-        s = extract_state(pop2, LOWER, UPPER, make_hist(pop2))
+        s, = extract_state(pop2, LOWER, UPPER, make_hist(pop2))
         assert s[9] == 0.0
 
     def test_equal_violation_pairs_count_zero(self):
         pop = make_pop([(np.zeros(3), 1.0, [0.5]), (np.ones(3), 2.0, [0.5])])
-        s = extract_state(pop, LOWER, UPPER, make_hist(pop))
+        s, = extract_state(pop, LOWER, UPPER, make_hist(pop))
         assert s[9] == 0.0
 
     def test_tradeoff_permutation_invariant_and_bounded(self):
         rng = np.random.default_rng(1)
         pop = random_population(rng, 12, 3)
         hist = make_hist(pop)
-        s = extract_state(pop, LOWER, UPPER, hist)
+        s, = extract_state(pop, LOWER, UPPER, hist)
         perm = dataclasses.replace(pop)  # keep() rebinds the copy's arrays only
-        perm.keep(rng.permutation(12))
-        s_perm = extract_state(perm, LOWER, UPPER, hist)
+        perm.keep(rng.permutation(12)[None])
+        s_perm, = extract_state(perm, LOWER, UPPER, hist)
         assert s[9] == pytest.approx(s_perm[9])
         assert 0.0 <= s[9] <= 1.0
 
@@ -107,11 +107,11 @@ class TestExtractState:
         rng = np.random.default_rng(2)
         pop = random_population(rng, 8, 3)
         hist = make_hist(pop)
-        s = extract_state(pop, LOWER, UPPER, hist)
+        s, = extract_state(pop, LOWER, UPPER, hist)
         # rescale bounds and points by the same affine map
         scale, offset = 3.0, 7.0
         moved = dataclasses.replace(pop, x=pop.x * scale + offset)
-        s2 = extract_state(moved, LOWER * scale + offset, UPPER * scale + offset, hist)
+        s2, = extract_state(moved, LOWER * scale + offset, UPPER * scale + offset, hist)
         assert s2[0] == pytest.approx(s[0])
         assert s2[2] == pytest.approx(s[2])
 
@@ -119,7 +119,7 @@ class TestExtractState:
         # identical members: objective range collapses, features stay finite
         pop = make_pop([(np.ones(3), 5.0, [2.0]) for _ in range(6)])
         hist = make_hist(pop)
-        s = extract_state(pop, LOWER, UPPER, hist)
+        s, = extract_state(pop, LOWER, UPPER, hist)
         assert np.all(np.isfinite(s))
         assert s[1] == 0.0 and s[3] == 0.0
 
@@ -130,29 +130,29 @@ class TestExtractState:
             pop = random_population(rng, n, 3)
             hist = make_hist(pop, fes=int(rng.integers(1, 500)), maxfes=500,
                              prev_action=float(rng.uniform()))
-            s = extract_state(pop, LOWER, UPPER, hist)
+            s, = extract_state(pop, LOWER, UPPER, hist)
             assert s.shape == (10,)
             assert np.all(np.isfinite(s))
 
     def test_all_infeasible_finite(self):
         pop = make_pop([(np.full(3, i * 0.1), float(i), [5.0 + i]) for i in range(6)])
-        s = extract_state(pop, LOWER, UPPER, make_hist(pop))
+        s, = extract_state(pop, LOWER, UPPER, make_hist(pop))
         assert np.all(np.isfinite(s))
         assert s[6] == 0.0
 
     def test_pbest_ratio_guard_and_clip(self):
         pop = make_pop([(np.zeros(3), 5.0, [-1.0])])
         hist = make_hist(pop)
-        hist.f_pbest_0 = 0.0  # near-zero initial best
-        s = extract_state(pop, LOWER, UPPER, hist)
+        hist.f_pbest_0 = np.array([0.0])  # near-zero initial best
+        s, = extract_state(pop, LOWER, UPPER, hist)
         assert s[4] == 1.0
-        hist.f_pbest_0 = 1e-3  # ratio would be 5000; clipped
-        s = extract_state(pop, LOWER, UPPER, hist)
+        hist.f_pbest_0 = np.array([1e-3])  # ratio would be 5000; clipped
+        s, = extract_state(pop, LOWER, UPPER, hist)
         assert s[4] == 10.0
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
-            empty = Population.evaluated(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 1)), 1)
+            empty = Population.evaluated(np.zeros((1, 0, 3)), np.zeros(0), np.zeros((0, 1)), 1)
             extract_state(empty, LOWER, UPPER, None)
 
 
@@ -169,7 +169,7 @@ class TestPairwiseTradeoff:
         f, nu = np.array(pairs, dtype=float).reshape(-1, 2).T
         with np.errstate(over="ignore", invalid="ignore"):
             got, want = pairwise_tradeoff(f, nu), reference_tradeoff(f, nu)
-        assert type(got) is float
+        assert isinstance(got, float)
         assert got == want
 
 
@@ -218,17 +218,17 @@ class TestScriptedRunState:
 
         rng = np.random.default_rng(seed)
         stats = RunStats(BudgetCounter(maxfes), n_pop, lpsr=lpsr)
-        pop = init_population(problem, rng, stats)
-        scripted = [extract_state(pop, problem.lower, problem.upper, stats)]
+        pop = init_population(problem, [rng], stats)
+        scripted = [extract_state(pop, problem.lower, problem.upper, stats)[0]]
         while not stats.budget.exhausted:
-            generation_step(pop, problem, eps, rng, stats)
+            generation_step(pop, problem, eps, [rng], stats)
             stats.prev_action = level
-            scripted.append(extract_state(pop, problem.lower, problem.upper, stats))
+            scripted.append(extract_state(pop, problem.lower, problem.upper, stats)[0])
         assert all(np.all(np.isfinite(s)) for s in scripted)
 
-        env = EpsilonControlEnv(problem, np.random.default_rng(seed), n_pop=n_pop,
+        env = EpsilonControlEnv(problem, [np.random.default_rng(seed)], n_pop=n_pop,
                                 maxfes=maxfes, lpsr=lpsr)
-        emitted = [env.reset()]
+        emitted = [env.reset()[0]]
         while not env.terminal:
-            emitted.append(env.step_with_epsilon(eps, level)[0].next_state)
+            emitted.append(env.step_with_epsilon(eps, level)[0][0].next_state)
         assert [s.tobytes() for s in scripted] == [s.tobytes() for s in emitted]

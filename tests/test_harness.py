@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from rlrelax import harness
 from rlrelax.cli import EXIT_RUNTIME
 from rlrelax.cli import main as cli_main
 from rlrelax.config import ConfigError, ExperimentConfig
+from rlrelax.cop import ProblemDefinitionError
 from rlrelax.harness import (
     BASELINES,
     RunRecord,
@@ -273,6 +276,55 @@ class TestRunFailedError:
         assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert f"training on {self.FAULTY} (dim 4, epoch 0) failed: boom" in err
+        assert not out.exists()
+
+
+class TestBatchedRunFailure:
+    """A group of runs that fails is replayed one run at a time, and the
+    error names the run that fails alone, with that run's error as cause."""
+
+    NAME = "synthetic/rastrigin-ring/1"
+
+    @pytest.fixture
+    def nan_on_run_2(self, monkeypatch):
+        cfg = toy_cfg(problems=[self.NAME], runs=3)
+        problem = harness.problem_registry(cfg).lookup(self.NAME, 4)
+        # run 2's initial population, drawn as init_population draws it
+        rows = harness._rng(cfg.seed, 4, 2, self.NAME).uniform(
+            problem.lower, problem.upper, size=(cfg.pop_size, 4))
+        lookup = harness.ProblemRegistry.lookup
+
+        def poisoned(registry, name, dim):
+            real = lookup(registry, name, dim)
+
+            def evaluator(X):
+                f, C = real.evaluator(X)
+                hit = (X[:, None, :] == rows[None, :, :]).all(axis=2).any(axis=1)
+                return np.where(hit, np.nan, f), C
+
+            return dataclasses.replace(real, evaluator=evaluator)
+
+        monkeypatch.setattr(harness.ProblemRegistry, "lookup", poisoned)
+        return cfg
+
+    def test_error_names_run_2_and_keeps_its_cause(self, nan_on_run_2):
+        with pytest.raises(harness.RunFailedError) as info:
+            run_baseline(nan_on_run_2, "feasibility-rule")
+        message = str(info.value)
+        assert message.startswith(f"feasibility-rule on {self.NAME} (dim 4, run 2) failed: ")
+        assert "row 0: non-finite" in message
+        assert isinstance(info.value.__cause__, ProblemDefinitionError)
+        assert str(info.value.__cause__) in message
+
+    def test_cli_exits_3_and_writes_nothing(self, nan_on_run_2, tmp_path, capsys):
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text(f"problems = {self.NAME}\ndims = 4\npop_size = 20\nmaxfes_per_dim = 20\n"
+                       "runs = 3\nseed = 3\n")
+        out = tmp_path / "out"
+        assert cli_main(["baseline", "--config", str(cfg), "--out", str(out),
+                         "--name", "feasibility-rule"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"feasibility-rule on {self.NAME} (dim 4, run 2) failed: " in err
         assert not out.exists()
 
 

@@ -57,25 +57,25 @@ def make_pair(f, g=(), h=(), eps=None):
 class TestInit:
     def test_sizes_and_budget(self):
         budget = BudgetCounter(500)
-        pop = init_population(sphere(10), np.random.default_rng(0), RunStats(budget, 50))
+        pop = init_population(sphere(10), [np.random.default_rng(0)], RunStats(budget, 50))
         assert pop.size == 50
         assert budget.fes == 50
-        assert pop.x.shape == (50, 10)
+        assert pop.x.shape == (1, 50, 10)
         assert np.all(pop.x >= -100) and np.all(pop.x <= 100)
 
     def test_deterministic(self):
-        a = init_population(sphere(5), np.random.default_rng(42), RunStats(BudgetCounter(100), 10))
-        b = init_population(sphere(5), np.random.default_rng(42), RunStats(BudgetCounter(100), 10))
+        a = init_population(sphere(5), [np.random.default_rng(42)], RunStats(BudgetCounter(100), 10))
+        b = init_population(sphere(5), [np.random.default_rng(42)], RunStats(BudgetCounter(100), 10))
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.f, b.f)
 
     def test_too_small(self):
         with pytest.raises(ValueError):
-            init_population(sphere(5), np.random.default_rng(0), RunStats(BudgetCounter(100), 3))
+            init_population(sphere(5), [np.random.default_rng(0)], RunStats(BudgetCounter(100), 3))
 
     def test_insufficient_budget(self):
         with pytest.raises(RuntimeError):
-            init_population(sphere(5), np.random.default_rng(0), RunStats(BudgetCounter(5), 10))
+            init_population(sphere(5), [np.random.default_rng(0)], RunStats(BudgetCounter(5), 10))
 
 
 def chi_square(counts) -> tuple[float, int]:
@@ -178,12 +178,13 @@ def one_generation(x, archive, hist, lower, upper, seed=0):
     problem = ConstrainedProblem(name="sphere", dim=d, lower=np.full(d, lower),
                                  upper=np.full(d, upper), n_ineq=0, n_eq=0,
                                  evaluator=evaluator)
-    pop = Population.evaluated(x.copy(), *sphere_rows(x), n_ineq=0)
-    pop.archive = [row.copy() for row in archive]
+    pop = Population.evaluated(x[None].copy(), *sphere_rows(x), n_ineq=0)
+    pop.archive = [[row.copy() for row in archive]]
     rng = np.random.default_rng(seed)
     draws = draw_generation(copy.deepcopy(hist), n, len(archive), d, copy.deepcopy(rng))
-    ranked = pop.ranking()
-    generation_step(pop, problem, np.zeros(0), rng, RunStats(BudgetCounter(10 * n), n, hist=hist))
+    ranked = pop.ranking()[0]
+    generation_step(pop, problem, np.zeros(0), [rng],
+                    RunStats(BudgetCounter(10 * n), n, hist=[hist]))
     return batches[0], draws, ranked
 
 
@@ -308,14 +309,14 @@ class TestLpsr:
         budget = BudgetCounter(1000)
         rng = np.random.default_rng(8)
         stats = RunStats(budget, 20, lpsr=True)
-        pop = init_population(problem, rng, stats)
+        pop = init_population(problem, [rng], stats)
         gens = 0
         while not budget.exhausted:
             previous = pop.size
-            generation_step(pop, problem, np.zeros(2), rng, stats)
+            generation_step(pop, problem, np.zeros(2), [rng], stats)
             gens += 1
             assert pop.size == min(previous, lpsr_target_size(budget.fes, budget.maxfes, 20))
-            assert len(pop.archive) <= pop.size
+            assert len(pop.archive[0]) <= pop.size
         assert pop.size < 20
         assert gens == episode_steps(budget.maxfes, 20, True)
 
@@ -326,9 +327,9 @@ class TestGenerationStep:
         budget = BudgetCounter(500)
         rng = np.random.default_rng(9)
         stats = RunStats(budget, 20)
-        pop = init_population(problem, rng, stats)
+        pop = init_population(problem, [rng], stats)
         before = budget.fes
-        evaluated = generation_step(pop, problem, np.zeros(2), rng, stats)
+        evaluated = generation_step(pop, problem, np.zeros(2), [rng], stats)
         assert evaluated == 20
         assert budget.fes - before == 20
 
@@ -337,8 +338,8 @@ class TestGenerationStep:
         budget = BudgetCounter(25)  # init 20, then only 5 trials fit
         rng = np.random.default_rng(10)
         stats = RunStats(budget, 20)
-        pop = init_population(problem, rng, stats)
-        evaluated = generation_step(pop, problem, np.zeros(2), rng, stats)
+        pop = init_population(problem, [rng], stats)
+        evaluated = generation_step(pop, problem, np.zeros(2), [rng], stats)
         assert evaluated == 5
         assert budget.exhausted
 
@@ -348,10 +349,10 @@ class TestGenerationStep:
         budget = BudgetCounter(500)
         rng = np.random.default_rng(11)
         stats = RunStats(budget, 50)
-        pop = init_population(problem, rng, stats)
+        pop = init_population(problem, [rng], stats)
         gens = 0
         while not budget.exhausted:
-            generation_step(pop, problem, np.zeros(2), rng, stats)
+            generation_step(pop, problem, np.zeros(2), [rng], stats)
             gens += 1
         assert gens == 9
         assert budget.fes == 500
@@ -361,22 +362,22 @@ class TestGenerationStep:
         budget = BudgetCounter(20)
         rng = np.random.default_rng(12)
         stats = RunStats(budget, 20)
-        pop = init_population(problem, rng, stats)
+        pop = init_population(problem, [rng], stats)
         with pytest.raises(RuntimeError):
-            generation_step(pop, problem, np.zeros(2), rng, stats)
+            generation_step(pop, problem, np.zeros(2), [rng], stats)
 
     def test_elitism_under_fixed_eps(self):
         problem = toy_constrained(5)
         budget = BudgetCounter(2000)
         rng = np.random.default_rng(13)
         stats = RunStats(budget, 20)
-        pop = init_population(problem, rng, stats)
+        pop = init_population(problem, [rng], stats)
         eps = np.array([0.5, 0.5])
         refresh_relaxed(pop, eps)
-        best = min(zip(pop.nu_eps, pop.f))
+        best = min(zip(pop.nu_eps[0], pop.f[0]))
         while not budget.exhausted:
-            generation_step(pop, problem, eps, rng, stats)
-            now = min(zip(pop.nu_eps, pop.f))
+            generation_step(pop, problem, eps, [rng], stats)
+            now = min(zip(pop.nu_eps[0], pop.f[0]))
             assert now <= best
             best = now
 
@@ -385,10 +386,10 @@ class TestGenerationStep:
         budget = BudgetCounter(2000)
         rng = np.random.default_rng(14)
         stats = RunStats(budget, 20)
-        pop = init_population(problem, rng, stats)
+        pop = init_population(problem, [rng], stats)
         prev_sco = stats.best_sco
         while not budget.exhausted:
-            generation_step(pop, problem, np.zeros(2), rng, stats)
+            generation_step(pop, problem, np.zeros(2), [rng], stats)
             assert stats.best_sco <= prev_sco
             prev_sco = stats.best_sco
 
@@ -421,7 +422,7 @@ class TestGenerationStep:
         budget = BudgetCounter(10_000)
         rng = np.random.default_rng(16)
         stats = RunStats(budget, 50)
-        pop = init_population(problem, rng, stats)
+        pop = init_population(problem, [rng], stats)
         while not budget.exhausted:
-            generation_step(pop, problem, np.zeros(0), rng, stats)
+            generation_step(pop, problem, np.zeros(0), [rng], stats)
         assert stats.f_gbest <= 1e-2

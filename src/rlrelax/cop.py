@@ -143,8 +143,7 @@ def epsilon_vector(values, m: int | None = None) -> np.ndarray:
 def violations(C: np.ndarray, n_ineq: int) -> np.ndarray:
     """Exact violation of every row of a constraint batch (..., p+q), the
     n_ineq inequalities first: the positive inequality excess plus |h|."""
-    return (np.sum(np.maximum(C[..., :n_ineq], 0.0), axis=-1)
-            + np.sum(np.abs(C[..., n_ineq:]), axis=-1))
+    return row_accounting(C, n_ineq)[0]
 
 
 def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarray:
@@ -154,19 +153,35 @@ def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarra
     contributes |h_j| only when |h_j| > eps_{n_ineq+j}.  A value exactly at
     its threshold is zeroed.  A stacked C (R, N, p+q) takes one eps row per run.
     """
-    eps = epsilon_vector(eps, C.shape[-1])[..., None, :]
-    g, h_abs = C[..., :n_ineq], np.abs(C[..., n_ineq:])
-    return (np.sum(np.where(g > eps[..., :n_ineq], g, 0.0), axis=-1)
-            + np.sum(np.where(h_abs > eps[..., n_ineq:], h_abs, 0.0), axis=-1))
+    return relaxed_rows(C[..., :n_ineq], np.abs(C[..., n_ineq:]),
+                        epsilon_vector(eps, C.shape[-1]))
 
 
 def feasible_rows(C: np.ndarray, n_ineq: int, delta_acc: float = DELTA_ACC_DEFAULT) -> np.ndarray:
     """Feasibility of every row at accuracy delta_acc: every g <= delta_acc
     and every |h| <= delta_acc."""
+    return row_accounting(C, n_ineq, delta_acc=delta_acc)[2]
+
+
+def relaxed_rows(g: np.ndarray, h_abs: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """relaxed_violations of a batch split into g and |h|, under an eps that
+    epsilon_vector returned."""
+    eps, p = eps[..., None, :], g.shape[-1]
+    return (np.sum(np.where(g > eps[..., :p], g, 0.0), axis=-1)
+            + np.sum(np.where(h_abs > eps[..., p:], h_abs, 0.0), axis=-1))
+
+
+def row_accounting(C: np.ndarray, n_ineq: int, eps: np.ndarray | None = None,
+                   delta_acc: float = DELTA_ACC_DEFAULT):
+    """Every row's exact violation, relaxed violation (the exact one when eps
+    is None, else an eps epsilon_vector returned) and feasibility, from one
+    split of C."""
     if delta_acc <= 0:
         raise ValueError("delta_acc must be positive")
-    return (np.all(C[..., :n_ineq] <= delta_acc, axis=-1)
-            & np.all(np.abs(C[..., n_ineq:]) <= delta_acc, axis=-1))
+    g, h_abs = C[..., :n_ineq], np.abs(C[..., n_ineq:])
+    nu = np.sum(np.maximum(g, 0.0), axis=-1) + np.sum(h_abs, axis=-1)
+    return (nu, nu if eps is None else relaxed_rows(g, h_abs, eps),
+            np.all(g <= delta_acc, axis=-1) & np.all(h_abs <= delta_acc, axis=-1))
 
 
 def eps_compare(a: tuple[float, float], b: tuple[float, float]) -> int:

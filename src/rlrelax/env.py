@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cop import DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem, epsilon_vector
+from .cop import DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem
 # bench/spans.py patches top5_violation_mean here unguarded; it stays until its probe moves
 from .features import extract_state, mask_constraint_features, top5_violation_mean  # noqa: F401
 from .lshade import Population, RunStats, generation_step, init_population
@@ -260,14 +260,13 @@ class EpsilonControlEnv:
         if self.terminal:
             raise RuntimeError("episode is terminal; call reset() before stepping")
         runs, m = len(self.rngs), self.problem.n_constraints
-        # a rejected vector must leave the episode as it was
-        eps = epsilon_vector(eps, m) * np.ones((runs, 1))  # exact, and (R, p+q)
         levels = np.full(runs, level, dtype=float)
         state, stats = self.state, self.stats
         f_gbest_prev, nu_prev = stats.f_gbest, stats.nu_top5
 
-        self.current_eps = eps
+        # validates eps: a rejected vector leaves the episode as it was
         generation_step(self.pop, self.problem, eps, self.rngs, stats)
+        self.current_eps = eps = np.asarray(eps, dtype=float) * np.ones((runs, 1))  # (R, p+q)
         self.step_index += 1
 
         # the all-training best updates before the reward so r1 stays <= 1

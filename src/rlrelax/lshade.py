@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import features
-from .cop import (DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem, eps_compare,
-                  feasible_rows, relaxed_violations, violations)
+from .cop import (DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem, epsilon_vector,
+                  eps_compare, relaxed_rows, row_accounting)
 
 H_MEMORY = 5         # success-history slots
 P_BEST_RATE = 0.11   # fraction of the population eligible as pbest
@@ -46,8 +46,8 @@ class Population:
     ``x`` (R, N, D) positions, ``f`` (R, N) objectives, ``C`` (R, N, p+q)
     raw constraint values with the p inequalities first, ``nu`` (R, N) the
     exact and ``nu_eps`` the relaxed violation under the active epsilon,
-    ``feasible`` the mask at the runs' delta_acc.  ``archive[r]`` holds the
-    positions of run r's replaced parents.
+    ``feasible`` the mask at the runs' delta_acc.  ``archive[r]`` (L_r, D)
+    holds the positions of run r's replaced parents.
     """
 
     x: np.ndarray
@@ -57,18 +57,16 @@ class Population:
     nu_eps: np.ndarray
     feasible: np.ndarray
     n_ineq: int
-    archive: list[list[np.ndarray]] = field(default_factory=list)
+    archive: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def evaluated(cls, x, f, C, n_ineq: int, delta_acc: float = DELTA_ACC_DEFAULT,
                   eps: np.ndarray | None = None) -> "Population":
         """Rows from evaluator output for the rows of x (R, N, D); nu_eps is nu
-        when no epsilon is given."""
+        when no epsilon is given, else eps must be one epsilon_vector returned."""
         f, C = f.reshape(x.shape[:2]), C.reshape(*x.shape[:2], C.shape[-1])
-        nu = violations(C, n_ineq)
-        return cls(x=x, f=f, C=C, nu=nu,
-                   nu_eps=nu if eps is None else relaxed_violations(C, n_ineq, eps),
-                   feasible=feasible_rows(C, n_ineq, delta_acc), n_ineq=n_ineq)
+        nu, nu_eps, feasible = row_accounting(C, n_ineq, eps, delta_acc)
+        return cls(x=x, f=f, C=C, nu=nu, nu_eps=nu_eps, feasible=feasible, n_ineq=n_ineq)
 
     @property
     def size(self) -> int:
@@ -149,7 +147,7 @@ def init_population(problem: ConstrainedProblem, rngs: list[np.random.Generator]
     f, C = problem.evaluate_batch(x.reshape(-1, problem.dim))
     budget.spend(n)
     pop = Population.evaluated(x, f, C, problem.n_ineq, stats.delta_acc)
-    pop.archive = [[] for _ in rngs]
+    pop.archive = [np.empty((0, problem.dim)) for _ in rngs]
     stats.hist = stats.hist or [SuccessHistory.fresh() for _ in rngs]
     stats.observe(pop)
     stats.nu_top5 = stats.nu_top5_0 = features.top5_violation_mean(pop.nu)
@@ -157,9 +155,13 @@ def init_population(problem: ConstrainedProblem, rngs: list[np.random.Generator]
     return pop
 
 
-def refresh_relaxed(pop: Population, eps: np.ndarray) -> None:
-    """Recompute every relaxed violation against a new epsilon."""
-    pop.nu_eps = relaxed_violations(pop.C, pop.n_ineq, eps)
+def refresh_relaxed(pop: Population, eps: np.ndarray) -> np.ndarray:
+    """Recompute every relaxed violation against a new epsilon and return it
+    as epsilon_vector accepts it; a rejected one leaves pop as it was."""
+    C, p = pop.C, pop.n_ineq
+    eps = epsilon_vector(eps, C.shape[-1])
+    pop.nu_eps = relaxed_rows(C[..., :p], np.abs(C[..., p:]), eps)
+    return eps
 
 
 # bench/spans.py patches this name unguarded; it stays until its probe moves
@@ -268,12 +270,13 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     Returns the number of trials evaluated across the runs.  With stats.lpsr
     the population then shrinks to lpsr_target_size from stats.n_init; last,
     stats.nu_top5 is refreshed.  Each run draws from draw_generation on its
-    stats.hist, and its archive pops one random entry per overflow.
+    stats.hist, its archive pops one random entry per overflow, then with
+    LPSR one per entry beyond the new size.  A rejected eps changes nothing.
     """
     budget = stats.budget
     if budget.exhausted:
         raise RuntimeError("generation_step requires at least one remaining evaluation")
-    refresh_relaxed(pop, eps)
+    eps = refresh_relaxed(pop, eps)
     runs, n, d = pop.x.shape
     ranked = pop.ranking()
     per_run = [draw_generation(hist, n, len(archive), d, rng)
@@ -281,7 +284,7 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     draws = Draws(*map(np.array, zip(*per_run)))
     F = draws.F[..., None]
     x = pop.x
-    x_r2 = np.array([np.concatenate([x_run, np.array(archive).reshape(-1, d)])[g.r2]
+    x_r2 = np.array([np.concatenate([x_run, archive])[g.r2]
                      for x_run, archive, g in zip(x, pop.archive, per_run)])
     run = np.arange(runs)[:, None]
     v = x + F * (x[run, ranked[run, draws.pbest]] - x) + F * (x[run, draws.r1] - x_r2)
@@ -303,22 +306,25 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     nu_t = trials.nu_eps
     won = (nu_t < nu_p) | ((nu_t == nu_p) & (trials.f < f_p))
     weight = np.where(nu_t != nu_p, nu_p - nu_t, f_p - trials.f)
+    size = min(n, lpsr_target_size(budget.fes, budget.maxfes, stats.n_init)) if stats.lpsr else n
     for r, (archive, rng) in enumerate(zip(pop.archive, rngs)):
         won_r = np.flatnonzero(won[r])
-        for i in won_r.tolist():
-            archive.append(x[r, i].copy())  # replace() below writes pop.x in place
-            if len(archive) > n:
-                archive.pop(int(rng.integers(len(archive))))
+        # the winners' parents join in order, and each append past cap = max(L, n)
+        # overflows at length cap + 1: its pops are one draw, walked over entry indices
+        pool, cap = np.concatenate([archive, x[r, won_r]]), max(len(archive), n)
+        keep = list(range(min(len(pool), cap)))
+        for j, p in zip(range(cap, len(pool)),
+                        rng.integers(cap + 1, size=max(len(pool) - cap, 0)).tolist()):
+            keep.append(j)
+            keep.pop(p)
+        while stats.lpsr and len(keep) > size:  # LPSR's trim: the bound shrinks per pop
+            keep.pop(int(rng.integers(len(keep))))
+        pop.archive[r] = pool[keep]
         update_memory(stats.hist[r], draws.F[r, won_r], draws.CR[r, won_r], weight[r, won_r])
     pop.replace(won, trials)
 
-    if stats.lpsr:
-        n_target = lpsr_target_size(budget.fes, budget.maxfes, stats.n_init)
-        if n_target < pop.size:
-            pop.keep(np.sort(pop.ranking()[:, :n_target], axis=1))
-        for archive, rng in zip(pop.archive, rngs):
-            while len(archive) > pop.size:
-                archive.pop(int(rng.integers(len(archive))))
+    if size < n:
+        pop.keep(np.sort(pop.ranking()[:, :size], axis=1))
 
     stats.nu_top5 = features.top5_violation_mean(pop.nu)
     return trials.f.size

@@ -7,7 +7,9 @@ functions here are the same definitions written the plain way, for one
 candidate or one pair at a time: a candidate's ``Evaluation``, its exact
 and relaxed violation, its feasibility and its score, and the s10 feature
 over the upper triangle of pairs.  The tests require the row-wise forms to
-equal these bit for bit.
+equal these bit for bit.  ``archive_after_selection`` is the archive
+update of one generation the plain way, a list of row copies with one
+scalar draw per pop, which the program's index walk must reproduce.
 """
 
 from __future__ import annotations
@@ -87,3 +89,18 @@ def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray) -> float:
     dnu = nu[:, None] - nu[None, :]
     iu = np.triu_indices(n, k=1)
     return float(np.mean((df[iu] * dnu[iu]) > 0.0))
+
+
+def archive_after_selection(archive, x, won, n, rng, size=None) -> list[np.ndarray]:
+    """One run's archive after a generation's selection: each winner's parent
+    x[i], in index order, appended as a copy, and one ``rng.integers(len)``
+    pop whenever the list then holds more than n; with LPSR (``size`` given)
+    one more such pop per entry beyond the new population size."""
+    archive = [row.copy() for row in archive]
+    for i in np.flatnonzero(won).tolist():
+        archive.append(x[i].copy())
+        if len(archive) > n:
+            archive.pop(int(rng.integers(len(archive))))
+    while size is not None and len(archive) > size:
+        archive.pop(int(rng.integers(len(archive))))
+    return archive

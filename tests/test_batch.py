@@ -42,7 +42,8 @@ from rlrelax.lshade import (
     update_memory,
 )
 from rlrelax.problems import SYNTHETIC_KINDS, registry_lookup, synthetic_family
-from reference import Evaluation, is_feasible, relaxed_violation, sco, violation
+from reference import (Evaluation, archive_after_selection, is_feasible, relaxed_violation, sco,
+                       violation)
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -374,3 +375,45 @@ class TestGenerationStepSelection:
         update_memory(expected_hist, draws.F[won], draws.CR[won], weights)
         assert same_bits(hist.m_f, expected_hist.m_f) and same_bits(hist.m_cr, expected_hist.m_cr)
         assert hist.k == expected_hist.k
+
+
+class TestArchiveAgainstListOracle:
+    """The array archive after generation_step, against the list archive of
+    reference.archive_after_selection given the same winners and a copy of
+    each run's generator advanced past the generation's draws."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs=st.integers(1, 4), n=st.integers(4, 30), dim=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), extra=st.integers(1, 60),
+           fills=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4), lpsr=st.booleans())
+    def test_rows_and_generator_states(self, runs, n, dim, seed, extra, fills, lpsr):
+        problem, batches = stepped_problem(dim), []
+
+        def recording_evaluator(X):
+            batches.append(X.copy())
+            return problem.evaluator(X)
+
+        recording = dataclasses.replace(problem, evaluator=recording_evaluator)
+        setup = np.random.default_rng(seed)
+        rngs = [np.random.default_rng([seed, r]) for r in range(runs)]
+        stats = RunStats(BudgetCounter(n + extra), n, lpsr=lpsr)  # extra < n ends mid-way
+        pop = init_population(problem, rngs, stats)
+        # archives of 0 to n + 3 rows: above n every append overflows
+        pop.archive = [setup.uniform(-3.0, 3.0, size=(round(fill * (n + 3)), dim))
+                       for fill in fills[:runs]]
+        eps = setup.uniform(0.0, 3.0, size=(runs, 2))
+        refresh_relaxed(pop, eps)
+        parent, oracle_rngs, hists = (copy.deepcopy(a) for a in (pop, rngs, stats.hist))
+
+        generation_step(pop, recording, eps, rngs, stats)
+        k = len(batches[0]) // runs
+        f_t, C_t = problem.evaluator(batches[0])
+        f_t, nu_t = f_t.reshape(runs, k), relaxed_violations(C_t.reshape(runs, k, 2), 1, eps)
+        for r in range(runs):
+            draw_generation(hists[r], n, len(parent.archive[r]), dim, oracle_rngs[r])
+            won = [eps_compare((f_t[r, i], nu_t[r, i]), (parent.f[r, i], parent.nu_eps[r, i])) == -1
+                   for i in range(k)]
+            expected = archive_after_selection(parent.archive[r], parent.x[r], won, n,
+                                               oracle_rngs[r], pop.size if lpsr else None)
+            assert same_bits(pop.archive[r], np.reshape(expected, (-1, dim)))
+            assert oracle_rngs[r].bit_generator.state == rngs[r].bit_generator.state

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlrelax import cop, env as env_module, lshade
 from rlrelax.cop import ConstrainedProblem
 from rlrelax.env import (
     REWARD_VARIANTS,
@@ -289,6 +290,22 @@ class TestEnvEpisode:
         # the next linear step still scales the last valid vector
         assert np.array_equal(env.epsilon_for_action(2), np.clip(
             before[0] * (1.0 - env.action_space.level(2)), 0.0, env.eps_base.values))
+
+    def test_epsilon_is_validated_once_per_group_step(self, monkeypatch):
+        checks, check = [], cop.epsilon_vector
+
+        def counted(*args):
+            checks.append(1)
+            return check(*args)
+
+        for module in (cop, env_module, lshade):  # wherever the name may be looked up
+            monkeypatch.setattr(module, "epsilon_vector", counted, raising=False)
+        env = EpsilonControlEnv(registry_lookup("cec12", 10), [np.random.default_rng(4),
+                                np.random.default_rng(5)], n_pop=20, maxfes=200)
+        env.reset()
+        for action in range(3):
+            env.step(action)
+            assert len(checks) == action + 1
 
     def test_linear_scheme_epsilon_evolves_from_base(self):
         problem = synthetic_family("rastrigin-ring", 1, 4)

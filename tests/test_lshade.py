@@ -1,9 +1,10 @@
 import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlrelax.cop import BudgetCounter, ConstrainedProblem, relaxed_violations, violations
@@ -76,6 +77,23 @@ class TestInit:
     def test_insufficient_budget(self):
         with pytest.raises(RuntimeError):
             init_population(sphere(5), [np.random.default_rng(0)], RunStats(BudgetCounter(5), 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 2**32), k=st.integers(0, 64), seed=st.integers(0, 2**32 - 1),
+       earlier=st.integers(0, 5), earlier_bound=st.integers(1, 2**32))
+@example(m=2**32, k=64, seed=0, earlier=1, earlier_bound=2**31 + 1)
+@example(m=1, k=0, seed=0, earlier=3, earlier_bound=7)
+def test_vector_integers_equal_scalar_calls(m, k, seed, earlier, earlier_bound):
+    # generation_step draws an archive's k overflow pops, all below one bound
+    # m, as integers(m, size=k) in place of k scalar integers(m) calls; both
+    # must give the same values and leave the same state, also when earlier
+    # 32-bit draws have left half of a 64-bit word buffered
+    rng = np.random.default_rng(seed)
+    rng.integers(earlier_bound, size=earlier)
+    scalar = copy.deepcopy(rng)
+    assert rng.integers(m, size=k).tolist() == [int(scalar.integers(m)) for _ in range(k)]
+    assert rng.bit_generator.state == scalar.bit_generator.state
 
 
 def chi_square(counts) -> tuple[float, int]:
@@ -164,10 +182,10 @@ def sphere_rows(X):
 
 
 def one_generation(x, archive, hist, lower, upper, seed=0):
-    """One generation of a sphere population at x, with the box given.
-    Returns the trials the evaluator saw, the draws (made again from a copy
-    of the rng, which generation_step draws from first) and the ranking the
-    pbest ranks index."""
+    """One generation of a sphere population at x and archive (L, D), with the
+    box given.  Returns the trials the evaluator saw, the draws (made again
+    from a copy of the rng, which generation_step draws from first) and the
+    ranking the pbest ranks index."""
     batches = []
 
     def evaluator(X):
@@ -179,7 +197,7 @@ def one_generation(x, archive, hist, lower, upper, seed=0):
                                  upper=np.full(d, upper), n_ineq=0, n_eq=0,
                                  evaluator=evaluator)
     pop = Population.evaluated(x[None].copy(), *sphere_rows(x), n_ineq=0)
-    pop.archive = [[row.copy() for row in archive]]
+    pop.archive = [archive.copy()]
     rng = np.random.default_rng(seed)
     draws = draw_generation(copy.deepcopy(hist), n, len(archive), d, copy.deepcopy(rng))
     ranked = pop.ranking()[0]
@@ -191,7 +209,7 @@ def one_generation(x, archive, hist, lower, upper, seed=0):
 def donors(x, archive, draws, ranked):
     """current-to-pbest/1: v = x_i + F (x_pbest - x_i) + F (x_r1 - x_r2)."""
     F = draws.F[:, None]
-    x_r2 = np.concatenate([x, np.reshape(archive, (-1, x.shape[1]))])[draws.r2]
+    x_r2 = np.concatenate([x, archive])[draws.r2]
     return x + F * (x[ranked[draws.pbest]] - x) + F * (x[draws.r1] - x_r2)
 
 
@@ -200,7 +218,7 @@ class TestVariation:
         rng = np.random.default_rng(4)
         x = rng.uniform(-1.0, 1.0, size=(20, 8))
         hist = SuccessHistory(m_f=np.full(H_MEMORY, 0.5), m_cr=np.full(H_MEMORY, np.nan))
-        trials, draws, _ = one_generation(x, [], hist, -100.0, 100.0)
+        trials, draws, _ = one_generation(x, np.empty((0, 8)), hist, -100.0, 100.0)
         for i in range(20):
             assert np.flatnonzero(trials[i] != x[i]).tolist() == [draws.j[i]]
 
@@ -218,8 +236,8 @@ class TestVariation:
         rng = np.random.default_rng(6)
         x = rng.uniform(-1.0, 1.0, size=(30, 5))
         hist = SuccessHistory(m_f=np.full(H_MEMORY, 0.9), m_cr=np.full(H_MEMORY, 50.0))
-        trials, draws, ranked = one_generation(x, [], hist, -1.0, 1.0)
-        v = donors(x, [], draws, ranked)
+        trials, draws, ranked = one_generation(x, np.empty((0, 5)), hist, -1.0, 1.0)
+        v = donors(x, np.empty((0, 5)), draws, ranked)
         assert np.any(v < -1.0) and np.any(v > 1.0)
         expected = np.where(v < -1.0, (x - 1.0) / 2.0, np.where(v > 1.0, (x + 1.0) / 2.0, v))
         assert np.array_equal(trials, expected)
@@ -365,6 +383,20 @@ class TestGenerationStep:
         pop = init_population(problem, [rng], stats)
         with pytest.raises(RuntimeError):
             generation_step(pop, problem, np.zeros(2), [rng], stats)
+
+    @pytest.mark.parametrize("bad", [[-1.0, 0.5], [np.nan, 1.0], [1.0, np.inf], [1.0, 1.0, 1.0],
+                                     np.ones((3, 2))])
+    def test_rejected_epsilon_changes_nothing(self, bad):
+        # eps is checked once, inside generation_step, before anything moves
+        problem = toy_constrained(5)
+        rngs = [np.random.default_rng(16), np.random.default_rng(17)]
+        stats = RunStats(BudgetCounter(200), 12)
+        pop = init_population(problem, rngs, stats)
+        generation_step(pop, problem, np.full(2, 0.5), rngs, stats)  # fills archive and memory
+        before = pickle.dumps((pop, stats, rngs))
+        with pytest.raises(ValueError):
+            generation_step(pop, problem, bad, rngs, stats)
+        assert pickle.dumps((pop, stats, rngs)) == before
 
     def test_elitism_under_fixed_eps(self):
         problem = toy_constrained(5)

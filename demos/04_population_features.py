@@ -5,21 +5,22 @@ shows the constraint-feature mask used by the no-state ablation.
 """
 import numpy as np
 
-from rlrelax import EpsilonControlEnv, mask_constraint_features, registry_lookup
+from rlrelax import EpsilonControlEnv, ExperimentConfig, mask_constraint_features, registry_lookup
 
 NAMES = ["coord spread", "objective spread", "coord mean", "objective mean",
          "objective progress", "violation progress", "feasible fraction",
          "budget used", "previous level", "f/nu coupling"]
 
 problem = registry_lookup("synthetic/rastrigin-ring/1", 10)
-env = EpsilonControlEnv(problem, [np.random.default_rng(3)], n_pop=50, maxfes=500)
+# the settings come from the experiment config; the budget is the run's own
+env = EpsilonControlEnv(problem, [np.random.default_rng(3)], ExperimentConfig(pop_size=50), 500)
 state = env.reset()[0]  # one run: the first row of the (runs, 10) observation
 
 print("feature".ljust(20), "reset ", sep="")
 history = [state]
 while not env.terminal:
-    transitions, _ = env.step(7)  # a fixed mid-high relaxation level
-    history.append(transitions[0].next_state)
+    env.step(7)  # a fixed mid-high relaxation level; returns one info dict per run
+    history.append(env.state[0])
 
 for i, name in enumerate(NAMES):
     row = "  ".join(f"{s[i]:7.3f}" for s in history[::2])

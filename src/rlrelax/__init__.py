@@ -8,11 +8,12 @@ double-estimator Q-network, and a reproducible experiment harness.
 """
 
 from .cop import BudgetCounter, ConstrainedProblem, eps_compare
-from .env import (ActionSpace, EpsilonBase, EpsilonControlEnv, Transition, compute_reward,
+from .env import (ActionSpace, EpsilonBase, EpsilonControlEnv, compute_reward,
                   epsilon_from_action, epsilon_linear_step, reward_components)
 from .features import extract_state, mask_constraint_features, top5_violation_mean
 from .problems import ProblemRegistry, registry_lookup, synthetic_family
-from .agent import NetworkParams, ReplayBuffer, forward, load_checkpoint, save_checkpoint
+from .agent import (NetworkParams, ReplayBuffer, Transition, forward, load_checkpoint,
+                    save_checkpoint)
 from .config import ExperimentConfig, load_config
 
 __version__ = "0.1.0"

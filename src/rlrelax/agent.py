@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .env import ActionSpace, Transition
+from .env import ActionSpace
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -71,6 +71,15 @@ class NetworkParams:
 
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.w1, self.b1, self.w2, self.b2)
+
+
+@dataclass(frozen=True)
+class Transition:
+    state: np.ndarray
+    action: int
+    reward: float
+    next_state: np.ndarray
+    terminal: bool
 
 
 def init_params(n_in: int = STATE_SIZE, n_hidden: int = HIDDEN_SIZE, n_out: int = 11, *,

@@ -74,6 +74,11 @@ class ExperimentConfig:
             raise ConfigError("need 1 <= batch_size <= buffer_capacity")
         if not self.dims:
             raise ConfigError("dims must list at least one dimension")
+        for key in ("problems", "train_problems", "test_problems", "dims"):
+            values = getattr(self, key)
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:  # a repeat would run, write and merge the same runs twice
+                raise ConfigError(f"{key} lists {repeats[0]!r} more than once")
         for key in ("delta", "delta_acc", "sched_power"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive")

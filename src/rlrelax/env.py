@@ -12,13 +12,17 @@ level, epsilon, observation and reward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cop import DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem
+from .cop import BudgetCounter, ConstrainedProblem
 # bench/spans.py patches top5_violation_mean here unguarded; it stays until its probe moves
 from .features import extract_state, mask_constraint_features, top5_violation_mean  # noqa: F401
 from .lshade import Population, RunStats, generation_step, init_population
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 SCHEME_EXPONENTIAL = "exponential"
 SCHEME_LINEAR_AA = "linear-aa"   # aggressive multiplicative adjustment
@@ -116,15 +120,6 @@ def epsilon_linear_step(prev_eps: np.ndarray, level, base: EpsilonBase) -> np.nd
     return np.clip(np.asarray(prev_eps, dtype=float) * (1.0 - level), 0.0, base.values)
 
 
-@dataclass(frozen=True)
-class Transition:
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
-
-
 def reward_components(f_gbest_prev: float, f_gbest_now: float, f_gbest_0: float,
                       f_agentbest: float, nu_prev: float, nu_now: float,
                       nu_0: float) -> tuple[float, float, float]:
@@ -172,36 +167,23 @@ class EpsilonControlEnv:
     """R paired optimization runs on one problem, one generator each in
     ``rngs``, exposed as one episodic decision process with a run axis.
 
+    The settings come from ``cfg``, the budget of each run is ``maxfes``.
     Construct, ``reset()`` once, then ``step(actions)`` until ``terminal``
     (True before ``reset()`` and once the shared budget is spent); a step
-    returns one Transition and one info dict per run.  Baseline schedules
-    drive the same machinery through ``step_with_epsilon``.  ``stats`` is
-    kept by lshade; the env holds only the decision process, per run:
-    ``eps_base`` and ``current_eps`` (R, p+q), ``f_agentbest``, ``state``.
+    returns one info dict per run.  Baseline schedules drive the same
+    machinery through ``step_with_epsilon``.  ``stats`` is kept by lshade;
+    the env holds only the decision process, per run: ``eps_base`` and
+    ``current_eps`` (R, p+q), ``f_agentbest``, ``state``.
     """
 
-    def __init__(self, problem: ConstrainedProblem, rngs: list[np.random.Generator], *,
-                 n_pop: int, maxfes: int,
-                 action_space: ActionSpace | None = None,
-                 delta: float = DELTA_DEFAULT, delta_acc: float = DELTA_ACC_DEFAULT,
-                 reward_variant: str = "full", mask_state: bool = False,
-                 lpsr: bool = False, f_agentbest: float | None = None):
-        if reward_variant not in REWARD_VARIANTS:
-            raise ValueError(f"unknown reward variant {reward_variant!r}")
-        self.problem = problem
-        self.rngs = rngs
-        self.n_pop = n_pop
-        self.maxfes = maxfes
-        if maxfes < 2 * n_pop:
+    def __init__(self, problem: ConstrainedProblem, rngs: list[np.random.Generator],
+                 cfg: ExperimentConfig, maxfes: int, f_agentbest: float | None = None):
+        cfg.validate()
+        if maxfes < 2 * cfg.pop_size:
             raise ValueError("budget must cover at least two generations")
-        self.action_space = action_space or ActionSpace.for_scheme(SCHEME_EXPONENTIAL)
-        self.delta = delta
-        self.delta_acc = delta_acc
-        self.reward_variant = reward_variant
-        self.mask_state = mask_state
-        self.lpsr = lpsr
-        self._initial_agentbest = f_agentbest
-
+        self.problem, self.rngs, self.cfg, self.maxfes = problem, rngs, cfg, maxfes
+        self.action_space = ActionSpace.for_scheme(cfg.action_scheme)
+        self._initial_agentbest = np.inf if f_agentbest is None else f_agentbest
         self.pop: Population | None = None
         self.stats: RunStats | None = None
 
@@ -213,21 +195,20 @@ class EpsilonControlEnv:
 
     def reset(self) -> np.ndarray:
         """Initialize the populations, derive the relaxation bases, observe."""
-        self.stats = RunStats(BudgetCounter(self.maxfes), self.n_pop, lpsr=self.lpsr,
-                              delta_acc=self.delta_acc)
+        self.stats = RunStats(BudgetCounter(self.maxfes), self.cfg.pop_size,
+                              lpsr=self.cfg.lpsr, delta_acc=self.cfg.delta_acc)
         self.pop = init_population(self.problem, self.rngs, self.stats)
-        self.eps_base = EpsilonBase.from_population(self.pop, self.delta)
+        self.eps_base = EpsilonBase.from_population(self.pop, self.cfg.delta)
         self.current_eps = self.eps_base.values.copy()
         # best objective across all training so far
-        self.f_agentbest = np.full(len(self.rngs), np.inf if self._initial_agentbest is None
-                                   else self._initial_agentbest)
+        self.f_agentbest = np.full(len(self.rngs), self._initial_agentbest)
         self.step_index = 0
         self.state = self._observe()
         return self.state
 
     def _observe(self) -> np.ndarray:
         s = extract_state(self.pop, self.problem.lower, self.problem.upper, self.stats)
-        if self.mask_state:
+        if self.cfg.mask_state:
             s = mask_constraint_features(s)
         return s
 
@@ -240,28 +221,32 @@ class EpsilonControlEnv:
             return epsilon_from_action(levels, self.eps_base)
         return epsilon_linear_step(self.current_eps, levels[..., None], self.eps_base)
 
-    def step(self, actions) -> tuple[list[Transition], list[dict]]:
-        """Run one generation of each run under its action's relaxation level."""
+    def step(self, actions) -> list[dict]:
+        """Run one generation of each run under its action's level, an index."""
         if self.terminal:  # before reset() there is no eps_base to scale
             raise RuntimeError("episode is terminal; call reset() before stepping")
-        actions = np.full(len(self.rngs), actions)
+        actions, n = np.full(len(self.rngs), actions), self.action_space.n_actions
+        if actions.dtype.kind not in "iu" or not np.all((actions >= 0) & (actions < n)):
+            raise ValueError(f"actions must be integers in [0, {n}), got {actions.tolist()}")
         return self.step_with_epsilon(self.epsilon_for_action(actions),
                                       [self.action_space.normalized_level(a)
-                                       for a in actions.tolist()], action=actions)
+                                       for a in actions.tolist()])
 
-    def step_with_epsilon(self, eps: np.ndarray, level,
-                          action=-1) -> tuple[list[Transition], list[dict]]:
-        """Advance every run one generation under its row of ``eps`` (R, p+q).
+    def step_with_epsilon(self, eps: np.ndarray, level) -> list[dict]:
+        """Advance every run one generation under its row of ``eps`` (R, p+q);
+        return one info dict per run, its ``reward`` among them.
 
         ``level`` is the [0, 1] knob recorded in the s9 feature and the
         step trace; baseline schedules pass their own notion of it.  A
-        single vector, level or action serves every run.
+        single vector or level serves every run; a rejected one changes nothing.
         """
         if self.terminal:
             raise RuntimeError("episode is terminal; call reset() before stepping")
         runs, m = len(self.rngs), self.problem.n_constraints
         levels = np.full(runs, level, dtype=float)
-        state, stats = self.state, self.stats
+        if not np.all((levels >= 0.0) & (levels <= 1.0)):
+            raise ValueError(f"level must be finite and in [0, 1], got {level}")
+        stats = self.stats
         f_gbest_prev, nu_prev = stats.f_gbest, stats.nu_top5
 
         # validates eps: a rejected vector leaves the episode as it was
@@ -279,13 +264,11 @@ class EpsilonControlEnv:
         per_run = np.array([levels, *eps_stats, stats.best_sco,  # then reward_components' args
                             f_gbest_prev, stats.f_gbest, stats.f_pbest_0, self.f_agentbest,
                             nu_prev, stats.nu_top5, stats.nu_top5_0]).T.tolist()
-        transitions, infos = [], []
-        for s, s_next, a, (lv, e_min, e_mean, e_max, sco, *progress) in zip(
-                state, self.state, np.full(runs, action).tolist(), per_run):
+        infos = []
+        for lv, e_min, e_mean, e_max, sco, *progress in per_run:
             r1, r2, gamma = reward_components(*progress)
-            reward = compute_reward(r1, r2, gamma, self.reward_variant)
-            transitions.append(Transition(s, a, reward, s_next, self.terminal))
+            reward = compute_reward(r1, r2, gamma, self.cfg.reward_variant)
             infos.append(dict(step=self.step_index, fes=stats.budget.fes, level=lv,
                               eps_min=e_min, eps_mean=e_mean, eps_max=e_max, reward=reward,
                               r1=r1, r2=r2, gamma=gamma, sco=sco))
-        return transitions, infos
+        return infos

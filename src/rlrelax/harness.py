@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import agent as qnet
-from .agent import CheckpointMetadata, NetworkParams, ReplayBuffer
+from .agent import CheckpointMetadata, NetworkParams, ReplayBuffer, Transition
 from .config import ConfigError, ExperimentConfig
 from .env import ActionSpace, EpsilonControlEnv, epsilon_from_action
 from .lshade import episode_steps
@@ -116,10 +116,11 @@ def train(cfg: ExperimentConfig) -> TrainResult:
 
     def learn(env: EpsilonControlEnv):
         nonlocal meta_step, grad_steps
-        q = qnet.forward(env.state[0], params)
+        state = env.state[0]
+        q = qnet.forward(state, params)
         action = qnet.act_eps_greedy(q, qnet.explore_rate(meta_step, total_steps, cfg), actor_rng)
-        transitions, infos = env.step(action)
-        buffer.push(transitions[0])
+        infos = env.step(action)
+        buffer.push(Transition(state, action, infos[0]["reward"], env.state[0], env.terminal))
         if len(buffer) >= cfg.batch_size:
             batch = buffer.sample(cfg.batch_size, actor_rng)
             _, grads = qnet.loss_and_grad(batch, params, target, cfg.discount)
@@ -128,7 +129,7 @@ def train(cfg: ExperimentConfig) -> TrainResult:
             if grad_steps % cfg.target_sync_period == 0:
                 qnet.sync_target(params, target)
         meta_step += 1
-        return transitions, infos
+        return infos
 
     for epoch in range(cfg.epochs):
         lr = qnet.cosine_lr(epoch, cfg)
@@ -177,24 +178,17 @@ def _run(cfg: ExperimentConfig, registry: ProblemRegistry, name: str, dim: int,
          rngs: list[np.random.Generator], f_agentbest: float | None, policy,
          what: list[str]) -> tuple[EpsilonControlEnv, list[list[dict]]]:
     """Reset an env on ``name`` at ``dim`` with one run per generator of ``rngs``
-    and call ``policy(env)``, a meta-step returning (transitions, infos), until
-    it is terminal; return the env and each run's infos.  On a failure the runs
+    and call ``policy(env)``, a meta-step returning each run's info, until it
+    is terminal; return the env and each run's infos.  On a failure the runs
     are replayed one at a time from copies of their generators, and the first
     to fail alone is re-raised as RunFailedError naming its ``what[r]``."""
     replay = [copy.deepcopy(rng) for rng in rngs] if len(rngs) > 1 else []
     try:
-        env = EpsilonControlEnv(
-            registry.lookup(name, dim), rngs,
-            n_pop=cfg.pop_size, maxfes=cfg.maxfes(dim),
-            action_space=ActionSpace.for_scheme(cfg.action_scheme),
-            delta=cfg.delta, delta_acc=cfg.delta_acc,
-            reward_variant=cfg.reward_variant, mask_state=cfg.mask_state,
-            lpsr=cfg.lpsr, f_agentbest=f_agentbest,
-        )
+        env = EpsilonControlEnv(registry.lookup(name, dim), rngs, cfg, cfg.maxfes(dim), f_agentbest)
         env.reset()
         steps = [[] for _ in rngs]
         while not env.terminal:
-            for run_steps, info in zip(steps, policy(env)[1]):
+            for run_steps, info in zip(steps, policy(env)):
                 run_steps.append(info)
     except Exception as exc:
         for rng, label in zip(replay, what):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from rlrelax.agent import (
+    Transition,
     init_params,
     loss_and_grad,
     loss_with_fixed_targets,
@@ -23,7 +24,6 @@ from rlrelax.cop import BudgetCounter, eps_compare, relaxed_violations, violatio
 from rlrelax.env import (
     EpsilonBase,
     EpsilonControlEnv,
-    Transition,
     compute_reward,
     epsilon_from_action,
     reward_components,
@@ -140,11 +140,11 @@ def test_criterion_3_reward_bounds_and_worked_example():
         kind = SYNTHETIC_KINDS[episode % len(SYNTHETIC_KINDS)]
         problem = synthetic_family(kind, int(rng.integers(100)), 5)
         env = EpsilonControlEnv(problem, [np.random.default_rng(int(rng.integers(2**32)))],
-                                n_pop=50, maxfes=250)
+                                ExperimentConfig(pop_size=50), 250)
         env.reset()
         while not env.terminal:
-            (tr,), _ = env.step(int(rng.integers(11)))
-            bounded &= 0.0 <= tr.reward <= 1.0
+            (info,) = env.step(int(rng.integers(11)))
+            bounded &= 0.0 <= info["reward"] <= 1.0
     elapsed = time.time() - t0
     report(3, worked and bounded, "rewards bounded in [0,1]; worked example exact", elapsed)
     assert bounded
@@ -321,15 +321,16 @@ def test_criterion_10_episode_accounting():
     ok = True
     for seed in range(5):
         problem = synthetic_family("rastrigin-ring", seed, 10)
-        env = EpsilonControlEnv(problem, [np.random.default_rng(seed)], n_pop=50, maxfes=500)
+        env = EpsilonControlEnv(problem, [np.random.default_rng(seed)],
+                                ExperimentConfig(pop_size=50), 500)
         env.reset()
         rng = np.random.default_rng(seed + 100)
         steps = 0
         terminal_flags = []
         while not env.terminal:
-            (tr,), _ = env.step(int(rng.integers(11)))
+            env.step(int(rng.integers(11)))
             steps += 1
-            terminal_flags.append(tr.terminal)
+            terminal_flags.append(env.terminal)
         ok &= steps == 9
         ok &= env.stats.budget.fes == 500
         ok &= terminal_flags.count(True) == 1 and terminal_flags[-1]

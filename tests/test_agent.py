@@ -12,6 +12,7 @@ from rlrelax.agent import (
     CheckpointVersionError,
     NetworkParams,
     ReplayBuffer,
+    Transition,
     act_eps_greedy,
     cosine_lr,
     explore_rate,
@@ -28,7 +29,6 @@ from rlrelax.agent import (
     td_target,
 )
 from rlrelax.config import ExperimentConfig
-from rlrelax.env import Transition
 
 
 def random_transition(rng, n_actions=11, terminal=False):

@@ -106,6 +106,10 @@ class TestExitCodes:
         ("test_problems = synthetic/sphere-linear/x", "bad synthetic seed"),
         ("problems = cec12\ndims = 20", "cec12 supports dims [10, 30, 50, 100], got 20"),
         ("pop_size = 4\nmaxfes_per_dim = 8\ndims = 1", "synthetic problems need dim >= 2"),
+        # a repeat would run every run twice and merge the copies into one record
+        ("problems = synthetic/sphere-linear/0, synthetic/sphere-linear/0",
+         "problems lists 'synthetic/sphere-linear/0' more than once"),
+        ("dims = 4, 4", "dims lists 4 more than once"),
     ])
     def test_rejected_at_load_before_out_is_created(self, tmp_path, capsys, verb, args,
                                                     lines, message):

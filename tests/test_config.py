@@ -101,6 +101,8 @@ class TestValidation:
         ("lr_start = inf", "lr_start must be finite, got inf"),
         ("delta_acc = inf", "delta_acc must be finite, got inf"),
         ("seed = -1", "seed must be >= 0, got -1"),
+        ("train_problems = cec14, cec14", "train_problems lists 'cec14' more than once"),
+        ("test_problems = cec12, cec14, cec14", "test_problems lists 'cec14' more than once"),
     ])
     def test_training_ranges(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):

@@ -1,9 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlrelax import cop, env as env_module, lshade
+from rlrelax.config import ConfigError, ExperimentConfig
 from rlrelax.cop import ConstrainedProblem
 from rlrelax.env import (
     REWARD_VARIANTS,
@@ -139,10 +142,41 @@ class TestReward:
             compute_reward(0.0, 0.0, 0.0, "r3")
 
 
-def make_env(seed=0, dim=10, maxfes=500, **kwargs):
-    problem = synthetic_family("rastrigin-ring", 1, dim)
-    return EpsilonControlEnv(problem, [np.random.default_rng(seed)],
-                             n_pop=50, maxfes=maxfes, **kwargs)
+def make_env(seed=0, dim=10, maxfes=500, f_agentbest=None, problem=None, **settings):
+    """One run on ``problem`` (rastrigin-ring/1 at ``dim``) under a config
+    of pop_size 50 and the given ``settings``."""
+    problem = problem or synthetic_family("rastrigin-ring", 1, dim)
+    cfg = ExperimentConfig(**{"pop_size": 50, **settings})
+    return EpsilonControlEnv(problem, [np.random.default_rng(seed)], cfg, maxfes, f_agentbest)
+
+
+def snapshot(env) -> bytes:
+    """Everything a step may change: the population and its archive, the run
+    record, the generator states, the current epsilon and the step count."""
+    return pickle.dumps((env.pop, env.stats, [g.bit_generator.state for g in env.rngs],
+                         env.current_eps, env.step_index, env.state))
+
+
+class TestEnvSettings:
+    def test_constructor_reads_the_config(self):
+        cfg = ExperimentConfig(pop_size=20, action_scheme="linear-ca", lpsr=True,
+                               delta=0.5, delta_acc=0.25)
+        env = EpsilonControlEnv(synthetic_family("rastrigin-ring", 1, 4),
+                                [np.random.default_rng(0)], cfg, 200)
+        assert env.action_space.scheme == "linear-ca"
+        env.reset()
+        assert env.pop.size == 20 and env.stats.lpsr and env.stats.delta_acc == 0.25
+        assert env.eps_base.delta == 0.5 and np.all(env.eps_base.values >= 0.5)
+
+    @pytest.mark.parametrize("change", [{"reward_variant": "r3"}, {"action_scheme": "quadratic"},
+                                        {"pop_size": 2}, {"delta": 0.0}, {"delta_acc": np.nan}])
+    def test_invalid_config_rejected_before_reset(self, change):
+        cfg = ExperimentConfig(pop_size=20)
+        for key, value in change.items():
+            setattr(cfg, key, value)
+        with pytest.raises(ConfigError):
+            EpsilonControlEnv(synthetic_family("sphere-linear", 0, 4),
+                              [np.random.default_rng(0)], cfg, 200)
 
 
 class TestEnvEpisode:
@@ -172,14 +206,14 @@ class TestEnvEpisode:
     def test_episode_length_and_budget(self):
         env = make_env(dim=10, maxfes=500)
         env.reset()
-        transitions = []
+        terminal = []
         while not env.terminal:
-            (tr,), _ = env.step(5)
-            transitions.append(tr)
-        assert len(transitions) == 9
-        assert env.stats.budget.fes == 500
-        assert sum(tr.terminal for tr in transitions) == 1
-        assert transitions[-1].terminal
+            (info,) = env.step(5)
+            terminal.append(env.terminal)
+            assert set(info) >= {"step", "fes", "level", "reward", "r1", "r2", "gamma", "sco"}
+        assert len(terminal) == 9 and info["step"] == 9
+        assert env.stats.budget.fes == info["fes"] == 500
+        assert terminal == [False] * 8 + [True]  # terminal only on the last step
 
     def test_terminal_reads_the_budget_and_is_read_only(self):
         env = make_env(dim=4, maxfes=200)
@@ -205,7 +239,7 @@ class TestEnvEpisode:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_step_before_reset_rejected(self, scheme):
         # the terminal check comes before the action is turned into an epsilon
-        env = make_env(dim=4, maxfes=200, action_space=ActionSpace.for_scheme(scheme))
+        env = make_env(dim=4, maxfes=200, action_scheme=scheme)
         with pytest.raises(RuntimeError, match="call reset"):
             env.step(0)
         assert env.stats is None and env.pop is None
@@ -216,24 +250,20 @@ class TestEnvEpisode:
 
         def run():
             env = make_env(seed=7)
-            env.reset()
-            out = []
+            out = [env.reset()[0]]
             for a in actions:
-                (tr,), _ = env.step(int(a))
-                out.append(tr)
+                (info,) = env.step(int(a))
+                out += [info["reward"], env.state[0]]
             return out
 
         first, second = run(), run()
-        for a, b in zip(first, second):
-            assert np.array_equal(a.state, b.state)
-            assert a.reward == b.reward
-            assert np.array_equal(a.next_state, b.next_state)
+        assert pickle.dumps(first) == pickle.dumps(second)
 
     def test_next_state_records_action_level(self):
         env = make_env()
         env.reset()
-        (tr,), (info,) = env.step(3)
-        assert tr.next_state[8] == pytest.approx(0.3)
+        (info,) = env.step(3)
+        assert env.state[0, 8] == pytest.approx(0.3)
         assert info["level"] == pytest.approx(0.3)
 
     def test_rewards_bounded(self):
@@ -241,8 +271,8 @@ class TestEnvEpisode:
         env.reset()
         rng = np.random.default_rng(5)
         while not env.terminal:
-            (tr,), _ = env.step(int(rng.integers(11)))
-            assert 0.0 <= tr.reward <= 1.0
+            (info,) = env.step(int(rng.integers(11)))
+            assert 0.0 <= info["reward"] <= 1.0
 
     def test_objective_reward_telescopes_when_agentbest_frozen(self):
         # with a prior all-training best at or below the run minimum, the
@@ -251,7 +281,7 @@ class TestEnvEpisode:
         env.reset()
         total_r1 = 0.0
         while not env.terminal:
-            _, (info,) = env.step(8)
+            (info,) = env.step(8)
             total_r1 += info["r1"]
         assert total_r1 <= 1.0 + 1e-9
 
@@ -259,37 +289,41 @@ class TestEnvEpisode:
         env = make_env(mask_state=True)
         s, = env.reset()
         assert s[5] == s[6] == s[8] == s[9] == 0.0
-        (tr,), _ = env.step(2)
-        assert tr.next_state[5] == tr.next_state[6] == tr.next_state[8] == tr.next_state[9] == 0.0
+        env.step(2)
+        s, = env.state
+        assert s[5] == s[6] == s[8] == s[9] == 0.0
 
     def test_step_with_epsilon_matches_scheme_step(self):
         env_a = make_env(seed=21)
         env_b = make_env(seed=21)
         env_a.reset()
         env_b.reset()
-        (tr_a,), _ = env_a.step(4)
+        infos_a = env_a.step(4)
         eps = env_b.epsilon_for_action(4)
-        (tr_b,), _ = env_b.step_with_epsilon(eps, env_b.action_space.normalized_level(4),
-                                             action=4)
-        assert np.array_equal(tr_a.next_state, tr_b.next_state)
-        assert tr_a.reward == tr_b.reward
+        infos_b = env_b.step_with_epsilon(eps, env_b.action_space.normalized_level(4))
+        assert np.array_equal(env_a.state, env_b.state)
+        assert infos_a == infos_b
 
     def test_rejected_epsilon_leaves_episode_unchanged(self):
-        problem = registry_lookup("cec12", 10)
-        env = EpsilonControlEnv(problem, [np.random.default_rng(3)], n_pop=20, maxfes=200,
-                                action_space=ActionSpace.for_scheme("linear-aa"))
+        env = make_env(seed=3, problem=registry_lookup("cec12", 10), pop_size=20, maxfes=200,
+                       action_scheme="linear-aa")
         env.reset()
         env.step(1)
-        before = (env.current_eps.copy(), env.pop.x.copy(), env.step_index, env.stats.budget.fes)
-        for bad in ([-1.0, -1.0], [np.nan, 1.0], [1.0, 1.0, 1.0]):
+        eps, before = env.current_eps.copy(), snapshot(env)
+        bad_eps = ([-1.0, -1.0], [np.nan, 1.0], [1.0, 1.0, 1.0])
+        # a wrapped index, one past the last, a float and a bool index, two actions for one run
+        bad_actions = (-1, env.action_space.n_actions, 2.0, 7.5, True, [1, 2])
+        bad_levels = (np.nan, np.inf, -np.inf, 7.5, -0.1, [0.5, 0.5])
+        calls = ([lambda e=e: env.step_with_epsilon(e, 0.5) for e in bad_eps]
+                 + [lambda a=a: env.step(a) for a in bad_actions]
+                 + [lambda lv=lv: env.step_with_epsilon(eps, lv) for lv in bad_levels])
+        for call in calls:
             with pytest.raises(ValueError):
-                env.step_with_epsilon(bad, 0.5)
-        after = (env.current_eps, env.pop.x, env.step_index, env.stats.budget.fes)
-        assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
-        assert before[2:] == after[2:]
+                call()
+            assert snapshot(env) == before
         # the next linear step still scales the last valid vector
         assert np.array_equal(env.epsilon_for_action(2), np.clip(
-            before[0] * (1.0 - env.action_space.level(2)), 0.0, env.eps_base.values))
+            eps * (1.0 - env.action_space.level(2)), 0.0, env.eps_base.values))
 
     def test_epsilon_is_validated_once_per_group_step(self, monkeypatch):
         checks, check = [], cop.epsilon_vector
@@ -301,16 +335,14 @@ class TestEnvEpisode:
         for module in (cop, env_module, lshade):  # wherever the name may be looked up
             monkeypatch.setattr(module, "epsilon_vector", counted, raising=False)
         env = EpsilonControlEnv(registry_lookup("cec12", 10), [np.random.default_rng(4),
-                                np.random.default_rng(5)], n_pop=20, maxfes=200)
+                                np.random.default_rng(5)], ExperimentConfig(pop_size=20), 200)
         env.reset()
         for action in range(3):
             env.step(action)
             assert len(checks) == action + 1
 
     def test_linear_scheme_epsilon_evolves_from_base(self):
-        problem = synthetic_family("rastrigin-ring", 1, 4)
-        env = EpsilonControlEnv(problem, [np.random.default_rng(0)], n_pop=50,
-                                maxfes=200, action_space=ActionSpace.for_scheme("linear-ca"))
+        env = make_env(dim=4, maxfes=200, action_scheme="linear-ca")
         env.reset()
         start = env.current_eps.copy()
         assert np.array_equal(start, env.eps_base.values)
@@ -318,18 +350,16 @@ class TestEnvEpisode:
         assert np.allclose(env.current_eps, start * 0.75)
 
     def test_infeasible_budget_config_rejected(self):
-        problem = synthetic_family("sphere-linear", 0, 4)
-        with pytest.raises(ValueError):
-            EpsilonControlEnv(problem, [np.random.default_rng(0)], n_pop=50, maxfes=80)
+        with pytest.raises(ValueError, match="two generations"):
+            make_env(problem=synthetic_family("sphere-linear", 0, 4), maxfes=80)
 
     def test_lpsr_episode_runs_to_termination(self):
-        problem = synthetic_family("rastrigin-ring", 0, 10)
-        env = EpsilonControlEnv(problem, [np.random.default_rng(8)], n_pop=50,
-                                maxfes=1000, lpsr=True)
+        env = make_env(seed=8, problem=synthetic_family("rastrigin-ring", 0, 10), maxfes=1000,
+                       lpsr=True)
         env.reset()
         while not env.terminal:
-            (tr,), _ = env.step(5)
-            assert np.all(np.isfinite(tr.next_state))
+            env.step(5)
+            assert np.all(np.isfinite(env.state))
         assert env.stats.budget.fes == 1000
         assert env.pop.size < 50  # the population shrank along the way
         assert len(env.pop.archive[0]) <= env.pop.size
@@ -346,14 +376,13 @@ class TestEnvEpisode:
         )
 
         def run(eps_fn):
-            env = EpsilonControlEnv(problem, [np.random.default_rng(31)],
-                                    n_pop=20, maxfes=200)
+            env = make_env(seed=31, problem=problem, pop_size=20, maxfes=200)
             env.reset()
             # all members satisfy the constraint, so the base is floored
             assert np.array_equal(env.eps_base.values, np.array([[1e-3]]))
             trace = []
             while not env.terminal:
-                _, (info,) = env.step_with_epsilon(eps_fn(env), 0.0)
+                (info,) = env.step_with_epsilon(eps_fn(env), 0.0)
                 trace.append(info["sco"])
             # with no violations anywhere the score is the objective best
             assert env.stats.best_sco == env.stats.f_gbest
@@ -381,18 +410,18 @@ class TestWholeRunInvariants:
         maxfes = 2 * n_pop + extra
         problem = registry_lookup(name, 10 if name.startswith("cec") else synthetic_dim)
         rng = np.random.default_rng(seed)
-        space = ActionSpace.for_scheme(scheme)
-        env = EpsilonControlEnv(problem, [rng], n_pop=n_pop, maxfes=maxfes,
-                                action_space=space, reward_variant=variant, lpsr=lpsr)
+        cfg = ExperimentConfig(pop_size=n_pop, action_scheme=scheme, reward_variant=variant,
+                               lpsr=lpsr)
+        env = EpsilonControlEnv(problem, [rng], cfg, maxfes)
         state, steps = env.reset(), 0
         assert np.all(np.isfinite(state))
         while not env.terminal:
-            (tr,), _ = env.step(int(rng.integers(space.n_actions)))
+            (info,) = env.step(int(rng.integers(env.action_space.n_actions)))
             steps += 1
             pop = env.pop
-            assert np.all(np.isfinite(tr.next_state))
+            assert np.all(np.isfinite(env.state))
             assert np.all(pop.nu_eps <= pop.nu)
-            assert 0.0 <= tr.reward <= 1.0
+            assert 0.0 <= info["reward"] <= 1.0
             assert N_MIN <= pop.size and len(pop.archive[0]) <= pop.size
         assert env.stats.budget.fes == maxfes
         assert steps == episode_steps(maxfes, n_pop, lpsr)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rlrelax.config import ExperimentConfig
 from rlrelax.cop import BudgetCounter
 from rlrelax.env import EpsilonControlEnv
 from rlrelax.features import (
@@ -226,9 +227,10 @@ class TestScriptedRunState:
             scripted.append(extract_state(pop, problem.lower, problem.upper, stats)[0])
         assert all(np.all(np.isfinite(s)) for s in scripted)
 
-        env = EpsilonControlEnv(problem, [np.random.default_rng(seed)], n_pop=n_pop,
-                                maxfes=maxfes, lpsr=lpsr)
+        env = EpsilonControlEnv(problem, [np.random.default_rng(seed)],
+                                ExperimentConfig(pop_size=n_pop, lpsr=lpsr), maxfes)
         emitted = [env.reset()[0]]
         while not env.terminal:
-            emitted.append(env.step_with_epsilon(eps, level)[0][0].next_state)
+            env.step_with_epsilon(eps, level)
+            emitted.append(env.state[0])
         assert [s.tobytes() for s in scripted] == [s.tobytes() for s in emitted]

@@ -18,10 +18,15 @@ from rlrelax.cli import EXIT_OK, main
 NUMPY_VERSION = "2.4.6"
 CHECKPOINT = Path(__file__).resolve().parent.parent / "bench" / "fixtures" / "checkpoint.txt"
 EVALUATE = ["evaluate", "--checkpoint", str(CHECKPOINT)]
+# evaluate the checkpoint that train left in the case's --out
+EVALUATE_TRAINED = ["evaluate", "--checkpoint", "{out}/checkpoint.txt"]
 
 SPLIT = """train_problems = synthetic/sphere-linear/0, synthetic/rastrigin-ring/1
 test_problems = cec12, synthetic/rosenbrock-cubic/5
 """
+
+HELD_OUT = "problems = cec12, synthetic/rosenbrock-cubic/5\n"
+TRAIN_SET = "problems = synthetic/sphere-linear/0, synthetic/rastrigin-ring/1\n"
 
 SMALL = """dims = 10
 pop_size = 12
@@ -96,6 +101,95 @@ CASES = {
         "results.csv":
             "f43aebe8f14434a6ee06e7e75ececd5df444efba36b807adc28e7696634b8562",
     }),
+    # the switches: each baseline, both linear schemes and the masked state
+    # (train, then evaluate its checkpoint), and each reward or scheme ablation
+    "baseline-static-eps": ((["baseline", "--name", "static-eps"],), HELD_OUT, {
+        "baseline_static-eps.csv":
+            "5040fb0321acdf32635c09e7af8a7bd6599e425ca5003be78b69bf5c542d0f57",
+        "records_static-eps.jsonl":
+            "00f323c3218e838a76bace922609f5d70f515d1d82e4c04810d6ac675a84d5f6",
+    }),
+    "baseline-feasibility-rule": ((["baseline", "--name", "feasibility-rule"],), HELD_OUT, {
+        "baseline_feasibility-rule.csv":
+            "02a4809abd18c2af8c0bd9f0de324db40c948ceb7724ad8d1826433bfc26b782",
+        "records_feasibility-rule.jsonl":
+            "a41d7899e61555bee7ce7f497739a0216cedfb4b8888ebcfd49c71023540b97e",
+    }),
+    "baseline-untrained-agent": ((["baseline", "--name", "untrained-agent"],), HELD_OUT, {
+        "baseline_untrained-agent.csv":
+            "3d8bc95a80bc98e1d2e0ead27c9a246d17390812d31bdf1200e66e287c202c74",
+        "records_untrained-agent.jsonl":
+            "483ed52eee3245ff0209d8572f162996cf4be5435d15817eac09f44b4d4a732f",
+    }),
+    "train-evaluate-linear-aa": (
+        (["train"], EVALUATE_TRAINED), TRAIN_SET + "action_scheme = linear-aa\n", {
+        "checkpoint.txt":
+            "02ae056eb70bff7df7081f16898bd5496a2558d020859211a22803907c9c356a",
+        "records.jsonl":
+            "c050dec132e7b371c3fd6e90bd205bd177d3330613fd5d2c1366bea7f33347f9",
+        "results.csv":
+            "09922d548dbeed0a09d263e4eb1dbd06229dc3dadc858b20d19c1b57e4b873c3",
+        "train_log.jsonl":
+            "61b545b3e8e5fe2422db7a69498febd7c250772dbac6c13c24247f518c5341bc",
+    }),
+    "train-evaluate-linear-ca": (
+        (["train"], EVALUATE_TRAINED), TRAIN_SET + "action_scheme = linear-ca\n", {
+        "checkpoint.txt":
+            "07e29dac4e7ac566c3f05e015e482930169e083ffb16b2b51b508f228a92b8aa",
+        "records.jsonl":
+            "b816cd0638731f75b680a2bf9e63f1995019711872f7fc8d3c603e57f8e0a255",
+        "results.csv":
+            "608d5592dfda7a993331eeecad8c848809870104421643ccc335dbb6913cc3ef",
+        "train_log.jsonl":
+            "fef8e45cc64dc7027ba43640e022d430a6cb4eb9899126884389faec829a4c23",
+    }),
+    "train-evaluate-mask-state": (
+        (["train"], EVALUATE_TRAINED), TRAIN_SET + "mask_state = true\n", {
+        "checkpoint.txt":
+            "66c722dc3cdd77e97507d243bf7b454dc2affbdc1290a0680dee1552ec3022f7",
+        "records.jsonl":
+            "4e4c51ee14ed91f99b473efbeed156bd8dfc6dc1614e9c2845a66521b59d216a",
+        "results.csv":
+            "3ccc8e39879addea9e6e638822f30dfe4e427ef7ed2b9029e5581145812ea5f8",
+        "train_log.jsonl":
+            "94780e47a57e9c2aa128ce024ba37b44ddbf4349a305c6b32738d85b189a412d",
+    }),
+    "ablate-aa": ((["ablate", "--variant", "aa"],), SPLIT, {
+        "ablate_aa.csv":
+            "b74a0e166645877f986d080b60711bf324ba05aedfc4f8c4c9f7059f85433e1d",
+        "records.jsonl":
+            "f5842adf41f02764e080ce1ae8e679f49980172d6ae83e7b20f9e658a96da1d0",
+    }),
+    "ablate-ca": ((["ablate", "--variant", "ca"],), SPLIT, {
+        "ablate_ca.csv":
+            "86a2c6a995852e3615e8acbcbb36c7c80068f6a0d0f3640233c8c4062558da85",
+        "records.jsonl":
+            "0f19f64136544f241cd2095bbe5e5c145095caecfe0b6a2b169cf97768459967",
+    }),
+    "ablate-r1": ((["ablate", "--variant", "r1"],), SPLIT, {
+        "ablate_r1.csv":
+            "af5212b41605c9377fd373e9fae4cec9d56a1ac1728e70f4b4943c62f6f87012",
+        "records.jsonl":
+            "b30e614be00a0cc17cbdebb868e23a8577d5e381423f6c944209a9e87c77e7cb",
+    }),
+    "ablate-r2": ((["ablate", "--variant", "r2"],), SPLIT, {
+        "ablate_r2.csv":
+            "a50cd1f66f72865ce373c8250565349ac03ab3b6d93b82d149cb568be60966ae",
+        "records.jsonl":
+            "65748627d13b43a8caa4be6090826314ca12b8a5a4a8057a970b79dcff2fe838",
+    }),
+    "ablate-r1r2": ((["ablate", "--variant", "r1r2"],), SPLIT, {
+        "ablate_r1r2.csv":
+            "6d81e25bbcfb68db1c824065f471a1eb9e598ea4e9d44703dabb99ddedc570ef",
+        "records.jsonl":
+            "e84de93f04c0e00f0b95ff9dc65a9ab764b75711edf6486650f9351cc79590e4",
+    }),
+    "ablate-no-train": ((["ablate", "--variant", "no-train"],), SPLIT, {
+        "ablate_no-train.csv":
+            "c46d842a03cb02a6fae7d7c8a0df3c5891d08fff00b66290ce79d2688d08c7cb",
+        "records.jsonl":
+            "4299fa0e78b271205621b50d0c023c997d695cec140fb2b6e55c4242101e14ef",
+    }),
 }
 
 
@@ -108,6 +202,7 @@ def test_result_files_match_frozen_digests(case, tmp_path):
     cfg.write_text(problems + SMALL)
     out = tmp_path / "out"
     for argv in verbs:
-        assert main([argv[0], "--config", str(cfg), "--out", str(out)] + argv[1:]) == EXIT_OK
+        rest = [a.replace("{out}", str(out)) for a in argv[1:]]
+        assert main([argv[0], "--config", str(cfg), "--out", str(out)] + rest) == EXIT_OK
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert got == digests

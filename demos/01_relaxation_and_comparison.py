@@ -7,15 +7,18 @@ ordered (violations first, objective on ties).
 import numpy as np
 
 from rlrelax import eps_compare
-from rlrelax.cop import feasible_rows, relaxed_violations, violations
+from rlrelax.cop import relaxed_violations, row_accounting
 
 # a candidate with one inequality (g <= 0 feasible) and one equality (h = 0):
 # its objective and its row of constraint values, inequalities first; the
-# functions below take a batch of such rows and return one value per row
+# functions below take a batch of such rows and return one value per row;
+# row_accounting returns each row's exact violation, relaxed violation and
+# feasibility at once
 f, C = 2.5, np.array([[0.4, -0.05]])
 print("objective        :", f)
 print("raw constraints  : g =", C[0, :1], " h =", C[0, 1:])
-print("exact violation  :", violations(C, 1)[0])  # 0.4 + |−0.05| = 0.45
+nu, _, _ = row_accounting(C, 1)
+print("exact violation  :", nu[0])  # 0.4 + |−0.05| = 0.45
 
 # relax both constraints at 0.1: the equality residual drops out
 eps = np.array([0.1, 0.1])
@@ -36,7 +39,7 @@ print("(f=1, nu=0) vs (f=2, nu=0)      ->", "first wins" if tied_violations == -
 # the score used for reporting: objective plus violation, with the
 # violation forgiven inside the feasibility accuracy of 1e-3
 f, C = np.array([4.0, 4.0]), np.array([[9e-4], [2.0]])  # almost feasible, truly violated
-feasible = feasible_rows(C, 1)
-score = np.where(feasible, f, f + violations(C, 1))
+nu, _, feasible = row_accounting(C, 1)
+score = np.where(feasible, f, f + nu)
 print("\nfeasible within accuracy:", feasible[0], " score:", score[0])
 print("violated:                ", feasible[1], "score:", score[1])

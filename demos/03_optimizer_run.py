@@ -8,10 +8,10 @@ satisfaction to objective descent.
 """
 import numpy as np
 
-from rlrelax import BudgetCounter, registry_lookup
+from rlrelax import BudgetCounter, ProblemRegistry
 from rlrelax.lshade import RunStats, generation_step, init_population
 
-problem = registry_lookup("cec12", 10)
+problem = ProblemRegistry().lookup("cec12", 10)
 
 
 def run(eps, label):

@@ -5,13 +5,14 @@ shows the constraint-feature mask used by the no-state ablation.
 """
 import numpy as np
 
-from rlrelax import EpsilonControlEnv, ExperimentConfig, mask_constraint_features, registry_lookup
+from rlrelax import (EpsilonControlEnv, ExperimentConfig, ProblemRegistry,
+                     mask_constraint_features)
 
 NAMES = ["coord spread", "objective spread", "coord mean", "objective mean",
          "objective progress", "violation progress", "feasible fraction",
          "budget used", "previous level", "f/nu coupling"]
 
-problem = registry_lookup("synthetic/rastrigin-ring/1", 10)
+problem = ProblemRegistry().lookup("synthetic/rastrigin-ring/1", 10)
 # the settings come from the experiment config; the budget is the run's own
 env = EpsilonControlEnv(problem, [np.random.default_rng(3)], ExperimentConfig(pop_size=50), 500)
 state = env.reset()[0]  # one run: the first row of the (runs, 10) observation

@@ -11,7 +11,7 @@ from .cop import BudgetCounter, ConstrainedProblem, eps_compare
 from .env import (ActionSpace, EpsilonBase, EpsilonControlEnv, compute_reward,
                   epsilon_from_action, epsilon_linear_step, reward_components)
 from .features import extract_state, mask_constraint_features, top5_violation_mean
-from .problems import ProblemRegistry, registry_lookup, synthetic_family
+from .problems import ProblemRegistry, synthetic_family
 from .agent import (NetworkParams, ReplayBuffer, Transition, forward, load_checkpoint,
                     save_checkpoint)
 from .config import ExperimentConfig, load_config
@@ -38,7 +38,6 @@ __all__ = [
     "load_checkpoint",
     "load_config",
     "mask_constraint_features",
-    "registry_lookup",
     "reward_components",
     "save_checkpoint",
     "synthetic_family",

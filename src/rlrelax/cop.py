@@ -37,8 +37,8 @@ class ConstrainedProblem:
     and returns ``(f, C)``: f of shape (n,) and C of shape (n, n_ineq +
     n_eq), the inequality values first.  It must be deterministic, and a
     row's values must not depend on the other rows.  Candidates outside
-    the box are never passed to the evaluator; bound repair is the
-    optimizer's job.
+    the box are never passed to the evaluator; bound repair and charging
+    the evaluation budget are the optimizer's job.
     """
 
     name: str
@@ -69,29 +69,23 @@ class ConstrainedProblem:
         return self.n_ineq + self.n_eq
 
     # bench/spans.py patches this name unguarded; it stays until its probe moves
-    def evaluate(self, x: np.ndarray,
-                 budget: "BudgetCounter | None" = None) -> tuple[float, np.ndarray]:
+    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """One candidate as a one-row ``evaluate_batch``: its f and its row of C."""
-        f, C = self.evaluate_batch(np.asarray(x, dtype=float)[None, :], budget)
+        f, C = self.evaluate_batch(np.asarray(x, dtype=float)[None, :])
         return float(f[0]), C[0]
 
-    def evaluate_batch(self, X: np.ndarray,
-                       budget: "BudgetCounter | None" = None) -> tuple[np.ndarray, np.ndarray]:
-        """Evaluate the rows of X in order while ``budget`` lasts.
+    def evaluate_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Evaluate the rows of X in order, with one evaluator call.
 
-        Returns ``(f, C)``, one entry of f and one row of C per evaluated
-        row; C holds the n_ineq inequality values, then the n_eq equality
-        values.  The evaluator is called once, on the rows the budget
-        covers, and the budget is charged once.  A spent budget raises
-        BudgetExhaustedError before any call; output of the wrong shape
-        raises ProblemDefinitionError naming both shapes, a non-finite
-        value one naming its first row, and the batch then charges nothing.
+        Returns ``(f, C)``, one entry of f and one row of C per row of X;
+        C holds the n_ineq inequality values, then the n_eq equality
+        values.  Output of the wrong shape raises ProblemDefinitionError
+        naming both shapes, a non-finite value one naming its first row.
+        The optimizer charges its BudgetCounter for the rows it evaluates.
         """
         X = np.asarray(X, dtype=float)
-        n = X.shape[0] if budget is None else min(X.shape[0], budget.remaining)
-        if n == 0 and X.shape[0]:
-            raise BudgetExhaustedError(f"budget of {budget.maxfes} evaluations exhausted")
-        f, C = (np.asarray(a, dtype=float) for a in self.evaluator(X[:n]))
+        n = X.shape[0]
+        f, C = (np.asarray(a, dtype=float) for a in self.evaluator(X))
         if f.shape != (n,) or C.shape != (n, self.n_constraints):
             raise ProblemDefinitionError(
                 f"{self.name}: evaluator returned f {f.shape}, C {C.shape} for {n} rows, "
@@ -101,13 +95,12 @@ class ConstrainedProblem:
         if bad.any():
             k = int(np.argmax(bad))
             raise ProblemDefinitionError(f"{self.name}: row {k}: non-finite output at x={X[k]!r}")
-        if budget is not None:
-            budget.spend(n)
         return f, C
 
 
 class BudgetCounter:
-    """Hard cap on evaluations; every evaluated candidate costs exactly one unit."""
+    """Hard cap on evaluations; every evaluated candidate costs exactly one
+    unit, which the optimizer spends for each batch it evaluates."""
 
     def __init__(self, maxfes: int):
         if maxfes < 0:
@@ -140,12 +133,6 @@ def epsilon_vector(values, m: int | None = None) -> np.ndarray:
     return eps
 
 
-def violations(C: np.ndarray, n_ineq: int) -> np.ndarray:
-    """Exact violation of every row of a constraint batch (..., p+q), the
-    n_ineq inequalities first: the positive inequality excess plus |h|."""
-    return row_accounting(C, n_ineq)[0]
-
-
 def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarray:
     """Violation of every row with per-constraint thresholds zeroed out.
 
@@ -155,12 +142,6 @@ def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarra
     """
     return relaxed_rows(C[..., :n_ineq], np.abs(C[..., n_ineq:]),
                         epsilon_vector(eps, C.shape[-1]))
-
-
-def feasible_rows(C: np.ndarray, n_ineq: int, delta_acc: float = DELTA_ACC_DEFAULT) -> np.ndarray:
-    """Feasibility of every row at accuracy delta_acc: every g <= delta_acc
-    and every |h| <= delta_acc."""
-    return row_accounting(C, n_ineq, delta_acc=delta_acc)[2]
 
 
 def relaxed_rows(g: np.ndarray, h_abs: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -57,11 +57,21 @@ class ActionSpace:
     def n_actions(self) -> int:
         return self.levels.size
 
-    def level(self, index: int) -> float:
-        return float(self.levels[index])
+    def _checked(self, index) -> np.ndarray:
+        idx = np.asarray(index)
+        if idx.dtype.kind not in "iu" or not np.all((idx >= 0) & (idx < self.n_actions)):
+            raise ValueError(f"action index must be an integer in [0, {self.n_actions}), "
+                             f"got {idx.tolist()}")
+        return idx
 
-    def normalized_level(self, index: int) -> float:
-        """Level rescaled to [0, 1] for the s9 feature and trace logs.
+    def level(self, index):
+        """The level of an action index, or the levels of an index array."""
+        levels = self.levels[self._checked(index)]
+        return float(levels) if levels.ndim == 0 else levels
+
+    def normalized_level(self, index):
+        """Level rescaled to [0, 1] for the s9 feature and trace logs, of an
+        index or an index array.
 
         The exponential scheme's levels already live in [0, 1]; the two
         linear schemes report index / (n_actions - 1) instead because
@@ -69,7 +79,8 @@ class ActionSpace:
         """
         if self.scheme == SCHEME_EXPONENTIAL:
             return self.level(index)
-        return index / (self.n_actions - 1)
+        levels = self._checked(index) / (self.n_actions - 1)
+        return float(levels) if levels.ndim == 0 else levels
 
 
 @dataclass(frozen=True)
@@ -88,10 +99,10 @@ class EpsilonBase:
 
     @classmethod
     def from_population(cls, pop: Population, delta: float = DELTA_DEFAULT) -> "EpsilonBase":
-        p = pop.n_ineq
-        return cls(values=np.array([np.concatenate([np.maximum(C[:, :p], 0.0).mean(axis=0),
-                                                    np.abs(C[:, p:]).mean(axis=0)])
-                                    for C in pop.C]), delta=delta)
+        C, p = pop.C, pop.n_ineq
+        return cls(values=np.concatenate([np.maximum(C[..., :p], 0.0).mean(axis=1),
+                                          np.abs(C[..., p:]).mean(axis=1)], axis=-1),
+                   delta=delta)
 
 
 def epsilon_from_action(level, base: EpsilonBase) -> np.ndarray:
@@ -142,7 +153,7 @@ def reward_components(f_gbest_prev: float, f_gbest_now: float, f_gbest_0: float,
     return float(r1), r2, gamma
 
 
-def compute_reward(r1: float, r2: float, gamma: float, variant: str = "full") -> float:
+def compute_reward(r1: float, r2: float, gamma: float, variant: str) -> float:
     """Blend the progress signals; every variant is clamped to [0, 1].
 
     full:  (r1 * (1 - gamma) + r2) / 2, the violation-progress weight
@@ -216,21 +227,18 @@ class EpsilonControlEnv:
 
     def epsilon_for_action(self, actions) -> np.ndarray:
         """Each run's epsilon (R, p+q) under its action; one action serves all."""
-        levels = self.action_space.levels[actions]
+        levels = self.action_space.level(actions)
         if self.action_space.scheme == SCHEME_EXPONENTIAL:
             return epsilon_from_action(levels, self.eps_base)
-        return epsilon_linear_step(self.current_eps, levels[..., None], self.eps_base)
+        return epsilon_linear_step(self.current_eps, np.reshape(levels, (-1, 1)), self.eps_base)
 
     def step(self, actions) -> list[dict]:
         """Run one generation of each run under its action's level, an index."""
         if self.terminal:  # before reset() there is no eps_base to scale
             raise RuntimeError("episode is terminal; call reset() before stepping")
-        actions, n = np.full(len(self.rngs), actions), self.action_space.n_actions
-        if actions.dtype.kind not in "iu" or not np.all((actions >= 0) & (actions < n)):
-            raise ValueError(f"actions must be integers in [0, {n}), got {actions.tolist()}")
+        actions = np.full(len(self.rngs), actions)
         return self.step_with_epsilon(self.epsilon_for_action(actions),
-                                      [self.action_space.normalized_level(a)
-                                       for a in actions.tolist()])
+                                      self.action_space.normalized_level(actions))
 
     def step_with_epsilon(self, eps: np.ndarray, level) -> list[dict]:
         """Advance every run one generation under its row of ``eps`` (R, p+q);

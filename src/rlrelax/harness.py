@@ -65,14 +65,18 @@ def problem_registry(cfg: ExperimentConfig) -> ProblemRegistry:
 
 @dataclass
 class RunRecord:
-    """One optimization run: identity, final score, per-generation trace."""
+    """One optimization run: identity and per-generation trace."""
 
     problem: str
     dim: int
     method: str
     run: int
-    final_sco: float
     steps: list[dict] = field(default_factory=list)
+
+    @property
+    def final_sco(self) -> float:
+        """The run's score after its last generation."""
+        return self.steps[-1]["sco"]
 
 
 @dataclass
@@ -213,8 +217,7 @@ def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
             _, steps = _run(cfg, registry, name, dim,
                             [_rng(cfg.seed, dim, run, name) for run in runs], f_agentbest,
                             policy, [f"{method} on {name} (dim {dim}, run {run})" for run in runs])
-            records += [RunRecord(problem=name, dim=dim, method=method, run=run,
-                                  final_sco=run_steps[-1]["sco"], steps=run_steps)
+            records += [RunRecord(problem=name, dim=dim, method=method, run=run, steps=run_steps)
                         for run, run_steps in zip(runs, steps)]
     return records
 
@@ -414,10 +417,8 @@ def load_records_jsonl(path) -> list[RunRecord]:
             key = (row["problem"], row["dim"], row["method"], row["run"])
             if key not in runs:
                 runs[key] = RunRecord(problem=row["problem"], dim=row["dim"],
-                                      method=row["method"], run=row["run"],
-                                      final_sco=row["sco"])
+                                      method=row["method"], run=row["run"])
             runs[key].steps.append(row)
-            runs[key].final_sco = row["sco"]
     return list(runs.values())
 
 

@@ -309,9 +309,3 @@ class ProblemRegistry:
         raise UnknownProblemError(
             f"unknown problem {name!r}; valid names: {', '.join(self.valid_names())}"
         )
-
-
-def registry_lookup(name: str, dim: int,
-                    shift_table: dict[tuple[str, int], np.ndarray] | None = None) -> ConstrainedProblem:
-    """Convenience wrapper around a throwaway ProblemRegistry."""
-    return ProblemRegistry(shift_table).lookup(name, dim)

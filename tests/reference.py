@@ -1,7 +1,8 @@
 """One-candidate oracles that the tests compare the row-wise program against.
 
-The program computes every step on rows: ``cop.violations``,
-``relaxed_violations`` and ``feasible_rows`` over a constraint batch, and
+The program computes every step on rows: ``cop.row_accounting`` (each
+row's exact violation, relaxed violation and feasibility) and
+``relaxed_violations`` over a constraint batch, and
 ``features.pairwise_tradeoff`` over all member pairs at once.  The
 functions here are the same definitions written the plain way, for one
 candidate or one pair at a time: a candidate's ``Evaluation``, its exact

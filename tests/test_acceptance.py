@@ -16,11 +16,13 @@ from rlrelax.agent import (
     init_params,
     loss_and_grad,
     loss_with_fixed_targets,
+    selu,
     sgd_step,
+    sigmoid,
     td_target,
 )
 from rlrelax.config import ExperimentConfig
-from rlrelax.cop import BudgetCounter, eps_compare, relaxed_violations, violations
+from rlrelax.cop import BudgetCounter, eps_compare, relaxed_violations, row_accounting
 from rlrelax.env import (
     EpsilonBase,
     EpsilonControlEnv,
@@ -101,7 +103,7 @@ def test_criterion_2_comparison_rule_oracle():
     for i in range(0, n, 50):
         c = np.array([[g_a[i], h_a[i]]])
         ok &= relaxed_violations(c, 1, eps[i])[0] == nu_a[i]
-        ok &= violations(c, 1)[0] == va[i]
+        ok &= row_accounting(c, 1)[0][0] == va[i]
 
     for i in range(n):
         ok &= eps_compare((f_a[i], nu_a[i]), (f_b[i], nu_b[i])) == \
@@ -131,7 +133,7 @@ def test_criterion_3_reward_bounds_and_worked_example():
         f_gbest_prev=3.0, f_gbest_now=3.0, f_gbest_0=3.0, f_agentbest=3.0,
         nu_prev=10.0, nu_now=5.0, nu_0=10.0,
     )
-    worked = abs(compute_reward(r1, r2, gamma) - 0.25) < 1e-12
+    worked = abs(compute_reward(r1, r2, gamma, "full") - 0.25) < 1e-12
     assert worked
 
     rng = np.random.default_rng(77)
@@ -152,12 +154,26 @@ def test_criterion_3_reward_bounds_and_worked_example():
 
 # -- criterion 4 -------------------------------------------------------------
 
+def perturbed_losses(states, actions, ys, params, k, h):
+    """loss_with_fixed_targets with entry i of params.arrays()[k] moved by h,
+    for every i at once: a stack of parameter copies, one copy per entry."""
+    arrays = params.arrays()
+    size = arrays[k].size
+    stack = np.repeat(arrays[k][None], size, axis=0)
+    stack.reshape(size, size)[np.arange(size), np.arange(size)] += h
+    w1, b1, w2, b2 = (stack if j == k else a[None] for j, a in enumerate(arrays))
+    hidden = selu(states @ np.swapaxes(w1, 1, 2) + b1[:, None, :])
+    q = sigmoid(hidden @ np.swapaxes(w2, 1, 2) + b2[:, None, :])
+    err = q[:, np.arange(len(actions)), actions] - ys
+    return np.mean(err ** 2, axis=-1)
+
+
 def test_criterion_4_gradient_check_full_network():
     t0 = time.time()
     rng = np.random.default_rng(13)
     h = 1e-5
     worst = 0.0
-    checked = 0
+    checked = perturbed = 0
     while checked < 100:
         params = init_params(rng=rng)
         target = init_params(rng=rng)
@@ -176,20 +192,18 @@ def test_criterion_4_gradient_check_full_network():
         checked += 1
         actions = np.array([tr.action for tr in batch])
         ys = np.array([td_target(tr, params, target, 1.0) for tr in batch])
-        _, analytic = loss_with_fixed_targets(states, actions, ys, params)
-        # central finite differences over every parameter
-        for p_arr, a_arr in zip(params.arrays(), analytic.arrays()):
-            flat_p, flat_a = p_arr.ravel(), a_arr.ravel()
-            for i in range(flat_p.size):
-                orig = flat_p[i]
-                flat_p[i] = orig + h
-                lo_p, _ = loss_with_fixed_targets(states, actions, ys, params)
-                flat_p[i] = orig - h
-                lo_m, _ = loss_with_fixed_targets(states, actions, ys, params)
-                flat_p[i] = orig
-                numeric = (lo_p - lo_m) / (2 * h)
-                rel = abs(flat_a[i] - numeric) / max(abs(flat_a[i]), abs(numeric), 1e-6)
-                worst = max(worst, rel)
+        loss, analytic = loss_with_fixed_targets(states, actions, ys, params)
+        # central finite differences over every parameter, one stack per array
+        for k, a_arr in enumerate(analytic.arrays()):
+            assert np.all(perturbed_losses(states, actions, ys, params, k, 0.0) == loss)
+            numeric = (perturbed_losses(states, actions, ys, params, k, h)
+                       - perturbed_losses(states, actions, ys, params, k, -h)) / (2 * h)
+            flat_a = a_arr.ravel()
+            rel = np.abs(flat_a - numeric) / np.maximum(np.maximum(np.abs(flat_a),
+                                                                  np.abs(numeric)), 1e-6)
+            worst = max(worst, float(rel.max()))
+            perturbed += numeric.size
+    assert perturbed == 100 * 1419  # every parameter of every checked network
     elapsed = time.time() - t0
     ok = worst < 1e-4 and elapsed < 30.0
     report(4, ok, f"gradient vs finite differences, max rel err {worst:.2e}", elapsed)

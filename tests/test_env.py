@@ -20,7 +20,7 @@ from rlrelax.env import (
     reward_components,
 )
 from rlrelax.lshade import N_MIN, episode_steps
-from rlrelax.problems import SYNTHETIC_KINDS, registry_lookup, synthetic_family
+from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry, synthetic_family
 
 
 class TestActionSpace:
@@ -48,6 +48,26 @@ class TestActionSpace:
             space = ActionSpace.for_scheme(scheme)
             for i in range(space.n_actions):
                 assert 0.0 <= space.normalized_level(i) <= 1.0
+
+    def test_index_array_equals_each_index(self):
+        for scheme in ("exponential", "linear-aa", "linear-ca"):
+            space = ActionSpace.for_scheme(scheme)
+            idx = np.arange(space.n_actions)
+            for helper in (space.level, space.normalized_level):
+                assert helper(idx).tolist() == [helper(i) for i in idx.tolist()]
+                assert type(helper(np.int64(3))) is float
+            if scheme != "exponential":  # numpy's idx / (n - 1) is Python's i / (n - 1)
+                assert space.normalized_level(idx).tolist() == [
+                    i / (space.n_actions - 1) for i in range(space.n_actions)]
+
+    @pytest.mark.parametrize("index", [-1, 7.5, True, False, "n_actions", [0, -1]])
+    def test_bad_index_rejected(self, index):
+        for scheme in ("exponential", "linear-aa", "linear-ca"):
+            space = ActionSpace.for_scheme(scheme)
+            bad = space.n_actions if index == "n_actions" else index
+            for helper in (space.level, space.normalized_level):
+                with pytest.raises(ValueError, match="action index"):
+                    helper(bad)
 
 
 class TestEpsilonMapping:
@@ -108,16 +128,16 @@ class TestReward:
             nu_prev=10.0, nu_now=5.0, nu_0=10.0,
         )
         assert r1 == 0.0 and r2 == pytest.approx(0.5) and gamma == pytest.approx(0.5)
-        assert compute_reward(r1, r2, gamma) == pytest.approx(0.25, abs=1e-12)
+        assert compute_reward(r1, r2, gamma, "full") == pytest.approx(0.25, abs=1e-12)
 
     def test_nothing_improves(self):
         r1, r2, gamma = reward_components(5.0, 5.0, 5.0, 5.0, 10.0, 10.0, 10.0)
-        assert compute_reward(r1, r2, gamma) == 0.0
+        assert compute_reward(r1, r2, gamma, "full") == 0.0
 
     def test_objective_gain_suppressed_without_violation_progress(self):
         r1, r2, gamma = reward_components(10.0, 5.0, 10.0, 5.0, 10.0, 10.0, 10.0)
         assert r1 == pytest.approx(1.0) and gamma == 1.0
-        assert compute_reward(r1, r2, gamma) == pytest.approx(0.0, abs=1e-12)
+        assert compute_reward(r1, r2, gamma, "full") == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_denominator_zeroes_objective_signal(self):
         r1, _, _ = reward_components(5.0, 5.0, 5.0, 5.0, 1.0, 1.0, 1.0)
@@ -305,8 +325,8 @@ class TestEnvEpisode:
         assert infos_a == infos_b
 
     def test_rejected_epsilon_leaves_episode_unchanged(self):
-        env = make_env(seed=3, problem=registry_lookup("cec12", 10), pop_size=20, maxfes=200,
-                       action_scheme="linear-aa")
+        env = make_env(seed=3, problem=ProblemRegistry().lookup("cec12", 10), pop_size=20,
+                       maxfes=200, action_scheme="linear-aa")
         env.reset()
         env.step(1)
         eps, before = env.current_eps.copy(), snapshot(env)
@@ -334,7 +354,7 @@ class TestEnvEpisode:
 
         for module in (cop, env_module, lshade):  # wherever the name may be looked up
             monkeypatch.setattr(module, "epsilon_vector", counted, raising=False)
-        env = EpsilonControlEnv(registry_lookup("cec12", 10), [np.random.default_rng(4),
+        env = EpsilonControlEnv(ProblemRegistry().lookup("cec12", 10), [np.random.default_rng(4),
                                 np.random.default_rng(5)], ExperimentConfig(pop_size=20), 200)
         env.reset()
         for action in range(3):
@@ -408,7 +428,7 @@ class TestWholeRunInvariants:
                                                           extra, lpsr, scheme, variant, seed):
         # budgets of two generations plus a remainder, so runs end mid-generation
         maxfes = 2 * n_pop + extra
-        problem = registry_lookup(name, 10 if name.startswith("cec") else synthetic_dim)
+        problem = ProblemRegistry().lookup(name, 10 if name.startswith("cec") else synthetic_dim)
         rng = np.random.default_rng(seed)
         cfg = ExperimentConfig(pop_size=n_pop, action_scheme=scheme, reward_variant=variant,
                                lpsr=lpsr)

@@ -15,7 +15,7 @@ from rlrelax.features import (
     top5_violation_mean,
 )
 from rlrelax.lshade import N_MIN, Population, RunStats, generation_step, init_population
-from rlrelax.problems import SYNTHETIC_KINDS, registry_lookup
+from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry
 from reference import pairwise_tradeoff as reference_tradeoff
 
 
@@ -213,7 +213,7 @@ class TestScriptedRunState:
            lpsr=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_finite_from_generation_0_and_equal_to_env(self, instance, n_pop, extra, lpsr,
                                                        seed):
-        problem = registry_lookup(*instance)
+        problem = ProblemRegistry().lookup(*instance)
         maxfes, level = 2 * n_pop + extra, 0.3
         eps = np.full(problem.n_constraints, 0.05)
 

@@ -397,8 +397,7 @@ class TestExport:
             steps = [dict(step=i + 1, fes=(i + 2) * 10, level=0.5, eps_min=0.0,
                           eps_mean=0.0, eps_max=0.0, reward=0.0, sco=s)
                      for i, s in enumerate(scores)]
-            return RunRecord(problem="p", dim=2, method=method, run=0,
-                             final_sco=scores[-1], steps=steps)
+            return RunRecord(problem="p", dim=2, method=method, run=0, steps=steps)
 
         records = [rec("m1", [10.0, 8.0, 6.0]), rec("m2", [9.0, 5.0, 2.0])]
         csv_path = export_curves(records, tmp_path)
@@ -413,8 +412,7 @@ class TestExport:
         steps = [dict(step=i + 1, fes=(i + 2) * 10, level=0.5, eps_min=0.0,
                       eps_mean=0.0, eps_max=0.0, reward=0.0, sco=5.0)
                  for i in range(3)]
-        record = RunRecord(problem="p", dim=2, method="m", run=0,
-                           final_sco=5.0, steps=steps)
+        record = RunRecord(problem="p", dim=2, method="m", run=0, steps=steps)
         csv_path = export_curves([record], tmp_path)
         values = [float(ln.split(",")[-1]) for ln in
                   csv_path.read_text().splitlines()[1:]]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rlrelax.cop import BudgetCounter, ConstrainedProblem, relaxed_violations, violations
+from rlrelax.cop import BudgetCounter, ConstrainedProblem, relaxed_violations, row_accounting
 from rlrelax.lshade import (
     H_MEMORY,
     N_MIN,
@@ -51,7 +51,7 @@ def toy_constrained(dim):
 def make_pair(f, g=(), h=(), eps=None):
     """(objective, relaxed violation) of one candidate, as selection sees it."""
     C = np.array([[*g, *h]], dtype=float)
-    nu = violations(C, len(g)) if eps is None else relaxed_violations(C, len(g), eps)
+    nu = row_accounting(C, len(g))[0] if eps is None else relaxed_violations(C, len(g), eps)
     return (float(f), float(nu[0]))
 
 

@@ -8,7 +8,6 @@ from rlrelax.problems import (
     load_shift_table,
     make_cec12,
     make_cec14,
-    registry_lookup,
     synthetic_family,
 )
 from reference import evaluation, is_feasible, sco, violation
@@ -195,24 +194,24 @@ class TestShifts:
 
 class TestRegistry:
     def test_lookup_cec(self):
-        prob = registry_lookup("cec12", 10)
+        prob = ProblemRegistry().lookup("cec12", 10)
         assert prob.name == "cec12" and prob.dim == 10
 
     def test_unsupported_dim(self):
         with pytest.raises(UnknownProblemError, match="supports dims"):
-            registry_lookup("cec12", 7)
+            ProblemRegistry().lookup("cec12", 7)
 
     def test_synthetic_pattern(self):
-        prob = registry_lookup("synthetic/sphere-linear/0", 50)
+        prob = ProblemRegistry().lookup("synthetic/sphere-linear/0", 50)
         assert prob.dim == 50
-        again = registry_lookup("synthetic/sphere-linear/0", 50)
+        again = ProblemRegistry().lookup("synthetic/sphere-linear/0", 50)
         x = np.full(50, 1.25)
         assert evaluation(prob, x).f == evaluation(again, x).f
 
     def test_unknown_name_lists_valid(self):
         with pytest.raises(UnknownProblemError, match="cec12"):
-            registry_lookup("mystery", 10)
+            ProblemRegistry().lookup("mystery", 10)
 
     def test_bad_synthetic_seed(self):
         with pytest.raises(UnknownProblemError):
-            registry_lookup("synthetic/sphere-linear/zero", 10)
+            ProblemRegistry().lookup("synthetic/sphere-linear/zero", 10)

@@ -3,7 +3,7 @@ for run, the bits of R single runs on the same generators.
 
 The design rests on two properties, pinned here: every reduction over a
 stacked (R, N, ...) array is bitwise the reduction over each run's slice
-(the features, the ranking), and a group of runs returns the step records
+(the features, the ranking, the relaxation base), and a group of runs returns the step records
 of its runs made one at a time."""
 
 import copy
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from rlrelax import harness
 from rlrelax.config import ExperimentConfig
 from rlrelax.cop import BudgetCounter
-from rlrelax.env import SCHEMES
+from rlrelax.env import SCHEMES, EpsilonBase
 from rlrelax.features import extract_state, pairwise_tradeoff, top5_violation_mean
 from rlrelax.lshade import N_MIN, Population, RunStats
 from rlrelax.problems import SYNTHETIC_KINDS
@@ -140,3 +140,14 @@ class TestStackedReductions:
         ranked = pop.ranking()
         for r in range(pop.f.shape[0]):
             assert ranked[r].tolist() == np.lexsort((pop.f[r], pop.nu_eps[r])).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_populations())
+    def test_eps_base_is_each_runs_own(self, case):
+        pop, p = case[0], case[0].n_ineq
+        base = EpsilonBase.from_population(pop)
+        assert base.values.shape == (pop.f.shape[0], pop.C.shape[-1])
+        for r, C in enumerate(pop.C):  # one run's (N, p+q) alone
+            own = np.concatenate([np.maximum(C[:, :p], 0.0).mean(axis=0),
+                                  np.abs(C[:, p:]).mean(axis=0)])
+            assert base.values[r].tobytes() == np.maximum(own, base.delta).tobytes()

@@ -12,11 +12,11 @@ Everything carries a leading run axis: R paired runs of one problem share
 their budget, so they advance in lockstep as one (R, N, D) population.
 Each run keeps its generator and draw order, its archive and its memory;
 the evaluator, the row-wise accounting and the arithmetic run once over
-the stack.  generation_step draws each random quantity once per run, as
-one vector.  The draws follow
-L-SHADE's distributions (Tanabe & Fukunaga, CEC 2014), not the stream of a
-per-member loop; tests/test_lshade.py pins the distributions and
-tests/test_digests.py the stream.
+the stack.  generation_step draws in one stacked draw_generation call, in
+which each run makes its vector calls on its own generator, in order.  The
+draws follow L-SHADE's distributions (Tanabe & Fukunaga, CEC 2014), not
+the stream of a per-member loop; tests/test_lshade.py pins the
+distributions and tests/test_digests.py the stream.
 """
 
 from __future__ import annotations
@@ -139,9 +139,7 @@ def init_population(problem: ConstrainedProblem, rngs: list[np.random.Generator]
     if n < N_MIN:
         raise ValueError(f"population size must be >= {N_MIN}, got {n}")
     if budget.remaining < n:
-        raise RuntimeError(
-            f"budget of {budget.remaining} evaluations cannot initialize n={n}"
-        ) from None
+        raise RuntimeError(f"budget of {budget.remaining} evaluations cannot initialize n={n}")
     x = np.array([rng.uniform(problem.lower, problem.upper, size=(n, problem.dim))
                   for rng in rngs])
     f, C = problem.evaluate_batch(x.reshape(-1, problem.dim))
@@ -219,7 +217,7 @@ def episode_steps(maxfes: int, n_pop: int, lpsr: bool = False) -> int:
 
 
 class Draws(NamedTuple):
-    """One generation's random quantities, entry i belonging to member i."""
+    """One generation's random quantities, entry [r, i] belonging to member i of run r."""
 
     slot: np.ndarray   # success-history slot
     F: np.ndarray      # scale factor in (0, 1]
@@ -227,35 +225,37 @@ class Draws(NamedTuple):
     pbest: np.ndarray  # rank of the pbest among the ceil(P_BEST_RATE * n) best
     r1: np.ndarray     # population index other than i
     r2: np.ndarray     # population-then-archive index other than i and r1
-    u: np.ndarray      # (n, d) crossover uniforms
+    u: np.ndarray      # (R, n, d) crossover uniforms
     j: np.ndarray      # crossover's forced donor coordinate
 
 
-def draw_generation(hist: SuccessHistory, n: int, n_archive: int, d: int,
-                    rng: np.random.Generator) -> Draws:
-    """Draw a generation's random quantities as eight vectors, in this order:
-    memory slots, F's Cauchy draws (redrawn only where F <= 0), CR's normal
-    draws (one per member, unused on a terminal slot), pbest ranks, r1, r2,
-    crossover's uniforms and its forced coordinates."""
-    slot = rng.integers(hist.m_f.size, size=n)
-    f_raw = hist.m_f[slot] + 0.1 * rng.standard_cauchy(n)
-    redraw = np.flatnonzero(f_raw <= 0.0)
-    while redraw.size:
-        f_raw[redraw] = hist.m_f[slot[redraw]] + 0.1 * rng.standard_cauchy(redraw.size)
-        redraw = redraw[f_raw[redraw] <= 0.0]
-    m_cr = hist.m_cr[slot]
-    CR = np.where(np.isnan(m_cr), 0.0, np.clip(m_cr + 0.1 * rng.standard_normal(n), 0.0, 1.0))
-    pbest = rng.integers(max(1, math.ceil(P_BEST_RATE * n)), size=n)
+def draw_generation(hists: list[SuccessHistory], n: int, n_archive: list[int], d: int,
+                    rngs: list[np.random.Generator]) -> Draws:
+    """Draw a generation of R runs: run r, with memory hists[r] and n_archive[r]
+    archive rows, calls rngs[r] for slots, F's Cauchy draws (redrawn where F <= 0),
+    CR's normals (unused on a terminal slot), pbest ranks, r1, r2, crossover's
+    uniforms and forced coordinates, in order; the rest runs once on the stack."""
+    if not len(hists) == len(n_archive) == len(rngs):
+        raise ValueError(f"{len(hists)} memories, {len(n_archive)} archives, {len(rngs)} rngs")
+    raw, n_best = [], max(1, math.ceil(P_BEST_RATE * n))
+    for hist, n_arch, rng in zip(hists, n_archive, rngs):
+        slot = rng.integers(hist.m_f.size, size=n)
+        f_raw = hist.m_f[slot] + 0.1 * rng.standard_cauchy(n)
+        redraw = np.flatnonzero(f_raw <= 0.0)
+        while redraw.size:
+            f_raw[redraw] = hist.m_f[slot[redraw]] + 0.1 * rng.standard_cauchy(redraw.size)
+            redraw = redraw[f_raw[redraw] <= 0.0]
+        raw.append((slot, f_raw, hist.m_cr[slot], rng.standard_normal(n),
+                    *(rng.integers(high, size=n) for high in (n_best, n - 1, n + n_arch - 2)),
+                    rng.random((n, d)), rng.integers(d, size=n)))
+    slot, f_raw, m_cr, normal, pbest, r1, r2, u, j = map(np.array, zip(*raw))
+    CR = np.where(np.isnan(m_cr), 0.0, np.clip(m_cr + 0.1 * normal, 0.0, 1.0))
     # r1 and r2 are drawn from ranges short by the excluded indices, then
     # stepped past each excluded index in increasing order
     i = np.arange(n)
-    r1 = rng.integers(n - 1, size=n)
     r1 += r1 >= i
-    r2 = rng.integers(n + n_archive - 2, size=n)
     r2 += r2 >= np.minimum(i, r1)
     r2 += r2 >= np.maximum(i, r1)
-    u = rng.random((n, d))
-    j = rng.integers(d, size=n)
     return Draws(slot, np.minimum(f_raw, 1.0), CR, pbest, r1, r2, u, j)
 
 
@@ -269,23 +269,24 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     dry; unevaluated trials are skipped and their parents survive untouched.
     Returns the number of trials evaluated across the runs.  With stats.lpsr
     the population then shrinks to lpsr_target_size from stats.n_init; last,
-    stats.nu_top5 is refreshed.  Each run draws from draw_generation on its
-    stats.hist, its archive pops one random entry per overflow, then with
-    LPSR one per entry beyond the new size.  A rejected eps changes nothing.
+    stats.nu_top5 is refreshed.  All runs draw in one draw_generation call,
+    then each archive pops a random entry per overflow, and with LPSR one per
+    entry beyond the new size.  A rejected eps or per-run list changes nothing.
     """
     budget = stats.budget
     if budget.exhausted:
         raise RuntimeError("generation_step requires at least one remaining evaluation")
-    eps = refresh_relaxed(pop, eps)
     runs, n, d = pop.x.shape
+    for name, per_run in (("rngs", rngs), ("stats.hist", stats.hist), ("pop.archive", pop.archive)):
+        if len(per_run) != runs:
+            raise ValueError(f"{name} has {len(per_run)} entries for {runs} runs")
+    eps = refresh_relaxed(pop, eps)
     ranked = pop.ranking()
-    per_run = [draw_generation(hist, n, len(archive), d, rng)
-               for hist, archive, rng in zip(stats.hist, pop.archive, rngs)]
-    draws = Draws(*map(np.array, zip(*per_run)))
+    draws = draw_generation(stats.hist, n, [len(archive) for archive in pop.archive], d, rngs)
     F = draws.F[..., None]
     x = pop.x
-    x_r2 = np.array([np.concatenate([x_run, archive])[g.r2]
-                     for x_run, archive, g in zip(x, pop.archive, per_run)])
+    x_r2 = np.array([np.concatenate([x_run, archive])[r2]
+                     for x_run, archive, r2 in zip(x, pop.archive, draws.r2)])
     run = np.arange(runs)[:, None]
     v = x + F * (x[run, ranked[run, draws.pbest]] - x) + F * (x[run, draws.r1] - x_r2)
     mask = draws.u < draws.CR[..., None]
@@ -302,8 +303,7 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     stats.observe(trials)
 
     # eps_compare(trial, parent) == -1, with select_survivor's weight
-    f_p, nu_p = pop.f[:, :k], pop.nu_eps[:, :k]
-    nu_t = trials.nu_eps
+    f_p, nu_p, nu_t = pop.f[:, :k], pop.nu_eps[:, :k], trials.nu_eps
     won = (nu_t < nu_p) | ((nu_t == nu_p) & (trials.f < f_p))
     weight = np.where(nu_t != nu_p, nu_p - nu_t, f_p - trials.f)
     size = min(n, lpsr_target_size(budget.fes, budget.maxfes, stats.n_init)) if stats.lpsr else n
@@ -312,9 +312,9 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
         # the winners' parents join in order, and each append past cap = max(L, n)
         # overflows at length cap + 1: its pops are one draw, walked over entry indices
         pool, cap = np.concatenate([archive, x[r, won_r]]), max(len(archive), n)
+        pops = rng.integers(cap + 1, size=len(pool) - cap).tolist() if len(pool) > cap else []
         keep = list(range(min(len(pool), cap)))
-        for j, p in zip(range(cap, len(pool)),
-                        rng.integers(cap + 1, size=max(len(pool) - cap, 0)).tolist()):
+        for j, p in zip(range(cap, len(pool)), pops):
             keep.append(j)
             keep.pop(p)
         while stats.lpsr and len(keep) > size:  # LPSR's trim: the bound shrinks per pop

@@ -11,15 +11,20 @@ over the upper triangle of pairs.  The tests require the row-wise forms to
 equal these bit for bit.  ``archive_after_selection`` is the archive
 update of one generation the plain way, a list of row copies with one
 scalar draw per pop, which the program's index walk must reproduce.
+``draw_generation_one_run`` is one run's draws of a generation, clipped and
+stepped on that run's vectors alone, which the stacked draws of
+``lshade.draw_generation`` must equal run by run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from rlrelax.cop import ProblemDefinitionError, epsilon_vector
+from rlrelax.lshade import P_BEST_RATE, Draws, SuccessHistory
 
 
 @dataclass(frozen=True)
@@ -105,3 +110,31 @@ def archive_after_selection(archive, x, won, n, rng, size=None) -> list[np.ndarr
     while size is not None and len(archive) > size:
         archive.pop(int(rng.integers(len(archive))))
     return archive
+
+
+def draw_generation_one_run(hist: SuccessHistory, n: int, n_archive: int, d: int,
+                            rng: np.random.Generator) -> Draws:
+    """One run's draws of a generation as eight vectors, in this order:
+    memory slots, F's Cauchy draws (redrawn only where F <= 0), CR's normal
+    draws (one per member, unused on a terminal slot), pbest ranks, r1, r2,
+    crossover's uniforms and its forced coordinates."""
+    slot = rng.integers(hist.m_f.size, size=n)
+    f_raw = hist.m_f[slot] + 0.1 * rng.standard_cauchy(n)
+    redraw = np.flatnonzero(f_raw <= 0.0)
+    while redraw.size:
+        f_raw[redraw] = hist.m_f[slot[redraw]] + 0.1 * rng.standard_cauchy(redraw.size)
+        redraw = redraw[f_raw[redraw] <= 0.0]
+    m_cr = hist.m_cr[slot]
+    CR = np.where(np.isnan(m_cr), 0.0, np.clip(m_cr + 0.1 * rng.standard_normal(n), 0.0, 1.0))
+    pbest = rng.integers(max(1, math.ceil(P_BEST_RATE * n)), size=n)
+    # r1 and r2 are drawn from ranges short by the excluded indices, then
+    # stepped past each excluded index in increasing order
+    i = np.arange(n)
+    r1 = rng.integers(n - 1, size=n)
+    r1 += r1 >= i
+    r2 = rng.integers(n + n_archive - 2, size=n)
+    r2 += r2 >= np.minimum(i, r1)
+    r2 += r2 >= np.maximum(i, r1)
+    u = rng.random((n, d))
+    j = rng.integers(d, size=n)
+    return Draws(slot, np.minimum(f_raw, 1.0), CR, pbest, r1, r2, u, j)

@@ -11,7 +11,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlrelax import agent as qnet
@@ -28,6 +28,7 @@ from rlrelax.env import EpsilonControlEnv
 from rlrelax.harness import train
 from rlrelax.lshade import (
     H_MEMORY,
+    Draws,
     Population,
     RunStats,
     SuccessHistory,
@@ -40,8 +41,8 @@ from rlrelax.lshade import (
     update_memory,
 )
 from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry, synthetic_family
-from reference import (Evaluation, archive_after_selection, is_feasible, relaxed_violation, sco,
-                       violation)
+from reference import (Evaluation, archive_after_selection, draw_generation_one_run, is_feasible,
+                       relaxed_violation, sco, violation)
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -316,6 +317,42 @@ def stepped_problem(dim):
                               upper=np.full(dim, 3.0), n_ineq=1, n_eq=1, evaluator=evaluator)
 
 
+class TestStackedDrawsAgainstOneRunOracle:
+    """lshade.draw_generation over R runs against
+    reference.draw_generation_one_run on a copy of each run's memory and
+    generator: every field of every run bit for bit, and every generator
+    left in the same state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.integers(1, 4), n=st.integers(4, 40), d=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1),
+           fills=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+           terminal=st.lists(st.booleans(), min_size=4 * H_MEMORY, max_size=4 * H_MEMORY),
+           low=st.lists(st.booleans(), min_size=4 * H_MEMORY, max_size=4 * H_MEMORY))
+    @example(runs=4, n=40, d=3, seed=0, fills=[0.0, 0.3, 0.7, 1.0],
+             terminal=[True, False] * (2 * H_MEMORY), low=[True] * (4 * H_MEMORY))
+    def test_each_run_equals_its_oracle(self, runs, n, d, seed, fills, terminal, low):
+        # a terminal slot gives CR = 0 whatever its normal draw; a slot with
+        # m_f = 0.05 puts about 15% of its Cauchy draws at or below zero, so
+        # F is redrawn, and the redraws come before the run's normal draws
+        setup = np.random.default_rng(seed)
+        slots = np.reshape(terminal, (4, H_MEMORY)), np.reshape(low, (4, H_MEMORY))
+        hists = [SuccessHistory(m_f=np.where(slots[1][r], 0.05, setup.uniform(0.05, 1.0, H_MEMORY)),
+                                m_cr=np.where(slots[0][r], np.nan, setup.uniform(size=H_MEMORY)))
+                 for r in range(runs)]
+        n_archive = [round(fill * n) for fill in fills[:runs]]
+        rngs = [np.random.default_rng([seed, r]) for r in range(runs)]
+        oracle_hists, oracle_rngs = copy.deepcopy(hists), copy.deepcopy(rngs)
+
+        draws = draw_generation(hists, n, n_archive, d, rngs)
+        assert draws.u.shape == (runs, n, d)
+        for r in range(runs):
+            want = draw_generation_one_run(oracle_hists[r], n, n_archive[r], d, oracle_rngs[r])
+            for name, got, expected in zip(Draws._fields, draws, want):
+                assert same_bits(got[r], expected), name
+            assert rngs[r].bit_generator.state == oracle_rngs[r].bit_generator.state
+
+
 class TestGenerationStepSelection:
     """Survivors, archive and memory after one generation, against
     select_survivor applied to each (parent, trial) pair in turn."""
@@ -345,7 +382,7 @@ class TestGenerationStepSelection:
         eps = rng.uniform(0.0, 3.0, size=2) if positive_eps else np.zeros(2)
         refresh_relaxed(pop, eps)
         parent = copy.deepcopy(pop)
-        draws = draw_generation(hist, n, 0, dim, copy.deepcopy(rng))
+        draws = draw_generation([hist], n, [0], dim, [copy.deepcopy(rng)])
         expected_hist = copy.deepcopy(hist)
 
         evaluated = generation_step(pop, recording, eps, [rng], stats)
@@ -368,7 +405,7 @@ class TestGenerationStepSelection:
         assert same_bits(x[evaluated:], x_0[evaluated:])
         assert len(archive) == len(won)
         assert all(same_bits(a, x_0[i]) for a, i in zip(archive, won))
-        update_memory(expected_hist, draws.F[won], draws.CR[won], weights)
+        update_memory(expected_hist, draws.F[0, won], draws.CR[0, won], weights)
         assert same_bits(hist.m_f, expected_hist.m_f) and same_bits(hist.m_cr, expected_hist.m_cr)
         assert hist.k == expected_hist.k
 
@@ -406,7 +443,7 @@ class TestArchiveAgainstListOracle:
         f_t, C_t = problem.evaluator(batches[0])
         f_t, nu_t = f_t.reshape(runs, k), relaxed_violations(C_t.reshape(runs, k, 2), 1, eps)
         for r in range(runs):
-            draw_generation(hists[r], n, len(parent.archive[r]), dim, oracle_rngs[r])
+            draw_generation_one_run(hists[r], n, len(parent.archive[r]), dim, oracle_rngs[r])
             won = [eps_compare((f_t[r, i], nu_t[r, i]), (parent.f[r, i], parent.nu_eps[r, i])) == -1
                    for i in range(k)]
             expected = archive_after_selection(parent.archive[r], parent.x[r], won, n,

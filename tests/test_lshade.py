@@ -12,6 +12,7 @@ from rlrelax.lshade import (
     H_MEMORY,
     N_MIN,
     P_BEST_RATE,
+    Draws,
     Population,
     RunStats,
     SuccessHistory,
@@ -96,6 +97,24 @@ def test_vector_integers_equal_scalar_calls(m, k, seed, earlier, earlier_bound):
     assert rng.bit_generator.state == scalar.bit_generator.state
 
 
+@settings(max_examples=500, deadline=None)
+@given(m=st.integers(1, 2**32), seed=st.integers(0, 2**32 - 1), pending=st.booleans())
+@example(m=2**32, seed=0, pending=True)
+@example(m=1, seed=0, pending=False)
+def test_empty_integers_leave_the_state(m, seed, pending):
+    # generation_step makes no overflow draw for a run whose archive does not
+    # overflow, where it once called integers(m, size=0); that call must
+    # leave the state as it was, also when an earlier 32-bit draw has left
+    # half of a 64-bit word buffered
+    rng = np.random.default_rng(seed)
+    if pending:
+        rng.integers(2**32)  # one full-range 32-bit draw, which never rejects
+    before = rng.bit_generator.state
+    assert before["has_uint32"] == pending
+    assert rng.integers(m, size=0).shape == (0,)
+    assert rng.bit_generator.state == before
+
+
 def chi_square(counts) -> tuple[float, int]:
     """Pearson's statistic of counts against equal frequencies, and its
     degrees of freedom."""
@@ -111,6 +130,11 @@ def assert_uniform(counts):
     assert stat < dof + 6.0 * math.sqrt(2.0 * dof), (stat, dof)
 
 
+def draw_one_run(hist, n, n_archive, d, rng) -> Draws:
+    """The draws of a one-run stack, as that run's (n,) and (n, d) arrays."""
+    return Draws._make(a[0] for a in draw_generation([hist], n, [n_archive], d, [rng]))
+
+
 class TestDrawGeneration:
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(N_MIN, 40), fill=st.floats(0.0, 1.0), d=st.integers(1, 12),
@@ -121,7 +145,7 @@ class TestDrawGeneration:
         hist = SuccessHistory(m_f=rng.uniform(low, 1.0, size=H_MEMORY),
                               m_cr=np.where(terminal, np.nan, rng.uniform(size=H_MEMORY)))
         n_archive = round(fill * n)
-        g = draw_generation(hist, n, n_archive, d, rng)
+        g = draw_one_run(hist, n, n_archive, d, rng)
         i = np.arange(n)
         assert all(a.shape == (n,) for a in (g.slot, g.F, g.CR, g.pbest, g.r1, g.r2, g.j))
         assert g.u.shape == (n, d) and np.all((g.u >= 0.0) & (g.u < 1.0))
@@ -143,7 +167,7 @@ class TestDrawGeneration:
         r1 = np.zeros((n, n))
         r1r2 = np.zeros((n, n, pool))
         for _ in range(calls):
-            g = draw_generation(hist, n, n_archive, d, rng)
+            g = draw_one_run(hist, n, n_archive, d, rng)
             for counts, values in ((slot, g.slot), (pbest, g.pbest), (j, g.j)):
                 np.add.at(counts, values, 1)
             np.add.at(r1, (np.arange(n), g.r1), 1)
@@ -165,7 +189,7 @@ class TestDrawGeneration:
         # those entries must leave the Cauchy conditioned on F > 0
         hist = SuccessHistory(m_f=np.full(H_MEMORY, 0.05), m_cr=np.full(H_MEMORY, 0.5))
         rng = np.random.default_rng(7)
-        F = np.concatenate([draw_generation(hist, 1000, 0, 1, rng).F for _ in range(200)])
+        F = np.concatenate([draw_one_run(hist, 1000, 0, 1, rng).F for _ in range(200)])
 
         def cauchy_cdf(t):
             return 0.5 + math.atan((t - 0.05) / 0.1) / math.pi
@@ -175,6 +199,16 @@ class TestDrawGeneration:
             assert abs(np.mean(F <= t) - want) < 0.005  # 5 standard errors
         assert np.mean(F == 1.0) == pytest.approx(
             (1.0 - cauchy_cdf(1.0)) / (1.0 - cauchy_cdf(0.0)), abs=0.005)
+
+    @pytest.mark.parametrize("hists, n_archive, runs", [(2, 1, 1), (1, 2, 1), (2, 2, 1),
+                                                         (1, 1, 2), (0, 1, 1)])
+    def test_mismatched_lists_rejected_before_any_draw(self, hists, n_archive, runs):
+        rngs = [np.random.default_rng(r) for r in range(runs)]
+        before = pickle.dumps(rngs)
+        message = f"{hists} memories, {n_archive} archives, {runs} rngs"
+        with pytest.raises(ValueError, match=message):
+            draw_generation([SuccessHistory.fresh()] * hists, 10, [0] * n_archive, 3, rngs)
+        assert pickle.dumps(rngs) == before
 
 
 def sphere_rows(X):
@@ -199,7 +233,7 @@ def one_generation(x, archive, hist, lower, upper, seed=0):
     pop = Population.evaluated(x[None].copy(), *sphere_rows(x), n_ineq=0)
     pop.archive = [archive.copy()]
     rng = np.random.default_rng(seed)
-    draws = draw_generation(copy.deepcopy(hist), n, len(archive), d, copy.deepcopy(rng))
+    draws = draw_one_run(copy.deepcopy(hist), n, len(archive), d, copy.deepcopy(rng))
     ranked = pop.ranking()[0]
     generation_step(pop, problem, np.zeros(0), [rng],
                     RunStats(BudgetCounter(10 * n), n, hist=[hist]))
@@ -396,6 +430,25 @@ class TestGenerationStep:
         before = pickle.dumps((pop, stats, rngs))
         with pytest.raises(ValueError):
             generation_step(pop, problem, bad, rngs, stats)
+        assert pickle.dumps((pop, stats, rngs)) == before
+
+    @pytest.mark.parametrize("name", ["rngs", "stats.hist", "pop.archive"])
+    @pytest.mark.parametrize("length", [0, 1, 4])
+    def test_mismatched_run_lists_change_nothing(self, name, length):
+        # the generators, memories and archives are checked against the run
+        # axis before the relaxed violations are refreshed or any run draws
+        problem = toy_constrained(5)
+        rngs = [np.random.default_rng(seed) for seed in (18, 19, 20)]
+        stats = RunStats(BudgetCounter(200), 12)
+        pop = init_population(problem, rngs, stats)
+        generation_step(pop, problem, np.full(2, 0.5), rngs, stats)  # fills archives and memories
+        before = pickle.dumps((pop, stats, rngs))
+        lists = {"rngs": rngs, "stats.hist": stats.hist, "pop.archive": pop.archive}
+        wrong = dict(lists, **{name: (lists[name] * 2)[:length]})
+        stats.hist, pop.archive = wrong["stats.hist"], wrong["pop.archive"]
+        with pytest.raises(ValueError, match=rf"^{name} has {length} entries for 3 runs$"):
+            generation_step(pop, problem, np.zeros(2), wrong["rngs"], stats)
+        stats.hist, pop.archive = lists["stats.hist"], lists["pop.archive"]
         assert pickle.dumps((pop, stats, rngs)) == before
 
     def test_elitism_under_fixed_eps(self):

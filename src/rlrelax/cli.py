@@ -14,15 +14,14 @@ from pathlib import Path
 from . import agent as qnet
 from .config import ConfigError, ExperimentConfig, load_config
 from .harness import (
+    ABLATIONS,
     BASELINES,
-    ABLATION_VARIANTS,
     aggregate_table,
     ablate,
     evaluate,
     export_curves,
     leave_one_out,
     load_records_jsonl,
-    problem_registry,
     run_baseline,
     split_protocol,
     train,
@@ -71,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run one ablation against the full method")
     common(p)
     p.add_argument("--variant", required=True,
-                   help=f"one of: {', '.join(ABLATION_VARIANTS)}")
+                   help=f"one of: {', '.join(ABLATIONS)}")
 
     p = sub.add_parser("export-curves", help="normalized curves from records.jsonl")
     common(p)
@@ -79,24 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cfg(args) -> ExperimentConfig:
-    try:
-        cfg = load_config(args.config)
-    except FileNotFoundError as exc:
-        raise ConfigError(str(exc)) from None
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.runs is not None:
-        cfg.runs = args.runs
+    """The config file's settings with the flags applied, checked once."""
+    flags = {"seed": args.seed, "out_dir": args.out, "runs": args.runs}
     if args.dims is not None:
         try:
-            cfg.dims = [int(v) for v in args.dims.split(",") if v.strip()]
+            flags["dims"] = [int(v) for v in args.dims.split(",") if v.strip()]
         except ValueError as exc:
             raise ConfigError(f"--dims: {exc}") from None
-    cfg.validate()
-    problem_registry(cfg)
-    return cfg
+    return load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _dispatch(args) -> int:

@@ -3,23 +3,30 @@
 A config file holds ``key = value`` lines (``#`` comments and blank lines
 ignored).  Every key has a default; unknown keys are rejected so typos
 fail loudly.  Lists are comma-separated.
+
+``ExperimentConfig`` is frozen and checks itself when it is built (also
+by ``dataclasses.replace``): a bad value, or a listed problem that does
+not resolve at a listed dim, raises ``ConfigError``.  The resolved
+problems' registry is ``cfg.registry``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from .cop import DELTA_ACC_DEFAULT
 from .env import DELTA_DEFAULT, REWARD_VARIANTS, SCHEMES
 from .lshade import N_MIN
+from .problems import ProblemRegistry, UnknownProblemError, load_shift_table
 
 
 class ConfigError(ValueError):
     """Invalid configuration (bad key, bad value, inconsistent settings)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; see README for per-key documentation."""
 
@@ -52,7 +59,8 @@ class ExperimentConfig:
     delta_acc: float = DELTA_ACC_DEFAULT
     shift_file: str = ""          # optional shift-data override, see problems.py
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Check every value; ConfigError names the first fault."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -92,6 +100,21 @@ class ExperimentConfig:
                     f"budget {self.maxfes_per_dim}*{d} is below two generations "
                     f"of pop_size {self.pop_size}"
                 )
+        self.registry  # resolve every listed problem now, not at first use
+
+    @cached_property
+    def registry(self) -> ProblemRegistry:
+        """The registry over the shift file, once every name in the problem
+        lists resolves at every dim; ConfigError otherwise."""
+        try:
+            registry = ProblemRegistry(load_shift_table(self.shift_file)
+                                       if self.shift_file else None)
+            for name in dict.fromkeys(self.problems + self.train_problems + self.test_problems):
+                for dim in self.dims:
+                    registry.lookup(name, dim)
+        except (UnknownProblemError, ValueError) as exc:  # a bad shift file is a ValueError
+            raise ConfigError(str(exc)) from None
+        return registry
 
     def maxfes(self, dim: int) -> int:
         return self.maxfes_per_dim * dim
@@ -100,6 +123,8 @@ class ExperimentConfig:
 _LIST_STR_KEYS = {"problems", "train_problems", "test_problems"}
 _LIST_INT_KEYS = {"dims"}
 _BOOL_KEYS = {"lpsr", "mask_state"}
+# the value types of the scalar keys; the list and bool keys are parsed by name
+_TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, raw: str, target_type: type):
@@ -121,9 +146,9 @@ def _parse_value(key: str, raw: str, target_type: type):
     return raw
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    types = {f.name: type(getattr(cfg, f.name)) for f in fields(ExperimentConfig)}
+def parse_config_text(text: str, **overrides) -> ExperimentConfig:
+    """The config of ``text``, with ``overrides`` replacing its values."""
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -131,16 +156,20 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in types:
+        if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            setattr(cfg, key, _parse_value(key, raw, types[key]))
+            values[key] = _parse_value(key, raw, _TYPES[key])
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**{**values, **overrides})
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+def load_config(path, **overrides) -> ExperimentConfig:
+    """The config in the file at ``path``, with ``overrides`` replacing its values."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {exc}") from None
+    return parse_config_text(text, **overrides)

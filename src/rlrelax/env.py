@@ -189,7 +189,6 @@ class EpsilonControlEnv:
 
     def __init__(self, problem: ConstrainedProblem, rngs: list[np.random.Generator],
                  cfg: ExperimentConfig, maxfes: int, f_agentbest: float | None = None):
-        cfg.validate()
         if maxfes < 2 * cfg.pop_size:
             raise ValueError("budget must cover at least two generations")
         self.problem, self.rngs, self.cfg, self.maxfes = problem, rngs, cfg, maxfes

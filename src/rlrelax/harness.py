@@ -23,7 +23,6 @@ from .agent import CheckpointMetadata, NetworkParams, ReplayBuffer, Transition
 from .config import ConfigError, ExperimentConfig
 from .env import ActionSpace, EpsilonControlEnv, epsilon_from_action
 from .lshade import episode_steps
-from .problems import ProblemRegistry, UnknownProblemError, load_shift_table
 
 BASELINES = ("static-eps", "scheduled-eps", "feasibility-rule", "untrained-agent")
 
@@ -32,7 +31,6 @@ ABLATIONS = {"no-state": {"mask_state": True},
              "aa": {"action_scheme": "linear-aa"}, "ca": {"action_scheme": "linear-ca"},
              "r1": {"reward_variant": "r1"}, "r2": {"reward_variant": "r2"},
              "r1r2": {"reward_variant": "r1r2"}, "no-train": {}}
-ABLATION_VARIANTS = tuple(ABLATIONS)
 
 METHOD_TRAINED = "trained-agent"
 
@@ -48,19 +46,6 @@ def _crc(name: str) -> int:
 
 def _rng(*parts) -> np.random.Generator:
     return np.random.default_rng([p if isinstance(p, int) else _crc(str(p)) for p in parts])
-
-
-def problem_registry(cfg: ExperimentConfig) -> ProblemRegistry:
-    """The registry over the config's shift file, once every name in the
-    config's problem lists resolves at every dim; ConfigError otherwise."""
-    try:
-        registry = ProblemRegistry(load_shift_table(cfg.shift_file) if cfg.shift_file else None)
-        for name in dict.fromkeys(cfg.problems + cfg.train_problems + cfg.test_problems):
-            for dim in cfg.dims:
-                registry.lookup(name, dim)
-    except (UnknownProblemError, ValueError) as exc:  # a bad shift file is a ValueError
-        raise ConfigError(str(exc)) from None
-    return registry
 
 
 @dataclass
@@ -98,11 +83,9 @@ def train(cfg: ExperimentConfig) -> TrainResult:
     update; the target network is refreshed every ``target_sync_period``
     gradient steps.  The learning rate follows the cosine schedule across epochs.
     """
-    cfg.validate()
     names = cfg.train_problems or cfg.problems
     if not names:
         raise ConfigError("training requires a non-empty problem list")
-    registry = problem_registry(cfg)
 
     instances = [(name, dim) for dim in cfg.dims for name in names]
     total_steps = cfg.epochs * sum(episode_steps(cfg.maxfes(d), cfg.pop_size, cfg.lpsr)
@@ -138,7 +121,7 @@ def train(cfg: ExperimentConfig) -> TrainResult:
     for epoch in range(cfg.epochs):
         lr = qnet.cosine_lr(epoch, cfg)
         for k, (name, dim) in enumerate(instances):
-            env, (steps,) = _run(cfg, registry, name, dim, [_rng(cfg.seed, 105, epoch, k)],
+            env, (steps,) = _run(cfg, name, dim, [_rng(cfg.seed, 105, epoch, k)],
                                  agentbest.get((name, dim)), learn,
                                  [f"training on {name} (dim {dim}, epoch {epoch})"])
             agentbest[(name, dim)] = float(env.f_agentbest[0])
@@ -147,7 +130,7 @@ def train(cfg: ExperimentConfig) -> TrainResult:
                 "return": sum((step["reward"] for step in steps), 0.0),
             })
 
-    best = min(agentbest.values()) if agentbest else float("inf")
+    best = min(agentbest.values())
     metadata = CheckpointMetadata(
         action_scheme=cfg.action_scheme,
         f_agentbest=best,
@@ -178,8 +161,8 @@ def _init_params(cfg: ExperimentConfig) -> NetworkParams:
     return qnet.init_params(n_out=n_out, rng=_rng(cfg.seed, 101))
 
 
-def _run(cfg: ExperimentConfig, registry: ProblemRegistry, name: str, dim: int,
-         rngs: list[np.random.Generator], f_agentbest: float | None, policy,
+def _run(cfg: ExperimentConfig, name: str, dim: int, rngs: list[np.random.Generator],
+         f_agentbest: float | None, policy,
          what: list[str]) -> tuple[EpsilonControlEnv, list[list[dict]]]:
     """Reset an env on ``name`` at ``dim`` with one run per generator of ``rngs``
     and call ``policy(env)``, a meta-step returning each run's info, until it
@@ -188,7 +171,8 @@ def _run(cfg: ExperimentConfig, registry: ProblemRegistry, name: str, dim: int,
     to fail alone is re-raised as RunFailedError naming its ``what[r]``."""
     replay = [copy.deepcopy(rng) for rng in rngs] if len(rngs) > 1 else []
     try:
-        env = EpsilonControlEnv(registry.lookup(name, dim), rngs, cfg, cfg.maxfes(dim), f_agentbest)
+        env = EpsilonControlEnv(cfg.registry.lookup(name, dim), rngs, cfg, cfg.maxfes(dim),
+                                f_agentbest)
         env.reset()
         steps = [[] for _ in rngs]
         while not env.terminal:
@@ -196,7 +180,7 @@ def _run(cfg: ExperimentConfig, registry: ProblemRegistry, name: str, dim: int,
                 run_steps.append(info)
     except Exception as exc:
         for rng, label in zip(replay, what):
-            _run(cfg, registry, name, dim, [rng], f_agentbest, policy, [label])
+            _run(cfg, name, dim, [rng], f_agentbest, policy, [label])
         raise RunFailedError(f"{' / '.join(what)} failed: {exc}") from exc
     return env, steps
 
@@ -209,14 +193,13 @@ def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
     names = cfg.test_problems or cfg.problems
     if not names:
         raise ConfigError("evaluation requires a non-empty problem list")
-    registry = problem_registry(cfg)
     records = []
     runs = range(cfg.runs)
     for dim in cfg.dims:
         for name in names:
-            _, steps = _run(cfg, registry, name, dim,
-                            [_rng(cfg.seed, dim, run, name) for run in runs], f_agentbest,
-                            policy, [f"{method} on {name} (dim {dim}, run {run})" for run in runs])
+            _, steps = _run(cfg, name, dim, [_rng(cfg.seed, dim, run, name) for run in runs],
+                            f_agentbest, policy,
+                            [f"{method} on {name} (dim {dim}, run {run})" for run in runs])
             records += [RunRecord(problem=name, dim=dim, method=method, run=run, steps=run_steps)
                         for run, run_steps in zip(runs, steps)]
     return records
@@ -250,7 +233,6 @@ def evaluate(cfg: ExperimentConfig, params: NetworkParams,
              metadata: CheckpointMetadata | None = None,
              method: str = METHOD_TRAINED) -> list[RunRecord]:
     """Greedy-policy evaluation: cfg.runs paired-seed runs per (problem, dim)."""
-    cfg.validate()
     if metadata is not None:
         for what, trained, wanted in (
                 ("scheme", metadata.action_scheme, cfg.action_scheme),
@@ -264,7 +246,6 @@ def evaluate(cfg: ExperimentConfig, params: NetworkParams,
 
 def run_baseline(cfg: ExperimentConfig, name: str) -> list[RunRecord]:
     """Evaluate one epsilon-schedule baseline under the shared seeds."""
-    cfg.validate()
     if name not in BASELINES:
         raise ConfigError(f"unknown baseline {name!r}; valid: {', '.join(BASELINES)}")
     if name == "untrained-agent":
@@ -294,7 +275,6 @@ def _train_and_evaluate(cfg: ExperimentConfig,
 
 def leave_one_out(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
     """For each problem: train on the rest, evaluate on the held-out one."""
-    cfg.validate()
     names = cfg.problems
     if len(names) < 2:
         raise ConfigError("leave-one-out needs at least two problems")
@@ -319,7 +299,6 @@ def leave_one_out(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
 
 def split_protocol(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
     """Train once on cfg.train_problems, evaluate on the disjoint cfg.test_problems."""
-    cfg.validate()
     result, records = _train_and_evaluate(cfg, METHOD_TRAINED)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -338,10 +317,9 @@ def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> list[RunRecord]:
     with the reduced rewards; no-train evaluates a freshly initialized
     network.  All variants share evaluation seeds with the full method.
     """
-    cfg.validate()
     if variant not in ABLATIONS:
         raise ConfigError(
-            f"unknown ablation {variant!r}; valid: {', '.join(ABLATION_VARIANTS)}"
+            f"unknown ablation {variant!r}; valid: {', '.join(ABLATIONS)}"
         )
     full, records = _train_and_evaluate(cfg, METHOD_TRAINED)
     alt = dataclasses.replace(cfg, **ABLATIONS[variant])

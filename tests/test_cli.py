@@ -90,6 +90,37 @@ class TestExitCodes:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_flag_replaces_a_file_value_before_the_check(self, tmp_path):
+        # the file's seed is never checked on its own: the config that runs is
+        path = tmp_path / "toy.cfg"
+        path.write_text(TOY.replace("seed = 3", "seed = -1"))
+        out = tmp_path / "out"
+        assert main(["baseline", "--config", str(path), "--name", "static-eps",
+                     "--seed", "3", "--out", str(out)]) == EXIT_OK
+        assert (out / "baseline_static-eps.csv").exists()
+
+    def test_dims_flag_is_checked_against_the_problems(self, tmp_path, capsys):
+        path = tmp_path / "toy.cfg"
+        path.write_text(TOY + "problems = cec12\n")
+        out = tmp_path / "out"
+        assert main(["baseline", "--config", str(path), "--name", "static-eps",
+                     "--dims", "20", "--out", str(out)]) == EXIT_CONFIG
+        assert "cec12 supports dims [10, 30, 50, 100], got 20" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", [
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"seed = 3\n\xff\n"),
+    ], ids=["directory", "non-utf8"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, make):
+        path = tmp_path / "exp.cfg"
+        make(path)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config file {path}: " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb, args", [
         ("train", []), ("evaluate", ["--checkpoint", "none.txt"]),
         ("baseline", ["--name", "static-eps"]), ("loo", []), ("split", []),
@@ -239,6 +270,22 @@ class TestVerbs:
         assert code == EXIT_OK
         rows = (out / "baseline_feasibility-rule.csv").read_text().splitlines()[1:]
         assert all(row.endswith(",2") for row in rows)
+
+    def test_each_verb_resolves_its_problems_once(self, cfg_path, tmp_path, monkeypatch):
+        built = []
+        init = ProblemRegistry.__init__
+
+        def counted(registry, *args, **kwargs):
+            built.append(registry)
+            init(registry, *args, **kwargs)
+
+        monkeypatch.setattr(ProblemRegistry, "__init__", counted)
+        out = str(tmp_path / "out")
+        for argv in (["train"], ["evaluate", "--checkpoint", f"{out}/checkpoint.txt"],
+                     ["baseline", "--name", "static-eps"], ["export-curves"]):
+            built.clear()
+            assert main([*argv, "--config", str(cfg_path), "--out", out]) == EXIT_OK
+            assert len(built) == 1, argv[0]
 
     def test_export_without_records_is_config_error(self, cfg_path, tmp_path):
         code = main(["export-curves", "--config", str(cfg_path),

@@ -6,6 +6,7 @@ import pytest
 
 from rlrelax.config import ConfigError, ExperimentConfig, load_config, parse_config_text
 from rlrelax.harness import _hash_instances
+from rlrelax.problems import ProblemRegistry
 
 
 GOOD = """
@@ -107,6 +108,37 @@ class TestValidation:
     def test_training_ranges(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config_text(text + "\n")
+
+
+class TestCheckedWhenBuilt:
+    def test_fields_cannot_be_assigned(self):
+        cfg = ExperimentConfig()
+        for f in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ConfigError, match="runs must be >= 1"):
+            dataclasses.replace(ExperimentConfig(), runs=0)
+
+    def test_unknown_problem_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="unknown problem 'cec13'"):
+            ExperimentConfig(problems=["cec13"])
+
+    def test_registry_holds_the_resolved_problems(self, monkeypatch):
+        lookups, lookup = [], ProblemRegistry.lookup
+
+        def counted(registry, name, dim):
+            lookups.append((name, dim))
+            return lookup(registry, name, dim)
+
+        monkeypatch.setattr(ProblemRegistry, "lookup", counted)
+        assert ExperimentConfig() == ExperimentConfig() and not lookups  # builds no problem
+        cfg = ExperimentConfig(problems=["cec12"], test_problems=["cec14", "cec12"],
+                               dims=[10, 30])
+        assert lookups == [("cec12", 10), ("cec12", 30), ("cec14", 10), ("cec14", 30)]
+        assert cfg.registry is cfg.registry
+        assert cfg.registry.lookup("cec14", 30).dim == 30
 
 
 class TestDerived:

@@ -190,13 +190,10 @@ class TestEnvSettings:
 
     @pytest.mark.parametrize("change", [{"reward_variant": "r3"}, {"action_scheme": "quadratic"},
                                         {"pop_size": 2}, {"delta": 0.0}, {"delta_acc": np.nan}])
-    def test_invalid_config_rejected_before_reset(self, change):
-        cfg = ExperimentConfig(pop_size=20)
-        for key, value in change.items():
-            setattr(cfg, key, value)
+    def test_invalid_config_rejected_at_construction(self, change):
+        # no env can be handed a config that was not checked
         with pytest.raises(ConfigError):
-            EpsilonControlEnv(synthetic_family("sphere-linear", 0, 4),
-                              [np.random.default_rng(0)], cfg, 200)
+            ExperimentConfig(**{"pop_size": 20, **change})
 
 
 class TestEnvEpisode:

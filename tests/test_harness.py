@@ -10,6 +10,7 @@ from rlrelax.cli import EXIT_RUNTIME
 from rlrelax.cli import main as cli_main
 from rlrelax.config import ConfigError, ExperimentConfig
 from rlrelax.cop import ProblemDefinitionError
+from rlrelax.problems import ProblemRegistry
 from rlrelax.harness import (
     BASELINES,
     RunRecord,
@@ -180,8 +181,8 @@ class TestProtocols:
         assert len(records) == 3  # one run per held-out problem
 
     def test_leave_one_out_needs_two_problems(self, tmp_path):
-        cfg = toy_cfg(problems=["cec12"])
-        with pytest.raises(ConfigError):
+        cfg = toy_cfg(problems=["synthetic/sphere-linear/0"])
+        with pytest.raises(ConfigError, match="at least two problems"):
             leave_one_out(cfg, tmp_path)
 
     def test_leave_one_out_byte_identical(self, tmp_path):
@@ -193,11 +194,12 @@ class TestProtocols:
                    (tmp_path / "b" / name).read_bytes()
 
     def test_split_rejects_overlap_and_empty(self, tmp_path):
-        cfg = toy_cfg(train_problems=["cec12"], test_problems=["cec12"])
+        name = "synthetic/sphere-linear/0"
+        cfg = toy_cfg(train_problems=[name], test_problems=[name])
         with pytest.raises(ConfigError, match="overlap"):
             split_protocol(cfg, tmp_path)
         with pytest.raises(ConfigError, match="non-empty"):
-            split_protocol(toy_cfg(train_problems=["cec12"]), tmp_path)
+            split_protocol(toy_cfg(train_problems=[name]), tmp_path)
 
     def test_split_keeps_test_out_of_training(self, tmp_path):
         cfg = toy_cfg(runs=1, epochs=1, train_problems=["synthetic/sphere-linear/0"],
@@ -288,11 +290,11 @@ class TestBatchedRunFailure:
     @pytest.fixture
     def nan_on_run_2(self, monkeypatch):
         cfg = toy_cfg(problems=[self.NAME], runs=3)
-        problem = harness.problem_registry(cfg).lookup(self.NAME, 4)
+        problem = cfg.registry.lookup(self.NAME, 4)
         # run 2's initial population, drawn as init_population draws it
         rows = harness._rng(cfg.seed, 4, 2, self.NAME).uniform(
             problem.lower, problem.upper, size=(cfg.pop_size, 4))
-        lookup = harness.ProblemRegistry.lookup
+        lookup = ProblemRegistry.lookup
 
         def poisoned(registry, name, dim):
             real = lookup(registry, name, dim)
@@ -304,7 +306,7 @@ class TestBatchedRunFailure:
 
             return dataclasses.replace(real, evaluator=evaluator)
 
-        monkeypatch.setattr(harness.ProblemRegistry, "lookup", poisoned)
+        monkeypatch.setattr(ProblemRegistry, "lookup", poisoned)
         return cfg
 
     def test_error_names_run_2_and_keeps_its_cause(self, nan_on_run_2):
@@ -352,7 +354,8 @@ class TestAblate:
         assert {r.method for r in records} == {"trained-agent", "ca"}
 
     def test_unknown_variant(self, tmp_path):
-        cfg = toy_cfg(train_problems=["a"], test_problems=["b"])
+        cfg = toy_cfg(train_problems=["synthetic/sphere-linear/0"],
+                      test_problems=["synthetic/rastrigin-ring/1"])
         with pytest.raises(ConfigError, match="unknown ablation"):
             ablate(cfg, "no-everything", tmp_path)
 

@@ -48,14 +48,13 @@ class TestBatchEqualsIndependentRuns:
                                maxfes_per_dim=per_dim, runs=runs, lpsr=lpsr,
                                mask_state=mask_state, action_scheme=scheme,
                                static_level=static_level, seed=seed % 1000)
-        registry = harness.problem_registry(cfg)
         act = policy_for(policy, cfg)
         rngs = [np.random.default_rng([seed, run]) for run in range(runs)]
         labels = [f"run {run}" for run in range(runs)]
 
-        env, batched = harness._run(cfg, registry, name, dim, [copy.deepcopy(g) for g in rngs],
+        env, batched = harness._run(cfg, name, dim, [copy.deepcopy(g) for g in rngs],
                                     f_agentbest, act, labels)
-        singles = [harness._run(cfg, registry, name, dim, [g], f_agentbest, act, [label])
+        singles = [harness._run(cfg, name, dim, [g], f_agentbest, act, [label])
                    for g, label in zip(rngs, labels)]
 
         assert len(batched) == runs

@@ -316,8 +316,11 @@ def save_checkpoint(params: NetworkParams, metadata: CheckpointMetadata, path) -
 
 def load_checkpoint(path) -> tuple[NetworkParams, CheckpointMetadata]:
     """Inverse of save_checkpoint; round-trips bit-exactly at 64-bit."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointParseError(f"checkpoint {path}: {exc}") from None
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointVersionError(
             f"unsupported checkpoint format: {lines[0] if lines else '<empty>'!r}"

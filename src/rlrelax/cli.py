@@ -16,6 +16,8 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .harness import (
     ABLATIONS,
     BASELINES,
+    RunRecord,
+    TrainResult,
     aggregate_table,
     ablate,
     evaluate,
@@ -88,47 +90,67 @@ def _load_cfg(args) -> ExperimentConfig:
     return load_config(args.config, **{k: v for k, v in flags.items() if v is not None})
 
 
+def _safe_name(name: str) -> str:
+    return name.replace("/", "_")
+
+
+def _write_results(out: Path, checkpoints: dict[str, TrainResult] | None = None,
+                   train_log: list[dict] | None = None, records: list[RunRecord] | None = None,
+                   table: str = "", records_file: str = "records.jsonl") -> Path:
+    """Create ``out`` and write one verb's result files into it: the named
+    checkpoints, the training log, and the records with their aggregate
+    ``table``; returns the table's path."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, result in (checkpoints or {}).items():
+        qnet.save_checkpoint(result.params, result.metadata, out / name)
+    if train_log is not None:
+        write_jsonl(train_log, out / "train_log.jsonl")
+    if records is not None:
+        write_records_jsonl(records, out / records_file)
+        write_table_csv(aggregate_table(records), out / table)
+    return out / table
+
+
 def _dispatch(args) -> int:
     cfg = _load_cfg(args)
     out = Path(cfg.out_dir)
 
     if args.verb == "train":
         result = train(cfg)
-        out.mkdir(parents=True, exist_ok=True)
-        ckpt = out / "checkpoint.txt"
-        qnet.save_checkpoint(result.params, result.metadata, ckpt)
-        write_jsonl(result.episodes, out / "train_log.jsonl")
+        _write_results(out, {"checkpoint.txt": result}, result.episodes)
         print(f"trained {result.metadata.epochs} epochs over "
-              f"{len(result.episodes)} episodes -> {ckpt}")
+              f"{len(result.episodes)} episodes -> {out / 'checkpoint.txt'}")
 
     elif args.verb == "evaluate":
-        params, metadata = qnet.load_checkpoint(args.checkpoint)
-        records = evaluate(cfg, params, metadata)
-        out.mkdir(parents=True, exist_ok=True)
-        write_records_jsonl(records, out / "records.jsonl")
-        write_table_csv(aggregate_table(records), out / "results.csv")
-        print(f"evaluated {len(records)} runs -> {out / 'results.csv'}")
+        records = evaluate(cfg, *qnet.load_checkpoint(args.checkpoint))
+        table = _write_results(out, records=records, table="results.csv")
+        print(f"evaluated {len(records)} runs -> {table}")
 
     elif args.verb == "baseline":
         records = run_baseline(cfg, args.name)
-        out.mkdir(parents=True, exist_ok=True)
-        write_records_jsonl(records, out / f"records_{args.name}.jsonl")
-        write_table_csv(aggregate_table(records), out / f"baseline_{args.name}.csv")
-        print(f"baseline {args.name}: {len(records)} runs -> "
-              f"{out / f'baseline_{args.name}.csv'}")
+        table = _write_results(out, records=records, table=f"baseline_{args.name}.csv",
+                               records_file=f"records_{args.name}.jsonl")
+        print(f"baseline {args.name}: {len(records)} runs -> {table}")
 
     elif args.verb == "loo":
-        records = leave_one_out(cfg, out)
-        print(f"leave-one-out: {len(records)} runs -> {out / 'loo_results.csv'}")
+        folds = leave_one_out(cfg)
+        records = [r for _, fold in folds.values() for r in fold]
+        table = _write_results(
+            out, {f"checkpoint_{_safe_name(n)}.txt": result for n, (result, _) in folds.items()},
+            [{"holdout": n, **row} for n, (result, _) in folds.items() for row in result.episodes],
+            records, table="loo_results.csv")
+        print(f"leave-one-out: {len(records)} runs -> {table}")
 
     elif args.verb == "split":
-        records = split_protocol(cfg, out)
-        print(f"split: {len(records)} runs -> {out / 'split_results.csv'}")
+        result, records = split_protocol(cfg)
+        table = _write_results(out, {"checkpoint.txt": result}, result.episodes, records,
+                               table="split_results.csv")
+        print(f"split: {len(records)} runs -> {table}")
 
     elif args.verb == "ablate":
-        records = ablate(cfg, args.variant, out)
-        print(f"ablate {args.variant}: {len(records)} runs -> "
-              f"{out / f'ablate_{args.variant}.csv'}")
+        records = ablate(cfg, args.variant)
+        table = _write_results(out, records=records, table=f"ablate_{args.variant}.csv")
+        print(f"ablate {args.variant}: {len(records)} runs -> {table}")
 
     elif args.verb == "export-curves":
         records_path = out / "records.jsonl"

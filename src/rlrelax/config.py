@@ -4,16 +4,16 @@ A config file holds ``key = value`` lines (``#`` comments and blank lines
 ignored).  Every key has a default; unknown keys are rejected so typos
 fail loudly.  Lists are comma-separated.
 
-``ExperimentConfig`` is frozen and checks itself when it is built (also
-by ``dataclasses.replace``): a bad value, or a listed problem that does
-not resolve at a listed dim, raises ``ConfigError``.  The resolved
-problems' registry is ``cfg.registry``.
+``ExperimentConfig`` is frozen, stores its lists as tuples and checks
+itself when it is built (also by ``dataclasses.replace``): a bad value, or
+a listed problem that does not resolve at a listed dim, raises
+``ConfigError``.  The resolved problems' registry is ``cfg.registry``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .cop import DELTA_ACC_DEFAULT
@@ -30,10 +30,10 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything a run needs; see README for per-key documentation."""
 
-    problems: list[str] = field(default_factory=list)
-    train_problems: list[str] = field(default_factory=list)  # split/ablate protocols
-    test_problems: list[str] = field(default_factory=list)
-    dims: list[int] = field(default_factory=lambda: [10])
+    problems: tuple[str, ...] = ()
+    train_problems: tuple[str, ...] = ()  # split/ablate protocols
+    test_problems: tuple[str, ...] = ()
+    dims: tuple[int, ...] = (10,)
     pop_size: int = 50
     maxfes_per_dim: int = 50      # evaluation budget is maxfes_per_dim * dim
     runs: int = 10
@@ -60,7 +60,10 @@ class ExperimentConfig:
     shift_file: str = ""          # optional shift-data override, see problems.py
 
     def __post_init__(self) -> None:
-        """Check every value; ConfigError names the first fault."""
+        """Store the lists as tuples and check every value; ConfigError names
+        the first fault."""
+        for key in ("problems", "train_problems", "test_problems", "dims"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):

@@ -1,6 +1,7 @@
 """Experiment orchestration: meta-training over a problem set, budget-matched
 evaluation with paired seeds, schedule baselines, leave-one-out and
-train/test-split protocols, ablations, and deterministic result files.
+train/test-split protocols, ablations, and the formats of the result files.
+The protocols return their results; the command line names and writes the files.
 
 Outputs are byte-reproducible for a fixed (config, seed): floats are
 written at 17 significant digits, rows are sorted before writing, and all
@@ -147,7 +148,7 @@ def train(cfg: ExperimentConfig) -> TrainResult:
     return TrainResult(params=params, metadata=metadata, episodes=episodes)
 
 
-def _hash_instances(names: list[str], dims: list[int]) -> int:
+def _hash_instances(names: tuple[str, ...], dims: tuple[int, ...]) -> int:
     return zlib.crc32(";".join(f"{n}@{d}" for d in dims for n in names).encode())
 
 
@@ -258,9 +259,10 @@ def run_baseline(cfg: ExperimentConfig, name: str) -> list[RunRecord]:
 # Protocols
 # ---------------------------------------------------------------------------
 
-def _train_and_evaluate(cfg: ExperimentConfig,
-                        method: str) -> tuple[TrainResult, list[RunRecord]]:
-    """Train on cfg.train_problems, evaluate on the disjoint cfg.test_problems."""
+def split_protocol(cfg: ExperimentConfig,
+                   method: str = METHOD_TRAINED) -> tuple[TrainResult, list[RunRecord]]:
+    """Train on cfg.train_problems, evaluate as ``method`` on the disjoint
+    cfg.test_problems."""
     if not cfg.train_problems or not cfg.test_problems:
         raise ConfigError("train_problems and test_problems must be non-empty")
     overlap = set(cfg.train_problems) & set(cfg.test_problems)
@@ -273,44 +275,20 @@ def _train_and_evaluate(cfg: ExperimentConfig,
     return result, evaluate(cfg, result.params, result.metadata, method=method)
 
 
-def leave_one_out(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
-    """For each problem: train on the rest, evaluate on the held-out one."""
+def leave_one_out(cfg: ExperimentConfig) -> dict[str, tuple[TrainResult, list[RunRecord]]]:
+    """For each problem, in the order of cfg.problems: the split protocol
+    trained on the rest and evaluated on the held-out one."""
     names = cfg.problems
     if len(names) < 2:
         raise ConfigError("leave-one-out needs at least two problems")
-    folds = [(held_out, *_train_and_evaluate(
-                 dataclasses.replace(cfg, train_problems=[n for n in names if n != held_out],
-                                     test_problems=[held_out]), METHOD_TRAINED))
-             for held_out in names]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    all_records: list[RunRecord] = []
-    train_log: list[dict] = []
-    for held_out, result, records in folds:
-        train_log.extend({"holdout": held_out, **row} for row in result.episodes)
-        qnet.save_checkpoint(result.params, result.metadata,
-                             out / f"checkpoint_{_safe_name(held_out)}.txt")
-        all_records.extend(records)
-    write_records_jsonl(all_records, out / "records.jsonl")
-    write_jsonl(train_log, out / "train_log.jsonl")
-    write_table_csv(aggregate_table(all_records), out / "loo_results.csv")
-    return all_records
+    return {held_out: split_protocol(dataclasses.replace(
+                cfg, train_problems=[n for n in names if n != held_out],
+                test_problems=[held_out]))
+            for held_out in names}
 
 
-def split_protocol(cfg: ExperimentConfig, out_dir) -> list[RunRecord]:
-    """Train once on cfg.train_problems, evaluate on the disjoint cfg.test_problems."""
-    result, records = _train_and_evaluate(cfg, METHOD_TRAINED)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    qnet.save_checkpoint(result.params, result.metadata, out / "checkpoint.txt")
-    write_records_jsonl(records, out / "records.jsonl")
-    write_jsonl(result.episodes, out / "train_log.jsonl")
-    write_table_csv(aggregate_table(records), out / "split_results.csv")
-    return records
-
-
-def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> list[RunRecord]:
-    """Compare the full method against one ablated configuration.
+def ablate(cfg: ExperimentConfig, variant: str) -> list[RunRecord]:
+    """The full method's records followed by one ablated configuration's.
 
     no-state evaluates the full method's weights with masked constraint
     features; aa/ca retrain under the linear schemes; r1/r2/r1r2 retrain
@@ -318,21 +296,15 @@ def ablate(cfg: ExperimentConfig, variant: str, out_dir) -> list[RunRecord]:
     network.  All variants share evaluation seeds with the full method.
     """
     if variant not in ABLATIONS:
-        raise ConfigError(
-            f"unknown ablation {variant!r}; valid: {', '.join(ABLATIONS)}"
-        )
-    full, records = _train_and_evaluate(cfg, METHOD_TRAINED)
+        raise ConfigError(f"unknown ablation {variant!r}; valid: {', '.join(ABLATIONS)}")
+    full, records = split_protocol(cfg)
     alt = dataclasses.replace(cfg, **ABLATIONS[variant])
     if variant == "no-state":
         records += evaluate(alt, full.params, full.metadata, method=variant)
     elif variant == "no-train":
         records += evaluate(alt, _init_params(alt), method=variant)
     else:
-        records += _train_and_evaluate(alt, variant)[1]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_records_jsonl(records, out / "records.jsonl")
-    write_table_csv(aggregate_table(records), out / f"ablate_{variant}.csv")
+        records += split_protocol(alt, variant)[1]
     return records
 
 
@@ -374,6 +346,7 @@ def write_jsonl(rows: list[dict], path) -> None:
             fh.write(json.dumps(row) + "\n")
 
 
+_RECORD_KEYS = ("problem", "dim", "method", "run")  # RunRecord's identity, in field order
 _TRACE_KEYS = ("step", "fes", "level", "eps_min", "eps_mean", "eps_max", "reward", "sco")
 
 
@@ -382,20 +355,28 @@ def write_records_jsonl(records: list[RunRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in records:
             for s in r.steps:
-                fh.write(json.dumps({"problem": r.problem, "dim": r.dim, "method": r.method,
-                                     "run": r.run, **{k: s[k] for k in _TRACE_KEYS}}) + "\n")
+                fh.write(json.dumps({**{k: getattr(r, k) for k in _RECORD_KEYS},
+                                     **{k: s[k] for k in _TRACE_KEYS}}) + "\n")
 
 
 def load_records_jsonl(path) -> list[RunRecord]:
-    """Rebuild RunRecords from a trace file written by write_records_jsonl."""
+    """Rebuild RunRecords from a trace file written by write_records_jsonl;
+    a line that is not such a trace raises ValueError naming its file and line."""
     runs: dict[tuple, RunRecord] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            row = json.loads(line)
-            key = (row["problem"], row["dim"], row["method"], row["run"])
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"{path} line {lineno}: not a JSON object")
+            missing = [k for k in (*_RECORD_KEYS, *_TRACE_KEYS) if k not in row]
+            if missing:
+                raise ValueError(f"{path} line {lineno}: missing key {missing[0]!r}")
+            key = tuple(row[k] for k in _RECORD_KEYS)
             if key not in runs:
-                runs[key] = RunRecord(problem=row["problem"], dim=row["dim"],
-                                      method=row["method"], run=row["run"])
+                runs[key] = RunRecord(*key)
             runs[key].steps.append(row)
     return list(runs.values())
 
@@ -441,6 +422,3 @@ def export_curves(records: list[RunRecord], out_dir, stem: str = "curves") -> Pa
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return csv_path
 
-
-def _safe_name(name: str) -> str:
-    return name.replace("/", "_")

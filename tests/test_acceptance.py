@@ -21,6 +21,7 @@ from rlrelax.agent import (
     sigmoid,
     td_target,
 )
+from rlrelax.cli import EXIT_OK, main
 from rlrelax.config import ExperimentConfig
 from rlrelax.cop import BudgetCounter, eps_compare, relaxed_violations, row_accounting
 from rlrelax.env import (
@@ -30,7 +31,7 @@ from rlrelax.env import (
     epsilon_from_action,
     reward_components,
 )
-from rlrelax.harness import aggregate_table, evaluate, leave_one_out, run_baseline, train
+from rlrelax.harness import aggregate_table, evaluate, run_baseline, train
 from rlrelax.lshade import RunStats, generation_step, init_population
 from rlrelax.problems import SYNTHETIC_KINDS, synthetic_family
 from rlrelax.cop import ConstrainedProblem
@@ -309,14 +310,13 @@ def test_criterion_8_trained_vs_scheduled(trained_comparison):
 
 def test_criterion_9_leave_one_out_determinism(tmp_path):
     t0 = time.time()
-    cfg = ExperimentConfig(
-        problems=["synthetic/sphere-linear/0", "synthetic/rastrigin-ring/1",
-                  "synthetic/ackley-ellipsoid/2"],
-        dims=[4], pop_size=20, maxfes_per_dim=20, runs=2, seed=11, epochs=2,
-        buffer_capacity=64, batch_size=8,
-    )
-    leave_one_out(cfg, tmp_path / "a")
-    leave_one_out(cfg, tmp_path / "b")
+    cfg = tmp_path / "loo.cfg"
+    cfg.write_text("problems = synthetic/sphere-linear/0, synthetic/rastrigin-ring/1, "
+                   "synthetic/ackley-ellipsoid/2\ndims = 4\npop_size = 20\n"
+                   "maxfes_per_dim = 20\nruns = 2\nseed = 11\nepochs = 2\n"
+                   "buffer_capacity = 64\nbatch_size = 8\n")
+    for label in ("a", "b"):
+        assert main(["loo", "--config", str(cfg), "--out", str(tmp_path / label)]) == EXIT_OK
     names = sorted(p.name for p in (tmp_path / "a").iterdir())
     ok = True
     for name in names:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -443,6 +445,13 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:100]) + "\n")
         with pytest.raises(CheckpointParseError):
+            load_checkpoint(path)
+
+    def test_non_utf8_file_is_parse_error_naming_it(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(init_params(rng=np.random.default_rng(18)), self.meta(), path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
+        with pytest.raises(CheckpointParseError, match=f"checkpoint {re.escape(str(path))}: "):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):

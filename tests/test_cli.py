@@ -48,6 +48,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == EXIT_RUNTIME
 
+    def test_non_utf8_checkpoint_names_its_file(self, cfg_path, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.txt"
+        ckpt.write_bytes(b"\xff\n")
+        out = tmp_path / "out"
+        code = main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert f"error: checkpoint {ckpt}: 'utf-8' codec" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_batch_larger_than_buffer_is_config_error(self, tmp_path):
         # such a buffer never holds a batch, so training would take no step
         path = tmp_path / "bad.cfg"
@@ -286,6 +296,24 @@ class TestVerbs:
             built.clear()
             assert main([*argv, "--config", str(cfg_path), "--out", out]) == EXIT_OK
             assert len(built) == 1, argv[0]
+
+    @pytest.mark.parametrize("line, fault", [
+        ('{"problem": "a"}', "missing key 'dim'"),
+        ("not json", "Expecting value: line 1 column 1 (char 0)"),
+        ('"a"', "not a JSON object"),
+    ])
+    def test_export_names_the_malformed_records_line(self, cfg_path, tmp_path, capsys,
+                                                     line, fault):
+        out = tmp_path / "out"
+        assert main(["baseline", "--config", str(cfg_path), "--out", str(out),
+                     "--name", "static-eps"]) == EXIT_OK
+        good = (out / "records_static-eps.jsonl").read_text().splitlines()[0]
+        records = out / "records.jsonl"
+        records.write_text(f"{good}\n{line}\n")
+        capsys.readouterr()
+        code = main(["export-curves", "--config", str(cfg_path), "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert f"error: {records} line 2: {fault}" in capsys.readouterr().err
 
     def test_export_without_records_is_config_error(self, cfg_path, tmp_path):
         code = main(["export-curves", "--config", str(cfg_path),

@@ -27,9 +27,9 @@ out_dir = out
 class TestParsing:
     def test_good_file(self):
         cfg = parse_config_text(GOOD)
-        assert cfg.problems == ["synthetic/sphere-linear/0",
-                                "synthetic/rastrigin-ring/1", "cec12"]
-        assert cfg.dims == [10]
+        assert cfg.problems == ("synthetic/sphere-linear/0",
+                                "synthetic/rastrigin-ring/1", "cec12")
+        assert cfg.dims == (10,)
         assert cfg.runs == 3 and cfg.seed == 7 and cfg.epochs == 5
         assert cfg.lpsr is False
 
@@ -61,7 +61,7 @@ class TestParsing:
 
     def test_comments_and_blanks_ignored(self):
         cfg = parse_config_text("\n# hi\nproblems = cec12  # trailing\n\n")
-        assert cfg.problems == ["cec12"]
+        assert cfg.problems == ("cec12",)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.txt"
@@ -116,6 +116,12 @@ class TestCheckedWhenBuilt:
         for f in dataclasses.fields(cfg):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(cfg, f.name, getattr(cfg, f.name))
+
+    def test_lists_are_tuples(self):
+        cfg = ExperimentConfig(problems=["cec12"])
+        with pytest.raises(AttributeError):
+            cfg.dims.append(20)
+        assert dataclasses.replace(cfg, dims=[30]).dims == (30,)
 
     def test_replace_checks_the_new_config(self):
         with pytest.raises(ConfigError, match="runs must be >= 1"):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from rlrelax import agent as qnet
 from rlrelax import env as env_module
 from rlrelax import harness
-from rlrelax.cli import EXIT_RUNTIME
+from rlrelax.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME
 from rlrelax.cli import main as cli_main
 from rlrelax.config import ConfigError, ExperimentConfig
 from rlrelax.cop import ProblemDefinitionError
@@ -37,6 +38,18 @@ def toy_cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def run_cli(tmp_path, verb, *args, **overrides):
+    """Run ``verb`` through the CLI on toy_cfg's settings with ``overrides``;
+    returns the exit code and the --out directory."""
+    values = {f.name: getattr(toy_cfg(**overrides), f.name)
+              for f in dataclasses.fields(ExperimentConfig)}
+    path = tmp_path / "toy.cfg"
+    path.write_text("".join(f"{k} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+                            for k, v in values.items()))
+    out = tmp_path / "out"
+    return cli_main([verb, "--config", str(path), "--out", str(out), *args]), out
 
 
 class TestTrain:
@@ -165,58 +178,69 @@ class TestBaselines:
 
 class TestProtocols:
     def test_leave_one_out_layout_and_hygiene(self, tmp_path):
-        cfg = toy_cfg(problems=["synthetic/sphere-linear/0",
-                                "synthetic/rastrigin-ring/1",
-                                "synthetic/ackley-ellipsoid/2"], runs=1, epochs=1)
-        records = leave_one_out(cfg, tmp_path)
-        assert (tmp_path / "loo_results.csv").exists()
-        assert (tmp_path / "records.jsonl").exists()
-        log = (tmp_path / "train_log.jsonl").read_text().splitlines()
+        code, out = run_cli(tmp_path, "loo", runs=1, epochs=1,
+                            problems=["synthetic/sphere-linear/0", "synthetic/rastrigin-ring/1",
+                                      "synthetic/ackley-ellipsoid/2"])
+        assert code == EXIT_OK
+        assert (out / "loo_results.csv").exists()
+        log = (out / "train_log.jsonl").read_text().splitlines()
         import json
         for line in log:
             row = json.loads(line)
             assert row["problem"] != row["holdout"]
         # one checkpoint per held-out problem
-        assert len(list(tmp_path.glob("checkpoint_*.txt"))) == 3
-        assert len(records) == 3  # one run per held-out problem
+        assert len(list(out.glob("checkpoint_*.txt"))) == 3
+        # one run per held-out problem
+        assert len(load_records_jsonl(out / "records.jsonl")) == 3
 
-    def test_leave_one_out_needs_two_problems(self, tmp_path):
+    def test_leave_one_out_returns_folds_and_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = toy_cfg(runs=1, epochs=1, out_dir=str(tmp_path / "out"))
+        folds = leave_one_out(cfg)
+        assert list(folds) == list(cfg.problems)
+        for held_out, (result, records) in folds.items():
+            assert held_out not in {row["problem"] for row in result.episodes}
+            assert [(r.problem, r.method) for r in records] == [(held_out, "trained-agent")]
+        assert not any(tmp_path.iterdir())
+
+    def test_leave_one_out_needs_two_problems(self):
         cfg = toy_cfg(problems=["synthetic/sphere-linear/0"])
         with pytest.raises(ConfigError, match="at least two problems"):
-            leave_one_out(cfg, tmp_path)
+            leave_one_out(cfg)
 
     def test_leave_one_out_byte_identical(self, tmp_path):
-        cfg = toy_cfg(runs=1, epochs=1)
-        leave_one_out(cfg, tmp_path / "a")
-        leave_one_out(cfg, tmp_path / "b")
+        for label in ("a", "b"):
+            (tmp_path / label).mkdir()
+            assert run_cli(tmp_path / label, "loo", runs=1, epochs=1)[0] == EXIT_OK
         for name in ("loo_results.csv", "records.jsonl", "train_log.jsonl"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                   (tmp_path / "b" / name).read_bytes()
+            assert (tmp_path / "a" / "out" / name).read_bytes() == \
+                   (tmp_path / "b" / "out" / name).read_bytes()
 
-    def test_split_rejects_overlap_and_empty(self, tmp_path):
+    def test_split_rejects_overlap_and_empty(self):
         name = "synthetic/sphere-linear/0"
         cfg = toy_cfg(train_problems=[name], test_problems=[name])
         with pytest.raises(ConfigError, match="overlap"):
-            split_protocol(cfg, tmp_path)
+            split_protocol(cfg)
         with pytest.raises(ConfigError, match="non-empty"):
-            split_protocol(toy_cfg(train_problems=[name]), tmp_path)
+            split_protocol(toy_cfg(train_problems=[name]))
 
     def test_split_keeps_test_out_of_training(self, tmp_path):
-        cfg = toy_cfg(runs=1, epochs=1, train_problems=["synthetic/sphere-linear/0"],
-                      test_problems=["synthetic/rastrigin-ring/1"])
-        split_protocol(cfg, tmp_path)
+        code, out = run_cli(tmp_path, "split", runs=1, epochs=1,
+                            train_problems=["synthetic/sphere-linear/0"],
+                            test_problems=["synthetic/rastrigin-ring/1"])
+        assert code == EXIT_OK
         import json
-        for line in (tmp_path / "train_log.jsonl").read_text().splitlines():
+        for line in (out / "train_log.jsonl").read_text().splitlines():
             assert json.loads(line)["problem"] == "synthetic/sphere-linear/0"
 
 
 class TestLeakCheck:
     """The hold-out check is a raised error, so it holds under python -O."""
 
-    @pytest.mark.parametrize("protocol, leaked", [("loo", "sphere-linear/0"),
-                                                  ("split", "rastrigin-ring/1"),
-                                                  ("ablate", "rastrigin-ring/1")])
-    def test_leaked_problem_raises(self, monkeypatch, tmp_path, protocol, leaked):
+    @pytest.mark.parametrize("protocol, args, leaked", [
+        ("loo", [], "sphere-linear/0"), ("split", [], "rastrigin-ring/1"),
+        ("ablate", ["--variant", "no-train"], "rastrigin-ring/1")])
+    def test_leaked_problem_raises(self, monkeypatch, tmp_path, capsys, protocol, args, leaked):
         real_train = harness.train
 
         def leaky_train(cfg):
@@ -226,16 +250,12 @@ class TestLeakCheck:
             return result
 
         monkeypatch.setattr(harness, "train", leaky_train)
-        cfg = toy_cfg(epochs=1, runs=1, train_problems=["synthetic/sphere-linear/0"],
-                      test_problems=["synthetic/rastrigin-ring/1"])
-        with pytest.raises(RuntimeError, match=f"leaked into training: .*{leaked}"):
-            if protocol == "loo":
-                leave_one_out(cfg, tmp_path)
-            elif protocol == "split":
-                split_protocol(cfg, tmp_path)
-            else:
-                ablate(cfg, "no-train", tmp_path)
-        assert not any(tmp_path.iterdir())
+        code, out = run_cli(tmp_path, protocol, *args, epochs=1, runs=1,
+                            train_problems=["synthetic/sphere-linear/0"],
+                            test_problems=["synthetic/rastrigin-ring/1"])
+        assert code == EXIT_RUNTIME
+        assert re.search(f"leaked into training: .*{leaked}", capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestRunFailedError:
@@ -331,48 +351,49 @@ class TestBatchedRunFailure:
 
 
 class TestAblate:
-    def test_no_state_masks_logged_states(self, tmp_path):
+    def test_no_state_masks_logged_states(self):
         cfg = toy_cfg(runs=1, epochs=1,
                       train_problems=["synthetic/sphere-linear/0"],
                       test_problems=["synthetic/rastrigin-ring/1"])
-        records = ablate(cfg, "no-state", tmp_path)
+        records = ablate(cfg, "no-state")
         methods = {r.method for r in records}
         assert methods == {"trained-agent", "no-state"}
 
-    def test_no_train_variant(self, tmp_path):
+    def test_no_train_variant(self):
         cfg = toy_cfg(runs=1, epochs=1,
                       train_problems=["synthetic/sphere-linear/0"],
                       test_problems=["synthetic/rastrigin-ring/1"])
-        records = ablate(cfg, "no-train", tmp_path)
+        records = ablate(cfg, "no-train")
         assert {r.method for r in records} == {"trained-agent", "no-train"}
 
-    def test_action_scheme_variant_retrains(self, tmp_path):
+    def test_action_scheme_variant_retrains(self):
         cfg = toy_cfg(runs=1, epochs=1,
                       train_problems=["synthetic/sphere-linear/0"],
                       test_problems=["synthetic/rastrigin-ring/1"])
-        records = ablate(cfg, "ca", tmp_path)
+        records = ablate(cfg, "ca")
         assert {r.method for r in records} == {"trained-agent", "ca"}
 
-    def test_unknown_variant(self, tmp_path):
+    def test_unknown_variant(self):
         cfg = toy_cfg(train_problems=["synthetic/sphere-linear/0"],
                       test_problems=["synthetic/rastrigin-ring/1"])
         with pytest.raises(ConfigError, match="unknown ablation"):
-            ablate(cfg, "no-everything", tmp_path)
+            ablate(cfg, "no-everything")
 
-    def test_requires_split_lists(self, tmp_path):
+    def test_requires_split_lists(self):
         cfg = toy_cfg()
         with pytest.raises(ConfigError, match="train_problems"):
-            ablate(cfg, "no-state", tmp_path)
+            ablate(cfg, "no-state")
 
     @pytest.mark.parametrize("variant", ["no-state", "r1"])
-    def test_rejects_overlap(self, tmp_path, variant):
+    def test_rejects_overlap(self, tmp_path, capsys, variant):
         # the split protocol rejects the same lists; no result is reported
-        cfg = toy_cfg(runs=1, epochs=1, train_problems=["synthetic/sphere-linear/0",
-                                                        "synthetic/rastrigin-ring/1"],
-                      test_problems=["synthetic/rastrigin-ring/1"])
-        with pytest.raises(ConfigError, match="overlap: .*rastrigin-ring/1"):
-            ablate(cfg, variant, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
+        code, out = run_cli(tmp_path, "ablate", "--variant", variant, runs=1, epochs=1,
+                            train_problems=["synthetic/sphere-linear/0",
+                                            "synthetic/rastrigin-ring/1"],
+                            test_problems=["synthetic/rastrigin-ring/1"])
+        assert code == EXIT_CONFIG
+        assert re.search("overlap: .*rastrigin-ring/1", capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestExport:

@@ -10,12 +10,13 @@ matching the bounded per-step rewards.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .env import ActionSpace
+from .env import SCHEME_EXPONENTIAL, ActionSpace
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -27,6 +28,15 @@ STATE_SIZE = 10
 HIDDEN_SIZE = 64
 
 CHECKPOINT_MAGIC = "rleceo-ckpt v1"
+
+# the fixed training schedule; TARGET_SYNC_PERIOD counts gradient steps
+LR_START = 5e-3
+LR_END = 1e-4
+DISCOUNT = 1.0
+TARGET_SYNC_PERIOD = 10
+EXPLORE_START = 0.9
+EXPLORE_END = 0.05
+EXPLORE_FRACTION = 0.8  # share of the meta-steps spent decaying
 
 
 class CheckpointVersionError(ValueError):
@@ -82,7 +92,8 @@ class Transition:
     terminal: bool
 
 
-def init_params(n_in: int = STATE_SIZE, n_hidden: int = HIDDEN_SIZE, n_out: int = 11, *,
+def init_params(n_in: int = STATE_SIZE, n_hidden: int = HIDDEN_SIZE,
+                n_out: int = ActionSpace.for_scheme(SCHEME_EXPONENTIAL).n_actions, *,
                 rng: np.random.Generator) -> NetworkParams:
     """Uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
     lim1 = math.sqrt(6.0 / (n_in + n_hidden))
@@ -192,35 +203,29 @@ def sgd_step(params: NetworkParams, grads: NetworkParams, lr: float) -> None:
     """Plain gradient descent, in place: every parameter -= lr * grad."""
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    params.w1 -= lr * grads.w1
-    params.b1 -= lr * grads.b1
-    params.w2 -= lr * grads.w2
-    params.b2 -= lr * grads.b2
+    for p, g in zip(params.arrays(), grads.arrays()):
+        p -= lr * g
 
 
 def sync_target(online: NetworkParams, target: NetworkParams) -> None:
     """Copy the online parameters into the target network, in place."""
-    np.copyto(target.w1, online.w1)
-    np.copyto(target.b1, online.b1)
-    np.copyto(target.w2, online.w2)
-    np.copyto(target.b2, online.b2)
+    for t, o in zip(target.arrays(), online.arrays()):
+        np.copyto(t, o)
 
 
 def cosine_lr(epoch: int, cfg: ExperimentConfig) -> float:
-    """Cosine decay from lr_start at epoch 0 to lr_end at cfg.epochs."""
+    """Cosine decay from LR_START at epoch 0 to LR_END at cfg.epochs."""
     if not 0 <= epoch <= cfg.epochs:
         raise ValueError(f"epoch must be in [0, {cfg.epochs}]")
-    return cfg.lr_end + 0.5 * (cfg.lr_start - cfg.lr_end) * (
-        1.0 + math.cos(math.pi * epoch / cfg.epochs)
-    )
+    return LR_END + 0.5 * (LR_START - LR_END) * (1.0 + math.cos(math.pi * epoch / cfg.epochs))
 
 
-def explore_rate(step: int, total_steps: int, cfg: ExperimentConfig) -> float:
-    """Linear decay from explore_start to explore_end over the first
-    explore_fraction of the meta-steps, constant afterwards."""
-    horizon = max(1, int(cfg.explore_fraction * total_steps))
+def explore_rate(step: int, total_steps: int) -> float:
+    """Linear decay from EXPLORE_START to EXPLORE_END over the first
+    EXPLORE_FRACTION of the meta-steps, constant afterwards."""
+    horizon = max(1, int(EXPLORE_FRACTION * total_steps))
     frac = min(1.0, step / horizon)
-    return cfg.explore_start + frac * (cfg.explore_end - cfg.explore_start)
+    return EXPLORE_START + frac * (EXPLORE_END - EXPLORE_START)
 
 
 class ReplayBuffer:
@@ -302,8 +307,6 @@ class CheckpointMetadata:
 def save_checkpoint(params: NetworkParams, metadata: CheckpointMetadata, path) -> None:
     """Versioned text format, one value per line at 17 significant digits,
     written atomically (temp file + rename) so readers never see a torso."""
-    import os
-
     n_in, n_hidden, n_out = params.shapes
     lines = [CHECKPOINT_MAGIC, f"shapes {n_in} {n_hidden} {n_out}", metadata.to_pairs()]
     for arr in params.arrays():
@@ -315,12 +318,17 @@ def save_checkpoint(params: NetworkParams, metadata: CheckpointMetadata, path) -
 
 
 def load_checkpoint(path) -> tuple[NetworkParams, CheckpointMetadata]:
-    """Inverse of save_checkpoint; round-trips bit-exactly at 64-bit."""
+    """Inverse of save_checkpoint, bit-exact at 64-bit; its errors start with the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            return _parse_checkpoint(fh.read().splitlines())
     except UnicodeDecodeError as exc:
         raise CheckpointParseError(f"checkpoint {path}: {exc}") from None
+    except (CheckpointParseError, CheckpointVersionError, CheckpointShapeError) as exc:
+        raise type(exc)(f"checkpoint {path}: {exc}") from None
+
+
+def _parse_checkpoint(lines: list[str]) -> tuple[NetworkParams, CheckpointMetadata]:
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise CheckpointVersionError(
             f"unsupported checkpoint format: {lines[0] if lines else '<empty>'!r}"

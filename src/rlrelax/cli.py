@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import agent as qnet
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_value
 from .harness import (
     ABLATIONS,
     BASELINES,
@@ -84,7 +84,7 @@ def _load_cfg(args) -> ExperimentConfig:
     flags = {"seed": args.seed, "out_dir": args.out, "runs": args.runs}
     if args.dims is not None:
         try:
-            flags["dims"] = [int(v) for v in args.dims.split(",") if v.strip()]
+            flags["dims"] = parse_value("dims", args.dims)
         except ValueError as exc:
             raise ConfigError(f"--dims: {exc}") from None
     return load_config(args.config, **{k: v for k, v in flags.items() if v is not None})

@@ -44,13 +44,6 @@ class ExperimentConfig:
     mask_state: bool = False
     out_dir: str = "results"
     epochs: int = 50
-    lr_start: float = 5e-3
-    lr_end: float = 1e-4
-    discount: float = 1.0
-    target_sync_period: int = 10  # counted in gradient steps
-    explore_start: float = 0.9
-    explore_end: float = 0.05
-    explore_fraction: float = 0.8  # share of the meta-steps spent decaying
     buffer_capacity: int = 4096
     batch_size: int = 64
     static_level: float = 0.5     # static baseline's fixed relaxation level
@@ -74,13 +67,11 @@ class ExperimentConfig:
             raise ConfigError(f"action_scheme must be one of {SCHEMES}")
         if self.reward_variant not in REWARD_VARIANTS:
             raise ConfigError(f"reward_variant must be one of {REWARD_VARIANTS}")
-        for key in ("runs", "epochs", "target_sync_period"):
+        for key in ("runs", "epochs"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         if self.pop_size < N_MIN:
             raise ConfigError(f"pop_size must be >= {N_MIN}")
-        if not 0 < self.lr_end <= self.lr_start:
-            raise ConfigError("need 0 < lr_end <= lr_start")
         if not 1 <= self.batch_size <= self.buffer_capacity:
             raise ConfigError("need 1 <= batch_size <= buffer_capacity")
         if not self.dims:
@@ -93,10 +84,8 @@ class ExperimentConfig:
         for key in ("delta", "delta_acc", "sched_power"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive")
-        for key in ("discount", "explore_start", "explore_end", "explore_fraction",
-                    "static_level"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ConfigError(f"{key} must be in [0, 1]")
+        if not 0.0 <= self.static_level <= 1.0:
+            raise ConfigError("static_level must be in [0, 1]")
         for d in self.dims:
             if self.maxfes_per_dim * d < 2 * self.pop_size:
                 raise ConfigError(
@@ -123,30 +112,24 @@ class ExperimentConfig:
         return self.maxfes_per_dim * dim
 
 
-_LIST_STR_KEYS = {"problems", "train_problems", "test_problems"}
-_LIST_INT_KEYS = {"dims"}
-_BOOL_KEYS = {"lpsr", "mask_state"}
-# the value types of the scalar keys; the list and bool keys are parsed by name
+# the value type of each key; a tuple is read as a comma-separated list
 _TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
-def _parse_value(key: str, raw: str, target_type: type):
-    raw = raw.strip()
-    if key in _LIST_STR_KEYS:
-        return [v.strip() for v in raw.split(",") if v.strip()]
-    if key in _LIST_INT_KEYS:
-        return [int(v) for v in raw.split(",") if v.strip()]
-    if key in _BOOL_KEYS:
+def parse_value(key: str, raw: str):
+    """The value of ``key`` written as ``raw`` in a config file, typed by its field;
+    ValueError if it does not parse."""
+    raw, kind = raw.strip(), _TYPES[key]
+    if kind is tuple:
+        items = [v.strip() for v in raw.split(",") if v.strip()]
+        return [int(v) for v in items] if key == "dims" else items
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes", "on"):
             return True
         if raw.lower() in ("false", "0", "no", "off"):
             return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
-    if target_type is int:
-        return int(raw)
-    if target_type is float:
-        return float(raw)
-    return raw
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return kind(raw)
 
 
 def parse_config_text(text: str, **overrides) -> ExperimentConfig:
@@ -162,7 +145,7 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         if key not in _TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _parse_value(key, raw, _TYPES[key])
+            values[key] = parse_value(key, raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from None
     return ExperimentConfig(**{**values, **overrides})

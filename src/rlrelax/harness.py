@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,7 +82,7 @@ def train(cfg: ExperimentConfig) -> TrainResult:
 
     Each episode is one ``_run`` whose policy acts epsilon-greedily, pushes the
     transition and, once the buffer holds a batch, makes one gradient-descent
-    update; the target network is refreshed every ``target_sync_period``
+    update; the target network is refreshed every ``qnet.TARGET_SYNC_PERIOD``
     gradient steps.  The learning rate follows the cosine schedule across epochs.
     """
     names = cfg.train_problems or cfg.problems
@@ -106,15 +107,15 @@ def train(cfg: ExperimentConfig) -> TrainResult:
         nonlocal meta_step, grad_steps
         state = env.state[0]
         q = qnet.forward(state, params)
-        action = qnet.act_eps_greedy(q, qnet.explore_rate(meta_step, total_steps, cfg), actor_rng)
+        action = qnet.act_eps_greedy(q, qnet.explore_rate(meta_step, total_steps), actor_rng)
         infos = env.step(action)
         buffer.push(Transition(state, action, infos[0]["reward"], env.state[0], env.terminal))
         if len(buffer) >= cfg.batch_size:
             batch = buffer.sample(cfg.batch_size, actor_rng)
-            _, grads = qnet.loss_and_grad(batch, params, target, cfg.discount)
+            _, grads = qnet.loss_and_grad(batch, params, target, qnet.DISCOUNT)
             qnet.sgd_step(params, grads, lr)
             grad_steps += 1
-            if grad_steps % cfg.target_sync_period == 0:
+            if grad_steps % qnet.TARGET_SYNC_PERIOD == 0:
                 qnet.sync_target(params, target)
         meta_step += 1
         return infos
@@ -140,9 +141,9 @@ def train(cfg: ExperimentConfig) -> TrainResult:
         extra={
             "problem_set_hash": _hash_instances(names, cfg.dims),
             "reward_variant": cfg.reward_variant,
-            "lr_start": f"{cfg.lr_start:.17g}",
-            "lr_end": f"{cfg.lr_end:.17g}",
-            "discount": f"{cfg.discount:.17g}",
+            "lr_start": f"{qnet.LR_START:.17g}",
+            "lr_end": f"{qnet.LR_END:.17g}",
+            "discount": f"{qnet.DISCOUNT:.17g}",
         },
     )
     return TrainResult(params=params, metadata=metadata, episodes=episodes)
@@ -349,6 +350,11 @@ def write_jsonl(rows: list[dict], path) -> None:
 _RECORD_KEYS = ("problem", "dim", "method", "run")  # RunRecord's identity, in field order
 _TRACE_KEYS = ("step", "fes", "level", "eps_min", "eps_mean", "eps_max", "reward", "sco")
 
+# each key's value types and their name in a message; other trace values are numbers
+_KINDS = {**dict.fromkeys(("problem", "method"), ((str,), "a string")),
+          **dict.fromkeys(("dim", "run", "step", "fes"), ((int,), "an int")),
+          "sco": ((int, float), "a finite number")}
+
 
 def write_records_jsonl(records: list[RunRecord], path) -> None:
     """Per-generation trace lines, one JSON object per meta-step."""
@@ -360,8 +366,8 @@ def write_records_jsonl(records: list[RunRecord], path) -> None:
 
 
 def load_records_jsonl(path) -> list[RunRecord]:
-    """Rebuild RunRecords from a trace file written by write_records_jsonl;
-    a line that is not such a trace raises ValueError naming its file and line."""
+    """Rebuild RunRecords from a trace file written by write_records_jsonl; a line
+    that is not such a trace raises ValueError naming its file, line and key."""
     runs: dict[tuple, RunRecord] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -371,9 +377,12 @@ def load_records_jsonl(path) -> list[RunRecord]:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
             if not isinstance(row, dict):
                 raise ValueError(f"{path} line {lineno}: not a JSON object")
-            missing = [k for k in (*_RECORD_KEYS, *_TRACE_KEYS) if k not in row]
-            if missing:
-                raise ValueError(f"{path} line {lineno}: missing key {missing[0]!r}")
+            for k in (*_RECORD_KEYS, *_TRACE_KEYS):  # type() is exact, so a bool is no int
+                if k not in row:
+                    raise ValueError(f"{path} line {lineno}: missing key {k!r}")
+                types, name = _KINDS.get(k, ((int, float), "a number"))
+                if type(row[k]) not in types or (k == "sco" and not math.isfinite(row[k])):
+                    raise ValueError(f"{path} line {lineno}: {k} must be {name}, got {row[k]!r}")
             key = tuple(row[k] for k in _RECORD_KEYS)
             if key not in runs:
                 runs[key] = RunRecord(*key)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rlrelax import agent
 from rlrelax.agent import (
     SELU_LAMBDA,
+    STATE_SIZE,
     CheckpointMetadata,
     CheckpointParseError,
     CheckpointShapeError,
@@ -351,11 +352,10 @@ class TestSgdAndSchedules:
         assert cosine_lr(25, cfg) == pytest.approx((5e-3 + 1e-4) / 2, rel=1e-12)
 
     def test_explore_schedule(self):
-        cfg = ExperimentConfig()
-        assert explore_rate(0, 1000, cfg) == pytest.approx(0.9)
-        assert explore_rate(800, 1000, cfg) == pytest.approx(0.05)
-        assert explore_rate(1000, 1000, cfg) == pytest.approx(0.05)
-        mid = explore_rate(400, 1000, cfg)
+        assert explore_rate(0, 1000) == pytest.approx(0.9)
+        assert explore_rate(800, 1000) == pytest.approx(0.05)
+        assert explore_rate(1000, 1000) == pytest.approx(0.05)
+        mid = explore_rate(400, 1000)
         assert 0.05 < mid < 0.9
 
     def test_overfit_single_transition(self):
@@ -452,6 +452,18 @@ class TestCheckpoint:
         save_checkpoint(init_params(rng=np.random.default_rng(18)), self.meta(), path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 1))
         with pytest.raises(CheckpointParseError, match=f"checkpoint {re.escape(str(path))}: "):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("n_in, keep, error", [
+        (STATE_SIZE, 1, CheckpointParseError),  # the format line alone
+        (STATE_SIZE, 0, CheckpointVersionError),  # an empty file
+        (STATE_SIZE - 1, None, CheckpointShapeError),
+    ])
+    def test_every_load_error_names_the_file(self, tmp_path, n_in, keep, error):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(init_params(n_in=n_in, rng=np.random.default_rng(18)), self.meta(), path)
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:keep]))
+        with pytest.raises(error, match=f"^checkpoint {re.escape(str(path))}: "):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):

@@ -256,9 +256,9 @@ class TestEpisodeSteps:
         horizons = set()
         explore_rate = qnet.explore_rate
 
-        def spy(step, total_steps, cfg):
+        def spy(step, total_steps):
             horizons.add(total_steps)
-            return explore_rate(step, total_steps, cfg)
+            return explore_rate(step, total_steps)
 
         monkeypatch.setattr(qnet, "explore_rate", spy)
         cfg = ExperimentConfig(problems=["synthetic/sphere-linear/0", "synthetic/rastrigin-ring/1"],

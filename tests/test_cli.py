@@ -58,6 +58,16 @@ class TestExitCodes:
         assert f"error: checkpoint {ckpt}: 'utf-8' codec" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_truncated_checkpoint_names_its_file(self, cfg_path, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.txt"
+        ckpt.write_text("rleceo-ckpt v1\n")
+        out = tmp_path / "out"
+        code = main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(out)])
+        assert code == EXIT_RUNTIME
+        assert f"error: checkpoint {ckpt}: missing shapes line" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_batch_larger_than_buffer_is_config_error(self, tmp_path):
         # such a buffer never holds a batch, so training would take no step
         path = tmp_path / "bad.cfg"
@@ -81,16 +91,29 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line", [
         "epochs = 0", "dims =", "delta = 0", "delta_acc = -1",
-        "explore_start = 1.5", "explore_end = -0.1", "explore_fraction = 1.01",
         # non-finite floats and a negative seed pass a plain range check
-        "lr_start = inf", "delta = inf", "delta_acc = inf", "sched_power = inf",
-        "discount = nan", "seed = -1",
+        "delta = inf", "delta_acc = inf", "sched_power = inf", "seed = -1",
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(TOY + line + "\n")
         out = tmp_path / "out"
         assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    # the learner's training schedule is fixed in rlrelax.agent, not set per config
+    @pytest.mark.parametrize("line", [
+        "lr_start = 5e-3", "lr_end = 1e-4", "discount = 1.0", "target_sync_period = 10",
+        "explore_start = 0.9", "explore_end = 0.05", "explore_fraction = 0.8",
+    ])
+    def test_fixed_schedule_key_is_unknown(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TOY + line + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["train", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        key = line.split(" =")[0]
+        assert f"unknown key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_flag_is_config_error(self, cfg_path, tmp_path, capsys):
@@ -137,9 +160,9 @@ class TestExitCodes:
         ("ablate", ["--variant", "no-train"]), ("export-curves", []),
     ])
     @pytest.mark.parametrize("lines, message", [
-        ("lr_end = 1e-2", "need 0 < lr_end <= lr_start"),
-        ("target_sync_period = 0", "target_sync_period must be >= 1"),
-        ("discount = 1.5", "discount must be in [0, 1]"),
+        ("static_level = 1.5", "static_level must be in [0, 1]"),
+        ("runs = 0", "runs must be >= 1"),
+        ("sched_power = nan", "sched_power must be finite, got nan"),
         ("batch_size = 0", "need 1 <= batch_size <= buffer_capacity"),
         ("shift_file = {bad_shift}", "bad.shift line 2: bad header line 'cec12 abc'"),
         ("shift_file = {missing_shift}", "missing.shift"),
@@ -301,6 +324,13 @@ class TestVerbs:
         ('{"problem": "a"}', "missing key 'dim'"),
         ("not json", "Expecting value: line 1 column 1 (char 0)"),
         ('"a"', "not a JSON object"),
+        # the good line with one value retyped; a string sco would reach export_curves' arithmetic
+        ({"sco": "x"}, "sco must be a finite number, got 'x'"),
+        ({"sco": float("inf")}, "sco must be a finite number, got inf"),
+        ({"dim": True}, "dim must be an int, got True"),
+        ({"fes": 40.0}, "fes must be an int, got 40.0"),
+        ({"level": None}, "level must be a number, got None"),
+        ({"problem": ["a"]}, "problem must be a string, got ['a']"),
     ])
     def test_export_names_the_malformed_records_line(self, cfg_path, tmp_path, capsys,
                                                      line, fault):
@@ -308,6 +338,8 @@ class TestVerbs:
         assert main(["baseline", "--config", str(cfg_path), "--out", str(out),
                      "--name", "static-eps"]) == EXIT_OK
         good = (out / "records_static-eps.jsonl").read_text().splitlines()[0]
+        if isinstance(line, dict):
+            line = json.dumps({**json.loads(good), **line})
         records = out / "records.jsonl"
         records.write_text(f"{good}\n{line}\n")
         capsys.readouterr()

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from rlrelax.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from rlrelax.config import (ConfigError, ExperimentConfig, load_config, parse_config_text,
+                            parse_value)
 from rlrelax.harness import _hash_instances
 from rlrelax.problems import ProblemRegistry
 
@@ -39,9 +40,15 @@ class TestParsing:
         assert cfg.maxfes_per_dim == 50
         assert cfg.runs == 10
         assert cfg.epochs == 50
-        assert cfg.lr_start == 5e-3 and cfg.lr_end == 1e-4
-        assert cfg.discount == 1.0
-        assert cfg.target_sync_period == 10
+        assert cfg.buffer_capacity == 4096 and cfg.batch_size == 64
+
+    def test_parse_value_types_by_field(self):
+        assert parse_value("dims", " 10, 30,") == [10, 30]
+        assert parse_value("pop_size", "7") == 7
+        assert parse_value("static_level", "0.25") == 0.25
+        assert parse_value("lpsr", "on") is True
+        with pytest.raises(ValueError):
+            parse_value("dims", "4,abc")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
@@ -52,7 +59,7 @@ class TestParsing:
             parse_config_text("runs = many\n")
 
     def test_bad_bool_rejected(self):
-        with pytest.raises(ConfigError, match="boolean"):
+        with pytest.raises(ConfigError, match="^line 1: lpsr: expected a boolean, got 'maybe'$"):
             parse_config_text("lpsr = maybe\n")
 
     def test_missing_equals_rejected(self):
@@ -92,14 +99,14 @@ class TestValidation:
             parse_config_text("runs = 0\n")
 
     @pytest.mark.parametrize("text, message", [
-        ("lr_end = 0", "need 0 < lr_end <= lr_start"),
-        ("lr_start = 1e-4\nlr_end = 1e-3", "need 0 < lr_end <= lr_start"),
-        ("target_sync_period = 0", "target_sync_period must be >= 1"),
-        ("discount = -0.1", "discount must be in"),
+        ("epochs = 0", "epochs must be >= 1"),
+        ("static_level = -0.1", "static_level must be in [0, 1]"),
+        ("sched_power = 0", "sched_power must be positive"),
+        ("static_level = nan", "static_level must be finite, got nan"),
         ("batch_size = 0", "need 1 <= batch_size <= buffer_capacity"),
         ("batch_size = 65\nbuffer_capacity = 64", "need 1 <= batch_size <= buffer_capacity"),
         ("pop_size = 3", "pop_size must be >= 4"),
-        ("lr_start = inf", "lr_start must be finite, got inf"),
+        ("delta = inf", "delta must be finite, got inf"),
         ("delta_acc = inf", "delta_acc must be finite, got inf"),
         ("seed = -1", "seed must be >= 0, got -1"),
         ("train_problems = cec14, cec14", "train_problems lists 'cec14' more than once"),

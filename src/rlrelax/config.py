@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .cop import DELTA_ACC_DEFAULT
-from .env import DELTA_DEFAULT, REWARD_VARIANTS, SCHEMES
+from .env import DELTA_DEFAULT, REWARD_FULL, REWARD_VARIANTS, SCHEME_EXPONENTIAL, SCHEMES
 from .lshade import N_MIN
 from .problems import ProblemRegistry, UnknownProblemError, load_shift_table
 
@@ -39,8 +39,8 @@ class ExperimentConfig:
     runs: int = 10
     seed: int = 0
     lpsr: bool = False
-    action_scheme: str = "exponential"
-    reward_variant: str = "full"
+    action_scheme: str = SCHEME_EXPONENTIAL
+    reward_variant: str = REWARD_FULL
     mask_state: bool = False
     out_dir: str = "results"
     epochs: int = 50

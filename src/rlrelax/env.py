@@ -29,7 +29,8 @@ SCHEME_LINEAR_AA = "linear-aa"   # aggressive multiplicative adjustment
 SCHEME_LINEAR_CA = "linear-ca"   # conservative multiplicative adjustment
 SCHEMES = (SCHEME_EXPONENTIAL, SCHEME_LINEAR_AA, SCHEME_LINEAR_CA)
 
-REWARD_VARIANTS = ("full", "r1", "r2", "r1r2")
+REWARD_FULL = "full"
+REWARD_VARIANTS = (REWARD_FULL, "r1", "r2", "r1r2")
 
 DELTA_DEFAULT = 1e-3
 
@@ -161,7 +162,7 @@ def compute_reward(r1: float, r2: float, gamma: float, variant: str) -> float:
     r1 / r2: a single signal alone
     r1r2:  plain sum without the dynamic weighting
     """
-    if variant == "full":
+    if variant == REWARD_FULL:
         r = (r1 * (1.0 - gamma) + r2) / 2.0
     elif variant == "r1":
         r = r1
@@ -184,7 +185,8 @@ class EpsilonControlEnv:
     returns one info dict per run.  Baseline schedules drive the same
     machinery through ``step_with_epsilon``.  ``stats`` is kept by lshade;
     the env holds only the decision process, per run: ``eps_base`` and
-    ``current_eps`` (R, p+q), ``f_agentbest``, ``state``.
+    ``current_eps`` (R, p+q), ``f_agentbest``, and ``state``, the observation
+    computed on its first read after ``reset()`` or a step; baselines never read it.
     """
 
     def __init__(self, problem: ConstrainedProblem, rngs: list[np.random.Generator],
@@ -196,10 +198,20 @@ class EpsilonControlEnv:
         self._initial_agentbest = np.inf if f_agentbest is None else f_agentbest
         self.pop: Population | None = None
         self.stats: RunStats | None = None
+        self._state: np.ndarray | None = None
 
     @property
     def terminal(self) -> bool:
         return self.stats is None or self.stats.budget.exhausted
+
+    @property
+    def state(self) -> np.ndarray:
+        """Each run's observation (R, 10) of the current generation."""
+        if self.stats is None:
+            raise RuntimeError("no observation yet; call reset() before reading the state")
+        if self._state is None:
+            self._state = self._observe()
+        return self._state
 
     # -- episode lifecycle ---------------------------------------------------
 
@@ -213,7 +225,7 @@ class EpsilonControlEnv:
         # best objective across all training so far
         self.f_agentbest = np.full(len(self.rngs), self._initial_agentbest)
         self.step_index = 0
-        self.state = self._observe()
+        self._state = None
         return self.state
 
     def _observe(self) -> np.ndarray:
@@ -264,7 +276,7 @@ class EpsilonControlEnv:
         # the all-training best updates before the reward so r1 stays <= 1
         self.f_agentbest = np.minimum(self.f_agentbest, stats.f_gbest)
         stats.prev_action = levels
-        self.state = self._observe()
+        self._state = None
 
         eps_stats = ([eps.min(axis=1), eps.mean(axis=1), eps.max(axis=1)] if m
                      else [np.zeros(runs)] * 3)

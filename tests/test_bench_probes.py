@@ -60,7 +60,9 @@ def test_probes_install_trace_a_run_and_restore(tmp_path):
     # runs once per batch (init and each generation), selection is vectorised
     assert names.count("env.reset") == 2
     assert names.count("lshade.generation_step") == 4
-    assert names.count("features.extract_state") == 6
+    # one observation per reset, plus one per greedy read before each later
+    # step; the final observation is never computed
+    assert names.count("features.extract_state") == 4
     assert names.count("features.top5_violation_mean") == 6
     assert names.count("problems.evaluator") == 2 * 3
     assert names.count("lshade.select_survivor") == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlrelax import cop, env as env_module, lshade
+from rlrelax import cop, env as env_module, harness, lshade
 from rlrelax.config import ConfigError, ExperimentConfig
 from rlrelax.cop import ConstrainedProblem
 from rlrelax.env import (
@@ -408,6 +408,119 @@ class TestEnvEpisode:
         zero = run(lambda env: np.zeros(1))
         relaxed = run(lambda env: env.eps_base.values)
         assert zero == relaxed
+
+
+@pytest.fixture
+def observations(monkeypatch):
+    """The list of extract_state calls the env makes, one entry per call."""
+    calls, real = [], env_module.extract_state
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(env_module, "extract_state", counted)
+    return calls
+
+
+def harness_cfg(**overrides):
+    """Two problems at D=4, two paired runs each: 80 evaluations, 3 meta-steps."""
+    return ExperimentConfig(**{"problems": ["synthetic/sphere-linear/0",
+                                            "synthetic/rastrigin-ring/1"],
+                               "dims": [4], "pop_size": 20, "maxfes_per_dim": 20, "runs": 2,
+                               "seed": 3, "epochs": 1, "buffer_capacity": 64,
+                               "batch_size": 8, **overrides})
+
+
+class TestLazyObservation:
+    """The observation is computed on its first read after reset() or a step
+    that went through, and kept until the next one."""
+
+    @pytest.mark.parametrize("kind", ["static-eps", "scheduled-eps", "feasibility-rule"])
+    def test_baseline_group_computes_only_the_reset_observation(self, observations, kind):
+        cfg = harness_cfg()
+        records = harness.run_baseline(cfg, kind)
+        assert len(records) == 4 and all(len(r.steps) == 3 for r in records)
+        assert len(observations) == len(cfg.problems)  # one group per problem
+
+    @pytest.mark.parametrize("lpsr", [False, True])
+    def test_greedy_evaluation_computes_one_observation_per_step(self, observations, lpsr):
+        # the reset observation and one read before each later step; the
+        # final observation is never computed
+        cfg = harness_cfg(maxfes_per_dim=60, lpsr=lpsr)
+        harness.evaluate(cfg, harness._init_params(cfg))
+        steps = episode_steps(cfg.maxfes(4), cfg.pop_size, lpsr)
+        assert len(observations) == len(cfg.problems) * steps
+
+    def test_training_computes_every_observation(self, observations):
+        # learn reads the state before each step and the next state after it
+        result = harness.train(harness_cfg(epochs=2))
+        assert len(observations) == sum(row["steps"] + 1 for row in result.episodes)
+
+    def test_reads_without_a_step_compute_once(self, observations):
+        env = make_env()
+        env.reset()
+        env.step(2)
+        assert len(observations) == 1  # the step computed nothing
+        first = env.state
+        before = first.tobytes()
+        assert env.state is first and env.state.tobytes() == before
+        assert len(observations) == 2
+
+    def test_rejected_step_keeps_the_observation(self, observations):
+        env = make_env(seed=3, problem=ProblemRegistry().lookup("cec12", 10), pop_size=20,
+                       maxfes=200)
+        env.reset()
+        env.step(1)
+        kept = env.state
+        before, count = kept.tobytes(), len(observations)
+        calls = [lambda: env.step(-1), lambda: env.step(2.0),
+                 lambda: env.step_with_epsilon(env.current_eps, np.nan),
+                 lambda: env.step_with_epsilon(env.current_eps, 1.5),
+                 lambda: env.step_with_epsilon([-1.0, -1.0], 0.5),
+                 lambda: env.step_with_epsilon([np.nan, 1.0], 0.5)]
+        for call in calls:
+            with pytest.raises(ValueError):
+                call()
+            assert env.state is kept and kept.tobytes() == before
+            assert len(observations) == count
+
+    def test_reset_clears_the_observation(self, observations):
+        env = make_env()
+        env.reset()
+        env.step(3)
+        stepped = env.state
+        assert stepped[0, 8] == pytest.approx(0.3)
+        state = env.reset()
+        assert len(observations) == 3
+        assert state is not stepped and env.state is state
+        assert state[0, 8] == 1.0  # a fresh run record's previous level
+
+    def test_state_before_reset_rejected(self, observations):
+        env = make_env(dim=4, maxfes=200)
+        with pytest.raises(RuntimeError, match="call reset"):
+            env.state
+        assert not observations
+
+    def test_non_finite_observation_fails_at_the_reader(self, monkeypatch):
+        # NaN features from the observation after the second generation on:
+        # the greedy policy reads that one and fails inside the run; the
+        # baselines never read it
+        real = env_module.extract_state
+        cfg = harness_cfg(problems=["synthetic/rastrigin-ring/1"])
+
+        def nan_late(pop, lower, upper, stats):
+            state = real(pop, lower, upper, stats)
+            return state * np.nan if stats.budget.fes >= 3 * cfg.pop_size else state
+
+        monkeypatch.setattr(env_module, "extract_state", nan_late)
+        with pytest.raises(harness.RunFailedError) as info:
+            harness.evaluate(cfg, harness._init_params(cfg))
+        assert str(info.value) == ("trained-agent on synthetic/rastrigin-ring/1 (dim 4, run 0) "
+                                   "failed: state contains non-finite entries")
+        assert isinstance(info.value.__cause__, ValueError)
+        for kind in ("static-eps", "scheduled-eps", "feasibility-rule"):
+            assert len(harness.run_baseline(cfg, kind)) == cfg.runs
 
 
 # every registry problem: the two CEC ones exist only from dim 10 on

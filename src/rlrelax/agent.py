@@ -109,7 +109,7 @@ def init_params(n_in: int = STATE_SIZE, n_hidden: int = HIDDEN_SIZE,
 def forward(s: np.ndarray, params: NetworkParams) -> np.ndarray:
     """Action values for one state: sigmoid(W2 selu(W1 s + b1) + b2)."""
     s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("state contains non-finite entries")
     hidden = selu(params.w1 @ s + params.b1)
     return sigmoid(params.w2 @ hidden + params.b2)
@@ -121,7 +121,7 @@ def forward_batch(states: np.ndarray, params: NetworkParams) -> np.ndarray:
     """Action values for a (batch, in) matrix of states, row i equal to
     ``forward(states[i])`` bit for bit."""
     states = np.asarray(states, dtype=float)
-    if not np.all(np.isfinite(states)):
+    if not np.isfinite(states).all():
         raise ValueError("state contains non-finite entries")
     hidden = selu(np.matmul(params.w1, states[:, :, None])[..., 0] + params.b1)
     return sigmoid(np.matmul(params.w2, hidden[:, :, None])[..., 0] + params.b2)
@@ -165,7 +165,7 @@ def loss_with_fixed_targets(states: np.ndarray, actions: np.ndarray, ys: np.ndar
     q_taken = q[np.arange(n), actions]
 
     err = q_taken - ys
-    loss = float(np.mean(err ** 2))
+    loss = float((err ** 2).mean())
 
     # d(loss)/d(z2): only the taken-action column is non-zero per sample
     dz2 = np.zeros_like(z2)

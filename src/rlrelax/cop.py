@@ -57,7 +57,7 @@ class ConstrainedProblem:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if lower.shape != (self.dim,) or upper.shape != (self.dim,):
             raise ValueError("bounds must be vectors of length dim")
-        if not np.all(lower < upper):
+        if not (lower < upper).all():
             raise ValueError("lower bounds must be strictly below upper bounds")
         if self.n_ineq < 0 or self.n_eq < 0:
             raise ValueError("constraint counts must be non-negative")
@@ -91,7 +91,7 @@ class ConstrainedProblem:
                 f"{self.name}: evaluator returned f {f.shape}, C {C.shape} for {n} rows, "
                 f"declared f {(n,)}, C {(n, self.n_constraints)} "
                 f"({self.n_ineq} inequality / {self.n_eq} equality)")
-        bad = ~(np.isfinite(f) & np.all(np.isfinite(C), axis=1))
+        bad = ~(np.isfinite(f) & np.isfinite(C).all(1))
         if bad.any():
             k = int(np.argmax(bad))
             raise ProblemDefinitionError(f"{self.name}: row {k}: non-finite output at x={X[k]!r}")
@@ -128,7 +128,7 @@ def epsilon_vector(values, m: int | None = None) -> np.ndarray:
     eps = np.atleast_1d(np.asarray(values, dtype=float))
     if m is not None and eps.shape[-1:] != (m,):
         raise ValueError(f"epsilon vector must have length {m}, got shape {eps.shape}")
-    if not np.all(np.isfinite(eps)) or np.any(eps < 0):
+    if not np.isfinite(eps).all() or (eps < 0).any():
         raise ValueError("epsilon entries must be finite and >= 0")
     return eps
 
@@ -148,8 +148,8 @@ def relaxed_rows(g: np.ndarray, h_abs: np.ndarray, eps: np.ndarray) -> np.ndarra
     """relaxed_violations of a batch split into g and |h|, under an eps that
     epsilon_vector returned."""
     eps, p = eps[..., None, :], g.shape[-1]
-    return (np.sum(np.where(g > eps[..., :p], g, 0.0), axis=-1)
-            + np.sum(np.where(h_abs > eps[..., p:], h_abs, 0.0), axis=-1))
+    return (np.where(g > eps[..., :p], g, 0.0).sum(-1)
+            + np.where(h_abs > eps[..., p:], h_abs, 0.0).sum(-1))
 
 
 def row_accounting(C: np.ndarray, n_ineq: int, eps: np.ndarray | None = None,
@@ -160,9 +160,9 @@ def row_accounting(C: np.ndarray, n_ineq: int, eps: np.ndarray | None = None,
     if delta_acc <= 0:
         raise ValueError("delta_acc must be positive")
     g, h_abs = C[..., :n_ineq], np.abs(C[..., n_ineq:])
-    nu = np.sum(np.maximum(g, 0.0), axis=-1) + np.sum(h_abs, axis=-1)
+    nu = np.maximum(g, 0.0).sum(-1) + h_abs.sum(-1)
     return (nu, nu if eps is None else relaxed_rows(g, h_abs, eps),
-            np.all(g <= delta_acc, axis=-1) & np.all(h_abs <= delta_acc, axis=-1))
+            (g <= delta_acc).all(-1) & (h_abs <= delta_acc).all(-1))
 
 
 def eps_compare(a: tuple[float, float], b: tuple[float, float]) -> int:

@@ -60,7 +60,7 @@ class ActionSpace:
 
     def _checked(self, index) -> np.ndarray:
         idx = np.asarray(index)
-        if idx.dtype.kind not in "iu" or not np.all((idx >= 0) & (idx < self.n_actions)):
+        if idx.dtype.kind not in "iu" or not ((idx >= 0) & (idx < self.n_actions)).all():
             raise ValueError(f"action index must be an integer in [0, {self.n_actions}), "
                              f"got {idx.tolist()}")
         return idx
@@ -129,7 +129,7 @@ def epsilon_linear_step(prev_eps: np.ndarray, level, base: EpsilonBase) -> np.nd
     Used by the two linear ablation schemes, whose levels may push the
     multiplier negative (floored at zero) or above one (capped at base).
     """
-    return np.clip(np.asarray(prev_eps, dtype=float) * (1.0 - level), 0.0, base.values)
+    return (np.asarray(prev_eps, dtype=float) * (1.0 - level)).clip(0.0, base.values)
 
 
 def reward_components(f_gbest_prev: float, f_gbest_now: float, f_gbest_0: float,
@@ -263,7 +263,7 @@ class EpsilonControlEnv:
             raise RuntimeError("episode is terminal; call reset() before stepping")
         runs, m = len(self.rngs), self.problem.n_constraints
         levels = np.full(runs, level, dtype=float)
-        if not np.all((levels >= 0.0) & (levels <= 1.0)):
+        if not ((levels >= 0.0) & (levels <= 1.0)).all():
             raise ValueError(f"level must be finite and in [0, 1], got {level}")
         stats = self.stats
         f_gbest_prev, nu_prev = stats.f_gbest, stats.nu_top5

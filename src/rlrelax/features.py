@@ -27,7 +27,7 @@ def top5_violation_mean(nu: np.ndarray):
     each population."""
     if nu.shape[-1] == 0:
         raise ValueError("population must be non-empty")
-    return np.mean(np.sort(nu, axis=-1)[..., :5], axis=-1)
+    return np.sort(nu, axis=-1)[..., :5].mean(-1)
 
 
 def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray):
@@ -85,7 +85,7 @@ def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
          nu_top5 / nu_top5_0 if nu_top5_0 > 0.0 else 0.0, feasible / n, s8, s9, s10]
         for s1, s3, spread, s2, s4, f_pbest, f_pbest_0, nu_top5, nu_top5_0, feasible, s9, s10
         in per_run])
-    if not np.all(np.isfinite(state)):
+    if not np.isfinite(state).all():
         raise ValueError(f"non-finite state features: {state}")
     return state
 

@@ -10,7 +10,6 @@ randomness flows from named integer seed sequences.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 import math
@@ -123,7 +122,7 @@ def train(cfg: ExperimentConfig) -> TrainResult:
     for epoch in range(cfg.epochs):
         lr = qnet.cosine_lr(epoch, cfg)
         for k, (name, dim) in enumerate(instances):
-            env, (steps,) = _run(cfg, name, dim, [_rng(cfg.seed, 105, epoch, k)],
+            env, (steps,) = _run(cfg, name, dim, [(cfg.seed, 105, epoch, k)],
                                  agentbest.get((name, dim)), learn,
                                  [f"training on {name} (dim {dim}, epoch {epoch})"])
             agentbest[(name, dim)] = float(env.f_agentbest[0])
@@ -163,26 +162,26 @@ def _init_params(cfg: ExperimentConfig) -> NetworkParams:
     return qnet.init_params(n_out=n_out, rng=_rng(cfg.seed, 101))
 
 
-def _run(cfg: ExperimentConfig, name: str, dim: int, rngs: list[np.random.Generator],
+def _run(cfg: ExperimentConfig, name: str, dim: int, keys: list[tuple],
          f_agentbest: float | None, policy,
          what: list[str]) -> tuple[EpsilonControlEnv, list[list[dict]]]:
-    """Reset an env on ``name`` at ``dim`` with one run per generator of ``rngs``
-    and call ``policy(env)``, a meta-step returning each run's info, until it
-    is terminal; return the env and each run's infos.  On a failure the runs
-    are replayed one at a time from copies of their generators, and the first
-    to fail alone is re-raised as RunFailedError naming its ``what[r]``."""
-    replay = [copy.deepcopy(rng) for rng in rngs] if len(rngs) > 1 else []
+    """Reset an env on ``name`` at ``dim`` with one run per seed key of ``keys``,
+    run r drawing from ``_rng(*keys[r])``, and call ``policy(env)``, a meta-step
+    returning each run's info, until it is terminal; return the env and each
+    run's infos.  On a failure the runs are replayed one at a time from their
+    seed keys, and the first to fail alone is re-raised as RunFailedError
+    naming its ``what[r]``."""
     try:
-        env = EpsilonControlEnv(cfg.registry.lookup(name, dim), rngs, cfg, cfg.maxfes(dim),
-                                f_agentbest)
+        env = EpsilonControlEnv(cfg.registry.lookup(name, dim), [_rng(*key) for key in keys],
+                                cfg, cfg.maxfes(dim), f_agentbest)
         env.reset()
-        steps = [[] for _ in rngs]
+        steps = [[] for _ in keys]
         while not env.terminal:
             for run_steps, info in zip(steps, policy(env)):
                 run_steps.append(info)
     except Exception as exc:
-        for rng, label in zip(replay, what):
-            _run(cfg, name, dim, [rng], f_agentbest, policy, [label])
+        for key, label in zip(keys if len(keys) > 1 else [], what):
+            _run(cfg, name, dim, [key], f_agentbest, policy, [label])
         raise RunFailedError(f"{' / '.join(what)} failed: {exc}") from exc
     return env, steps
 
@@ -199,7 +198,7 @@ def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
     runs = range(cfg.runs)
     for dim in cfg.dims:
         for name in names:
-            _, steps = _run(cfg, name, dim, [_rng(cfg.seed, dim, run, name) for run in runs],
+            _, steps = _run(cfg, name, dim, [(cfg.seed, dim, run, name) for run in runs],
                             f_agentbest, policy,
                             [f"{method} on {name} (dim {dim}, run {run})" for run in runs])
             records += [RunRecord(problem=name, dim=dim, method=method, run=run, steps=run_steps)
@@ -359,10 +358,10 @@ _KINDS = {**dict.fromkeys(("problem", "method"), ((str,), "a string")),
 def write_records_jsonl(records: list[RunRecord], path) -> None:
     """Per-generation trace lines, one JSON object per meta-step."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
+        for r in records:  # the run's identity once, spliced before each step's "{"
+            head = json.dumps({k: getattr(r, k) for k in _RECORD_KEYS})[:-1] + ", "
             for s in r.steps:
-                fh.write(json.dumps({**{k: getattr(r, k) for k in _RECORD_KEYS},
-                                     **{k: s[k] for k in _TRACE_KEYS}}) + "\n")
+                fh.write(head + json.dumps({k: s[k] for k in _TRACE_KEYS})[1:] + "\n")
 
 
 def load_records_jsonl(path) -> list[RunRecord]:

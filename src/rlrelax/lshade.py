@@ -149,7 +149,7 @@ def init_population(problem: ConstrainedProblem, rngs: list[np.random.Generator]
     stats.hist = stats.hist or [SuccessHistory.fresh() for _ in rngs]
     stats.observe(pop)
     stats.nu_top5 = stats.nu_top5_0 = features.top5_violation_mean(pop.nu)
-    stats.f_pbest_0 = np.min(pop.f, axis=-1)
+    stats.f_pbest_0 = pop.f.min(-1)
     return pop
 
 
@@ -191,7 +191,8 @@ def update_memory(hist: SuccessHistory, f_vals, cr_vals, weights) -> None:
     if f_vals.size == 0:
         return
     w = weights / max(weights.sum(), 1e-300)
-    hist.m_f[hist.k] = (w * f_vals * f_vals).sum() / (w * f_vals).sum()
+    wf = w * f_vals
+    hist.m_f[hist.k] = (wf * f_vals).sum() / wf.sum()
     if math.isnan(hist.m_cr[hist.k]) or cr_vals.max() <= 0.0:
         hist.m_cr[hist.k] = np.nan
     else:
@@ -241,7 +242,7 @@ def draw_generation(hists: list[SuccessHistory], n: int, n_archive: list[int], d
     for hist, n_arch, rng in zip(hists, n_archive, rngs):
         slot = rng.integers(hist.m_f.size, size=n)
         f_raw = hist.m_f[slot] + 0.1 * rng.standard_cauchy(n)
-        redraw = np.flatnonzero(f_raw <= 0.0)
+        redraw = (f_raw <= 0.0).nonzero()[0]
         while redraw.size:
             f_raw[redraw] = hist.m_f[slot[redraw]] + 0.1 * rng.standard_cauchy(redraw.size)
             redraw = redraw[f_raw[redraw] <= 0.0]
@@ -249,7 +250,7 @@ def draw_generation(hists: list[SuccessHistory], n: int, n_archive: list[int], d
                     *(rng.integers(high, size=n) for high in (n_best, n - 1, n + n_arch - 2)),
                     rng.random((n, d)), rng.integers(d, size=n)))
     slot, f_raw, m_cr, normal, pbest, r1, r2, u, j = map(np.array, zip(*raw))
-    CR = np.where(np.isnan(m_cr), 0.0, np.clip(m_cr + 0.1 * normal, 0.0, 1.0))
+    CR = np.where(np.isnan(m_cr), 0.0, (m_cr + 0.1 * normal).clip(0.0, 1.0))
     # r1 and r2 are drawn from ranges short by the excluded indices, then
     # stepped past each excluded index in increasing order
     i = np.arange(n)
@@ -308,10 +309,9 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     weight = np.where(nu_t != nu_p, nu_p - nu_t, f_p - trials.f)
     size = min(n, lpsr_target_size(budget.fes, budget.maxfes, stats.n_init)) if stats.lpsr else n
     for r, (archive, rng) in enumerate(zip(pop.archive, rngs)):
-        won_r = np.flatnonzero(won[r])
         # the winners' parents join in order, and each append past cap = max(L, n)
         # overflows at length cap + 1: its pops are one draw, walked over entry indices
-        pool, cap = np.concatenate([archive, x[r, won_r]]), max(len(archive), n)
+        pool, cap = np.concatenate([archive, x[r, :k][won[r]]]), max(len(archive), n)
         pops = rng.integers(cap + 1, size=len(pool) - cap).tolist() if len(pool) > cap else []
         keep = list(range(min(len(pool), cap)))
         for j, p in zip(range(cap, len(pool)), pops):
@@ -320,7 +320,8 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
         while stats.lpsr and len(keep) > size:  # LPSR's trim: the bound shrinks per pop
             keep.pop(int(rng.integers(len(keep))))
         pop.archive[r] = pool[keep]
-        update_memory(stats.hist[r], draws.F[r, won_r], draws.CR[r, won_r], weight[r, won_r])
+        update_memory(stats.hist[r], draws.F[r, :k][won[r]], draws.CR[r, :k][won[r]],
+                      weight[r][won[r]])
     pop.replace(won, trials)
 
     if size < n:

@@ -101,9 +101,9 @@ def _cec12_rows(X, o):
     h1(y) = sum y_i^2 - 4        (sphere-surface equality)
     """
     y = X - o
-    f = np.sum(y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0, axis=-1)
-    g1 = 4.0 - np.sum(np.abs(y), axis=-1)
-    h1 = np.sum(y * y, axis=-1) - 4.0
+    f = (y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0).sum(-1)
+    g1 = 4.0 - np.abs(y).sum(-1)
+    h1 = (y * y).sum(-1) - 4.0
     return f, np.stack([g1, h1], axis=-1)
 
 
@@ -115,8 +115,8 @@ def _cec14_rows(X, o):
     h1(y) = cos(f) + sin(f)      (feasible only at discrete objective levels)
     """
     y = X - o
-    f = np.max(np.abs(y), axis=-1)
-    g1 = np.sum(y * y, axis=-1) - 100.0 * y.shape[-1]
+    f = np.abs(y).max(-1)
+    g1 = (y * y).sum(-1) - 100.0 * y.shape[-1]
     h1 = np.cos(f) + np.sin(f)
     return f, np.stack([g1, h1], axis=-1)
 
@@ -148,28 +148,28 @@ def make_cec14(dim: int, shift: np.ndarray | None = None) -> ConstrainedProblem:
 # ---------------------------------------------------------------------------
 
 def _rastrigin(y):
-    return np.sum(y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0, axis=-1)
+    return (y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0).sum(-1)
 
 
 def _rosenbrock(y):
-    return np.sum(100.0 * (y[:, 1:] - y[:, :-1] ** 2) ** 2 + (1.0 - y[:, :-1]) ** 2, axis=-1)
+    return (100.0 * (y[:, 1:] - y[:, :-1] ** 2) ** 2 + (1.0 - y[:, :-1]) ** 2).sum(-1)
 
 
 def _ackley(y):
     d = y.shape[-1]
-    return (-20.0 * np.exp(-0.2 * np.sqrt(np.sum(y * y, axis=-1) / d))
-            - np.exp(np.sum(np.cos(2.0 * np.pi * y), axis=-1) / d)
+    return (-20.0 * np.exp(-0.2 * np.sqrt((y * y).sum(-1) / d))
+            - np.exp(np.cos(2.0 * np.pi * y).sum(-1) / d)
             + 20.0
             + np.e)
 
 
 def _griewank(y):
     idx = np.arange(1, y.shape[-1] + 1, dtype=float)
-    return np.sum(y * y, axis=-1) / 4000.0 - np.prod(np.cos(y / np.sqrt(idx)), axis=-1) + 1.0
+    return (y * y).sum(-1) / 4000.0 - np.cos(y / np.sqrt(idx)).prod(-1) + 1.0
 
 
 def _schwefel12(y):
-    return np.sum(np.cumsum(y, axis=-1) ** 2, axis=-1)
+    return (y.cumsum(-1) ** 2).sum(-1)
 
 
 def synthetic_family(kind: str, seed: int, dim: int,
@@ -198,7 +198,7 @@ def synthetic_family(kind: str, seed: int, dim: int,
         # f = |y|^2, g1 = 1 - sum(y); feasible at y = (2, 0, ..., 0)
         def ev(X, o=o):
             y = X - o
-            return np.sum(y * y, axis=-1), (1.0 - np.sum(y, axis=-1))[:, None]
+            return (y * y).sum(-1), (1.0 - y.sum(-1))[:, None]
 
         p, q = 1, 0
         feas_y = np.concatenate([[2.0], np.zeros(dim - 1)])
@@ -222,8 +222,8 @@ def synthetic_family(kind: str, seed: int, dim: int,
 
         def ev(X, o=o, r=r):
             y = X - o
-            g1 = 1.0 - np.sum(np.abs(y), axis=-1)
-            h1 = np.sum(y * y, axis=-1) - r * r
+            g1 = 1.0 - np.abs(y).sum(-1)
+            h1 = (y * y).sum(-1) - r * r
             return _rastrigin(y), np.stack([g1, h1], axis=-1)
 
         p, q = 1, 1
@@ -235,7 +235,7 @@ def synthetic_family(kind: str, seed: int, dim: int,
 
         def ev(X, o=o, w=w, c=c):
             y = X - o
-            return _ackley(y), (np.sum(w * y * y, axis=-1) - c)[:, None]
+            return _ackley(y), ((w * y * y).sum(-1) - c)[:, None]
 
         p, q = 1, 0
         feas_y = np.zeros(dim)
@@ -246,8 +246,8 @@ def synthetic_family(kind: str, seed: int, dim: int,
 
         def ev(X, o=o, c=c):
             y = X - o
-            g1 = 1.0 - np.sum((y - 1.0) ** 2, axis=-1)
-            h1 = np.sum(c * y, axis=-1)
+            g1 = 1.0 - ((y - 1.0) ** 2).sum(-1)
+            h1 = (c * y).sum(-1)
             return _griewank(y), np.stack([g1, h1], axis=-1)
 
         p, q = 1, 1
@@ -259,7 +259,7 @@ def synthetic_family(kind: str, seed: int, dim: int,
 
         def ev(X, o=o, low=low, high=high):
             y = X - o
-            s = np.sum(y, axis=-1)
+            s = y.sum(-1)
             return _schwefel12(y), np.stack([s - high, low - s], axis=-1)
 
         p, q = 2, 0

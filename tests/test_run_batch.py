@@ -6,8 +6,6 @@ stacked (R, N, ...) array is bitwise the reduction over each run's slice
 (the features, the ranking, the relaxation base), and a group of runs returns the step records
 of its runs made one at a time."""
 
-import copy
-
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -49,13 +47,12 @@ class TestBatchEqualsIndependentRuns:
                                mask_state=mask_state, action_scheme=scheme,
                                static_level=static_level, seed=seed % 1000)
         act = policy_for(policy, cfg)
-        rngs = [np.random.default_rng([seed, run]) for run in range(runs)]
+        keys = [(seed, run) for run in range(runs)]  # _rng(seed, run) is default_rng([seed, run])
         labels = [f"run {run}" for run in range(runs)]
 
-        env, batched = harness._run(cfg, name, dim, [copy.deepcopy(g) for g in rngs],
-                                    f_agentbest, act, labels)
-        singles = [harness._run(cfg, name, dim, [g], f_agentbest, act, [label])
-                   for g, label in zip(rngs, labels)]
+        env, batched = harness._run(cfg, name, dim, keys, f_agentbest, act, labels)
+        singles = [harness._run(cfg, name, dim, [key], f_agentbest, act, [label])
+                   for key, label in zip(keys, labels)]
 
         assert len(batched) == runs
         assert batched == [steps for _, (steps,) in singles]

@@ -113,9 +113,10 @@ def epsilon_from_action(level, base: EpsilonBase) -> np.ndarray:
     a = 0 lands exactly on delta, a = 1 exactly on the base, and the map
     is componentwise monotone in a because every base_i >= delta.
     """
-    levels = np.asarray(level, dtype=float).tolist()
-    if not all(0.0 <= a <= 1.0 for a in np.ravel(levels)):
+    levels = np.asarray(level, dtype=float)
+    if not ((levels >= 0.0) & (levels <= 1.0)).all():  # NaN fails both
         raise ValueError(f"exponential scheme level must be in [0, 1], got {level}")
+    levels = levels.tolist()
     if isinstance(levels, float):
         return base.values ** levels * base.delta ** (1.0 - levels)
     # one float exponent per row: numpy's power with an array exponent rounds some differently

@@ -35,10 +35,9 @@ def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray):
     over the last axis of f and nu; pairs tied in either count as not moving
     together, and fewer than two members give 0."""
     n = f.shape[-1]
-    # the product matrix is symmetric with a zero diagonal, so every
-    # concordant pair is counted twice
-    prod = (f[..., :, None] - f[..., None, :]) * (nu[..., :, None] - nu[..., None, :])
-    return (prod > 0.0).sum(axis=(-2, -1)) // 2 / max(1, n * (n - 1) // 2)
+    # a concordant pair is counted once, in the order in which f increases
+    rising = (f[..., :, None] < f[..., None, :]) & (nu[..., :, None] < nu[..., None, :])
+    return rising.sum(axis=(-2, -1)) / max(1, n * (n - 1) // 2)
 
 
 def _std_and_mean(a: np.ndarray, axis):

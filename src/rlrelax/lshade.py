@@ -234,8 +234,8 @@ def draw_generation(hists: list[SuccessHistory], n: int, n_archive: list[int], d
                     rngs: list[np.random.Generator]) -> Draws:
     """Draw a generation of R runs: run r, with memory hists[r] and n_archive[r]
     archive rows, calls rngs[r] for slots, F's Cauchy draws (redrawn where F <= 0),
-    CR's normals (unused on a terminal slot), pbest ranks, r1, r2, crossover's
-    uniforms and forced coordinates, in order; the rest runs once on the stack."""
+    CR's normals (unused on a terminal slot), one call for pbest ranks, r1 and r2,
+    crossover's uniforms and forced coordinates, in order; the rest runs once on the stack."""
     if not len(hists) == len(n_archive) == len(rngs):
         raise ValueError(f"{len(hists)} memories, {len(n_archive)} archives, {len(rngs)} rngs")
     raw, n_best = [], max(1, math.ceil(P_BEST_RATE * n))
@@ -247,9 +247,10 @@ def draw_generation(hists: list[SuccessHistory], n: int, n_archive: list[int], d
             f_raw[redraw] = hist.m_f[slot[redraw]] + 0.1 * rng.standard_cauchy(redraw.size)
             redraw = redraw[f_raw[redraw] <= 0.0]
         raw.append((slot, f_raw, hist.m_cr[slot], rng.standard_normal(n),
-                    *(rng.integers(high, size=n) for high in (n_best, n - 1, n + n_arch - 2)),
+                    rng.integers(np.array([n_best, n - 1, n + n_arch - 2]).repeat(n)).reshape(3, n),
                     rng.random((n, d)), rng.integers(d, size=n)))
-    slot, f_raw, m_cr, normal, pbest, r1, r2, u, j = map(np.array, zip(*raw))
+    slot, f_raw, m_cr, normal, picks, u, j = map(np.array, zip(*raw))
+    pbest, r1, r2 = picks.transpose(1, 0, 2)
     CR = np.where(np.isnan(m_cr), 0.0, (m_cr + 0.1 * normal).clip(0.0, 1.0))
     # r1 and r2 are drawn from ranges short by the excluded indices, then
     # stepped past each excluded index in increasing order

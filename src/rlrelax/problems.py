@@ -104,7 +104,7 @@ def _cec12_rows(X, o):
     f = (y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0).sum(-1)
     g1 = 4.0 - np.abs(y).sum(-1)
     h1 = (y * y).sum(-1) - 4.0
-    return f, np.stack([g1, h1], axis=-1)
+    return f, np.concatenate([g1[:, None], h1[:, None]], axis=1)
 
 
 def _cec14_rows(X, o):
@@ -118,7 +118,7 @@ def _cec14_rows(X, o):
     f = np.abs(y).max(-1)
     g1 = (y * y).sum(-1) - 100.0 * y.shape[-1]
     h1 = np.cos(f) + np.sin(f)
-    return f, np.stack([g1, h1], axis=-1)
+    return f, np.concatenate([g1[:, None], h1[:, None]], axis=1)
 
 
 def _box_problem(name: str, dim: int, n_ineq: int, n_eq: int, evaluator,
@@ -211,7 +211,7 @@ def synthetic_family(kind: str, seed: int, dim: int,
             cube = np.array([(v - 1.0) ** 3 for v in y[:, 0].tolist()])
             g1 = cube - y[:, 1] + 1.0
             g2 = y[:, 0] + y[:, 1] - 2.0
-            return _rosenbrock(y), np.stack([g1, g2], axis=-1)
+            return _rosenbrock(y), np.concatenate([g1[:, None], g2[:, None]], axis=1)
 
         p, q = 2, 0
         feas_y = np.concatenate([[0.0, 0.5], np.zeros(dim - 2)])
@@ -224,7 +224,7 @@ def synthetic_family(kind: str, seed: int, dim: int,
             y = X - o
             g1 = 1.0 - np.abs(y).sum(-1)
             h1 = (y * y).sum(-1) - r * r
-            return _rastrigin(y), np.stack([g1, h1], axis=-1)
+            return _rastrigin(y), np.concatenate([g1[:, None], h1[:, None]], axis=1)
 
         p, q = 1, 1
         feas_y = np.concatenate([[r], np.zeros(dim - 1)])
@@ -248,7 +248,7 @@ def synthetic_family(kind: str, seed: int, dim: int,
             y = X - o
             g1 = 1.0 - ((y - 1.0) ** 2).sum(-1)
             h1 = (c * y).sum(-1)
-            return _griewank(y), np.stack([g1, h1], axis=-1)
+            return _griewank(y), np.concatenate([g1[:, None], h1[:, None]], axis=1)
 
         p, q = 1, 1
         feas_y = np.zeros(dim)
@@ -260,7 +260,7 @@ def synthetic_family(kind: str, seed: int, dim: int,
         def ev(X, o=o, low=low, high=high):
             y = X - o
             s = y.sum(-1)
-            return _schwefel12(y), np.stack([s - high, low - s], axis=-1)
+            return _schwefel12(y), np.concatenate([(s - high)[:, None], (low - s)[:, None]], axis=1)
 
         p, q = 2, 0
         feas_y = np.full(dim, (low + 1.0) / dim)

@@ -94,7 +94,7 @@ def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray) -> float:
     df = f[:, None] - f[None, :]
     dnu = nu[:, None] - nu[None, :]
     iu = np.triu_indices(n, k=1)
-    return float(np.mean((df[iu] * dnu[iu]) > 0.0))
+    return float(np.mean(np.sign(df[iu]) * np.sign(dnu[iu]) > 0.0))
 
 
 def archive_after_selection(archive, x, won, n, rng, size=None) -> list[np.ndarray]:

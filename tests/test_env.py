@@ -97,6 +97,12 @@ class TestEpsilonMapping:
         with pytest.raises(ValueError):
             epsilon_from_action(1.5, base)
 
+    @pytest.mark.parametrize("level", [np.nan, -np.inf, np.inf, -0.1, [0.5, np.nan], [1.0, 1.5]])
+    def test_nan_or_out_of_range_level_rejected(self, level):
+        # one level or one per row; NaN must fail the range check too
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\]"):
+            epsilon_from_action(level, EpsilonBase(values=np.array([1.0])))
+
 
 class TestLinearVariant:
     def test_zero_level_unchanged(self):

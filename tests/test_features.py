@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlrelax.config import ExperimentConfig
@@ -163,15 +163,27 @@ _VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1.7e308, -1.7e30
                     st.floats(-1e6, 1e6))
 
 
+# both gaps are non-zero and of the same sign, but their product underflows to 0
+_TINY_GAPS = [(0.0, 0.0), (2.225073858507e-311, 2.0504969607412742e-230)]
+
+
 class TestPairwiseTradeoff:
     @settings(max_examples=300, deadline=None)
     @given(pairs=st.lists(st.tuples(_VALUES, _VALUES.map(abs)), max_size=40))
+    @example(pairs=_TINY_GAPS)
     def test_equals_upper_triangle_oracle(self, pairs):
         f, nu = np.array(pairs, dtype=float).reshape(-1, 2).T
         with np.errstate(over="ignore", invalid="ignore"):
             got, want = pairwise_tradeoff(f, nu), reference_tradeoff(f, nu)
         assert isinstance(got, float)
         assert got == want
+
+    def test_tiny_gaps_of_the_same_sign_move_together(self):
+        # s10 compares the signs of the differences, so a pair whose gaps are
+        # too small to multiply still counts, where the product form drops it
+        f, nu = np.array(_TINY_GAPS).T
+        assert pairwise_tradeoff(f, nu) == 1.0
+        assert (f[1] - f[0]) * (nu[1] - nu[0]) == 0.0
 
 
 class TestMask:

@@ -118,6 +118,29 @@ def test_empty_integers_leave_the_state(m, seed, pending):
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("pending", [False, True])
+@pytest.mark.parametrize("n", [4, 5, 9, 12, 50, 100])
+def test_one_broadcast_integers_equals_three_calls(n, pending):
+    # draw_generation draws pbest, r1 and r2 as one integers call over the
+    # three bounds, each repeated n times; the bounded draws take 32-bit words
+    # from a generator that keeps its spare half-word between calls, so the
+    # values and the state equal those of three integers(high, size=n) calls
+    n_best = max(1, math.ceil(P_BEST_RATE * n))  # 1 at n = 4, 5 and 9
+    for seed, n_arch in enumerate((0, n // 2, n)):
+        highs = (n_best, n - 1, n + n_arch - 2)
+        rng = np.random.default_rng(seed)
+        if pending:
+            rng.integers(2**32)  # one full-range 32-bit draw, which never rejects
+        calls = copy.deepcopy(rng)
+        one = rng.integers(np.array(highs).repeat(n))
+        three = np.concatenate([calls.integers(high, size=n) for high in highs])
+        assert one.tolist() == three.tolist()
+        assert rng.bit_generator.state == calls.bit_generator.state
+        # a 64-bit draw, then a 32-bit one that reads the spare half-word, if any
+        assert (rng.random(), rng.integers(2**32)) == (calls.random(), calls.integers(2**32))
+        assert rng.bit_generator.state == calls.bit_generator.state
+
+
 def chi_square(counts) -> tuple[float, int]:
     """Pearson's statistic of counts against equal frequencies, and its
     degrees of freedom."""
@@ -519,7 +542,7 @@ class TestGenerationStep:
 # numpy's module-level forms of these re-dispatch in Python to the array
 # method or ufunc, which at a generation's array sizes costs more than the
 # reduction itself; the generation path calls the method
-NUMPY_WRAPPERS = ("sum", "all", "any", "min", "max", "mean", "clip", "flatnonzero")
+NUMPY_WRAPPERS = ("sum", "all", "any", "min", "max", "mean", "clip", "flatnonzero", "stack")
 BUILT_IN = ["cec12", "cec14"] + [f"synthetic/{kind}/{seed}"
                                  for seed, kind in enumerate(problems.SYNTHETIC_KINDS)]
 

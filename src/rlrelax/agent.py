@@ -55,10 +55,6 @@ def selu(x: np.ndarray) -> np.ndarray:
     return SELU_LAMBDA * np.where(x > 0.0, x, SELU_ALPHA * (np.exp(x) - 1.0))
 
 
-def selu_grad(x: np.ndarray) -> np.ndarray:
-    return SELU_LAMBDA * np.where(x > 0.0, 1.0, SELU_ALPHA * np.exp(x))
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -118,13 +114,15 @@ def forward(s: np.ndarray, params: NetworkParams) -> np.ndarray:
 # a stack of matrix-vector products keeps forward's bits on every row;
 # ``states @ w1.T`` would round differently in the last place
 def forward_batch(states: np.ndarray, params: NetworkParams) -> np.ndarray:
-    """Action values for a (batch, in) matrix of states, row i equal to
-    ``forward(states[i])`` bit for bit."""
+    """Action values for a (batch, in) matrix of states, row i equal to ``forward(states[i])``
+    bit for bit; parameters stacked on a leading net axis give (nets, batch, out)."""
     states = np.asarray(states, dtype=float)
     if not np.isfinite(states).all():
         raise ValueError("state contains non-finite entries")
-    hidden = selu(np.matmul(params.w1, states[:, :, None])[..., 0] + params.b1)
-    return sigmoid(np.matmul(params.w2, hidden[:, :, None])[..., 0] + params.b2)
+    hidden = selu(np.matmul(params.w1[..., None, :, :], states[:, :, None])[..., 0]
+                  + params.b1[..., None, :])
+    return sigmoid(np.matmul(params.w2[..., None, :, :], hidden[..., None])[..., 0]
+                   + params.b2[..., None, :])
 
 
 def act_eps_greedy(q: np.ndarray, explore_rate: float, rng: np.random.Generator) -> int:
@@ -159,7 +157,8 @@ def loss_with_fixed_targets(states: np.ndarray, actions: np.ndarray, ys: np.ndar
     """
     n = states.shape[0]
     z1 = states @ params.w1.T + params.b1          # (n, hidden)
-    hidden = selu(z1)
+    positive, e = z1 > 0.0, np.exp(z1)  # one exp for SELU and its derivative
+    hidden = SELU_LAMBDA * np.where(positive, z1, SELU_ALPHA * (e - 1.0))
     z2 = hidden @ params.w2.T + params.b2          # (n, out)
     q = sigmoid(z2)
     q_taken = q[np.arange(n), actions]
@@ -172,7 +171,7 @@ def loss_with_fixed_targets(states: np.ndarray, actions: np.ndarray, ys: np.ndar
     dz2[np.arange(n), actions] = 2.0 * err * q_taken * (1.0 - q_taken) / n
     dw2 = dz2.T @ hidden
     db2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ params.w2) * selu_grad(z1)
+    dz1 = (dz2 @ params.w2) * (SELU_LAMBDA * np.where(positive, 1.0, SELU_ALPHA * e))
     dw1 = dz1.T @ states
     db1 = dz1.sum(axis=0)
     return loss, NetworkParams(dw1, db1, dw2, db2)
@@ -187,21 +186,22 @@ def loss_and_grad(batch: list[Transition], online: NetworkParams,
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    states = np.stack([tr.state for tr in batch])
+    states = np.array([tr.state for tr in batch])
     actions = np.array([tr.action for tr in batch])
     ys = np.array([tr.reward for tr in batch], dtype=float)
     live = np.array([not tr.terminal for tr in batch])
-    if live.any():  # equal to td_target per transition, two forwards per batch
-        next_states = np.stack([tr.next_state for tr in batch if not tr.terminal])
-        a_next = np.argmax(forward_batch(next_states, online), axis=1)
-        q_next = forward_batch(next_states, target)[np.arange(a_next.size), a_next]
-        ys[live] = ys[live] + discount * q_next
+    if live.any():  # equal to td_target per transition: one forward over both nets
+        next_states = np.array([tr.next_state for tr in batch if not tr.terminal])
+        pair = NetworkParams(*map(np.array, zip(online.arrays(), target.arrays())))
+        q_online, q_target = forward_batch(next_states, pair)
+        a_next = q_online.argmax(axis=1)
+        ys[live] = ys[live] + discount * q_target[np.arange(a_next.size), a_next]
     return loss_with_fixed_targets(states, actions, ys, online)
 
 
 def sgd_step(params: NetworkParams, grads: NetworkParams, lr: float) -> None:
     """Plain gradient descent, in place: every parameter -= lr * grad."""
-    if lr <= 0:
+    if not 0.0 < lr < math.inf:  # nan fails both comparisons
         raise ValueError("learning rate must be positive")
     for p, g in zip(params.arrays(), grads.arrays()):
         p -= lr * g

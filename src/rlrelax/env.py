@@ -279,7 +279,7 @@ class EpsilonControlEnv:
         stats.prev_action = levels
         self._state = None
 
-        eps_stats = ([eps.min(axis=1), eps.mean(axis=1), eps.max(axis=1)] if m
+        eps_stats = ([eps.min(axis=1), np.add.reduce(eps, axis=1) / m, eps.max(axis=1)] if m
                      else [np.zeros(runs)] * 3)
         per_run = np.array([levels, *eps_stats, stats.best_sco,  # then reward_components' args
                             f_gbest_prev, stats.f_gbest, stats.f_pbest_0, self.f_agentbest,

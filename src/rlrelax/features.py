@@ -27,7 +27,7 @@ def top5_violation_mean(nu: np.ndarray):
     each population."""
     if nu.shape[-1] == 0:
         raise ValueError("population must be non-empty")
-    return np.sort(nu, axis=-1)[..., :5].mean(-1)
+    return np.add.reduce(np.sort(nu, axis=-1)[..., :5], axis=-1) / min(5, nu.shape[-1])
 
 
 def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray):
@@ -41,10 +41,10 @@ def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray):
 
 
 def _std_and_mean(a: np.ndarray, axis):
-    """np.std and np.mean of a over axis, bit for bit, with the mean summed once."""
-    mean = a.mean(axis=axis, keepdims=True)
+    """np.std and np.mean of a over all axes but the first, bit for bit, mean summed once."""
+    mean = np.add.reduce(a, axis=axis, keepdims=True) / a[0].size  # ndarray.mean's two calls
     dev = a - mean
-    return np.sqrt((dev * dev).mean(axis=axis)), mean.reshape(len(a))
+    return np.sqrt(np.add.reduce(dev * dev, axis=axis) / a[0].size), mean.reshape(len(a))
 
 
 def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,

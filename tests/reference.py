@@ -14,6 +14,10 @@ scalar draw per pop, which the program's index walk must reproduce.
 ``draw_generation_one_run`` is one run's draws of a generation, clipped and
 stepped on that run's vectors alone, which the stacked draws of
 ``lshade.draw_generation`` must equal run by run.
+``loss_with_fixed_targets`` is the learner's backward pass with SELU and
+its derivative each computing their own ``exp``, which the one-``exp`` pass
+of ``agent.loss_with_fixed_targets`` must equal in the loss and in every
+gradient.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rlrelax.agent import SELU_ALPHA, SELU_LAMBDA, NetworkParams, selu, sigmoid
 from rlrelax.cop import ProblemDefinitionError, epsilon_vector
 from rlrelax.lshade import P_BEST_RATE, Draws, SuccessHistory
 
@@ -138,3 +143,33 @@ def draw_generation_one_run(hist: SuccessHistory, n: int, n_archive: int, d: int
     u = rng.random((n, d))
     j = rng.integers(d, size=n)
     return Draws(slot, np.minimum(f_raw, 1.0), CR, pbest, r1, r2, u, j)
+
+
+def selu_grad(x: np.ndarray) -> np.ndarray:
+    return SELU_LAMBDA * np.where(x > 0.0, 1.0, SELU_ALPHA * np.exp(x))
+
+
+def loss_with_fixed_targets(states: np.ndarray, actions: np.ndarray, ys: np.ndarray,
+                            params: NetworkParams) -> tuple[float, NetworkParams]:
+    """Mean squared error of the taken-action outputs against fixed targets,
+    and its gradient averaged over the batch; only the taken action's output
+    contributes per sample."""
+    n = states.shape[0]
+    z1 = states @ params.w1.T + params.b1          # (n, hidden)
+    hidden = selu(z1)
+    z2 = hidden @ params.w2.T + params.b2          # (n, out)
+    q = sigmoid(z2)
+    q_taken = q[np.arange(n), actions]
+
+    err = q_taken - ys
+    loss = float((err ** 2).mean())
+
+    # d(loss)/d(z2): only the taken-action column is non-zero per sample
+    dz2 = np.zeros_like(z2)
+    dz2[np.arange(n), actions] = 2.0 * err * q_taken * (1.0 - q_taken) / n
+    dw2 = dz2.T @ hidden
+    db2 = dz2.sum(axis=0)
+    dz1 = (dz2 @ params.w2) * selu_grad(z1)
+    dw1 = dz1.T @ states
+    db1 = dz1.sum(axis=0)
+    return loss, NetworkParams(dw1, db1, dw2, db2)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rlrelax import agent
+from rlrelax import agent, cop, env, features, harness, lshade, problems
 from rlrelax.agent import (
+    HIDDEN_SIZE,
     SELU_LAMBDA,
     STATE_SIZE,
     CheckpointMetadata,
@@ -32,6 +33,7 @@ from rlrelax.agent import (
     td_target,
 )
 from rlrelax.config import ExperimentConfig
+from reference import loss_with_fixed_targets as reference_loss_with_fixed_targets
 
 
 def random_transition(rng, n_actions=11, terminal=False):
@@ -104,6 +106,21 @@ class TestForward:
         for i in range(n):
             assert np.array_equal(batch_q[i], forward(states[i], params))
 
+    @pytest.mark.parametrize("nets", [1, 2])
+    @pytest.mark.parametrize("n", [1, 10, 64])
+    def test_stacked_nets_match_each_net(self, nets, n):
+        # the learner prices its targets under online and target net in one call
+        rng = np.random.default_rng(100 * nets + n)
+        each = [init_params(rng=rng) for _ in range(nets)]
+        stack = NetworkParams(*map(np.array, zip(*(p.arrays() for p in each))))
+        states = rng.normal(size=(n, 10)) * 3.0
+        q = forward_batch(states, stack)
+        assert q.shape == (nets, n, 11)
+        for k, params in enumerate(each):
+            assert same_bits(q[k], forward_batch(states, params))
+            for i in range(n):
+                assert same_bits(q[k, i], forward(states[i], params))
+
     def test_nonfinite_state_rejected(self):
         params = init_params(rng=np.random.default_rng(2))
         s = np.ones(10)
@@ -114,6 +131,9 @@ class TestForward:
         states[1, 7] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
             forward_batch(states, params)
+        pair = NetworkParams(*map(np.array, zip(params.arrays(), params.arrays())))
+        with pytest.raises(ValueError, match="state contains non-finite entries"):
+            forward_batch(states, pair)
 
     def test_selu_negative_branch(self):
         x = np.array([-1.0])
@@ -222,6 +242,43 @@ class TestLossAndGrad:
         with pytest.raises(ValueError):
             loss_and_grad([], params, params.copy(), 1.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+           n_in=st.sampled_from([4, 10]), n_out=st.sampled_from([3, 7, 11]),
+           log_scale=st.floats(-2.0, 1.0))
+    def test_one_exp_pass_equals_reference(self, seed, n, n_in, n_out, log_scale):
+        # SELU and its derivative share one exp; the reference computes each its own
+        rng = np.random.default_rng(seed)
+        params = init_params(n_in=n_in, n_out=n_out, rng=rng)
+        states = rng.normal(size=(n, n_in)) * 10.0 ** log_scale
+        actions = rng.integers(n_out, size=n)
+        ys = rng.uniform(0.0, 2.0, size=n)
+        loss, grads = loss_with_fixed_targets(states, actions, ys, params)
+        expect_loss, expect = reference_loss_with_fixed_targets(states, actions, ys, params)
+        assert same_bits(loss, expect_loss)
+        for g, e in zip(grads.arrays(), expect.arrays()):
+            assert same_bits(g, e)
+        assert grads.shapes == (n_in, HIDDEN_SIZE, n_out)
+
+    @pytest.mark.parametrize("terminals", [[False] * 6, [False, True, True, False, True],
+                                           [True] * 5])
+    def test_update_calls_no_numpy_wrapper(self, numpy_wrapper_calls, terminals):
+        calls = numpy_wrapper_calls(agent)
+        rng = np.random.default_rng(len(terminals) + sum(terminals))
+        online, target = init_params(rng=rng), init_params(rng=rng)
+        batch = [random_transition(rng, terminal=t) for t in terminals]
+        loss_and_grad(batch, online, target, 1.0)
+        assert calls == []
+
+
+def test_training_calls_no_numpy_wrapper(numpy_wrapper_calls):
+    calls = numpy_wrapper_calls(agent, cop, env, features, harness, lshade, problems)
+    cfg = ExperimentConfig(problems=("cec12", "synthetic/sphere-linear/9"), dims=(10,),
+                           pop_size=10, maxfes_per_dim=5, epochs=2, batch_size=4)
+    result = harness.train(cfg)
+    assert len(result.episodes) == 4
+    assert calls == []
+
 
 def per_transition_loss_and_grad(batch, online, target, discount):
     """The oracle: one td_target per transition, then the fixed-target loss."""
@@ -254,7 +311,7 @@ def forward_calls(monkeypatch):
         return forward(s, params)
 
     def counted_batch(states, params):
-        calls["forward_batch"].append(np.shape(states))
+        calls["forward_batch"].append((np.shape(states), params.w1.shape[:-2]))
         return forward_batch(states, params)
 
     monkeypatch.setattr(agent, "forward", counted_forward)
@@ -263,8 +320,9 @@ def forward_calls(monkeypatch):
 
 
 class TestBatchedTargets:
-    """loss_and_grad prices its targets in two batched forwards; td_target,
-    one transition at a time, is the definition it must reproduce bitwise."""
+    """loss_and_grad prices its targets in one forward over the stacked
+    online and target nets; td_target, one transition at a time, is the
+    definition it must reproduce bitwise."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -276,12 +334,12 @@ class TestBatchedTargets:
         batch = [random_transition(rng, terminal=t) for t in terminals]
         assert_matches_oracle(batch, online, target, discount)
 
-    def test_two_batched_forwards_over_the_live_rows(self, forward_calls):
+    def test_one_stacked_forward_over_the_live_rows(self, forward_calls):
         rng = np.random.default_rng(11)
         online, target = init_params(rng=rng), init_params(rng=rng)
         batch = [random_transition(rng, terminal=bool(i % 3 == 0)) for i in range(7)]
         loss_and_grad(batch, online, target, 1.0)
-        assert forward_calls == {"forward": 0, "forward_batch": [(4, 10), (4, 10)]}
+        assert forward_calls == {"forward": 0, "forward_batch": [((4, 10), (2,))]}
 
     def test_all_terminal_batch_makes_no_forward(self, forward_calls):
         rng = np.random.default_rng(12)
@@ -335,6 +393,17 @@ class TestSgdAndSchedules:
                               np.zeros((1, 1)), np.zeros(1))
         sgd_step(params, grads, 0.1)
         assert params.w1[0, 0] == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1.0])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        # a nan or inf rate would turn every weight into nan
+        params = init_params(rng=np.random.default_rng(11))
+        before = [a.copy() for a in params.arrays()]
+        ones = NetworkParams(*(np.ones_like(a) for a in params.arrays()))
+        with pytest.raises(ValueError, match="learning rate must be positive"):
+            sgd_step(params, ones, lr)
+        for a, b in zip(params.arrays(), before):
+            assert same_bits(a, b)
 
     def test_two_steps_compose_linearly(self):
         params = NetworkParams(np.array([[1.0]]), np.zeros(1),

@@ -94,15 +94,15 @@ def test_probes_trace_training_and_restore(tmp_path):
     # 2 problems x 2 epochs x 4 generations: 16 transitions; a batch of 4 is
     # first available at the 4th, so 13 updates of 4 targets each. Every
     # sampled batch holds a non-terminal transition (4 of the 16 are
-    # terminal), so each update prices its targets in 2 batched forwards
-    # and makes no per-transition td_target call
+    # terminal), so each update prices its targets in one forward over the
+    # stacked online and target nets and makes no per-transition td_target call
     assert names.count("harness.train") == 1
     assert names.count("env.reset") == 4
     assert names.count("agent.replay_push") == 16
     assert names.count("agent.replay_sample") == 13
     assert names.count("agent.loss_and_grad") == 13
     assert names.count("agent.td_target") == 0
-    assert names.count("agent.forward_batch") == 13 * 2
+    assert names.count("agent.forward_batch") == 13
     assert names.count("agent.sgd_step") == 13
     assert names.count("agent.sync_target") == 1  # target_sync_period 10
     assert names.count("harness.write_checkpoint") == 1
@@ -111,4 +111,4 @@ def test_probes_trace_training_and_restore(tmp_path):
 
     metrics = spans.layer_metrics(tracer, 1, 1.0)
     assert metrics["agent.grad_steps"] == 13
-    assert metrics["agent.forwards_per_update"] == 2
+    assert metrics["agent.forwards_per_update"] == 1

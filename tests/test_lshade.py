@@ -1,7 +1,6 @@
 import copy
 import math
 import pickle
-import types
 
 import numpy as np
 import pytest
@@ -539,29 +538,14 @@ class TestGenerationStep:
         assert stats.f_gbest <= 1e-2
 
 
-# numpy's module-level forms of these re-dispatch in Python to the array
-# method or ufunc, which at a generation's array sizes costs more than the
-# reduction itself; the generation path calls the method
-NUMPY_WRAPPERS = ("sum", "all", "any", "min", "max", "mean", "clip", "flatnonzero", "stack")
 BUILT_IN = ["cec12", "cec14"] + [f"synthetic/{kind}/{seed}"
                                  for seed, kind in enumerate(problems.SYNTHETIC_KINDS)]
 
 
 @pytest.mark.parametrize("runs", [1, 3])
 @pytest.mark.parametrize("name", BUILT_IN)
-def test_generation_path_calls_no_numpy_wrapper(monkeypatch, name, runs):
-    # the program's modules see a numpy whose wrappers are counted; numpy's own
-    # internals (Generator.uniform's bound checks) keep the real ones
-    calls = []
-    counted = types.ModuleType("numpy")
-    counted.__getattr__ = lambda attr: getattr(np, attr)
-    for wrapper in NUMPY_WRAPPERS:
-        def count(*args, _name=wrapper, **kwargs):
-            calls.append(_name)
-            return getattr(np, _name)(*args, **kwargs)
-        setattr(counted, wrapper, count)
-    for module in (cop, env, features, lshade, problems):
-        monkeypatch.setattr(module, "np", counted)
+def test_generation_path_calls_no_numpy_wrapper(numpy_wrapper_calls, name, runs):
+    calls = numpy_wrapper_calls(cop, env, features, lshade, problems)
     cfg = ExperimentConfig(pop_size=12, lpsr=True)
     # 12 + 12 + 4 evaluations: LPSR shrinks 12 -> 5 -> 4, the budget ends mid-generation
     control = env.EpsilonControlEnv(problems.ProblemRegistry().lookup(name, 10),

@@ -19,6 +19,8 @@ import numpy as np
 from .env import SCHEME_EXPONENTIAL, ActionSpace
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .config import ExperimentConfig
 
 SELU_ALPHA = 1.6732632423543772
@@ -125,14 +127,16 @@ def forward_batch(states: np.ndarray, params: NetworkParams) -> np.ndarray:
                    + params.b2[..., None, :])
 
 
-def act_eps_greedy(q: np.ndarray, explore_rate: float, rng: np.random.Generator) -> int:
-    """Uniform random action with probability explore_rate, else the argmax
-    (ties broken toward the lowest index)."""
+def act_eps_greedy(q: Callable[[], np.ndarray], n_actions: int, explore_rate: float,
+                   rng: np.random.Generator) -> int:
+    """Uniform random action out of n_actions with probability explore_rate,
+    else the argmax of the action values ``q()`` (ties broken toward the
+    lowest index); ``q`` is called only on a greedy step."""
     if not 0.0 <= explore_rate <= 1.0:
         raise ValueError("explore_rate must be in [0, 1]")
     if explore_rate > 0.0 and rng.random() < explore_rate:
-        return int(rng.integers(q.size))
-    return int(np.argmax(q))
+        return int(rng.integers(n_actions))
+    return int(np.argmax(q()))
 
 
 # the per-transition definition of loss_and_grad's batched targets, and the

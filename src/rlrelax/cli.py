@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Verbs: train, evaluate, baseline, loo, split, ablate, export-curves.
+Verbs: train, evaluate, baseline, loo, split, ablate, export-curves; ablate
+trains the full method once for its whole comma-separated ``--variant`` list.
 Exit codes: 0 on success, 2 on configuration errors, 3 on runtime failures.
 A verb creates its output directory only once it has results to write.
 """
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import agent as qnet
-from .config import ConfigError, ExperimentConfig, load_config, parse_value
+from .config import ConfigError, ExperimentConfig, load_config, parse_list, parse_value
 from .harness import (
     ABLATIONS,
     BASELINES,
@@ -69,10 +70,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="train/test split protocol")
     common(p)
 
-    p = sub.add_parser("ablate", help="run one ablation against the full method")
+    p = sub.add_parser("ablate", help="run ablations against the full method")
     common(p)
     p.add_argument("--variant", required=True,
-                   help=f"one of: {', '.join(ABLATIONS)}")
+                   help=f"comma-separated, each once, of: {', '.join(ABLATIONS)}")
 
     p = sub.add_parser("export-curves", help="normalized curves from records.jsonl")
     common(p)
@@ -96,10 +97,11 @@ def _safe_name(name: str) -> str:
 
 def _write_results(out: Path, checkpoints: dict[str, TrainResult] | None = None,
                    train_log: list[dict] | None = None, records: list[RunRecord] | None = None,
-                   table: str = "", records_file: str = "records.jsonl") -> Path:
+                   tables: dict[str, list[RunRecord]] | None = None,
+                   records_file: str = "records.jsonl") -> list[Path]:
     """Create ``out`` and write one verb's result files into it: the named
-    checkpoints, the training log, and the records with their aggregate
-    ``table``; returns the table's path."""
+    checkpoints, the training log, the records, and each named table of the
+    aggregate of its records; returns the tables' paths."""
     out.mkdir(parents=True, exist_ok=True)
     for name, result in (checkpoints or {}).items():
         qnet.save_checkpoint(result.params, result.metadata, out / name)
@@ -107,8 +109,9 @@ def _write_results(out: Path, checkpoints: dict[str, TrainResult] | None = None,
         write_jsonl(train_log, out / "train_log.jsonl")
     if records is not None:
         write_records_jsonl(records, out / records_file)
-        write_table_csv(aggregate_table(records), out / table)
-    return out / table
+    for name, rows in (tables or {}).items():
+        write_table_csv(aggregate_table(rows), out / name)
+    return [out / name for name in tables or {}]
 
 
 def _dispatch(args) -> int:
@@ -123,34 +126,37 @@ def _dispatch(args) -> int:
 
     elif args.verb == "evaluate":
         records = evaluate(cfg, *qnet.load_checkpoint(args.checkpoint))
-        table = _write_results(out, records=records, table="results.csv")
+        (table,) = _write_results(out, records=records, tables={"results.csv": records})
         print(f"evaluated {len(records)} runs -> {table}")
 
     elif args.verb == "baseline":
         records = run_baseline(cfg, args.name)
-        table = _write_results(out, records=records, table=f"baseline_{args.name}.csv",
-                               records_file=f"records_{args.name}.jsonl")
+        (table,) = _write_results(out, records=records,
+                                  tables={f"baseline_{args.name}.csv": records},
+                                  records_file=f"records_{args.name}.jsonl")
         print(f"baseline {args.name}: {len(records)} runs -> {table}")
 
     elif args.verb == "loo":
         folds = leave_one_out(cfg)
         records = [r for _, fold in folds.values() for r in fold]
-        table = _write_results(
+        (table,) = _write_results(
             out, {f"checkpoint_{_safe_name(n)}.txt": result for n, (result, _) in folds.items()},
             [{"holdout": n, **row} for n, (result, _) in folds.items() for row in result.episodes],
-            records, table="loo_results.csv")
+            records, {"loo_results.csv": records})
         print(f"leave-one-out: {len(records)} runs -> {table}")
 
     elif args.verb == "split":
         result, records = split_protocol(cfg)
-        table = _write_results(out, {"checkpoint.txt": result}, result.episodes, records,
-                               table="split_results.csv")
+        (table,) = _write_results(out, {"checkpoint.txt": result}, result.episodes, records,
+                                  {"split_results.csv": records})
         print(f"split: {len(records)} runs -> {table}")
 
     elif args.verb == "ablate":
-        records = ablate(cfg, args.variant)
-        table = _write_results(out, records=records, table=f"ablate_{args.variant}.csv")
-        print(f"ablate {args.variant}: {len(records)} runs -> {table}")
+        full, ablated = ablate(cfg, parse_list(args.variant))
+        tables = _write_results(out, records=full + [r for rs in ablated.values() for r in rs],
+                                tables={f"ablate_{v}.csv": full + rs for v, rs in ablated.items()})
+        for (variant, rs), table in zip(ablated.items(), tables):
+            print(f"ablate {variant}: {len(full) + len(rs)} runs -> {table}")
 
     elif args.verb == "export-curves":
         records_path = out / "records.jsonl"

@@ -116,12 +116,17 @@ class ExperimentConfig:
 _TYPES = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
+def parse_list(raw: str) -> list[str]:
+    """The items of a comma-separated list, blank items dropped."""
+    return [v.strip() for v in raw.split(",") if v.strip()]
+
+
 def parse_value(key: str, raw: str):
     """The value of ``key`` written as ``raw`` in a config file, typed by its field;
     ValueError if it does not parse."""
     raw, kind = raw.strip(), _TYPES[key]
     if kind is tuple:
-        items = [v.strip() for v in raw.split(",") if v.strip()]
+        items = parse_list(raw)
         return [int(v) for v in items] if key == "dims" else items
     if kind is bool:
         if raw.lower() in ("true", "1", "yes", "on"):

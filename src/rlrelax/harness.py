@@ -105,8 +105,8 @@ def train(cfg: ExperimentConfig) -> TrainResult:
     def learn(env: EpsilonControlEnv):
         nonlocal meta_step, grad_steps
         state = env.state[0]
-        q = qnet.forward(state, params)
-        action = qnet.act_eps_greedy(q, qnet.explore_rate(meta_step, total_steps), actor_rng)
+        action = qnet.act_eps_greedy(lambda: qnet.forward(state, params), params.b2.size,
+                                     qnet.explore_rate(meta_step, total_steps), actor_rng)
         infos = env.step(action)
         buffer.push(Transition(state, action, infos[0]["reward"], env.state[0], env.terminal))
         if len(buffer) >= cfg.batch_size:
@@ -287,25 +287,34 @@ def leave_one_out(cfg: ExperimentConfig) -> dict[str, tuple[TrainResult, list[Ru
             for held_out in names}
 
 
-def ablate(cfg: ExperimentConfig, variant: str) -> list[RunRecord]:
-    """The full method's records followed by one ablated configuration's.
+def ablate(cfg: ExperimentConfig,
+           variants: list[str]) -> tuple[list[RunRecord], dict[str, list[RunRecord]]]:
+    """The full method's records, trained and evaluated once, and each listed
+    ablation's records, in list order; the list is checked before anything trains.
 
     no-state evaluates the full method's weights with masked constraint
     features; aa/ca retrain under the linear schemes; r1/r2/r1r2 retrain
     with the reduced rewards; no-train evaluates a freshly initialized
     network.  All variants share evaluation seeds with the full method.
     """
-    if variant not in ABLATIONS:
-        raise ConfigError(f"unknown ablation {variant!r}; valid: {', '.join(ABLATIONS)}")
+    if not variants:
+        raise ConfigError(f"no ablation given; valid: {', '.join(ABLATIONS)}")
+    for k, variant in enumerate(variants):
+        if variant not in ABLATIONS:
+            raise ConfigError(f"unknown ablation {variant!r}; valid: {', '.join(ABLATIONS)}")
+        if variant in variants[:k]:
+            raise ConfigError(f"ablations list {variant!r} more than once")
     full, records = split_protocol(cfg)
-    alt = dataclasses.replace(cfg, **ABLATIONS[variant])
-    if variant == "no-state":
-        records += evaluate(alt, full.params, full.metadata, method=variant)
-    elif variant == "no-train":
-        records += evaluate(alt, _init_params(alt), method=variant)
-    else:
-        records += split_protocol(alt, variant)[1]
-    return records
+    ablated = {}
+    for variant in variants:
+        alt = dataclasses.replace(cfg, **ABLATIONS[variant])
+        if variant == "no-state":
+            ablated[variant] = evaluate(alt, full.params, full.metadata, method=variant)
+        elif variant == "no-train":
+            ablated[variant] = evaluate(alt, _init_params(alt), method=variant)
+        else:
+            ablated[variant] = split_protocol(alt, variant)[1]
+    return records, ablated
 
 
 # ---------------------------------------------------------------------------

@@ -145,23 +145,33 @@ class TestActEpsGreedy:
     def test_greedy_takes_argmax(self):
         q = np.zeros(11)
         q[7] = 0.9
-        assert act_eps_greedy(q, 0.0, np.random.default_rng(0)) == 7
+        assert act_eps_greedy(lambda: q, q.size, 0.0, np.random.default_rng(0)) == 7
 
     def test_tie_breaks_to_lowest_index(self):
         q = np.full(11, 0.5)
-        assert act_eps_greedy(q, 0.0, np.random.default_rng(0)) == 0
+        assert act_eps_greedy(lambda: q, q.size, 0.0, np.random.default_rng(0)) == 0
 
     def test_full_exploration_roughly_uniform(self):
+        def q():
+            raise AssertionError("an explored step computed its action values")
+
         rng = np.random.default_rng(3)
-        q = np.zeros(11)
-        q[2] = 1.0
         counts = np.zeros(11)
         n = 10_000
         for _ in range(n):
-            counts[act_eps_greedy(q, 1.0, rng)] += 1
+            counts[act_eps_greedy(q, 11, 1.0, rng)] += 1
         expected = n / 11
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < 30.0  # 10 dof, generous threshold
+
+    def test_draws_random_then_integers(self):
+        # the stream of the training actor: one random(), then integers(n) on
+        # an explored step, whether or not q is computed
+        rng, oracle = np.random.default_rng(5), np.random.default_rng(5)
+        for q in np.random.default_rng(6).uniform(size=(200, 11)):
+            want = int(oracle.integers(11)) if oracle.random() < 0.3 else int(np.argmax(q))
+            assert act_eps_greedy(lambda: q, 11, 0.3, rng) == want
+        assert rng.random() == oracle.random()
 
 
 class TestTdTarget:

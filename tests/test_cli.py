@@ -200,6 +200,10 @@ class TestExitCodes:
         ("ablate", ["--variant", "r1"], "test_problems = synthetic/sphere-linear/0",
          "overlap"),
         ("ablate", ["--variant", "bogus"], "", "unknown ablation 'bogus'"),
+        # the whole --variant list is checked before the full method trains
+        ("ablate", ["--variant", "no-state,r1,bogus"], "", "unknown ablation 'bogus'"),
+        ("ablate", ["--variant", "r1, aa,r1"], "", "ablations list 'r1' more than once"),
+        ("ablate", ["--variant", ","], "", "no ablation given"),
     ])
     def test_list_fault_creates_no_out(self, tmp_path, capsys, verb, args, lines, message):
         path = tmp_path / "bad.cfg"

@@ -190,6 +190,16 @@ CASES = {
         "records.jsonl":
             "4299fa0e78b271205621b50d0c023c997d695cec140fb2b6e55c4242101e14ef",
     }),
+    # a list trains the full method once: each table is the single call's,
+    # and records.jsonl holds the full method's rows once, then r1's, then no-state's
+    "ablate-r1-no-state": ((["ablate", "--variant", "r1,no-state"],), SPLIT, {
+        "ablate_no-state.csv":
+            "f444abf600d75461110bac02e67b29b29349acde91147ee05d512ccb7b9f0fd5",
+        "ablate_r1.csv":
+            "af5212b41605c9377fd373e9fae4cec9d56a1ac1728e70f4b4943c62f6f87012",
+        "records.jsonl":
+            "873a192bc6312548a1b0595b6081e332d464ec8bb5cfe3dc6e72f9a234fcfe9b",
+    }),
 }
 
 

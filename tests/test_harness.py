@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import re
 
@@ -79,6 +80,29 @@ class TestTrain:
         qnet.save_checkpoint(a.params, a.metadata, pa)
         qnet.save_checkpoint(b.params, b.metadata, pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    def test_acting_forward_only_on_greedy_steps(self, monkeypatch):
+        # an explored step draws its action without computing the action values
+        forwards, per_step, explored = [], [], []
+        real_forward, real_act = qnet.forward, qnet.act_eps_greedy
+
+        def counted_forward(state, params):
+            forwards.append(1)
+            return real_forward(state, params)
+
+        def act(q, n_actions, rate, rng):
+            explored.append(rate > 0.0 and copy.deepcopy(rng).random() < rate)
+            before = len(forwards)
+            action = real_act(q, n_actions, rate, rng)
+            per_step.append(len(forwards) - before)
+            return action
+
+        monkeypatch.setattr(qnet, "forward", counted_forward)
+        monkeypatch.setattr(qnet, "act_eps_greedy", act)
+        train(toy_cfg(epochs=3))
+        assert 0 < sum(explored) < len(explored) == 18
+        assert per_step == [0 if e else 1 for e in explored]
+        assert len(forwards) == explored.count(False)
 
     def test_training_actually_updates_weights(self):
         cfg = toy_cfg(epochs=3)
@@ -350,39 +374,67 @@ class TestBatchedRunFailure:
         assert not out.exists()
 
 
+SPLIT_LISTS = dict(train_problems=["synthetic/sphere-linear/0"],
+                   test_problems=["synthetic/rastrigin-ring/1"])
+
+
 class TestAblate:
     def test_no_state_masks_logged_states(self):
-        cfg = toy_cfg(runs=1, epochs=1,
-                      train_problems=["synthetic/sphere-linear/0"],
-                      test_problems=["synthetic/rastrigin-ring/1"])
-        records = ablate(cfg, "no-state")
-        methods = {r.method for r in records}
-        assert methods == {"trained-agent", "no-state"}
+        cfg = toy_cfg(runs=1, epochs=1, **SPLIT_LISTS)
+        full, ablated = ablate(cfg, ["no-state"])
+        assert {r.method for r in full} == {"trained-agent"}
+        assert list(ablated) == ["no-state"]
+        assert {r.method for r in ablated["no-state"]} == {"no-state"}
 
     def test_no_train_variant(self):
-        cfg = toy_cfg(runs=1, epochs=1,
-                      train_problems=["synthetic/sphere-linear/0"],
-                      test_problems=["synthetic/rastrigin-ring/1"])
-        records = ablate(cfg, "no-train")
-        assert {r.method for r in records} == {"trained-agent", "no-train"}
+        cfg = toy_cfg(runs=1, epochs=1, **SPLIT_LISTS)
+        full, ablated = ablate(cfg, ["no-train"])
+        assert {r.method for r in full} == {"trained-agent"}
+        assert {v: {r.method for r in rs} for v, rs in ablated.items()} == \
+               {"no-train": {"no-train"}}
 
     def test_action_scheme_variant_retrains(self):
-        cfg = toy_cfg(runs=1, epochs=1,
-                      train_problems=["synthetic/sphere-linear/0"],
-                      test_problems=["synthetic/rastrigin-ring/1"])
-        records = ablate(cfg, "ca")
-        assert {r.method for r in records} == {"trained-agent", "ca"}
+        cfg = toy_cfg(runs=1, epochs=1, **SPLIT_LISTS)
+        full, ablated = ablate(cfg, ["ca"])
+        assert {r.method for r in full} == {"trained-agent"}
+        assert {v: {r.method for r in rs} for v, rs in ablated.items()} == {"ca": {"ca"}}
+
+    @pytest.mark.parametrize("variants, trainings", [
+        (["r1", "no-state", "aa"], 1 + 2), (list(harness.ABLATIONS), 1 + 5)])
+    def test_full_method_trains_once(self, monkeypatch, variants, trainings):
+        # one training for the full method, one per variant that retrains
+        calls = []
+        real_train = harness.train
+        monkeypatch.setattr(harness, "train", lambda cfg: calls.append(cfg) or real_train(cfg))
+        cfg = toy_cfg(runs=1, epochs=1, **SPLIT_LISTS)
+        full, ablated = ablate(cfg, variants)
+        assert len(calls) == trainings
+        assert calls[0] == cfg
+        assert list(ablated) == variants
+        assert {r.method for r in full} == {"trained-agent"}
+        for variant, records in ablated.items():
+            assert {r.method for r in records} == {variant}
+            assert [(r.problem, r.run) for r in records] == [(r.problem, r.run) for r in full]
 
     def test_unknown_variant(self):
-        cfg = toy_cfg(train_problems=["synthetic/sphere-linear/0"],
-                      test_problems=["synthetic/rastrigin-ring/1"])
+        cfg = toy_cfg(**SPLIT_LISTS)
         with pytest.raises(ConfigError, match="unknown ablation"):
-            ablate(cfg, "no-everything")
+            ablate(cfg, ["no-everything"])
+
+    @pytest.mark.parametrize("variants, message", [
+        (["r1", "no-state", "bogus"], "unknown ablation 'bogus'"),
+        (["r1", "aa", "r1"], "ablations list 'r1' more than once"),
+        ([], "no ablation given")])
+    def test_bad_list_rejected_before_training(self, monkeypatch, variants, message):
+        monkeypatch.setattr(harness, "train", None)  # any training would raise TypeError
+        cfg = toy_cfg(**SPLIT_LISTS)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ablate(cfg, variants)
 
     def test_requires_split_lists(self):
         cfg = toy_cfg()
         with pytest.raises(ConfigError, match="train_problems"):
-            ablate(cfg, "no-state")
+            ablate(cfg, ["no-state"])
 
     @pytest.mark.parametrize("variant", ["no-state", "r1"])
     def test_rejects_overlap(self, tmp_path, capsys, variant):

@@ -125,7 +125,7 @@ class BudgetCounter:
 def epsilon_vector(values, m: int | None = None) -> np.ndarray:
     """Validate a per-constraint relaxation vector, or a stack of them with
     the constraints last (non-negative, finite)."""
-    eps = np.atleast_1d(np.asarray(values, dtype=float))
+    eps = np.array(values, dtype=float, copy=None, ndmin=1)
     if m is not None and eps.shape[-1:] != (m,):
         raise ValueError(f"epsilon vector must have length {m}, got shape {eps.shape}")
     if not np.isfinite(eps).all() or (eps < 0).any():

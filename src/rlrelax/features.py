@@ -27,7 +27,9 @@ def top5_violation_mean(nu: np.ndarray):
     each population."""
     if nu.shape[-1] == 0:
         raise ValueError("population must be non-empty")
-    return np.add.reduce(np.sort(nu, axis=-1)[..., :5], axis=-1) / min(5, nu.shape[-1])
+    ascending = nu.copy()
+    ascending.sort(axis=-1)
+    return np.add.reduce(ascending[..., :5], axis=-1) / min(5, nu.shape[-1])
 
 
 def pairwise_tradeoff(f: np.ndarray, nu: np.ndarray):

@@ -10,9 +10,10 @@ reduction (LPSR, off by default) shrinks the population linearly.
 
 Everything carries a leading run axis: R paired runs of one problem share
 their budget, so they advance in lockstep as one (R, N, D) population.
-Each run keeps its generator and draw order, its archive and its memory;
-the evaluator, the row-wise accounting and the arithmetic run once over
-the stack.  generation_step draws in one stacked draw_generation call, in
+Each run keeps its generator and draw order, its archive walk and the sums
+over its slice of the winners; the evaluator, the row-wise accounting, the
+winners' gathers and the memory arithmetic run once over the stack.
+generation_step draws in one stacked draw_generation call, in
 which each run makes its vector calls on its own generator, in order.  The
 draws follow L-SHADE's distributions (Tanabe & Fukunaga, CEC 2014), not
 the stream of a per-member loop; tests/test_lshade.py pins the
@@ -178,26 +179,35 @@ def select_survivor(parent: tuple[float, float],
     return parent, False, 0.0
 
 
-def update_memory(hist: SuccessHistory, f_vals, cr_vals, weights) -> None:
-    """Write weighted means of the successful (F, CR) samples into slot k.
+def update_memory(hists: list[SuccessHistory], counts: np.ndarray, f_w: np.ndarray,
+                  cr_w: np.ndarray, w_raw: np.ndarray) -> None:
+    """Write weighted means of each run's successful (F, CR) samples into its slot k.
 
-    F uses the weighted Lehmer mean, CR the weighted arithmetic mean; a
-    slot goes terminal (NaN) once the successful CRs are all zero, after
-    which it keeps emitting CR = 0.  No successes leave the memory alone.
+    f_w, cr_w and w_raw hold the runs' successes one run after another,
+    counts[r] of them for hists[r].  Each run's weights are divided by their
+    own sum; F uses the weighted Lehmer mean, CR the weighted arithmetic
+    mean, and a slot goes terminal (NaN) once the successful CRs are all
+    zero, after which it keeps emitting CR = 0.  A run without successes
+    keeps its memory.  The arithmetic runs once on the flat arrays, and each
+    run's sums over its contiguous slice, bitwise as over that run alone.
     """
-    f_vals = np.asarray(f_vals, dtype=float)
-    cr_vals = np.asarray(cr_vals, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if f_vals.size == 0:
-        return
-    w = weights / max(weights.sum(), 1e-300)
-    wf = w * f_vals
-    hist.m_f[hist.k] = (wf * f_vals).sum() / wf.sum()
-    if math.isnan(hist.m_cr[hist.k]) or cr_vals.max() <= 0.0:
-        hist.m_cr[hist.k] = np.nan
-    else:
-        hist.m_cr[hist.k] = (w * cr_vals).sum()
-    hist.k = (hist.k + 1) % hist.m_f.size
+    spans, divisors, b = [], [], 0
+    for hist, c in zip(hists, counts.tolist()):
+        a, b = b, b + c
+        if c:
+            spans.append((hist, a, b))
+        divisors.append(max(np.add.reduce(w_raw[a:b]), 1e-300) if c else 1.0)  # repeated c times
+    w = w_raw / np.array(divisors).repeat(counts)
+    wf = w * f_w
+    wff, wcr = wf * f_w, w * cr_w
+    for hist, a, b in spans:
+        k = hist.k
+        hist.m_f[k] = np.add.reduce(wff[a:b]) / np.add.reduce(wf[a:b])
+        if math.isnan(hist.m_cr[k]) or np.maximum.reduce(cr_w[a:b]) <= 0.0:
+            hist.m_cr[k] = np.nan
+        else:
+            hist.m_cr[k] = np.add.reduce(wcr[a:b])
+        hist.k = (k + 1) % hist.m_f.size
 
 
 def lpsr_target_size(fes: int, maxfes: int, n_init: int) -> int:
@@ -271,9 +281,11 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     dry; unevaluated trials are skipped and their parents survive untouched.
     Returns the number of trials evaluated across the runs.  With stats.lpsr
     the population then shrinks to lpsr_target_size from stats.n_init; last,
-    stats.nu_top5 is refreshed.  All runs draw in one draw_generation call,
-    then each archive pops a random entry per overflow, and with LPSR one per
-    entry beyond the new size.  A rejected eps or per-run list changes nothing.
+    stats.nu_top5 is refreshed.  All runs draw in one draw_generation call.
+    The winners of all runs are gathered once, run after run; each archive
+    takes its run's slice and pops a random entry per overflow, and with LPSR
+    one per entry beyond the new size, and one update_memory call updates
+    every memory.  A rejected eps or per-run list changes nothing.
     """
     budget = stats.budget
     if budget.exhausted:
@@ -309,24 +321,31 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     won = (nu_t < nu_p) | ((nu_t == nu_p) & (trials.f < f_p))
     weight = np.where(nu_t != nu_p, nu_p - nu_t, f_p - trials.f)
     size = min(n, lpsr_target_size(budget.fes, budget.maxfes, stats.n_init)) if stats.lpsr else n
-    for r, (archive, rng) in enumerate(zip(pop.archive, rngs)):
+    # the winners of all runs, run after run: run r's are one contiguous slice
+    # of each gather; x's rows go by index pairs, faster than a 2-D mask on (R, k, D)
+    rows, cols = won.nonzero()
+    counts = np.bincount(rows, minlength=runs)
+    won_x, b = x[rows, cols], 0
+    for r, (archive, rng, c) in enumerate(zip(pop.archive, rngs, counts.tolist())):
         # the winners' parents join in order, and each append past cap = max(L, n)
         # overflows at length cap + 1: its pops are one draw, walked over entry indices
-        pool, cap = np.concatenate([archive, x[r, :k][won[r]]]), max(len(archive), n)
+        pool, cap = np.concatenate([archive, won_x[b:b + c]]), max(len(archive), n)
+        b += c
         pops = rng.integers(cap + 1, size=len(pool) - cap).tolist() if len(pool) > cap else []
         keep = list(range(min(len(pool), cap)))
         for j, p in zip(range(cap, len(pool)), pops):
             keep.append(j)
-            keep.pop(p)
+            del keep[p]
         while stats.lpsr and len(keep) > size:  # LPSR's trim: the bound shrinks per pop
             keep.pop(int(rng.integers(len(keep))))
-        pop.archive[r] = pool[keep]
-        update_memory(stats.hist[r], draws.F[r, :k][won[r]], draws.CR[r, :k][won[r]],
-                      weight[r][won[r]])
+        pop.archive[r] = pool.take(keep, 0)
+    update_memory(stats.hist, counts, draws.F[:, :k][won], draws.CR[:, :k][won], weight[won])
     pop.replace(won, trials)
 
     if size < n:
-        pop.keep(np.sort(pop.ranking()[:, :size], axis=1))
+        best = pop.ranking()[:, :size]
+        best.sort(axis=1)  # in place: the ranking is a fresh array
+        pop.keep(best)
 
     stats.nu_top5 = features.top5_violation_mean(pop.nu)
     return trials.f.size

@@ -8,7 +8,8 @@ import pytest
 # numpy's module-level forms of these re-dispatch in Python to the array
 # method or ufunc, which at a generation's or an update's array sizes costs
 # more than the reduction itself; the hot paths call the method
-NUMPY_WRAPPERS = ("sum", "all", "any", "min", "max", "mean", "clip", "flatnonzero", "stack")
+NUMPY_WRAPPERS = ("sum", "all", "any", "min", "max", "mean", "clip", "flatnonzero", "stack",
+                  "sort", "atleast_1d")
 
 
 @pytest.fixture

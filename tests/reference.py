@@ -11,6 +11,9 @@ over the upper triangle of pairs.  The tests require the row-wise forms to
 equal these bit for bit.  ``archive_after_selection`` is the archive
 update of one generation the plain way, a list of row copies with one
 scalar draw per pop, which the program's index walk must reproduce.
+``update_memory`` is one run's success-history update on that run's own
+winners, which the stacked ``lshade.update_memory`` over the winners of
+all runs must equal run by run.
 ``draw_generation_one_run`` is one run's draws of a generation, clipped and
 stepped on that run's vectors alone, which the stacked draws of
 ``lshade.draw_generation`` must equal run by run.
@@ -115,6 +118,26 @@ def archive_after_selection(archive, x, won, n, rng, size=None) -> list[np.ndarr
     while size is not None and len(archive) > size:
         archive.pop(int(rng.integers(len(archive))))
     return archive
+
+
+def update_memory(hist: SuccessHistory, f_vals, cr_vals, weights) -> None:
+    """One run's memory update: the weighted Lehmer mean of the successful
+    F and the weighted mean of their CR into slot k, the weights divided by
+    their sum (at least 1e-300); the slot goes terminal (NaN) once the
+    successful CRs are all zero, and stays so.  No successes change nothing."""
+    f_vals = np.asarray(f_vals, dtype=float)
+    cr_vals = np.asarray(cr_vals, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if f_vals.size == 0:
+        return
+    w = weights / max(weights.sum(), 1e-300)
+    wf = w * f_vals
+    hist.m_f[hist.k] = (wf * f_vals).sum() / wf.sum()
+    if math.isnan(hist.m_cr[hist.k]) or cr_vals.max() <= 0.0:
+        hist.m_cr[hist.k] = np.nan
+    else:
+        hist.m_cr[hist.k] = (w * cr_vals).sum()
+    hist.k = (hist.k + 1) % hist.m_f.size
 
 
 def draw_generation_one_run(hist: SuccessHistory, n: int, n_archive: int, d: int,

@@ -41,6 +41,7 @@ from rlrelax.lshade import (
     update_memory,
 )
 from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry, synthetic_family
+import reference
 from reference import (Evaluation, archive_after_selection, draw_generation_one_run, is_feasible,
                        relaxed_violation, sco, violation)
 
@@ -405,15 +406,75 @@ class TestGenerationStepSelection:
         assert same_bits(x[evaluated:], x_0[evaluated:])
         assert len(archive) == len(won)
         assert all(same_bits(a, x_0[i]) for a, i in zip(archive, won))
-        update_memory(expected_hist, draws.F[0, won], draws.CR[0, won], weights)
+        reference.update_memory(expected_hist, draws.F[0, won], draws.CR[0, won], weights)
         assert same_bits(hist.m_f, expected_hist.m_f) and same_bits(hist.m_cr, expected_hist.m_cr)
         assert hist.k == expected_hist.k
 
 
+class TestMemoryAgainstOracle:
+    """The stacked update_memory, fed the winners of R runs gathered as
+    generation_step gathers them, against reference.update_memory on each
+    run's own winners: equal bit for bit, run by run."""
+
+    @staticmethod
+    def check(hists, F, CR, won, weight):
+        k = won.shape[1]  # below F's n when the budget ran dry mid-generation
+        oracle = copy.deepcopy(hists)
+        update_memory(hists, won.sum(1), F[:, :k][won], CR[:, :k][won], weight[won])
+        for r, (hist, expected) in enumerate(zip(hists, oracle)):
+            reference.update_memory(expected, F[r, :k][won[r]], CR[r, :k][won[r]],
+                                    weight[r][won[r]])
+            assert same_bits(hist.m_f, expected.m_f), r
+            assert same_bits(hist.m_cr, expected.m_cr), r
+            assert hist.k == expected.k, r
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.integers(1, 4), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_run_by_run(self, runs, n, seed, data):
+        setup = np.random.default_rng(seed)
+        k = data.draw(st.integers(1, n), label="k")
+        F = 1.0 - setup.uniform(size=(runs, n))
+        CR = setup.uniform(size=(runs, n))
+        won = setup.uniform(size=(runs, k)) < data.draw(st.floats(0.0, 1.0), label="win rate")
+        weight = setup.uniform(1e-3, 10.0, size=(runs, k))
+        hists = []
+        for r in range(runs):
+            kind = data.draw(st.sampled_from(["plain", "no winner", "zero CR", "tiny weights"]))
+            if kind == "no winner":
+                won[r] = False
+            elif kind == "zero CR":
+                CR[r] = 0.0
+            elif kind == "tiny weights":  # their sum falls below the 1e-300 guard
+                weight[r] *= 10.0 ** -data.draw(st.integers(302, 320), label="exponent")
+            terminal = data.draw(st.lists(st.booleans(), min_size=H_MEMORY, max_size=H_MEMORY))
+            m_cr = np.where(terminal, np.nan, setup.uniform(size=H_MEMORY))
+            hists.append(SuccessHistory(m_f=setup.uniform(0.05, 1.0, size=H_MEMORY), m_cr=m_cr,
+                                        k=int(setup.integers(H_MEMORY))))
+        self.check(hists, F, CR, won, weight)
+
+    def test_each_edge_in_one_stack(self):
+        setup = np.random.default_rng(7)
+        n, k = 12, 9
+        F, CR = 1.0 - setup.uniform(size=(4, n)), setup.uniform(0.1, 1.0, size=(4, n))
+        won = np.ones((4, k), dtype=bool)
+        won[0] = False                      # no winner: the memory stays as it was
+        CR[1] = 0.0                         # all-zero CR: the slot goes terminal
+        weight = setup.uniform(1e-3, 10.0, size=(4, k))
+        weight[3] *= 1e-310                 # the weights sum below 1e-300
+        hists = [SuccessHistory.fresh() for _ in range(4)]
+        hists[2].m_cr[0] = np.nan           # a terminal slot stays NaN under CR > 0
+        self.check(hists, F, CR, won, weight)
+        assert [h.k for h in hists] == [0, 1, 1, 1]
+        assert np.isnan(hists[1].m_cr[0]) and np.isnan(hists[2].m_cr[0])
+        assert np.isfinite(hists[3].m_f[0]) and np.isfinite(hists[3].m_cr[0])
+
+
 class TestArchiveAgainstListOracle:
-    """The array archive after generation_step, against the list archive of
-    reference.archive_after_selection given the same winners and a copy of
-    each run's generator advanced past the generation's draws."""
+    """The array archive and memories after generation_step, against the list
+    archive of reference.archive_after_selection and reference.update_memory,
+    given the same winners and a copy of each run's generator advanced past
+    the generation's draws."""
 
     @settings(max_examples=100, deadline=None)
     @given(runs=st.integers(1, 4), n=st.integers(4, 30), dim=st.integers(1, 6),
@@ -443,9 +504,15 @@ class TestArchiveAgainstListOracle:
         f_t, C_t = problem.evaluator(batches[0])
         f_t, nu_t = f_t.reshape(runs, k), relaxed_violations(C_t.reshape(runs, k, 2), 1, eps)
         for r in range(runs):
-            draw_generation_one_run(hists[r], n, len(parent.archive[r]), dim, oracle_rngs[r])
+            draws = draw_generation_one_run(hists[r], n, len(parent.archive[r]), dim,
+                                            oracle_rngs[r])
             won = [eps_compare((f_t[r, i], nu_t[r, i]), (parent.f[r, i], parent.nu_eps[r, i])) == -1
                    for i in range(k)]
+            weights = [select_survivor((parent.f[r, i], parent.nu_eps[r, i]),
+                                       (f_t[r, i], nu_t[r, i]))[2] for i in range(k) if won[i]]
+            reference.update_memory(hists[r], draws.F[:k][won], draws.CR[:k][won], weights)
+            assert same_bits(stats.hist[r].m_f, hists[r].m_f)
+            assert same_bits(stats.hist[r].m_cr, hists[r].m_cr) and stats.hist[r].k == hists[r].k
             expected = archive_after_selection(parent.archive[r], parent.x[r], won, n,
                                                oracle_rngs[r], pop.size if lpsr else None)
             assert same_bits(pop.archive[r], np.reshape(expected, (-1, dim)))

@@ -27,6 +27,7 @@ from rlrelax.lshade import (
     select_survivor,
     update_memory,
 )
+import reference
 from reference import Evaluation, violation
 
 
@@ -335,40 +336,57 @@ class TestSelection:
         assert success and w == pytest.approx(0.3)
 
 
+def update_one_run(hist, f_vals, cr_vals, weights):
+    """The stacked update_memory on one run's successes."""
+    update_memory([hist], np.array([len(f_vals)]), np.array(f_vals, dtype=float),
+                  np.array(cr_vals, dtype=float), np.array(weights, dtype=float))
+
+
+MEMORY_UPDATES = (reference.update_memory, update_one_run)
+
+
 class TestMemory:
+    """The memory rules, each checked on the scalar oracle and on the stacked
+    update at R = 1."""
+
     def test_single_success_means(self):
-        hist = SuccessHistory.fresh()
-        update_memory(hist, [0.5], [0.5], [1.0])
-        assert hist.m_f[0] == pytest.approx(0.5)
-        assert hist.m_cr[0] == pytest.approx(0.5)
-        assert hist.k == 1
+        for update in MEMORY_UPDATES:
+            hist = SuccessHistory.fresh()
+            update(hist, [0.5], [0.5], [1.0])
+            assert hist.m_f[0] == pytest.approx(0.5)
+            assert hist.m_cr[0] == pytest.approx(0.5)
+            assert hist.k == 1
 
     def test_empty_leaves_unchanged(self):
-        hist = SuccessHistory.fresh()
-        before_f, before_cr, before_k = hist.m_f.copy(), hist.m_cr.copy(), hist.k
-        update_memory(hist, [], [], [])
-        assert np.array_equal(hist.m_f, before_f)
-        assert np.array_equal(hist.m_cr, before_cr)
-        assert hist.k == before_k
+        for update in MEMORY_UPDATES:
+            hist = SuccessHistory.fresh()
+            before_f, before_cr, before_k = hist.m_f.copy(), hist.m_cr.copy(), hist.k
+            update(hist, [], [], [])
+            assert np.array_equal(hist.m_f, before_f)
+            assert np.array_equal(hist.m_cr, before_cr)
+            assert hist.k == before_k
 
     def test_lehmer_mean(self):
-        hist = SuccessHistory.fresh()
-        update_memory(hist, [0.2, 0.8], [0.3, 0.7], [1.0, 1.0])
-        assert hist.m_f[0] == pytest.approx((0.04 + 0.64) / (0.2 + 0.8))
+        for update in MEMORY_UPDATES:
+            hist = SuccessHistory.fresh()
+            update(hist, [0.2, 0.8], [0.3, 0.7], [1.0, 1.0])
+            assert hist.m_f[0] == pytest.approx((0.04 + 0.64) / (0.2 + 0.8))
 
     def test_terminal_cr_sentinel(self):
-        hist = SuccessHistory.fresh()
-        update_memory(hist, [0.5], [0.0], [1.0])
-        assert np.isnan(hist.m_cr[0])
-        hist.k = 0
-        update_memory(hist, [0.5], [0.9], [1.0])  # slot stays terminal
-        assert np.isnan(hist.m_cr[0])
+        for update in MEMORY_UPDATES:
+            hist = SuccessHistory.fresh()
+            update(hist, [0.5], [0.0], [1.0])
+            assert np.isnan(hist.m_cr[0])
+            hist.k = 0
+            update(hist, [0.5], [0.9], [1.0])  # slot stays terminal
+            assert np.isnan(hist.m_cr[0])
 
     def test_circular_index(self):
-        hist = SuccessHistory.fresh(h=2)
-        for _ in range(3):
-            update_memory(hist, [0.4], [0.4], [1.0])
-        assert hist.k == 1
+        for update in MEMORY_UPDATES:
+            hist = SuccessHistory.fresh(h=2)
+            for _ in range(3):
+                update(hist, [0.4], [0.4], [1.0])
+            assert hist.k == 1
 
 
 class TestLpsr:

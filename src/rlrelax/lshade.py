@@ -10,9 +10,10 @@ reduction (LPSR, off by default) shrinks the population linearly.
 
 Everything carries a leading run axis: R paired runs of one problem share
 their budget, so they advance in lockstep as one (R, N, D) population.
-Each run keeps its generator and draw order, its archive walk and the sums
-over its slice of the winners; the evaluator, the row-wise accounting, the
-winners' gathers and the memory arithmetic run once over the stack.
+Each run keeps its generator and draw order, its archive walk, its r2 rows
+and one reduction call over its slice of the winners; the evaluator, the
+row-wise accounting, the flat gathers of the donors and the winners and the
+memory arithmetic run once over the stack.
 generation_step draws in one stacked draw_generation call, in
 which each run makes its vector calls on its own generator, in order.  The
 draws follow L-SHADE's distributions (Tanabe & Fukunaga, CEC 2014), not
@@ -188,8 +189,11 @@ def update_memory(hists: list[SuccessHistory], counts: np.ndarray, f_w: np.ndarr
     own sum; F uses the weighted Lehmer mean, CR the weighted arithmetic
     mean, and a slot goes terminal (NaN) once the successful CRs are all
     zero, after which it keeps emitting CR = 0.  A run without successes
-    keeps its memory.  The arithmetic runs once on the flat arrays, and each
-    run's sums over its contiguous slice, bitwise as over that run alone.
+    keeps its memory.  The arithmetic runs once on the flat arrays; each run
+    sums its weights over its contiguous slice, then makes one reduction call
+    over its columns of the stacked terms (wf * F, wf, w * CR, CR), whose rows
+    sum pairwise, bitwise as over that run alone.  As CR >= 0, the CR sum is
+    <= 0 exactly when every successful CR is zero.
     """
     spans, divisors, b = [], [], 0
     for hist, c in zip(hists, counts.tolist()):
@@ -199,14 +203,13 @@ def update_memory(hists: list[SuccessHistory], counts: np.ndarray, f_w: np.ndarr
         divisors.append(max(np.add.reduce(w_raw[a:b]), 1e-300) if c else 1.0)  # repeated c times
     w = w_raw / np.array(divisors).repeat(counts)
     wf = w * f_w
-    wff, wcr = wf * f_w, w * cr_w
+    terms = np.array([wf * f_w, wf, w * cr_w, cr_w])
     for hist, a, b in spans:
         k = hist.k
-        hist.m_f[k] = np.add.reduce(wff[a:b]) / np.add.reduce(wf[a:b])
-        if math.isnan(hist.m_cr[k]) or np.maximum.reduce(cr_w[a:b]) <= 0.0:
-            hist.m_cr[k] = np.nan
-        else:
-            hist.m_cr[k] = np.add.reduce(wcr[a:b])
+        wff, wf_sum, wcr, cr_sum = np.add.reduce(terms[:, a:b], axis=1).tolist()
+        # numpy's quotient where Python's would raise: 0 / 0 is NaN
+        hist.m_f[k] = wff / wf_sum if wf_sum else np.float64(wff) / wf_sum
+        hist.m_cr[k] = np.nan if math.isnan(hist.m_cr[k]) or cr_sum <= 0.0 else wcr
         hist.k = (k + 1) % hist.m_f.size
 
 
@@ -299,12 +302,16 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     draws = draw_generation(stats.hist, n, [len(archive) for archive in pop.archive], d, rngs)
     F = draws.F[..., None]
     x = pop.x
-    x_r2 = np.array([np.concatenate([x_run, archive])[r2]
+    x_r2 = np.array([np.concatenate([x_run, archive]).take(r2, 0)
                      for x_run, archive, r2 in zip(x, pop.archive, draws.r2)])
+    # the donors' rows by flat index into the runs' stacked rows: one take each
     run = np.arange(runs)[:, None]
-    v = x + F * (x[run, ranked[run, draws.pbest]] - x) + F * (x[run, draws.r1] - x_r2)
-    mask = draws.u < draws.CR[..., None]
-    mask[run, np.arange(n), draws.j] = True
+    flat, first = x.reshape(-1, d), run * n
+    x_pbest = flat.take((ranked[run, draws.pbest] + first).ravel(), 0).reshape(x.shape)
+    x_r1 = flat.take((draws.r1 + first).ravel(), 0).reshape(x.shape)
+    v = x + F * (x_pbest - x) + F * (x_r1 - x_r2)
+    mask = draws.u < draws.CR[..., None]  # a fresh C-ordered array: reshape is a view
+    mask.reshape(-1)[np.arange(0, runs * n * d, d) + draws.j.ravel()] = True
     trials_x = np.where(mask, v, x)
     trials_x = np.where(trials_x < problem.lower, (x + problem.lower) / 2.0, trials_x)
     trials_x = np.where(trials_x > problem.upper, (x + problem.upper) / 2.0, trials_x)

@@ -9,7 +9,7 @@ import pytest
 # method or ufunc, which at a generation's or an update's array sizes costs
 # more than the reduction itself; the hot paths call the method
 NUMPY_WRAPPERS = ("sum", "all", "any", "min", "max", "mean", "clip", "flatnonzero", "stack",
-                  "sort", "atleast_1d")
+                  "sort", "atleast_1d", "take_along_axis")
 
 
 @pytest.fixture

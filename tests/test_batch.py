@@ -453,6 +453,39 @@ class TestMemoryAgainstOracle:
                                         k=int(setup.integers(H_MEMORY))))
         self.check(hists, F, CR, won, weight)
 
+    # winner counts at the edges of numpy's pairwise sum: below, at and past its
+    # 8-wide unrolled blocks, and past the 128-element block where it recurses
+    BLOCK_EDGES = (1, 7, 8, 9, 16, 17, 40, 129)
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.sampled_from((0, *BLOCK_EDGES)), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_pairwise_block_edges(self, counts, seed, data):
+        setup = np.random.default_rng(seed)
+        runs, n = len(counts), max(self.BLOCK_EDGES)
+        F = 1.0 - setup.uniform(size=(runs, n))
+        CR = setup.uniform(size=(runs, n))
+        won = np.zeros((runs, n), dtype=bool)
+        for r, c in enumerate(counts):
+            won[r, setup.choice(n, c, replace=False)] = True
+            zeros = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="share of zero CRs")
+            signed_zero = np.where(setup.uniform(size=n) < 0.5, -0.0, 0.0)
+            CR[r] = np.where(setup.uniform(size=n) < zeros, signed_zero, CR[r])
+        weight = 10.0 ** setup.uniform(-200.0, 200.0, size=(runs, n))
+        hists = [SuccessHistory(m_f=setup.uniform(0.05, 1.0, size=H_MEMORY),
+                                m_cr=setup.uniform(size=H_MEMORY), k=int(setup.integers(H_MEMORY)))
+                 for _ in range(runs)]
+        self.check(hists, F, CR, won, weight)
+
+    def test_zero_weights_divide_as_numpy_does(self):
+        setup = np.random.default_rng(3)
+        F, CR = 1.0 - setup.uniform(size=(2, 5)), setup.uniform(size=(2, 5))
+        weight = np.zeros((2, 5))  # w * F sums to 0: the Lehmer mean is numpy's 0 / 0
+        hists = [SuccessHistory.fresh() for _ in range(2)]
+        with np.errstate(invalid="ignore"):
+            self.check(hists, F, CR, np.ones((2, 5), dtype=bool), weight)
+        assert np.isnan(hists[0].m_f[0])
+
     def test_each_edge_in_one_stack(self):
         setup = np.random.default_rng(7)
         n, k = 12, 9

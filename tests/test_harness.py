@@ -1,9 +1,15 @@
 import copy
 import dataclasses
+import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlrelax import agent as qnet
 from rlrelax import env as env_module
@@ -519,3 +525,60 @@ class TestExport:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_curves([], tmp_path)
+
+
+TRACE_KEYS = ("step", "fes", "level", "eps_min", "eps_mean", "eps_max", "reward", "sco")
+# floats whose text is an edge of repr: a negative zero, the least subnormal,
+# the largest finite double, 17 significant digits
+EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1 / 3, -2.2250738585072014e-308)
+# and an int or a bool, which json writes as such
+any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats().map(np.float64),
+                      st.sampled_from(EDGE_FLOATS).map(np.float64), st.integers(-2, 2),
+                      st.booleans())
+trace_step = st.fixed_dictionaries(
+    {"step": st.one_of(st.integers(0, 10**6), st.booleans()), "fes": st.integers(0, 10**9),
+     **{k: any_float for k in TRACE_KEYS[2:]}},
+    optional={"r1": st.floats()})  # keys beyond the trace's are not written
+run_record = st.builds(RunRecord, problem=st.text(max_size=6), dim=st.integers(1, 100),
+                       method=st.sampled_from(["trained-agent", "static-eps"]),
+                       run=st.integers(0, 9), steps=st.lists(trace_step, max_size=4))
+
+
+class TestTraceWriterBytes:
+    """write_records_jsonl's file is json.dumps of each line, byte for byte."""
+
+    @staticmethod
+    def written(records) -> tuple[str, list[RunRecord]]:
+        """The file's text and, when load_records_jsonl accepts it, its records."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.jsonl"
+            write_records_jsonl(records, path)
+            try:
+                return path.read_text(encoding="utf-8"), load_records_jsonl(path)
+            except ValueError:  # a bool value or a non-finite sco
+                return path.read_text(encoding="utf-8"), []
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(run_record, max_size=3,
+                            unique_by=lambda r: (r.problem, r.dim, r.method, r.run)))
+    def test_bytes_equal_json_dumps_per_line(self, records):
+        text, loaded = self.written(records)
+        assert text == "".join(
+            json.dumps({"problem": r.problem, "dim": r.dim, "method": r.method, "run": r.run,
+                        **{k: s[k] for k in TRACE_KEYS}}) + "\n" for r in records for s in r.steps)
+        values = [s[k] for r in records for s in r.steps for k in TRACE_KEYS]
+        if not any(type(v) is bool or not math.isfinite(v) for v in values):  # a readable file
+            assert [(r.problem, r.dim, r.method, r.run) for r in loaded] == [
+                (r.problem, r.dim, r.method, r.run) for r in records if r.steps]
+            for r, back in zip([r for r in records if r.steps], loaded):
+                for s, row in zip(r.steps, back.steps, strict=True):
+                    assert json.dumps([row[k] for k in TRACE_KEYS]) == json.dumps(
+                        [s[k] for k in TRACE_KEYS])  # as json.dumps tells -0.0 from 0.0
+
+    def test_numpy_int_step_raises_as_json_does(self):
+        step = dict(step=np.int64(1), fes=10, level=0.5, eps_min=0.0, eps_mean=0.0,
+                    eps_max=0.0, reward=0.0, sco=1.0)
+        with pytest.raises(TypeError) as expected:
+            json.dumps(step)
+        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
+            self.written([RunRecord("p", 2, "m", 0, [step])])

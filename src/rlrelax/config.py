@@ -7,15 +7,14 @@ fail loudly.  Lists are comma-separated.
 ``ExperimentConfig`` is frozen, stores its lists as tuples and checks
 itself when it is built (also by ``dataclasses.replace``): a bad value, or
 a listed problem that does not resolve at a listed dim, raises
-``ConfigError``.  The resolved problems' registry is ``cfg.registry``; a
-config derived with ``dataclasses.replace(cfg, parent=cfg, ...)`` shares
-cfg's when the shift file is the same and cfg lists every (name, dim) it does.
+``ConfigError``.  The resolved problems' registry is ``cfg.registry``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .cop import DELTA_ACC_DEFAULT
 from .env import DELTA_DEFAULT, REWARD_FULL, REWARD_VARIANTS, SCHEME_EXPONENTIAL, SCHEMES
@@ -53,12 +52,9 @@ class ExperimentConfig:
     delta_acc: float = DELTA_ACC_DEFAULT
     shift_file: str = ""          # optional shift-data override, see problems.py
 
-    # dataclasses.replace(cfg, parent=cfg, ...) shares cfg's registry where it can
-    parent: InitVar[ExperimentConfig | None] = None
-
-    def __post_init__(self, parent: ExperimentConfig | None) -> None:
-        """Store the lists as tuples, check every value and resolve every listed
-        problem into ``self.registry``; ConfigError names the first fault."""
+    def __post_init__(self) -> None:
+        """Store the lists as tuples and check every value; ConfigError names
+        the first fault."""
         for key in ("problems", "train_problems", "test_problems", "dims"):
             object.__setattr__(self, key, tuple(getattr(self, key)))
         for f in fields(self):
@@ -96,24 +92,21 @@ class ExperimentConfig:
                     f"budget {self.maxfes_per_dim}*{d} is below two generations "
                     f"of pop_size {self.pop_size}"
                 )
-        # a derived config resolves in its parent's registry when that holds
-        # every (name, dim) listed here; either way each one resolves now
-        shared = (parent is not None and parent.shift_file == self.shift_file
-                  and self._pairs() <= parent._pairs())
+        self.registry  # resolve every listed problem now, not at first use
+
+    @cached_property
+    def registry(self) -> ProblemRegistry:
+        """The registry over the shift file, once every name in the problem
+        lists resolves at every dim; ConfigError otherwise."""
         try:
-            registry = parent.registry if shared else ProblemRegistry(
-                load_shift_table(self.shift_file) if self.shift_file else None)
+            registry = ProblemRegistry(load_shift_table(self.shift_file)
+                                       if self.shift_file else None)
             for name in dict.fromkeys(self.problems + self.train_problems + self.test_problems):
                 for dim in self.dims:
                     registry.lookup(name, dim)
         except (UnknownProblemError, ValueError) as exc:  # a bad shift file is a ValueError
             raise ConfigError(str(exc)) from None
-        object.__setattr__(self, "registry", registry)
-
-    def _pairs(self) -> set[tuple[str, int]]:
-        """Every (name, dim) the problem lists ask for."""
-        names = self.problems + self.train_problems + self.test_problems
-        return {(name, dim) for name in names for dim in self.dims}
+        return registry
 
     def maxfes(self, dim: int) -> int:
         return self.maxfes_per_dim * dim

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -283,7 +282,7 @@ def leave_one_out(cfg: ExperimentConfig) -> dict[str, tuple[TrainResult, list[Ru
     if len(names) < 2:
         raise ConfigError("leave-one-out needs at least two problems")
     return {held_out: split_protocol(dataclasses.replace(
-                cfg, parent=cfg, train_problems=[n for n in names if n != held_out],
+                cfg, train_problems=[n for n in names if n != held_out],
                 test_problems=[held_out]))
             for held_out in names}
 
@@ -308,7 +307,7 @@ def ablate(cfg: ExperimentConfig,
     full, records = split_protocol(cfg)
     ablated = {}
     for variant in variants:
-        alt = dataclasses.replace(cfg, parent=cfg, **ABLATIONS[variant])
+        alt = dataclasses.replace(cfg, **ABLATIONS[variant])
         if variant == "no-state":
             ablated[variant] = evaluate(alt, full.params, full.metadata, method=variant)
         elif variant == "no-train":
@@ -358,9 +357,6 @@ def write_jsonl(rows: list[dict], path) -> None:
 
 _RECORD_KEYS = ("problem", "dim", "method", "run")  # RunRecord's identity, in field order
 _TRACE_KEYS = ("step", "fes", "level", "eps_min", "eps_mean", "eps_max", "reward", "sco")
-_trace_values = operator.itemgetter(*_TRACE_KEYS)
-# a step's trace as json.dumps writes it from its "step" key on, from the values' reprs
-_TRACE_LINE = ", ".join(f'"{k}": {{}}' for k in _TRACE_KEYS) + "}}\n"
 
 # each key's value types and their name in a message; other trace values are numbers
 _KINDS = {**dict.fromkeys(("problem", "method"), ((str,), "a string")),
@@ -368,27 +364,14 @@ _KINDS = {**dict.fromkeys(("problem", "method"), ((str,), "a string")),
           "sco": ((int, float), "a finite number")}
 
 
-def _trace_line(step: dict) -> str:
-    """One step's trace line from its "step" key on, in json.dumps' bytes: an
-    exact int step and fes and six finite floats are formatted with the reprs
-    json uses for them, any other line goes through json.dumps."""
-    values = _trace_values(step)
-    if type(values[0]) is type(values[1]) is int:
-        try:
-            if all(map(math.isfinite, values[2:])):
-                return _TRACE_LINE.format(*values[:2], *map(float.__repr__, values[2:]))
-        except TypeError:  # a value that is no float
-            pass
-    return json.dumps(dict(zip(_TRACE_KEYS, values)))[1:] + "\n"
-
-
 def write_records_jsonl(records: list[RunRecord], path) -> None:
-    """Per-generation trace lines, one JSON object per meta-step, each the
-    bytes json.dumps writes for it; the file is written once."""
+    """Per-generation trace lines, one JSON object per meta-step; the file is
+    written once."""
     lines = []
     for r in records:  # the run's identity once, spliced before each step's "{"
         head = json.dumps({k: getattr(r, k) for k in _RECORD_KEYS})[:-1] + ", "
-        lines.extend(head + _trace_line(s) for s in r.steps)
+        lines.extend(head + json.dumps({k: s[k] for k in _TRACE_KEYS})[1:] + "\n"
+                     for s in r.steps)
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 

@@ -318,10 +318,8 @@ class TestVerbs:
 
         monkeypatch.setattr(ProblemRegistry, "__init__", counted)
         out = str(tmp_path / "out")
-        # loo's folds and ablate's variant derive their configs from the loaded one
         for argv in (["train"], ["evaluate", "--checkpoint", f"{out}/checkpoint.txt"],
-                     ["baseline", "--name", "static-eps"], ["export-curves"], ["loo"],
-                     ["ablate", "--variant", "r1"]):
+                     ["baseline", "--name", "static-eps"], ["export-curves"]):
             built.clear()
             assert main([*argv, "--config", str(cfg_path), "--out", out]) == EXIT_OK
             assert len(built) == 1, argv[0]

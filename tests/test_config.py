@@ -154,47 +154,6 @@ class TestCheckedWhenBuilt:
         assert cfg.registry.lookup("cec14", 30).dim == 30
 
 
-class TestDerivedRegistry:
-    """dataclasses.replace(cfg, parent=cfg, ...) resolves in cfg's registry
-    when cfg lists every (name, dim) and the shift file is the same."""
-
-    PARENT = dict(problems=["cec12", "synthetic/sphere-linear/0"], dims=[10, 30])
-
-    def test_subset_shares_the_registry_and_still_resolves(self, monkeypatch):
-        parent = ExperimentConfig(**self.PARENT)
-        lookups, lookup = [], ProblemRegistry.lookup
-        monkeypatch.setattr(ProblemRegistry, "lookup",
-                            lambda registry, name, dim: lookups.append((name, dim))
-                            or lookup(registry, name, dim))
-        fold = dataclasses.replace(parent, parent=parent, train_problems=["cec12"],
-                                   test_problems=["synthetic/sphere-linear/0"], dims=[30])
-        assert fold.registry is parent.registry and fold.train_problems == ("cec12",)
-        assert lookups == [("cec12", 30), ("synthetic/sphere-linear/0", 30)]
-
-    def test_otherwise_builds_its_own(self, tmp_path):
-        parent = ExperimentConfig(**self.PARENT)
-        (tmp_path / "empty.txt").write_text("")
-        for changes in (dict(problems=["cec14"]), dict(dims=[10, 50]),
-                        dict(shift_file=str(tmp_path / "empty.txt"))):
-            derived = dataclasses.replace(parent, parent=parent, **changes)
-            assert derived.registry is not parent.registry, changes
-
-    def test_without_parent_builds_its_own(self):
-        parent = ExperimentConfig(**self.PARENT)
-        assert dataclasses.replace(parent, runs=2).registry is not parent.registry
-
-    def test_errors_are_unchanged(self):
-        parent = ExperimentConfig(**self.PARENT)
-        with pytest.raises(ConfigError, match="unknown problem 'cec13'"):
-            dataclasses.replace(parent, parent=parent, test_problems=["cec13"])
-        with pytest.raises(ConfigError, match="runs must be >= 1"):
-            dataclasses.replace(parent, parent=parent, runs=0)
-
-    def test_parent_is_no_config_key(self):
-        with pytest.raises(ConfigError, match="unknown key 'parent'"):
-            parse_config_text("parent = x\n")
-
-
 class TestDerived:
     def test_maxfes_rule(self):
         cfg = ExperimentConfig()

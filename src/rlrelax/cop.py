@@ -1,14 +1,17 @@
 """Constrained-problem core: violation accounting and the epsilon-comparison rule.
 
 A candidate x for a problem with p inequality constraints g_i(x) <= 0 and
-q equality constraints h_j(x) = 0 is scored by its aggregated violation
+q equality constraints h_j(x) = 0 has the violation terms
 
-    nu(x) = sum_i max(g_i(x), 0) + sum_j |h_j(x)|
+    V(x) = [max(g_1(x), 0), ..., max(g_p(x), 0) | |h_1(x)|, ..., |h_q(x)|]
 
-or, under a per-constraint relaxation vector eps >= 0, by the relaxed
-variant that zeroes every per-constraint contribution at or below its
-threshold.  Candidates are ordered lexicographically: smaller relaxed
-violation first, smaller objective second.
+and is scored by its aggregated violation nu(x) = sum_i V_i(x), or, under a
+per-constraint relaxation vector eps >= 0, by the relaxed variant that
+zeroes every term at or below its threshold.  Both sum the p inequality
+terms and the q equality terms apart and add the two sums, so a row's
+result is bitwise that of summing max(g, 0) and |h| separately.
+Candidates are ordered lexicographically: smaller relaxed violation first,
+smaller objective second.
 """
 
 from __future__ import annotations
@@ -91,9 +94,8 @@ class ConstrainedProblem:
                 f"{self.name}: evaluator returned f {f.shape}, C {C.shape} for {n} rows, "
                 f"declared f {(n,)}, C {(n, self.n_constraints)} "
                 f"({self.n_ineq} inequality / {self.n_eq} equality)")
-        bad = ~(np.isfinite(f) & np.isfinite(C).all(1))
-        if bad.any():
-            k = int(np.argmax(bad))
+        if not (np.isfinite(f).all() and np.isfinite(C).all()):
+            k = int(np.argmax(~(np.isfinite(f) & np.isfinite(C).all(1))))
             raise ProblemDefinitionError(f"{self.name}: row {k}: non-finite output at x={X[k]!r}")
         return f, C
 
@@ -117,6 +119,8 @@ class BudgetCounter:
         return self.fes >= self.maxfes
 
     def spend(self, k: int = 1) -> None:
+        if not k >= 0:  # NaN too: it would leave the budget never exhausted
+            raise ValueError(f"cannot spend {k} evaluations: the count must be >= 0")
         if k > self.remaining:
             raise BudgetExhaustedError(f"budget of {self.maxfes} evaluations exhausted")
         self.fes += k
@@ -133,6 +137,14 @@ def epsilon_vector(values, m: int | None = None) -> np.ndarray:
     return eps
 
 
+def violation_terms(C: np.ndarray, n_ineq: int) -> np.ndarray:
+    """Every row's violation terms V = [max(g, 0) | |h|] from its raw
+    constraint values C (..., p+q), the p inequalities first."""
+    V = np.abs(C)
+    np.maximum(C[..., :n_ineq], 0.0, out=V[..., :n_ineq])
+    return V
+
+
 def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarray:
     """Violation of every row with per-constraint thresholds zeroed out.
 
@@ -140,29 +152,33 @@ def relaxed_violations(C: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarra
     contributes |h_j| only when |h_j| > eps_{n_ineq+j}.  A value exactly at
     its threshold is zeroed.  A stacked C (R, N, p+q) takes one eps row per run.
     """
-    return relaxed_rows(C[..., :n_ineq], np.abs(C[..., n_ineq:]),
-                        epsilon_vector(eps, C.shape[-1]))
+    return relaxed_rows(violation_terms(C, n_ineq), n_ineq, epsilon_vector(eps, C.shape[-1]))
 
 
-def relaxed_rows(g: np.ndarray, h_abs: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """relaxed_violations of a batch split into g and |h|, under an eps that
-    epsilon_vector returned."""
-    eps, p = eps[..., None, :], g.shape[-1]
-    return (np.where(g > eps[..., :p], g, 0.0).sum(-1)
-            + np.where(h_abs > eps[..., p:], h_abs, 0.0).sum(-1))
+def relaxed_rows(V: np.ndarray, n_ineq: int, eps: np.ndarray) -> np.ndarray:
+    """relaxed_violations of a batch's violation terms V, under an eps that
+    epsilon_vector returned: the kept inequality and equality terms summed
+    apart, then added."""
+    kept = np.where(V > eps[..., None, :], V, 0.0)
+    return kept[..., :n_ineq].sum(-1) + kept[..., n_ineq:].sum(-1)
+
+
+def term_accounting(V: np.ndarray, n_ineq: int, eps: np.ndarray | None = None,
+                    delta_acc: float = DELTA_ACC_DEFAULT):
+    """row_accounting of a batch's violation terms V."""
+    if not delta_acc > 0:
+        raise ValueError("delta_acc must be positive")
+    nu = V[..., :n_ineq].sum(-1) + V[..., n_ineq:].sum(-1)
+    return (nu, nu if eps is None else relaxed_rows(V, n_ineq, eps),
+            (V <= delta_acc).all(-1))
 
 
 def row_accounting(C: np.ndarray, n_ineq: int, eps: np.ndarray | None = None,
                    delta_acc: float = DELTA_ACC_DEFAULT):
     """Every row's exact violation, relaxed violation (the exact one when eps
     is None, else an eps epsilon_vector returned) and feasibility, from one
-    split of C."""
-    if delta_acc <= 0:
-        raise ValueError("delta_acc must be positive")
-    g, h_abs = C[..., :n_ineq], np.abs(C[..., n_ineq:])
-    nu = np.maximum(g, 0.0).sum(-1) + h_abs.sum(-1)
-    return (nu, nu if eps is None else relaxed_rows(g, h_abs, eps),
-            (g <= delta_acc).all(-1) & (h_abs <= delta_acc).all(-1))
+    violation_terms of C."""
+    return term_accounting(violation_terms(C, n_ineq), n_ineq, eps, delta_acc)
 
 
 def eps_compare(a: tuple[float, float], b: tuple[float, float]) -> int:

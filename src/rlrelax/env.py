@@ -93,16 +93,17 @@ class EpsilonBase:
     delta: float = DELTA_DEFAULT
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:
             raise ValueError("delta must be positive")
         vals = np.maximum(np.asarray(self.values, dtype=float), self.delta)
         object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_population(cls, pop: Population, delta: float = DELTA_DEFAULT) -> "EpsilonBase":
-        C, p = pop.C, pop.n_ineq
-        return cls(values=np.concatenate([np.maximum(C[..., :p], 0.0).mean(axis=1),
-                                          np.abs(C[..., p:]).mean(axis=1)], axis=-1),
+        # the two term groups averaged apart: one mean over V rounds some runs differently
+        V, p = pop.V, pop.n_ineq
+        return cls(values=np.concatenate([V[..., :p].mean(axis=1), V[..., p:].mean(axis=1)],
+                                         axis=-1),
                    delta=delta)
 
 

@@ -6,7 +6,10 @@ memory, build a current-to-pbest/1 donor against the population plus an
 archive of replaced parents, binomial crossover with midpoint bound repair,
 then keep whichever of parent/trial wins under eps_compare at the currently
 active relaxation vector (ties keep the parent).  Linear population size
-reduction (LPSR, off by default) shrinks the population linearly.
+reduction (LPSR, off by default) shrinks the population linearly.  Each
+member keeps its violation terms V = [max(g, 0) | |h|] in place of its raw
+constraint values, so the new epsilon of each generation re-scores the
+population with one where and two sums (see cop.term_accounting).
 
 Everything carries a leading run axis: R paired runs of one problem share
 their budget, so they advance in lockstep as one (R, N, D) population.
@@ -31,30 +34,31 @@ import numpy as np
 
 from . import features
 from .cop import (DELTA_ACC_DEFAULT, BudgetCounter, ConstrainedProblem, epsilon_vector,
-                  eps_compare, relaxed_rows, row_accounting)
+                  eps_compare, relaxed_rows, term_accounting, violation_terms)
 
 H_MEMORY = 5         # success-history slots
 P_BEST_RATE = 0.11   # fraction of the population eligible as pbest
 N_MIN = 4            # smallest population current-to-pbest/1 can run on
 
 
-_ROW_FIELDS = ("x", "f", "C", "nu", "nu_eps", "feasible")
+_ROW_FIELDS = ("x", "f", "V", "nu", "nu_eps", "feasible")
 
 
 @dataclass
 class Population:
     """The members of R runs as row-aligned arrays, one row per member.
 
-    ``x`` (R, N, D) positions, ``f`` (R, N) objectives, ``C`` (R, N, p+q)
-    raw constraint values with the p inequalities first, ``nu`` (R, N) the
-    exact and ``nu_eps`` the relaxed violation under the active epsilon,
+    ``x`` (R, N, D) positions, ``f`` (R, N) objectives, ``V`` (R, N, p+q)
+    violation terms [max(g, 0) | |h|] with the p inequalities first (see
+    cop.violation_terms), ``nu`` (R, N) the exact and ``nu_eps`` the
+    relaxed violation under the active epsilon,
     ``feasible`` the mask at the runs' delta_acc.  ``archive[r]`` (L_r, D)
     holds the positions of run r's replaced parents.
     """
 
     x: np.ndarray
     f: np.ndarray
-    C: np.ndarray
+    V: np.ndarray
     nu: np.ndarray
     nu_eps: np.ndarray
     feasible: np.ndarray
@@ -64,11 +68,13 @@ class Population:
     @classmethod
     def evaluated(cls, x, f, C, n_ineq: int, delta_acc: float = DELTA_ACC_DEFAULT,
                   eps: np.ndarray | None = None) -> "Population":
-        """Rows from evaluator output for the rows of x (R, N, D); nu_eps is nu
-        when no epsilon is given, else eps must be one epsilon_vector returned."""
-        f, C = f.reshape(x.shape[:2]), C.reshape(*x.shape[:2], C.shape[-1])
-        nu, nu_eps, feasible = row_accounting(C, n_ineq, eps, delta_acc)
-        return cls(x=x, f=f, C=C, nu=nu, nu_eps=nu_eps, feasible=feasible, n_ineq=n_ineq)
+        """Rows from evaluator output (f, C) for the rows of x (R, N, D), C kept
+        as its violation terms; nu_eps is nu when no epsilon is given, else
+        eps must be one epsilon_vector returned."""
+        f = f.reshape(x.shape[:2])
+        V = violation_terms(C.reshape(*x.shape[:2], C.shape[-1]), n_ineq)
+        nu, nu_eps, feasible = term_accounting(V, n_ineq, eps, delta_acc)
+        return cls(x=x, f=f, V=V, nu=nu, nu_eps=nu_eps, feasible=feasible, n_ineq=n_ineq)
 
     @property
     def size(self) -> int:
@@ -158,9 +164,8 @@ def init_population(problem: ConstrainedProblem, rngs: list[np.random.Generator]
 def refresh_relaxed(pop: Population, eps: np.ndarray) -> np.ndarray:
     """Recompute every relaxed violation against a new epsilon and return it
     as epsilon_vector accepts it; a rejected one leaves pop as it was."""
-    C, p = pop.C, pop.n_ineq
-    eps = epsilon_vector(eps, C.shape[-1])
-    pop.nu_eps = relaxed_rows(C[..., :p], np.abs(C[..., p:]), eps)
+    eps = epsilon_vector(eps, pop.V.shape[-1])
+    pop.nu_eps = relaxed_rows(pop.V, pop.n_ineq, eps)
     return eps
 
 
@@ -274,6 +279,19 @@ def draw_generation(hists: list[SuccessHistory], n: int, n_archive: list[int], d
     return Draws(slot, np.minimum(f_raw, 1.0), CR, pbest, r1, r2, u, j)
 
 
+def repair_bounds(t: np.ndarray, x: np.ndarray, lower: np.ndarray,
+                  upper: np.ndarray) -> np.ndarray:
+    """Midpoint bound repair: a coordinate of t below lower becomes
+    (x + lower) / 2, one above upper (x + upper) / 2, for parents x in the box.
+
+    One pass: a coordinate outside the box differs from its clamp, which is
+    the bound it crossed; as x lies in the box, no midpoint crosses the other
+    bound, so this equals repairing the lower side, then the upper.
+    """
+    bound = np.minimum(np.maximum(t, lower), upper)
+    return np.where(bound != t, (x + bound) / 2.0, t)
+
+
 def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarray,
                     rngs: list[np.random.Generator], stats: RunStats) -> int:
     """Advance each run r of the population by one generation under row r
@@ -312,9 +330,7 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     v = x + F * (x_pbest - x) + F * (x_r1 - x_r2)
     mask = draws.u < draws.CR[..., None]  # a fresh C-ordered array: reshape is a view
     mask.reshape(-1)[np.arange(0, runs * n * d, d) + draws.j.ravel()] = True
-    trials_x = np.where(mask, v, x)
-    trials_x = np.where(trials_x < problem.lower, (x + problem.lower) / 2.0, trials_x)
-    trials_x = np.where(trials_x > problem.upper, (x + problem.upper) / 2.0, trials_x)
+    trials_x = repair_bounds(np.where(mask, v, x), x, problem.lower, problem.upper)
 
     k = min(n, budget.remaining)
     trials_x = trials_x[:, :k]

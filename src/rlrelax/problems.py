@@ -101,9 +101,10 @@ def _cec12_rows(X, o):
     h1(y) = sum y_i^2 - 4        (sphere-surface equality)
     """
     y = X - o
-    f = (y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0).sum(-1)
+    yy = y * y
+    f = (yy - 10.0 * np.cos(2.0 * np.pi * y) + 10.0).sum(-1)
     g1 = 4.0 - np.abs(y).sum(-1)
-    h1 = (y * y).sum(-1) - 4.0
+    h1 = yy.sum(-1) - 4.0
     return f, np.concatenate([g1[:, None], h1[:, None]], axis=1)
 
 
@@ -163,9 +164,9 @@ def _ackley(y):
             + np.e)
 
 
-def _griewank(y):
-    idx = np.arange(1, y.shape[-1] + 1, dtype=float)
-    return (y * y).sum(-1) / 4000.0 - np.cos(y / np.sqrt(idx)).prod(-1) + 1.0
+def _griewank(y, root_idx):
+    """Griewank's function; root_idx holds sqrt(1), ..., sqrt(D)."""
+    return (y * y).sum(-1) / 4000.0 - np.cos(y / root_idx).prod(-1) + 1.0
 
 
 def _schwefel12(y):
@@ -243,12 +244,13 @@ def synthetic_family(kind: str, seed: int, dim: int,
     elif kind == "griewank-plane":
         c = rng.uniform(-1.0, 1.0, size=dim)
         c[np.abs(c) < 0.1] = 0.1  # keep the plane normal well away from zero
+        root_idx = np.sqrt(np.arange(1, dim + 1, dtype=float))
 
-        def ev(X, o=o, c=c):
+        def ev(X, o=o, c=c, root_idx=root_idx):
             y = X - o
             g1 = 1.0 - ((y - 1.0) ** 2).sum(-1)
             h1 = (c * y).sum(-1)
-            return _griewank(y), np.concatenate([g1[:, None], h1[:, None]], axis=1)
+            return _griewank(y, root_idx), np.concatenate([g1[:, None], h1[:, None]], axis=1)
 
         p, q = 1, 1
         feas_y = np.zeros(dim)

@@ -21,6 +21,13 @@ stepped on that run's vectors alone, which the stacked draws of
 its derivative each computing their own ``exp``, which the one-``exp`` pass
 of ``agent.loss_with_fixed_targets`` must equal in the loss and in every
 gradient.
+``split_accounting`` and ``eps_base_values`` are the batch accounting and
+the ε base straight from the raw constraint values C, split into g and
+|h|, which the accounting over the stored violation terms V must equal.
+``repair_bounds`` is the midpoint bound repair as two passes, the lower
+bound first, which ``lshade.repair_bounds``'s one pass must equal.
+``cec12_rows`` and ``griewank`` are the evaluator formulas written with
+``y * y`` twice and ``sqrt(1..D)`` per call, which the problems must equal.
 """
 
 from __future__ import annotations
@@ -196,3 +203,44 @@ def loss_with_fixed_targets(states: np.ndarray, actions: np.ndarray, ys: np.ndar
     dw1 = dz1.T @ states
     db1 = dz1.sum(axis=0)
     return loss, NetworkParams(dw1, db1, dw2, db2)
+
+
+def split_accounting(C: np.ndarray, n_ineq: int, eps: np.ndarray, delta_acc: float):
+    """Every row's exact violation, relaxed violation and feasibility from
+    C (..., p+q) split into g and |h|, each group summed on its own."""
+    g, h_abs = C[..., :n_ineq], np.abs(C[..., n_ineq:])
+    eps = eps[..., None, :]
+    nu = np.maximum(g, 0.0).sum(-1) + h_abs.sum(-1)
+    nu_eps = (np.where(g > eps[..., :n_ineq], g, 0.0).sum(-1)
+              + np.where(h_abs > eps[..., n_ineq:], h_abs, 0.0).sum(-1))
+    return nu, nu_eps, (g <= delta_acc).all(-1) & (h_abs <= delta_acc).all(-1)
+
+
+def eps_base_values(C: np.ndarray, n_ineq: int) -> np.ndarray:
+    """The unfloored ε base of a stack C (R, N, p+q): each run's mean of
+    max(g, 0) and of |h| over its members."""
+    return np.concatenate([np.maximum(C[..., :n_ineq], 0.0).mean(axis=1),
+                           np.abs(C[..., n_ineq:]).mean(axis=1)], axis=-1)
+
+
+def repair_bounds(t: np.ndarray, x: np.ndarray, lower: np.ndarray,
+                  upper: np.ndarray) -> np.ndarray:
+    """Midpoint bound repair in two passes: below lower -> (x + lower) / 2,
+    then above upper -> (x + upper) / 2."""
+    t = np.where(t < lower, (x + lower) / 2.0, t)
+    return np.where(t > upper, (x + upper) / 2.0, t)
+
+
+def cec12_rows(X: np.ndarray, o: np.ndarray):
+    """cec12's (f, C) of the rows of X at shift o."""
+    y = X - o
+    f = (y * y - 10.0 * np.cos(2.0 * np.pi * y) + 10.0).sum(-1)
+    g1 = 4.0 - np.abs(y).sum(-1)
+    h1 = (y * y).sum(-1) - 4.0
+    return f, np.concatenate([g1[:, None], h1[:, None]], axis=1)
+
+
+def griewank(y: np.ndarray) -> np.ndarray:
+    """Griewank's function of the rows of y."""
+    idx = np.arange(1, y.shape[-1] + 1, dtype=float)
+    return (y * y).sum(-1) / 4000.0 - np.cos(y / np.sqrt(idx)).prod(-1) + 1.0

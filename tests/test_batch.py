@@ -21,10 +21,12 @@ from rlrelax.cop import (
     ConstrainedProblem,
     ProblemDefinitionError,
     eps_compare,
+    epsilon_vector,
     relaxed_violations,
     row_accounting,
+    violation_terms,
 )
-from rlrelax.env import EpsilonControlEnv
+from rlrelax.env import EpsilonBase, EpsilonControlEnv
 from rlrelax.harness import train
 from rlrelax.lshade import (
     H_MEMORY,
@@ -37,10 +39,11 @@ from rlrelax.lshade import (
     generation_step,
     init_population,
     refresh_relaxed,
+    repair_bounds,
     select_survivor,
     update_memory,
 )
-from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry, synthetic_family
+from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry, make_cec12, synthetic_family
 import reference
 from reference import (Evaluation, archive_after_selection, draw_generation_one_run, is_feasible,
                        relaxed_violation, sco, violation)
@@ -103,6 +106,102 @@ class TestBatchedAccounting:
         assert row_accounting(np.array([[1e-3, -1e-3]]), 1, delta_acc=1e-3)[2].tolist() == [True]
 
 
+@st.composite
+def constraint_stacks(draw):
+    """(C, n_ineq, eps, delta_acc): R runs of up to 140 members with p, q in
+    0..4, magnitudes from 1e-3 to 1e16 so that the order of a row's sum
+    shows, and entries at +-eps, +-delta_acc, 0.0 or -0.0."""
+    runs, n = draw(st.integers(1, 3)), draw(st.integers(1, 140))
+    p, q = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta_acc = draw(st.sampled_from([1e-3, 0.25, 2.0]))
+    eps = rng.choice([0.0, 1e-3, 0.5, 3.0], size=(runs, p + q))
+    C = rng.normal(size=(runs, n, p + q)) * 10.0 ** rng.integers(-3, 17, size=(runs, n, p + q))
+    special = np.stack(np.broadcast_arrays(eps[:, None], -eps[:, None], delta_acc, -delta_acc,
+                                           0.0, -0.0, C))
+    # each of the six special values with chance 1/12, the random entry else
+    C = np.take_along_axis(special, rng.integers(0, 12, size=(1, *C.shape)).clip(max=6), 0)[0]
+    return C, p, eps, delta_acc
+
+
+class TestViolationTerms:
+    """The accounting over the stored terms V = [max(g, 0) | |h|] against
+    the same accounting straight from C."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(constraint_stacks())
+    def test_accounting_of_the_terms_equals_the_split_of_c(self, case):
+        C, p, eps, delta_acc = case
+        nu, nu_eps, ok = reference.split_accounting(C, p, eps, delta_acc)
+        pop = Population.evaluated(np.zeros((*C.shape[:2], 1)), np.zeros(C.shape[:2]), C, p,
+                                   delta_acc, eps)
+        assert same_bits(pop.V, violation_terms(C, p))
+        for got in ((pop.nu, pop.nu_eps, pop.feasible), row_accounting(C, p, eps, delta_acc)):
+            assert all(map(same_bits, got, (nu, nu_eps, ok)))
+        assert same_bits(relaxed_violations(C, p, eps), nu_eps)
+        pop.nu_eps = None
+        refresh_relaxed(pop, eps)
+        assert same_bits(pop.nu_eps, nu_eps)
+        base = EpsilonBase.from_population(pop)
+        assert same_bits(base.values, np.maximum(reference.eps_base_values(C, p), base.delta))
+
+    def test_inequality_and_equality_terms_sum_apart(self):
+        # summed along the row, each 1.0 rounds away: 1e16 + 1 + 1 == 1e16
+        C = np.array([[1e16, 1.0, -1.0]])
+        assert violation_terms(C, 1).sum(-1)[0] == 1e16
+        split = 1.0000000000000002e16
+        nu, nu_eps, _ = row_accounting(C, 1, epsilon_vector(np.zeros(3)))
+        assert nu[0] == nu_eps[0] == split
+        pop = Population.evaluated(np.zeros((1, 1, 1)), np.zeros(1), C, 1)
+        refresh_relaxed(pop, np.zeros(3))
+        assert pop.nu[0, 0] == pop.nu_eps[0, 0] == split
+
+
+@st.composite
+def repair_cases(draw):
+    """(t, x, lower, upper): R = 1..4 runs of trials t and in-box parents x,
+    per-coordinate bounds (some at 0.0 or -0.0), parents on a bound or
+    inside, and trials on a bound, one ulp outside one, far outside, inside,
+    at 0.0 or at -0.0."""
+    runs, n, d = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(-100.0, 100.0), (0.0, 1.0), (-0.0, 2.5), (-1.0, 0.0), (-1.0, -0.0),
+             (2.5, np.nextafter(2.5, np.inf)), (-1e300, 1e300)]
+    lower, upper = np.array([pairs[i] for i in rng.integers(len(pairs), size=d)]).T
+    free = rng.uniform(-1e3, 1e3, size=d)
+    own = rng.random(d) < 0.3  # some coordinates get random bounds
+    lower = np.where(own, free, lower)
+    upper = np.where(own, free + rng.uniform(1e-9, 50.0, size=d), upper)
+    inside = np.minimum(np.maximum(lower + rng.random((runs, n, d)) * (upper - lower), lower),
+                        upper)
+    x = np.stack(np.broadcast_arrays(inside, lower, upper))
+    x = np.take_along_axis(x, rng.integers(3, size=(1, runs, n, d)), 0)[0]
+    t = np.stack(np.broadcast_arrays(
+        inside[::-1], lower, upper, np.nextafter(lower, -np.inf), np.nextafter(upper, np.inf),
+        lower - rng.uniform(0.0, 1e3, size=d), upper + rng.uniform(0.0, 1e3, size=d), 0.0, -0.0))
+    t = np.take_along_axis(t, rng.integers(len(t), size=(1, runs, n, d)), 0)[0]
+    return t, x, lower, upper
+
+
+class TestRepairBounds:
+    @settings(max_examples=300, deadline=None)
+    @given(repair_cases())
+    def test_one_pass_equals_the_two_pass_oracle(self, case):
+        t, x, lower, upper = case
+        repaired = repair_bounds(t, x, lower, upper)
+        assert same_bits(repaired, reference.repair_bounds(t, x, lower, upper))
+        assert ((repaired >= lower) & (repaired <= upper)).all()
+
+    def test_signed_zeros_and_one_ulp_outside(self):
+        below = np.nextafter(0.0, -1.0)
+        t = np.array([[[-0.0, 0.0, below, 0.0]]])
+        x = np.array([[[0.5, -0.5, 0.5, -0.5]]])
+        lower, upper = np.array([0.0, -1.0, 0.0, -1.0]), np.array([1.0, -0.0, 1.0, -0.0])
+        repaired = repair_bounds(t, x, lower, upper)
+        assert same_bits(repaired, np.array([[[-0.0, 0.0, 0.25, 0.0]]]))
+        assert same_bits(repaired, reference.repair_bounds(t, x, lower, upper))
+
+
 class TestRowInvariants:
     """The invariants the paper relies on, on the shipped row functions."""
 
@@ -158,7 +257,7 @@ class TestRanking:
     def test_lexsort_equals_stable_sort_under_eps_compare(self, pairs):
         f, nu = (np.array(col) for col in zip(*pairs))
         n = len(pairs)
-        pop = Population(x=np.zeros((n, 1)), f=f, C=np.zeros((n, 0)), nu=nu, nu_eps=nu,
+        pop = Population(x=np.zeros((n, 1)), f=f, V=np.zeros((n, 0)), nu=nu, nu_eps=nu,
                          feasible=np.ones(n, bool), n_ineq=0)
         expected = sorted(range(n), key=functools.cmp_to_key(
             lambda i, j: eps_compare((f[i], nu[i]), (f[j], nu[j]))))
@@ -221,15 +320,30 @@ class TestEvaluateBatch:
         budget = BudgetCounter(30)
         stats = RunStats(budget, 6)
         pop = init_population(prob, [np.random.default_rng(0)], stats)
-        before = (pop.x.copy(), pop.f.copy(), pop.C.copy())
+        before = (pop.x.copy(), pop.f.copy(), pop.V.copy())
         snapshot = (budget.fes, stats.f_gbest, stats.f_max, stats.best_sco, len(pop.archive[0]))
         with pytest.raises(ProblemDefinitionError, match=message):
             generation_step(pop, prob, np.zeros(2), [np.random.default_rng(1)], stats)
         assert len(calls) == 12  # the batch is checked after its last call
-        for a, b in zip(before, (pop.x, pop.f, pop.C)):
+        for a, b in zip(before, (pop.x, pop.f, pop.V)):
             assert np.array_equal(a, b)
         assert (budget.fes, stats.f_gbest, stats.f_max, stats.best_sco,
                 len(pop.archive[0])) == snapshot
+
+    @pytest.mark.parametrize("in_f, k", [(False, 2), (False, 4), (True, 4)])
+    def test_only_bad_value_in_the_last_column_or_row_is_named(self, in_f, k):
+        def evaluator(X):
+            f, C = X.sum(-1), X.copy()
+            if in_f:
+                f[k] = np.nan
+            else:
+                C[k, -1] = np.inf
+            return f, C
+
+        problem = ConstrainedProblem(name="last", dim=2, lower=np.full(2, -5.0),
+                                     upper=np.full(2, 5.0), n_ineq=1, n_eq=1, evaluator=evaluator)
+        with pytest.raises(ProblemDefinitionError, match=rf"last: row {k}: non-finite"):
+            problem.evaluate_batch(np.arange(10.0).reshape(5, 2) / 10.0)
 
 
 class TestEpisodeSteps:
@@ -296,6 +410,18 @@ class TestBatchEvaluators:
             assert same_bits(f_i, f[i:i + 1]) and same_bits(C_i, C[i:i + 1])
             f_1, c_1 = problem.evaluate(x)
             assert same_bits(np.float64(f_1), f[i]) and same_bits(c_1, C[i])
+
+    @pytest.mark.parametrize("n", [1, 4, 100])
+    @pytest.mark.parametrize("dim", [10, 50])
+    def test_cec12_and_griewank_plane_equal_their_reference_formulas(self, dim, n):
+        rng = np.random.default_rng(dim + n)
+        o = rng.uniform(-50.0, 50.0, size=dim)
+        X = rng.uniform(-100.0, 100.0, size=(n, dim))
+        f, C = make_cec12(dim, o).evaluator(X)
+        f_ref, C_ref = reference.cec12_rows(X, o)
+        assert same_bits(f, f_ref) and same_bits(C, C_ref)
+        f, _ = synthetic_family("griewank-plane", 3, dim, shift=o).evaluator(X)
+        assert same_bits(f, reference.griewank(X - o))
 
     def test_rosenbrock_cubic_cubes_each_value_as_a_scalar(self):
         # an array ** 3 rounds about 3% of these cubes differently from pow()

@@ -133,6 +133,12 @@ class TestFeasibilityAndSco:
     def test_within_accuracy(self):
         assert feasible(g=[5e-4], h=[9e-4], delta_acc=1e-3)
 
+    @pytest.mark.parametrize("delta_acc", [0.0, -1e-3, np.nan])
+    def test_delta_acc_not_positive_rejected(self, delta_acc):
+        # a NaN accuracy would read every row as infeasible
+        with pytest.raises(ValueError, match="delta_acc must be positive"):
+            row_accounting(row(g=[-1.0]), 1, delta_acc=delta_acc)
+
     def test_exceeds_accuracy(self):
         assert not feasible(g=[2e-3], delta_acc=1e-3)
 
@@ -167,6 +173,14 @@ class TestBudgetCounter:
         for _ in range(5):
             b.spend()
             assert b.fes <= b.maxfes
+
+    @pytest.mark.parametrize("k", [-3, np.nan])
+    def test_negative_spend_rejected(self, k):
+        # spending -3 would refund: fes -3 and 13 remaining of 10
+        b = BudgetCounter(10)
+        with pytest.raises(ValueError, match="must be >= 0"):
+            b.spend(k)
+        assert (b.fes, b.remaining) == (0, 10)
 
 
 class TestProblemWrapper:

@@ -92,6 +92,12 @@ class TestEpsilonMapping:
         assert np.all(base.values >= 1e-3)
         assert base.values[2] == 5.0
 
+    @pytest.mark.parametrize("delta", [0.0, -1e-3, np.nan])
+    def test_delta_not_positive_rejected(self, delta):
+        # a NaN delta would floor every base value to NaN
+        with pytest.raises(ValueError, match="delta must be positive"):
+            EpsilonBase(values=np.array([1.0, 2.0]), delta=delta)
+
     def test_level_out_of_range(self):
         base = EpsilonBase(values=np.array([1.0]))
         with pytest.raises(ValueError):
@@ -211,7 +217,8 @@ class TestEnvEpisode:
     def test_eps_base_from_initial_violations(self):
         env = make_env()
         env.reset()
-        p, (C,) = env.problem.n_ineq, env.pop.C
+        p, (x,) = env.problem.n_ineq, env.pop.x
+        _, C = env.problem.evaluate_batch(x)  # the initial members' raw constraint values
         g = np.maximum(C[:, :p], 0.0)
         h = np.abs(C[:, p:])
         expect = np.maximum(np.concatenate([g.mean(0), h.mean(0)]), 1e-3)

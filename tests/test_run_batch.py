@@ -104,7 +104,7 @@ def stacked_populations(draw):
 def run_slice(pop, stats, r):
     """Run r of a stacked population and its record, as a one-run stack."""
     one = Population(**{name: getattr(pop, name)[r:r + 1] for name in
-                        ("x", "f", "C", "nu", "nu_eps", "feasible")}, n_ineq=pop.n_ineq)
+                        ("x", "f", "V", "nu", "nu_eps", "feasible")}, n_ineq=pop.n_ineq)
     fields = ("f_gbest", "f_max", "best_sco", "f_pbest_0", "nu_top5_0", "nu_top5", "prev_action")
     return one, RunStats(stats.budget, stats.n_init,
                          **{name: np.asarray(getattr(stats, name))[r:r + 1] for name in fields
@@ -142,8 +142,7 @@ class TestStackedReductions:
     def test_eps_base_is_each_runs_own(self, case):
         pop, p = case[0], case[0].n_ineq
         base = EpsilonBase.from_population(pop)
-        assert base.values.shape == (pop.f.shape[0], pop.C.shape[-1])
-        for r, C in enumerate(pop.C):  # one run's (N, p+q) alone
-            own = np.concatenate([np.maximum(C[:, :p], 0.0).mean(axis=0),
-                                  np.abs(C[:, p:]).mean(axis=0)])
+        assert base.values.shape == (pop.f.shape[0], pop.V.shape[-1])
+        for r, V in enumerate(pop.V):  # one run's (N, p+q) alone
+            own = np.concatenate([V[:, :p].mean(axis=0), V[:, p:].mean(axis=0)])
             assert base.values[r].tobytes() == np.maximum(own, base.delta).tobytes()

@@ -20,7 +20,7 @@ state = env.reset()[0]  # one run: the first row of the (runs, 10) observation
 print("feature".ljust(20), "reset ", sep="")
 history = [state]
 while not env.terminal:
-    env.step(7)  # a fixed mid-high relaxation level; returns one info dict per run
+    env.step(7)  # a fixed mid-high relaxation level; returns the step record, a row per run
     history.append(env.state[0])
 
 for i, name in enumerate(NAMES):

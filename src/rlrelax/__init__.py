@@ -8,8 +8,8 @@ double-estimator Q-network, and a reproducible experiment harness.
 """
 
 from .cop import BudgetCounter, ConstrainedProblem, eps_compare
-from .env import (ActionSpace, EpsilonBase, EpsilonControlEnv, compute_reward,
-                  epsilon_from_action, epsilon_linear_step, reward_components)
+from .env import (STEP_COLUMNS, ActionSpace, EpsilonBase, EpsilonControlEnv,
+                  epsilon_from_action, epsilon_linear_step, rewards)
 from .features import extract_state, mask_constraint_features, top5_violation_mean
 from .problems import ProblemRegistry, synthetic_family
 from .agent import (NetworkParams, ReplayBuffer, Transition, forward, load_checkpoint,
@@ -19,6 +19,7 @@ from .config import ExperimentConfig, load_config
 __version__ = "0.1.0"
 
 __all__ = [
+    "STEP_COLUMNS",
     "ActionSpace",
     "BudgetCounter",
     "ConstrainedProblem",
@@ -29,7 +30,6 @@ __all__ = [
     "ProblemRegistry",
     "ReplayBuffer",
     "Transition",
-    "compute_reward",
     "eps_compare",
     "epsilon_from_action",
     "epsilon_linear_step",
@@ -38,7 +38,7 @@ __all__ = [
     "load_checkpoint",
     "load_config",
     "mask_constraint_features",
-    "reward_components",
+    "rewards",
     "save_checkpoint",
     "synthetic_family",
     "top5_violation_mean",

@@ -17,6 +17,7 @@ smaller objective second.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -25,7 +26,7 @@ DELTA_ACC_DEFAULT = 1e-3  # feasibility accuracy: every g and every |h| at most 
 
 
 class ProblemDefinitionError(ValueError):
-    """A problem evaluator returned malformed output (wrong arity, NaN, inf)."""
+    """An evaluator's malformed output (wrong arity, NaN, inf), or a batch of the wrong width."""
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -82,11 +83,14 @@ class ConstrainedProblem:
 
         Returns ``(f, C)``, one entry of f and one row of C per row of X;
         C holds the n_ineq inequality values, then the n_eq equality
-        values.  Output of the wrong shape raises ProblemDefinitionError
-        naming both shapes, a non-finite value one naming its first row.
-        The optimizer charges its BudgetCounter for the rows it evaluates.
+        values.  A batch that is not (n, dim), and output of the wrong shape,
+        raise ProblemDefinitionError naming both shapes, a non-finite value
+        one naming its first row.  The optimizer charges its BudgetCounter
+        for the rows it evaluates.
         """
         X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ProblemDefinitionError(f"{self.name}: batch shape {X.shape} for dim {self.dim}")
         n = X.shape[0]
         f, C = (np.asarray(a, dtype=float) for a in self.evaluator(X))
         if f.shape != (n,) or C.shape != (n, self.n_constraints):
@@ -105,8 +109,8 @@ class BudgetCounter:
     unit, which the optimizer spends for each batch it evaluates."""
 
     def __init__(self, maxfes: int):
-        if maxfes < 0:
-            raise ValueError("maxfes must be non-negative")
+        if not isinstance(maxfes, Integral) or maxfes < 0:  # numpy integers too
+            raise ValueError(f"maxfes must be a non-negative integer, got {maxfes!r}")
         self.maxfes = int(maxfes)
         self.fes = 0
 
@@ -121,9 +125,11 @@ class BudgetCounter:
     def spend(self, k: int = 1) -> None:
         if not k >= 0:  # NaN too: it would leave the budget never exhausted
             raise ValueError(f"cannot spend {k} evaluations: the count must be >= 0")
+        if not isinstance(k, Integral):  # a float too, even 3.0
+            raise ValueError(f"cannot spend {k!r} evaluations: the count must be an integer")
         if k > self.remaining:
             raise BudgetExhaustedError(f"budget of {self.maxfes} evaluations exhausted")
-        self.fes += k
+        self.fes += int(k)
 
 
 def epsilon_vector(values, m: int | None = None) -> np.ndarray:

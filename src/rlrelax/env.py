@@ -34,6 +34,10 @@ REWARD_VARIANTS = (REWARD_FULL, "r1", "r2", "r1r2")
 
 DELTA_DEFAULT = 1e-3
 
+# the step record's columns, one float row per run: step and fes come first and
+# are counts, exact integers below 2**53; sco is the run's best score so far
+STEP_COLUMNS = ("step", "fes", "level", "eps_min", "eps_mean", "eps_max", "reward", "sco")
+
 
 @dataclass(frozen=True)
 class ActionSpace:
@@ -134,47 +138,36 @@ def epsilon_linear_step(prev_eps: np.ndarray, level, base: EpsilonBase) -> np.nd
     return (np.asarray(prev_eps, dtype=float) * (1.0 - level)).clip(0.0, base.values)
 
 
-def reward_components(f_gbest_prev: float, f_gbest_now: float, f_gbest_0: float,
-                      f_agentbest: float, nu_prev: float, nu_now: float,
-                      nu_0: float) -> tuple[float, float, float]:
-    """The two progress signals and the violation-progress weight.
+def rewards(f_gbest_prev, f_gbest_now, f_gbest_0, f_agentbest, nu_prev, nu_now, nu_0,
+            variant: str) -> np.ndarray:
+    """Each run's reward from (R,) arrays of its progress values, clamped to [0, 1].
 
     r1 normalizes the objective-best improvement by the gap between the
-    run's starting best and the best ever seen in training; r2 normalizes
-    the top-5 violation improvement by its initial value; gamma is the
-    remaining violation fraction, clipped to [0, 1].
-    """
-    denom = f_gbest_0 - f_agentbest
-    r1 = (f_gbest_prev - f_gbest_now) / denom if denom > 1e-12 else 0.0
-    if nu_0 > 0.0:
-        r2 = (nu_prev - nu_now) / nu_0
-        gamma = float(min(max(nu_now / nu_0, 0.0), 1.0))  # np.clip's bits, -0.0 and NaN too
-    else:
-        r2 = 0.0
-        gamma = 0.0 if nu_now == 0.0 else 1.0
-    r2 = float(min(max(r2, 0.0), 1.0))
-    return float(r1), r2, gamma
-
-
-def compute_reward(r1: float, r2: float, gamma: float, variant: str) -> float:
-    """Blend the progress signals; every variant is clamped to [0, 1].
+    run's starting best and the best ever seen in training, and is 0 where
+    that gap is at most 1e-12; r2 normalizes the top-5 violation improvement
+    by its initial value, clamped to [0, 1]; gamma is the remaining violation
+    fraction, clamped to [0, 1].  With no initial violation r2 is 0 and gamma
+    is 0, or 1 once a violation appears.  The variants:
 
     full:  (r1 * (1 - gamma) + r2) / 2, the violation-progress weight
            shifting credit between the two signals
     r1 / r2: a single signal alone
     r1r2:  plain sum without the dynamic weighting
     """
-    if variant == REWARD_FULL:
-        r = (r1 * (1.0 - gamma) + r2) / 2.0
-    elif variant == "r1":
-        r = r1
-    elif variant == "r2":
-        r = r2
-    elif variant == "r1r2":
-        r = r1 + r2
-    else:
+    if variant not in REWARD_VARIANTS:
         raise ValueError(f"unknown reward variant {variant!r}; choose from {REWARD_VARIANTS}")
-    return float(min(max(r, 0.0), 1.0))
+    # ndarray.clip keeps -0.0 and NaN, as a scalar min(max()) does; np.maximum gives 0.0
+    denom = f_gbest_0 - f_agentbest
+    r1 = np.divide(f_gbest_prev - f_gbest_now, denom, out=np.zeros(denom.shape),
+                   where=denom > 1e-12)
+    has_nu = nu_0 > 0.0
+    r2 = np.divide(nu_prev - nu_now, nu_0, out=np.zeros(nu_0.shape), where=has_nu).clip(0.0, 1.0)
+    if variant == REWARD_FULL:
+        gamma = np.divide(nu_now, nu_0, out=(nu_now != 0.0) * 1.0, where=has_nu).clip(0.0, 1.0)
+        r = (r1 * (1.0 - gamma) + r2) / 2.0
+    else:
+        r = {"r1": r1, "r2": r2, "r1r2": r1 + r2}[variant]
+    return r.clip(0.0, 1.0)
 
 
 class EpsilonControlEnv:
@@ -184,11 +177,12 @@ class EpsilonControlEnv:
     The settings come from ``cfg``, the budget of each run is ``maxfes``.
     Construct, ``reset()`` once, then ``step(actions)`` until ``terminal``
     (True before ``reset()`` and once the shared budget is spent); a step
-    returns one info dict per run.  Baseline schedules drive the same
-    machinery through ``step_with_epsilon``.  ``stats`` is kept by lshade;
-    the env holds only the decision process, per run: ``eps_base`` and
-    ``current_eps`` (R, p+q), ``f_agentbest``, and ``state``, the observation
-    computed on its first read after ``reset()`` or a step; baselines never read it.
+    returns its record (R, len(STEP_COLUMNS)), one row per run.  Baseline
+    schedules drive the same machinery through ``step_with_epsilon``.
+    ``stats`` is kept by lshade; the env holds only the decision process, per
+    run: ``eps_base`` and ``current_eps`` (R, p+q), ``f_agentbest``, and
+    ``state``, the observation computed on its first read after ``reset()``
+    or a step; baselines never read it.
     """
 
     def __init__(self, problem: ConstrainedProblem, rngs: list[np.random.Generator],
@@ -245,7 +239,7 @@ class EpsilonControlEnv:
             return epsilon_from_action(levels, self.eps_base)
         return epsilon_linear_step(self.current_eps, np.reshape(levels, (-1, 1)), self.eps_base)
 
-    def step(self, actions) -> list[dict]:
+    def step(self, actions) -> np.ndarray:
         """Run one generation of each run under its action's level, an index."""
         if self.terminal:  # before reset() there is no eps_base to scale
             raise RuntimeError("episode is terminal; call reset() before stepping")
@@ -253,12 +247,12 @@ class EpsilonControlEnv:
         return self.step_with_epsilon(self.epsilon_for_action(actions),
                                       self.action_space.normalized_level(actions))
 
-    def step_with_epsilon(self, eps: np.ndarray, level) -> list[dict]:
+    def step_with_epsilon(self, eps: np.ndarray, level) -> np.ndarray:
         """Advance every run one generation under its row of ``eps`` (R, p+q);
-        return one info dict per run, its ``reward`` among them.
+        return the step record (R, len(STEP_COLUMNS)), one row per run.
 
         ``level`` is the [0, 1] knob recorded in the s9 feature and the
-        step trace; baseline schedules pass their own notion of it.  A
+        step record; baseline schedules pass their own notion of it.  A
         single vector or level serves every run; a rejected one changes nothing.
         """
         if self.terminal:
@@ -280,16 +274,9 @@ class EpsilonControlEnv:
         stats.prev_action = levels
         self._state = None
 
+        reward = rewards(f_gbest_prev, stats.f_gbest, stats.f_pbest_0, self.f_agentbest,
+                         nu_prev, stats.nu_top5, stats.nu_top5_0, self.cfg.reward_variant)
         eps_stats = ([eps.min(axis=1), np.add.reduce(eps, axis=1) / m, eps.max(axis=1)] if m
                      else [np.zeros(runs)] * 3)
-        per_run = np.array([levels, *eps_stats, stats.best_sco,  # then reward_components' args
-                            f_gbest_prev, stats.f_gbest, stats.f_pbest_0, self.f_agentbest,
-                            nu_prev, stats.nu_top5, stats.nu_top5_0]).T.tolist()
-        infos = []
-        for lv, e_min, e_mean, e_max, sco, *progress in per_run:
-            r1, r2, gamma = reward_components(*progress)
-            reward = compute_reward(r1, r2, gamma, self.cfg.reward_variant)
-            infos.append(dict(step=self.step_index, fes=stats.budget.fes, level=lv,
-                              eps_min=e_min, eps_mean=e_mean, eps_max=e_max, reward=reward,
-                              r1=r1, r2=r2, gamma=gamma, sco=sco))
-        return infos
+        return np.array([[self.step_index] * runs, [stats.budget.fes] * runs,
+                         levels, *eps_stats, reward, stats.best_sco]).T  # STEP_COLUMNS' order

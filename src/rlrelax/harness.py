@@ -14,7 +14,7 @@ import dataclasses
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import agent as qnet
 from .agent import CheckpointMetadata, NetworkParams, ReplayBuffer, Transition
 from .config import ConfigError, ExperimentConfig
-from .env import ActionSpace, EpsilonControlEnv, epsilon_from_action
+from .env import STEP_COLUMNS, ActionSpace, EpsilonControlEnv, epsilon_from_action
 from .lshade import episode_steps
 
 BASELINES = ("static-eps", "scheduled-eps", "feasibility-rule", "untrained-agent")
@@ -34,6 +34,8 @@ ABLATIONS = {"no-state": {"mask_state": True},
              "r1r2": {"reward_variant": "r1r2"}, "no-train": {}}
 
 METHOD_TRAINED = "trained-agent"
+
+_STEP, _FES, _REWARD, _SCO = map(STEP_COLUMNS.index, ("step", "fes", "reward", "sco"))
 
 
 class RunFailedError(RuntimeError):
@@ -51,18 +53,19 @@ def _rng(*parts) -> np.random.Generator:
 
 @dataclass
 class RunRecord:
-    """One optimization run: identity and per-generation trace."""
+    """One optimization run: identity and per-generation trace, one row of
+    ``steps`` per generation in the columns of ``env.STEP_COLUMNS``."""
 
     problem: str
     dim: int
     method: str
     run: int
-    steps: list[dict] = field(default_factory=list)
+    steps: np.ndarray  # (steps, len(STEP_COLUMNS))
 
     @property
     def final_sco(self) -> float:
         """The run's score after its last generation."""
-        return self.steps[-1]["sco"]
+        return float(self.steps[-1, _SCO])
 
 
 @dataclass
@@ -107,8 +110,8 @@ def train(cfg: ExperimentConfig) -> TrainResult:
         state = env.state[0]
         action = qnet.act_eps_greedy(lambda: qnet.forward(state, params), params.b2.size,
                                      qnet.explore_rate(meta_step, total_steps), actor_rng)
-        infos = env.step(action)
-        buffer.push(Transition(state, action, infos[0]["reward"], env.state[0], env.terminal))
+        record = env.step(action)
+        buffer.push(Transition(state, action, record[0, _REWARD], env.state[0], env.terminal))
         if len(buffer) >= cfg.batch_size:
             batch = buffer.sample(cfg.batch_size, actor_rng)
             _, grads = qnet.loss_and_grad(batch, params, target, qnet.DISCOUNT)
@@ -117,18 +120,19 @@ def train(cfg: ExperimentConfig) -> TrainResult:
             if grad_steps % qnet.TARGET_SYNC_PERIOD == 0:
                 qnet.sync_target(params, target)
         meta_step += 1
-        return infos
+        return record
 
     for epoch in range(cfg.epochs):
         lr = qnet.cosine_lr(epoch, cfg)
         for k, (name, dim) in enumerate(instances):
-            env, (steps,) = _run(cfg, name, dim, [(cfg.seed, 105, epoch, k)],
-                                 agentbest.get((name, dim)), learn,
-                                 [f"training on {name} (dim {dim}, epoch {epoch})"])
+            env, steps = _run(cfg, name, dim, [(cfg.seed, 105, epoch, k)],
+                              agentbest.get((name, dim)), learn,
+                              [f"training on {name} (dim {dim}, epoch {epoch})"])
             agentbest[(name, dim)] = float(env.f_agentbest[0])
             episodes.append({
                 "epoch": epoch, "problem": name, "dim": dim, "steps": len(steps),
-                "return": sum((step["reward"] for step in steps), 0.0),
+                # summed in step order: a pairwise np.sum rounds differently
+                "return": sum(steps[:, 0, _REWARD].tolist(), 0.0),
             })
 
     best = min(agentbest.values())
@@ -164,26 +168,25 @@ def _init_params(cfg: ExperimentConfig) -> NetworkParams:
 
 def _run(cfg: ExperimentConfig, name: str, dim: int, keys: list[tuple],
          f_agentbest: float | None, policy,
-         what: list[str]) -> tuple[EpsilonControlEnv, list[list[dict]]]:
+         what: list[str]) -> tuple[EpsilonControlEnv, np.ndarray]:
     """Reset an env on ``name`` at ``dim`` with one run per seed key of ``keys``,
     run r drawing from ``_rng(*keys[r])``, and call ``policy(env)``, a meta-step
-    returning each run's info, until it is terminal; return the env and each
-    run's infos.  On a failure the runs are replayed one at a time from their
-    seed keys, and the first to fail alone is re-raised as RunFailedError
-    naming its ``what[r]``."""
+    returning its step record (R, len(STEP_COLUMNS)), until it is terminal;
+    return the env and the records stacked (steps, R, len(STEP_COLUMNS)).  On
+    a failure the runs are replayed one at a time from their seed keys, and
+    the first to fail alone is re-raised as RunFailedError naming its ``what[r]``."""
     try:
         env = EpsilonControlEnv(cfg.registry.lookup(name, dim), [_rng(*key) for key in keys],
                                 cfg, cfg.maxfes(dim), f_agentbest)
         env.reset()
-        steps = [[] for _ in keys]
+        steps = []
         while not env.terminal:
-            for run_steps, info in zip(steps, policy(env)):
-                run_steps.append(info)
+            steps.append(policy(env))
     except Exception as exc:
         for key, label in zip(keys if len(keys) > 1 else [], what):
             _run(cfg, name, dim, [key], f_agentbest, policy, [label])
         raise RunFailedError(f"{' / '.join(what)} failed: {exc}") from exc
-    return env, steps
+    return env, np.array(steps)
 
 
 def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
@@ -201,8 +204,8 @@ def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
             _, steps = _run(cfg, name, dim, [(cfg.seed, dim, run, name) for run in runs],
                             f_agentbest, policy,
                             [f"{method} on {name} (dim {dim}, run {run})" for run in runs])
-            records += [RunRecord(problem=name, dim=dim, method=method, run=run, steps=run_steps)
-                        for run, run_steps in zip(runs, steps)]
+            records += [RunRecord(problem=name, dim=dim, method=method, run=run,
+                                  steps=steps[:, run]) for run in runs]
     return records
 
 
@@ -356,7 +359,6 @@ def write_jsonl(rows: list[dict], path) -> None:
 
 
 _RECORD_KEYS = ("problem", "dim", "method", "run")  # RunRecord's identity, in field order
-_TRACE_KEYS = ("step", "fes", "level", "eps_min", "eps_mean", "eps_max", "reward", "sco")
 
 # each key's value types and their name in a message; other trace values are numbers
 _KINDS = {**dict.fromkeys(("problem", "method"), ((str,), "a string")),
@@ -365,20 +367,20 @@ _KINDS = {**dict.fromkeys(("problem", "method"), ((str,), "a string")),
 
 
 def write_records_jsonl(records: list[RunRecord], path) -> None:
-    """Per-generation trace lines, one JSON object per meta-step; the file is
-    written once."""
+    """Per-generation trace lines, one JSON object per meta-step, step and fes
+    as ints; the file is written once."""
     lines = []
     for r in records:  # the run's identity once, spliced before each step's "{"
         head = json.dumps({k: getattr(r, k) for k in _RECORD_KEYS})[:-1] + ", "
-        lines.extend(head + json.dumps({k: s[k] for k in _TRACE_KEYS})[1:] + "\n"
-                     for s in r.steps)
+        lines.extend(head + json.dumps(dict(zip(STEP_COLUMNS, (int(step), int(fes), *rest))))[1:]
+                     + "\n" for step, fes, *rest in r.steps.tolist())
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def load_records_jsonl(path) -> list[RunRecord]:
     """Rebuild RunRecords from a trace file written by write_records_jsonl; a line
     that is not such a trace raises ValueError naming its file, line and key."""
-    runs: dict[tuple, RunRecord] = {}
+    runs: dict[tuple, list[list]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -387,17 +389,18 @@ def load_records_jsonl(path) -> list[RunRecord]:
                 raise ValueError(f"{path} line {lineno}: {exc}") from None
             if not isinstance(row, dict):
                 raise ValueError(f"{path} line {lineno}: not a JSON object")
-            for k in (*_RECORD_KEYS, *_TRACE_KEYS):  # type() is exact, so a bool is no int
+            for k in (*_RECORD_KEYS, *STEP_COLUMNS):  # type() is exact, so a bool is no int
                 if k not in row:
                     raise ValueError(f"{path} line {lineno}: missing key {k!r}")
                 types, name = _KINDS.get(k, ((int, float), "a number"))
                 if type(row[k]) not in types or (k == "sco" and not math.isfinite(row[k])):
                     raise ValueError(f"{path} line {lineno}: {k} must be {name}, got {row[k]!r}")
-            key = tuple(row[k] for k in _RECORD_KEYS)
-            if key not in runs:
-                runs[key] = RunRecord(*key)
-            runs[key].steps.append(row)
-    return list(runs.values())
+                if type(row[k]) is int and k in STEP_COLUMNS and not abs(row[k]) < 2**53:
+                    raise ValueError(f"{path} line {lineno}: {k} must be below 2**53 in "
+                                     f"magnitude, the float record's exact range, got {row[k]!r}")
+            runs.setdefault(tuple(row[k] for k in _RECORD_KEYS), []).append(
+                [row[k] for k in STEP_COLUMNS])
+    return [RunRecord(*key, np.array(steps, dtype=float)) for key, steps in runs.items()]
 
 
 def export_curves(records: list[RunRecord], out_dir, stem: str = "curves") -> Path:
@@ -415,7 +418,7 @@ def export_curves(records: list[RunRecord], out_dir, stem: str = "curves") -> Pa
 
     pooled: dict[tuple, list[float]] = {}
     for r in records:
-        pooled.setdefault((r.problem, r.dim), []).extend(s["sco"] for s in r.steps)
+        pooled.setdefault((r.problem, r.dim), []).extend(r.steps[:, _SCO].tolist())
     bounds = {key: (min(scores), max(scores)) for key, scores in pooled.items()}
 
     series: dict[tuple, dict[int, list[float]]] = {}
@@ -423,11 +426,11 @@ def export_curves(records: list[RunRecord], out_dir, stem: str = "curves") -> Pa
     for r in records:
         lo, hi = bounds[(r.problem, r.dim)]
         span = hi - lo
-        for s in r.steps:
-            norm = (s["sco"] - lo) / span if span > 0 else 0.0
+        for step, fes, sco in r.steps[:, [_STEP, _FES, _SCO]].tolist():
+            norm = (sco - lo) / span if span > 0 else 0.0
             key = (r.problem, r.dim, r.method)
-            series.setdefault(key, {}).setdefault(s["step"], []).append(norm)
-            fes_of[(r.problem, r.dim, s["step"])] = s["fes"]
+            series.setdefault(key, {}).setdefault(int(step), []).append(norm)
+            fes_of[(r.problem, r.dim, int(step))] = int(fes)
 
     lines = ["problem,dim,method,step,fes,norm_sco"]
     for (problem, dim, method) in sorted(series):

@@ -28,6 +28,9 @@ the ε base straight from the raw constraint values C, split into g and
 bound first, which ``lshade.repair_bounds``'s one pass must equal.
 ``cec12_rows`` and ``griewank`` are the evaluator formulas written with
 ``y * y`` twice and ``sqrt(1..D)`` per call, which the problems must equal.
+``reward_components`` and ``compute_reward`` are one run's reward in Python
+floats, r1, r2 and gamma first, which ``env.rewards`` over the (R,) arrays
+of all runs must equal run by run.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import numpy as np
 
 from rlrelax.agent import SELU_ALPHA, SELU_LAMBDA, NetworkParams, selu, sigmoid
 from rlrelax.cop import ProblemDefinitionError, epsilon_vector
+from rlrelax.env import REWARD_FULL, REWARD_VARIANTS
 from rlrelax.lshade import P_BEST_RATE, Draws, SuccessHistory
 
 
@@ -244,3 +248,46 @@ def griewank(y: np.ndarray) -> np.ndarray:
     """Griewank's function of the rows of y."""
     idx = np.arange(1, y.shape[-1] + 1, dtype=float)
     return (y * y).sum(-1) / 4000.0 - np.cos(y / np.sqrt(idx)).prod(-1) + 1.0
+
+
+def reward_components(f_gbest_prev: float, f_gbest_now: float, f_gbest_0: float,
+                      f_agentbest: float, nu_prev: float, nu_now: float,
+                      nu_0: float) -> tuple[float, float, float]:
+    """The two progress signals and the violation-progress weight.
+
+    r1 normalizes the objective-best improvement by the gap between the
+    run's starting best and the best ever seen in training; r2 normalizes
+    the top-5 violation improvement by its initial value; gamma is the
+    remaining violation fraction, clipped to [0, 1].
+    """
+    denom = f_gbest_0 - f_agentbest
+    r1 = (f_gbest_prev - f_gbest_now) / denom if denom > 1e-12 else 0.0
+    if nu_0 > 0.0:
+        r2 = (nu_prev - nu_now) / nu_0
+        gamma = float(min(max(nu_now / nu_0, 0.0), 1.0))  # np.clip's bits, -0.0 and NaN too
+    else:
+        r2 = 0.0
+        gamma = 0.0 if nu_now == 0.0 else 1.0
+    r2 = float(min(max(r2, 0.0), 1.0))
+    return float(r1), r2, gamma
+
+
+def compute_reward(r1: float, r2: float, gamma: float, variant: str) -> float:
+    """Blend the progress signals; every variant is clamped to [0, 1].
+
+    full:  (r1 * (1 - gamma) + r2) / 2, the violation-progress weight
+           shifting credit between the two signals
+    r1 / r2: a single signal alone
+    r1r2:  plain sum without the dynamic weighting
+    """
+    if variant == REWARD_FULL:
+        r = (r1 * (1.0 - gamma) + r2) / 2.0
+    elif variant == "r1":
+        r = r1
+    elif variant == "r2":
+        r = r2
+    elif variant == "r1r2":
+        r = r1 + r2
+    else:
+        raise ValueError(f"unknown reward variant {variant!r}; choose from {REWARD_VARIANTS}")
+    return float(min(max(r, 0.0), 1.0))

@@ -24,13 +24,7 @@ from rlrelax.agent import (
 from rlrelax.cli import EXIT_OK, main
 from rlrelax.config import ExperimentConfig
 from rlrelax.cop import BudgetCounter, eps_compare, relaxed_violations, row_accounting
-from rlrelax.env import (
-    EpsilonBase,
-    EpsilonControlEnv,
-    compute_reward,
-    epsilon_from_action,
-    reward_components,
-)
+from rlrelax.env import STEP_COLUMNS, EpsilonBase, EpsilonControlEnv, epsilon_from_action, rewards
 from rlrelax.harness import aggregate_table, evaluate, run_baseline, train
 from rlrelax.lshade import RunStats, generation_step, init_population
 from rlrelax.problems import SYNTHETIC_KINDS, synthetic_family
@@ -130,11 +124,10 @@ def test_criterion_2_comparison_rule_oracle():
 
 def test_criterion_3_reward_bounds_and_worked_example():
     t0 = time.time()
-    r1, r2, gamma = reward_components(
-        f_gbest_prev=3.0, f_gbest_now=3.0, f_gbest_0=3.0, f_agentbest=3.0,
-        nu_prev=10.0, nu_now=5.0, nu_0=10.0,
-    )
-    worked = abs(compute_reward(r1, r2, gamma, "full") - 0.25) < 1e-12
+    progress = dict(f_gbest_prev=3.0, f_gbest_now=3.0, f_gbest_0=3.0, f_agentbest=3.0,
+                    nu_prev=10.0, nu_now=5.0, nu_0=10.0)
+    (reward,) = rewards(**{k: np.array([v]) for k, v in progress.items()}, variant="full")
+    worked = abs(reward - 0.25) < 1e-12
     assert worked
 
     rng = np.random.default_rng(77)
@@ -146,8 +139,8 @@ def test_criterion_3_reward_bounds_and_worked_example():
                                 ExperimentConfig(pop_size=50), 250)
         env.reset()
         while not env.terminal:
-            (info,) = env.step(int(rng.integers(11)))
-            bounded &= 0.0 <= info["reward"] <= 1.0
+            (reward,) = env.step(int(rng.integers(11)))[:, STEP_COLUMNS.index("reward")]
+            bounded &= 0.0 <= reward <= 1.0
     elapsed = time.time() - t0
     report(3, worked and bounded, "rewards bounded in [0,1]; worked example exact", elapsed)
     assert bounded

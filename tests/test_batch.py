@@ -296,6 +296,21 @@ class TestEvaluateBatch:
         assert np.array_equal(np.array(calls), X)
         assert np.array_equal(C, X)
 
+    @pytest.mark.parametrize("make, X, message", [
+        (lambda calls: ProblemRegistry().lookup("synthetic/sphere-linear/0", 10), np.zeros((3, 5)),
+         r"synthetic/sphere-linear/0: batch shape \(3, 5\) for dim 10"),
+        (counting_problem, np.zeros((4, 3)),
+         r"counting: batch shape \(4, 3\) for dim 2"),
+        (counting_problem, np.zeros(2), r"counting: batch shape \(2,\) for dim 2"),
+        (counting_problem, np.zeros((1, 1, 2)), r"counting: batch shape \(1, 1, 2\)"),
+    ])
+    def test_batch_not_n_by_dim_rejected_before_the_evaluator(self, make, X, message):
+        calls = []
+        problem = make(calls)
+        with pytest.raises(ProblemDefinitionError, match=message):
+            problem.evaluate_batch(X)
+        assert calls == []  # the counting evaluator was never called
+
     def test_one_row_evaluate_matches_batch(self):
         prob = counting_problem([])
         f_1, c_1 = prob.evaluate(np.array([1.0, -2.0]))

@@ -333,6 +333,10 @@ class TestVerbs:
         ({"sco": float("inf")}, "sco must be a finite number, got inf"),
         ({"dim": True}, "dim must be an int, got True"),
         ({"fes": 40.0}, "fes must be an int, got 40.0"),
+        # the step record is float: an int it cannot hold exactly is refused
+        ({"fes": 2**53}, "fes must be below 2**53 in magnitude, the float record's exact "
+                         "range, got 9007199254740992"),
+        ({"level": -10**400}, "level must be below 2**53 in magnitude"),
         ({"level": None}, "level must be a number, got None"),
         ({"problem": ["a"]}, "problem must be a string, got ['a']"),
     ])

@@ -183,6 +183,24 @@ class TestBudgetCounter:
         assert (b.fes, b.remaining) == (0, 10)
 
 
+    def test_non_integral_maxfes_rejected(self):
+        with pytest.raises(ValueError, match="maxfes must be a non-negative integer, got 2.7"):
+            BudgetCounter(2.7)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0])
+    def test_non_integral_spend_rejected(self, k):
+        b = BudgetCounter(10)
+        with pytest.raises(ValueError, match=f"cannot spend {k} evaluations: .* an integer"):
+            b.spend(k)
+        assert (b.fes, b.remaining) == (0, 10)
+
+    def test_numpy_integers_counted_as_ints(self):
+        b = BudgetCounter(np.int64(10))
+        b.spend(np.int64(3))
+        assert (b.fes, b.remaining) == (3, 7)
+        assert type(b.fes) is int and type(b.maxfes) is int
+
+
 class TestProblemWrapper:
     def _problem(self, evaluator, p=1, q=0):
         return ConstrainedProblem(

@@ -1,4 +1,9 @@
+import itertools
+import math
 import pickle
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,16 +16,18 @@ from rlrelax.cop import ConstrainedProblem
 from rlrelax.env import (
     REWARD_VARIANTS,
     SCHEMES,
+    STEP_COLUMNS,
     ActionSpace,
     EpsilonBase,
     EpsilonControlEnv,
-    compute_reward,
     epsilon_from_action,
     epsilon_linear_step,
-    reward_components,
+    rewards,
 )
 from rlrelax.lshade import N_MIN, episode_steps
 from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry, synthetic_family
+
+from reference import compute_reward, reward_components
 
 
 class TestActionSpace:
@@ -132,46 +139,124 @@ class TestLinearVariant:
         assert epsilon_linear_step(np.array([4.0]), 1000.0, base)[0] == 0.0
 
 
+def reward_of(*progress, variant="full") -> float:
+    """env.rewards of one run with these progress values, as a float."""
+    return float(rewards(*(np.array([v], dtype=float) for v in progress), variant)[0])
+
+
+def step_rows(record: np.ndarray) -> list[dict]:
+    """A step record's rows as dicts keyed by STEP_COLUMNS, one per run."""
+    return [dict(zip(STEP_COLUMNS, row)) for row in record.tolist()]
+
+
 class TestReward:
+    """The array reward on worked examples; r1, r2 and gamma come from the
+    scalar oracle in tests/reference.py, which the array reward equals bit
+    for bit (TestRewardOracle)."""
+
     def test_violation_progress_only(self):
         # no objective gain; top-5 violation halves
-        r1, r2, gamma = reward_components(
-            f_gbest_prev=3.0, f_gbest_now=3.0, f_gbest_0=3.0, f_agentbest=3.0,
-            nu_prev=10.0, nu_now=5.0, nu_0=10.0,
-        )
+        progress = dict(f_gbest_prev=3.0, f_gbest_now=3.0, f_gbest_0=3.0, f_agentbest=3.0,
+                        nu_prev=10.0, nu_now=5.0, nu_0=10.0)
+        r1, r2, gamma = reward_components(**progress)
         assert r1 == 0.0 and r2 == pytest.approx(0.5) and gamma == pytest.approx(0.5)
-        assert compute_reward(r1, r2, gamma, "full") == pytest.approx(0.25, abs=1e-12)
+        assert reward_of(*progress.values()) == pytest.approx(0.25, abs=1e-12)
 
     def test_nothing_improves(self):
-        r1, r2, gamma = reward_components(5.0, 5.0, 5.0, 5.0, 10.0, 10.0, 10.0)
-        assert compute_reward(r1, r2, gamma, "full") == 0.0
+        assert reward_of(5.0, 5.0, 5.0, 5.0, 10.0, 10.0, 10.0) == 0.0
 
     def test_objective_gain_suppressed_without_violation_progress(self):
         r1, r2, gamma = reward_components(10.0, 5.0, 10.0, 5.0, 10.0, 10.0, 10.0)
         assert r1 == pytest.approx(1.0) and gamma == 1.0
-        assert compute_reward(r1, r2, gamma, "full") == pytest.approx(0.0, abs=1e-12)
+        assert reward_of(10.0, 5.0, 10.0, 5.0, 10.0, 10.0, 10.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_denominator_zeroes_objective_signal(self):
         r1, _, _ = reward_components(5.0, 5.0, 5.0, 5.0, 1.0, 1.0, 1.0)
         assert r1 == 0.0
+        assert reward_of(5.0, 4.0, 5.0, 5.0, 1.0, 1.0, 1.0, variant="r1") == 0.0
 
     def test_zero_initial_violation(self):
         r1, r2, gamma = reward_components(5.0, 4.0, 5.0, 3.0, 0.0, 0.0, 0.0)
         assert r2 == 0.0 and gamma == 0.0
         _, r2b, gammab = reward_components(5.0, 4.0, 5.0, 3.0, 0.0, 0.5, 0.0)
         assert gammab == 1.0  # violations appeared where none existed
+        assert reward_of(5.0, 4.0, 5.0, 3.0, 0.0, 0.0, 0.0) == pytest.approx(0.25)
+        assert reward_of(5.0, 4.0, 5.0, 3.0, 0.0, 0.5, 0.0) == 0.0
 
     def test_violation_regression_clamped(self):
         _, r2, gamma = reward_components(5.0, 5.0, 5.0, 5.0, 5.0, 20.0, 10.0)
         assert r2 == 0.0 and gamma == 1.0
+        assert reward_of(5.0, 5.0, 5.0, 5.0, 5.0, 20.0, 10.0, variant="r2") == 0.0
 
     def test_variants(self):
-        assert compute_reward(0.0, 0.5, 0.5, "r1") == 0.0
-        assert compute_reward(0.0, 0.5, 0.5, "r2") == 0.5
-        assert compute_reward(0.0, 0.5, 0.5, "r1r2") == pytest.approx(0.5)
-        assert compute_reward(0.8, 0.9, 0.0, "r1r2") == 1.0  # clamped sum
+        # r1 = 0, r2 = 0.5, gamma = 0.5
+        halved = (3.0, 3.0, 3.0, 3.0, 10.0, 5.0, 10.0)
+        assert reward_of(*halved, variant="r1") == 0.0
+        assert reward_of(*halved, variant="r2") == 0.5
+        assert reward_of(*halved, variant="r1r2") == pytest.approx(0.5)
+        # r1 = 0.8, r2 = 0.9: the sum is clamped
+        assert reward_of(10.0, 2.0, 10.0, 0.0, 10.0, 1.0, 10.0, variant="r1r2") == 1.0
+        with pytest.raises(ValueError):
+            reward_of(*halved, variant="r3")
         with pytest.raises(ValueError):
             compute_reward(0.0, 0.0, 0.0, "r3")
+
+
+# denominators at the r1 guard and one ulp either side of it
+GUARD_DENOMS = (float(np.nextafter(1e-12, 0.0)), 1e-12, float(np.nextafter(1e-12, 1.0)))
+# finite progress values, as the program's are (evaluate_batch rejects non-finite
+# output), except f_agentbest, +inf for the baselines; bounded so that no quotient
+# overflows, which Python floats do silently where numpy warns
+FINITE = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def progress_rows(draw):
+    """One run's (f_gbest_prev, f_gbest_now, f_gbest_0, f_agentbest, nu_prev, nu_now, nu_0)."""
+    f_prev, f_now = draw(FINITE), draw(FINITE)
+    case = draw(st.sampled_from(["free", "guard", "inf"]))
+    if case == "guard":  # f_gbest_0 - f_agentbest is exactly the guard or a neighbour
+        f_0, f_agentbest = draw(st.sampled_from(GUARD_DENOMS)), draw(st.sampled_from([0.0, -0.0]))
+    else:
+        f_0, f_agentbest = draw(FINITE), math.inf if case == "inf" else draw(FINITE)
+    nu_0 = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-6, 1e6),
+                          st.floats(-1e6, 0.0)))
+    nu = st.one_of(st.sampled_from([0.0, -0.0]), FINITE)
+    return f_prev, f_now, f_0, f_agentbest, draw(nu), draw(nu), nu_0
+
+
+class TestRewardOracle:
+    """env.rewards over (R,) arrays is the scalar oracle's reward, run by run,
+    bit for bit, and warns of nothing."""
+
+    @staticmethod
+    def assert_equals_oracle(rows, variant):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            array = rewards(*(np.array(col, dtype=float) for col in zip(*rows)), variant)
+        oracle = np.array([compute_reward(*reward_components(*row), variant) for row in rows])
+        assert array.tobytes() == oracle.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=st.lists(progress_rows(), min_size=1, max_size=10),
+           variant=st.sampled_from(REWARD_VARIANTS))
+    def test_equals_the_scalar_oracle(self, rows, variant):
+        self.assert_equals_oracle(rows, variant)
+
+    @pytest.mark.parametrize("variant", REWARD_VARIANTS)
+    def test_edges_equal_the_scalar_oracle(self, variant):
+        # signed zeros in every progress term, the r1 guard and its neighbours,
+        # a zero denominator, f_agentbest = inf, and nu_0 = 0 with nu_now both 0 and > 0
+        grid = itertools.product(
+            [1.0, -0.0], [0.5, 0.0, -0.0],
+            [(d, 0.0) for d in GUARD_DENOMS] + [(d, -0.0) for d in GUARD_DENOMS]
+            + [(1.0, math.inf), (2.0, -0.0), (2.0, 2.0)],
+            [1.0, 0.0, -0.0], [0.0, -0.0, 0.5, 3.0], [0.0, -0.0, 2.0])
+        rows = [(fp, fn, f0, fa, nup, nun, nu0) for fp, fn, (f0, fa), nup, nun, nu0 in grid]
+        self.assert_equals_oracle(rows, variant)
+        assert any(np.signbit(rewards(*(np.array(c) for c in zip(*rows)), variant)))
+        for row in rows[::37]:  # and one run alone
+            self.assert_equals_oracle([row], variant)
 
 
 def make_env(seed=0, dim=10, maxfes=500, f_agentbest=None, problem=None, **settings):
@@ -238,9 +323,10 @@ class TestEnvEpisode:
         env.reset()
         terminal = []
         while not env.terminal:
-            (info,) = env.step(5)
+            record = env.step(5)
             terminal.append(env.terminal)
-            assert set(info) >= {"step", "fes", "level", "reward", "r1", "r2", "gamma", "sco"}
+            assert record.shape == (1, len(STEP_COLUMNS)) and record.dtype == float
+            (info,) = step_rows(record)
         assert len(terminal) == 9 and info["step"] == 9
         assert env.stats.budget.fes == info["fes"] == 500
         assert terminal == [False] * 8 + [True]  # terminal only on the last step
@@ -282,8 +368,7 @@ class TestEnvEpisode:
             env = make_env(seed=7)
             out = [env.reset()[0]]
             for a in actions:
-                (info,) = env.step(int(a))
-                out += [info["reward"], env.state[0]]
+                out += [env.step(int(a)), env.state[0]]
             return out
 
         first, second = run(), run()
@@ -292,7 +377,7 @@ class TestEnvEpisode:
     def test_next_state_records_action_level(self):
         env = make_env()
         env.reset()
-        (info,) = env.step(3)
+        (info,) = step_rows(env.step(3))
         assert env.state[0, 8] == pytest.approx(0.3)
         assert info["level"] == pytest.approx(0.3)
 
@@ -301,18 +386,26 @@ class TestEnvEpisode:
         env.reset()
         rng = np.random.default_rng(5)
         while not env.terminal:
-            (info,) = env.step(int(rng.integers(11)))
+            (info,) = step_rows(env.step(int(rng.integers(11))))
             assert 0.0 <= info["reward"] <= 1.0
 
     def test_objective_reward_telescopes_when_agentbest_frozen(self):
         # with a prior all-training best at or below the run minimum, the
-        # objective contributions over an episode sum to at most one
+        # objective contributions over an episode sum to at most one; r1 is
+        # the oracle's on the stats the step read, whose reward the step records
         env = make_env(seed=11, f_agentbest=-1e6)
         env.reset()
         total_r1 = 0.0
         while not env.terminal:
-            (info,) = env.step(8)
-            total_r1 += info["r1"]
+            stats = env.stats
+            f_gbest_prev, nu_prev = float(stats.f_gbest[0]), float(stats.nu_top5[0])
+            (info,) = step_rows(env.step(8))
+            r1, r2, gamma = reward_components(
+                f_gbest_prev, float(stats.f_gbest[0]), float(stats.f_pbest_0[0]),
+                float(env.f_agentbest[0]), nu_prev, float(stats.nu_top5[0]),
+                float(stats.nu_top5_0[0]))
+            assert compute_reward(r1, r2, gamma, "full") == info["reward"]
+            total_r1 += r1
         assert total_r1 <= 1.0 + 1e-9
 
     def test_mask_state_zeroes_logged_features(self):
@@ -328,11 +421,11 @@ class TestEnvEpisode:
         env_b = make_env(seed=21)
         env_a.reset()
         env_b.reset()
-        infos_a = env_a.step(4)
+        record_a = env_a.step(4)
         eps = env_b.epsilon_for_action(4)
-        infos_b = env_b.step_with_epsilon(eps, env_b.action_space.normalized_level(4))
+        record_b = env_b.step_with_epsilon(eps, env_b.action_space.normalized_level(4))
         assert np.array_equal(env_a.state, env_b.state)
-        assert infos_a == infos_b
+        assert record_a.tobytes() == record_b.tobytes()
 
     def test_rejected_epsilon_leaves_episode_unchanged(self):
         env = make_env(seed=3, problem=ProblemRegistry().lookup("cec12", 10), pop_size=20,
@@ -412,7 +505,7 @@ class TestEnvEpisode:
             assert np.array_equal(env.eps_base.values, np.array([[1e-3]]))
             trace = []
             while not env.terminal:
-                (info,) = env.step_with_epsilon(eps_fn(env), 0.0)
+                (info,) = step_rows(env.step_with_epsilon(eps_fn(env), 0.0))
                 trace.append(info["sco"])
             # with no violations anywhere the score is the objective best
             assert env.stats.best_sco == env.stats.f_gbest
@@ -559,7 +652,7 @@ class TestWholeRunInvariants:
         state, steps = env.reset(), 0
         assert np.all(np.isfinite(state))
         while not env.terminal:
-            (info,) = env.step(int(rng.integers(env.action_space.n_actions)))
+            (info,) = step_rows(env.step(int(rng.integers(env.action_space.n_actions))))
             steps += 1
             pop = env.pop
             assert np.all(np.isfinite(env.state))
@@ -568,3 +661,24 @@ class TestWholeRunInvariants:
             assert N_MIN <= pop.size and len(pop.archive[0]) <= pop.size
         assert env.stats.budget.fes == maxfes
         assert steps == episode_steps(maxfes, n_pop, lpsr)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadmeStepColumns:
+    """The README lists the step record's columns, and records.jsonl's, as
+    env.STEP_COLUMNS, in its order."""
+
+    @staticmethod
+    def keys_after(marker: str) -> list[str]:
+        """The backquoted names from ``marker`` to the end of its clause."""
+        text = README.read_text(encoding="utf-8")
+        clause = re.search(re.escape(marker) + r"(.*?)[.:]\s", text, re.S).group(1)
+        return re.findall(r"`(\w+)`", clause)
+
+    def test_step_record_columns(self):
+        assert tuple(self.keys_after("Its columns, `env.STEP_COLUMNS`,")) == STEP_COLUMNS
+
+    def test_records_jsonl_keys(self):
+        assert tuple(self.keys_after("then the step record's columns")) == STEP_COLUMNS

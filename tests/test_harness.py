@@ -18,6 +18,7 @@ from rlrelax.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME
 from rlrelax.cli import main as cli_main
 from rlrelax.config import ConfigError, ExperimentConfig
 from rlrelax.cop import ProblemDefinitionError
+from rlrelax.env import STEP_COLUMNS
 from rlrelax.problems import ProblemRegistry
 from rlrelax.harness import (
     BASELINES,
@@ -34,6 +35,14 @@ from rlrelax.harness import (
     write_records_jsonl,
     write_table_csv,
 )
+
+
+col = STEP_COLUMNS.index  # a step record's column of one name
+
+
+def trace(rows: list[dict]) -> np.ndarray:
+    """The (steps, len(STEP_COLUMNS)) record of steps given as dicts."""
+    return np.array([[row[k] for k in STEP_COLUMNS] for row in rows], dtype=float)
 
 
 def toy_cfg(**overrides):
@@ -161,7 +170,7 @@ class TestEvaluate:
         trained = evaluate(cfg, result.params, result.metadata)
         sched = run_baseline(cfg, "scheduled-eps")
         for a, b in zip(trained, sched):
-            assert a.steps[-1]["fes"] == b.steps[-1]["fes"] == cfg.maxfes(4)
+            assert a.steps[-1, col("fes")] == b.steps[-1, col("fes")] == cfg.maxfes(4)
 
 
 class TestBaselines:
@@ -176,9 +185,9 @@ class TestBaselines:
         cfg = toy_cfg(runs=1, sched_power=2.0)
         records = run_baseline(cfg, "scheduled-eps")
         for record in records:
-            assert record.steps[-1]["eps_max"] <= record.steps[0]["eps_max"]
+            assert record.steps[-1, col("eps_max")] <= record.steps[0, col("eps_max")]
             # the last generation starts at fes = maxfes - pop, factor > 0
-            assert record.steps[-1]["eps_max"] >= 0.0
+            assert record.steps[-1, col("eps_max")] >= 0.0
 
     def test_scheduled_eps_factor_arithmetic(self):
         # (1 - fes/maxfes)^cp at the halfway point with cp = 2 gives 1/4
@@ -191,19 +200,19 @@ class TestBaselines:
         feas = run_baseline(cfg, "feasibility-rule")
         static = run_baseline(cfg, "static-eps")
         # same initial population (paired seeds): first-step fes identical
-        assert feas[0].steps[0]["fes"] == static[0].steps[0]["fes"]
+        assert feas[0].steps[0, col("fes")] == static[0].steps[0, col("fes")]
 
     def test_untrained_agent_deterministic(self):
         cfg = toy_cfg(runs=1)
         a = run_baseline(cfg, "untrained-agent")
         b = run_baseline(cfg, "untrained-agent")
         assert a[0].final_sco == b[0].final_sco
-        assert [s["level"] for s in a[0].steps] == [s["level"] for s in b[0].steps]
+        assert a[0].steps[:, col("level")].tobytes() == b[0].steps[:, col("level")].tobytes()
 
     def test_static_level_recorded(self):
         cfg = toy_cfg(runs=1, static_level=0.3)
         records = run_baseline(cfg, "static-eps")
-        assert all(s["level"] == 0.3 for s in records[0].steps)
+        assert (records[0].steps[:, col("level")] == 0.3).all()
 
 
 class TestProtocols:
@@ -476,9 +485,9 @@ class TestExport:
     def test_normalization_pooled_across_methods(self, tmp_path):
         # hand-built traces: bounds pool to [2, 10] across both methods
         def rec(method, scores):
-            steps = [dict(step=i + 1, fes=(i + 2) * 10, level=0.5, eps_min=0.0,
-                          eps_mean=0.0, eps_max=0.0, reward=0.0, sco=s)
-                     for i, s in enumerate(scores)]
+            steps = trace([dict(step=i + 1, fes=(i + 2) * 10, level=0.5, eps_min=0.0,
+                                eps_mean=0.0, eps_max=0.0, reward=0.0, sco=s)
+                           for i, s in enumerate(scores)])
             return RunRecord(problem="p", dim=2, method=method, run=0, steps=steps)
 
         records = [rec("m1", [10.0, 8.0, 6.0]), rec("m2", [9.0, 5.0, 2.0])]
@@ -491,9 +500,9 @@ class TestExport:
         assert values[("m2", 3)] == pytest.approx(0.0)
 
     def test_constant_sco_normalizes_to_zero(self, tmp_path):
-        steps = [dict(step=i + 1, fes=(i + 2) * 10, level=0.5, eps_min=0.0,
-                      eps_mean=0.0, eps_max=0.0, reward=0.0, sco=5.0)
-                 for i in range(3)]
+        steps = trace([dict(step=i + 1, fes=(i + 2) * 10, level=0.5, eps_min=0.0,
+                            eps_mean=0.0, eps_max=0.0, reward=0.0, sco=5.0)
+                       for i in range(3)])
         record = RunRecord(problem="p", dim=2, method="m", run=0, steps=steps)
         csv_path = export_curves([record], tmp_path)
         values = [float(ln.split(",")[-1]) for ln in
@@ -521,27 +530,25 @@ class TestExport:
             other = by_key[(r.problem, r.dim, r.method, r.run)]
             assert other.final_sco == r.final_sco
             assert len(other.steps) == len(r.steps)
+            assert other.steps.tobytes() == r.steps.tobytes()
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_curves([], tmp_path)
 
 
-TRACE_KEYS = ("step", "fes", "level", "eps_min", "eps_mean", "eps_max", "reward", "sco")
 # floats whose text is an edge of repr: a negative zero, the least subnormal,
 # the largest finite double, 17 significant digits
 EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1 / 3, -2.2250738585072014e-308)
-# and an int or a bool, which json writes as such
-any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats().map(np.float64),
-                      st.sampled_from(EDGE_FLOATS).map(np.float64), st.integers(-2, 2),
-                      st.booleans())
-trace_step = st.fixed_dictionaries(
-    {"step": st.one_of(st.integers(0, 10**6), st.booleans()), "fes": st.integers(0, 10**9),
-     **{k: any_float for k in TRACE_KEYS[2:]}},
-    optional={"r1": st.floats()})  # keys beyond the trace's are not written
-run_record = st.builds(RunRecord, problem=st.text(max_size=6), dim=st.integers(1, 100),
-                       method=st.sampled_from(["trained-agent", "static-eps"]),
-                       run=st.integers(0, 9), steps=st.lists(trace_step, max_size=4))
+any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+# a step's values as the env makes them: step and fes exact integers below 2**53
+trace_step = st.tuples(st.integers(0, 2**53 - 1), st.integers(0, 2**53 - 1),
+                       *[any_float] * (len(STEP_COLUMNS) - 2))
+# a run's (problem, dim, method, run) and its steps
+run_trace = st.tuples(st.tuples(st.text(max_size=6), st.integers(1, 100),
+                                st.sampled_from(["trained-agent", "static-eps"]),
+                                st.integers(0, 9)),
+                      st.lists(trace_step, max_size=4))
 
 
 class TestTraceWriterBytes:
@@ -555,30 +562,32 @@ class TestTraceWriterBytes:
             write_records_jsonl(records, path)
             try:
                 return path.read_text(encoding="utf-8"), load_records_jsonl(path)
-            except ValueError:  # a bool value or a non-finite sco
+            except ValueError:  # a non-finite sco
                 return path.read_text(encoding="utf-8"), []
 
     @settings(max_examples=300, deadline=None)
-    @given(records=st.lists(run_record, max_size=3,
-                            unique_by=lambda r: (r.problem, r.dim, r.method, r.run)))
-    def test_bytes_equal_json_dumps_per_line(self, records):
+    @given(drawn=st.lists(run_trace, max_size=3, unique_by=lambda d: d[0]))
+    def test_bytes_equal_json_dumps_per_line(self, drawn):
+        records = [RunRecord(*key, np.array(steps, dtype=float).reshape(-1, len(STEP_COLUMNS)))
+                   for key, steps in drawn]
         text, loaded = self.written(records)
+        # the drawn values themselves: step and fes Python ints, the rest floats
         assert text == "".join(
-            json.dumps({"problem": r.problem, "dim": r.dim, "method": r.method, "run": r.run,
-                        **{k: s[k] for k in TRACE_KEYS}}) + "\n" for r in records for s in r.steps)
-        values = [s[k] for r in records for s in r.steps for k in TRACE_KEYS]
-        if not any(type(v) is bool or not math.isfinite(v) for v in values):  # a readable file
+            json.dumps({**dict(zip(("problem", "dim", "method", "run"), key)),
+                        **dict(zip(STEP_COLUMNS, step))}) + "\n"
+            for key, steps in drawn for step in steps)
+        if all(math.isfinite(step[col("sco")]) for _, steps in drawn for step in steps):
             assert [(r.problem, r.dim, r.method, r.run) for r in loaded] == [
-                (r.problem, r.dim, r.method, r.run) for r in records if r.steps]
-            for r, back in zip([r for r in records if r.steps], loaded):
-                for s, row in zip(r.steps, back.steps, strict=True):
-                    assert json.dumps([row[k] for k in TRACE_KEYS]) == json.dumps(
-                        [s[k] for k in TRACE_KEYS])  # as json.dumps tells -0.0 from 0.0
+                (r.problem, r.dim, r.method, r.run) for r in records if len(r.steps)]
+            for r, back in zip([r for r in records if len(r.steps)], loaded):
+                assert back.steps.shape == r.steps.shape
+                # as json.dumps tells -0.0 from 0.0; a NaN's payload is not written
+                assert json.dumps(back.steps.tolist()) == json.dumps(r.steps.tolist())
 
-    def test_numpy_int_step_raises_as_json_does(self):
-        step = dict(step=np.int64(1), fes=10, level=0.5, eps_min=0.0, eps_mean=0.0,
-                    eps_max=0.0, reward=0.0, sco=1.0)
-        with pytest.raises(TypeError) as expected:
-            json.dumps(step)
-        with pytest.raises(TypeError, match=re.escape(str(expected.value))):
-            self.written([RunRecord("p", 2, "m", 0, [step])])
+    def test_non_finite_step_raises_as_int_does(self):
+        steps = trace([dict(step=np.nan, fes=10, level=0.5, eps_min=0.0, eps_mean=0.0,
+                            eps_max=0.0, reward=0.0, sco=1.0)])
+        with pytest.raises(ValueError) as expected:
+            int(np.nan)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            self.written([RunRecord("p", 2, "m", 0, steps)])

@@ -54,8 +54,9 @@ class TestBatchEqualsIndependentRuns:
         singles = [harness._run(cfg, name, dim, [key], f_agentbest, act, [label])
                    for key, label in zip(keys, labels)]
 
-        assert len(batched) == runs
-        assert batched == [steps for _, (steps,) in singles]
+        assert batched.shape[1] == runs
+        single = np.concatenate([steps for _, steps in singles], axis=1)
+        assert batched.shape == single.shape and batched.tobytes() == single.tobytes()
         assert env.f_agentbest.tolist() == [float(e.f_agentbest[0]) for e, _ in singles]
         assert env.state.tobytes() == np.concatenate([e.state for e, _ in singles]).tobytes()
 

@@ -144,7 +144,7 @@ def rewards(f_gbest_prev, f_gbest_now, f_gbest_0, f_agentbest, nu_prev, nu_now, 
 
     r1 normalizes the objective-best improvement by the gap between the
     run's starting best and the best ever seen in training, and is 0 where
-    that gap is at most 1e-12; r2 normalizes the top-5 violation improvement
+    that gap is not above 1e-12; r2 normalizes the top-5 violation improvement
     by its initial value, clamped to [0, 1]; gamma is the remaining violation
     fraction, clamped to [0, 1].  With no initial violation r2 is 0 and gamma
     is 0, or 1 once a violation appears.  The variants:
@@ -153,21 +153,31 @@ def rewards(f_gbest_prev, f_gbest_now, f_gbest_0, f_agentbest, nu_prev, nu_now, 
            shifting credit between the two signals
     r1 / r2: a single signal alone
     r1r2:  plain sum without the dynamic weighting
+
+    Each run is computed in Python floats: R is small, often 1, and there a
+    dozen numpy calls cost more than the arithmetic.  NaN fails both guards,
+    min(max()) keeps -0.0 and NaN as ndarray.clip does, and no path divides
+    by zero or warns.
     """
     if variant not in REWARD_VARIANTS:
         raise ValueError(f"unknown reward variant {variant!r}; choose from {REWARD_VARIANTS}")
-    # ndarray.clip keeps -0.0 and NaN, as a scalar min(max()) does; np.maximum gives 0.0
-    denom = f_gbest_0 - f_agentbest
-    r1 = np.divide(f_gbest_prev - f_gbest_now, denom, out=np.zeros(denom.shape),
-                   where=denom > 1e-12)
-    has_nu = nu_0 > 0.0
-    r2 = np.divide(nu_prev - nu_now, nu_0, out=np.zeros(nu_0.shape), where=has_nu).clip(0.0, 1.0)
-    if variant == REWARD_FULL:
-        gamma = np.divide(nu_now, nu_0, out=(nu_now != 0.0) * 1.0, where=has_nu).clip(0.0, 1.0)
-        r = (r1 * (1.0 - gamma) + r2) / 2.0
-    else:
-        r = {"r1": r1, "r2": r2, "r1r2": r1 + r2}[variant]
-    return r.clip(0.0, 1.0)
+    out = []
+    for f_prev, f_now, f_0, f_best, n_prev, n_now, n_0 in zip(
+            f_gbest_prev.tolist(), f_gbest_now.tolist(), f_gbest_0.tolist(),
+            f_agentbest.tolist(), nu_prev.tolist(), nu_now.tolist(), nu_0.tolist()):
+        denom = f_0 - f_best
+        r1 = (f_prev - f_now) / denom if denom > 1e-12 else 0.0
+        if n_0 > 0.0:
+            r2 = min(max((n_prev - n_now) / n_0, 0.0), 1.0)
+            gamma = min(max(n_now / n_0, 0.0), 1.0)
+        else:
+            r2, gamma = 0.0, (0.0 if n_now == 0.0 else 1.0)
+        if variant == REWARD_FULL:
+            r = (r1 * (1.0 - gamma) + r2) / 2.0
+        else:
+            r = {"r1": r1, "r2": r2, "r1r2": r1 + r2}[variant]
+        out.append(min(max(r, 0.0), 1.0))
+    return np.array(out, dtype=float)
 
 
 class EpsilonControlEnv:
@@ -254,12 +264,16 @@ class EpsilonControlEnv:
         ``level`` is the [0, 1] knob recorded in the s9 feature and the
         step record; baseline schedules pass their own notion of it.  A
         single vector or level serves every run; a rejected one changes nothing.
+        The values with one entry per run (level, reward, record row) are
+        handled as Python floats in one pass, cheaper than numpy calls at
+        small R; the epsilon statistics stay numpy reductions.
         """
         if self.terminal:
             raise RuntimeError("episode is terminal; call reset() before stepping")
         runs, m = len(self.rngs), self.problem.n_constraints
         levels = np.full(runs, level, dtype=float)
-        if not ((levels >= 0.0) & (levels <= 1.0)).all():
+        level_list = levels.tolist()
+        if not all(0.0 <= lv <= 1.0 for lv in level_list):  # NaN fails too
             raise ValueError(f"level must be finite and in [0, 1], got {level}")
         stats = self.stats
         f_gbest_prev, nu_prev = stats.f_gbest, stats.nu_top5
@@ -276,7 +290,11 @@ class EpsilonControlEnv:
 
         reward = rewards(f_gbest_prev, stats.f_gbest, stats.f_pbest_0, self.f_agentbest,
                          nu_prev, stats.nu_top5, stats.nu_top5_0, self.cfg.reward_variant)
-        eps_stats = ([eps.min(axis=1), np.add.reduce(eps, axis=1) / m, eps.max(axis=1)] if m
-                     else [np.zeros(runs)] * 3)
-        return np.array([[self.step_index] * runs, [stats.budget.fes] * runs,
-                         levels, *eps_stats, reward, stats.best_sco]).T  # STEP_COLUMNS' order
+        # np.add.reduce, not sum(): pairwise grouping past 8 terms, and -0.0 kept
+        eps_stats = (zip(eps.min(axis=1).tolist(), (np.add.reduce(eps, axis=1) / m).tolist(),
+                         eps.max(axis=1).tolist()) if m else [(0.0, 0.0, 0.0)] * runs)
+        step, fes = self.step_index, stats.budget.fes
+        return np.array([[step, fes, lv, lo, mean, hi, r, sco]  # STEP_COLUMNS' order
+                         for lv, (lo, mean, hi), r, sco in zip(
+                             level_list, eps_stats, reward.tolist(), stats.best_sco.tolist())],
+                        dtype=float)

@@ -51,16 +51,28 @@ def _rng(*parts) -> np.random.Generator:
     return np.random.default_rng([p if isinstance(p, int) else _crc(str(p)) for p in parts])
 
 
-@dataclass
+@dataclass(eq=False)
 class RunRecord:
     """One optimization run: identity and per-generation trace, one row of
-    ``steps`` per generation in the columns of ``env.STEP_COLUMNS``."""
+    ``steps`` per generation in the columns of ``env.STEP_COLUMNS``.
+
+    Two records are equal when their identities are and their ``steps``
+    have the same dtype, shape and bytes: NaN equals NaN, -0.0 differs
+    from 0.0, as in the result files."""
 
     problem: str
     dim: int
     method: str
     run: int
     steps: np.ndarray  # (steps, len(STEP_COLUMNS))
+
+    def __eq__(self, other):
+        if not isinstance(other, RunRecord):
+            return NotImplemented
+        a, b = self.steps, other.steps
+        return ((self.problem, self.dim, self.method, self.run, a.dtype, a.shape)
+                == (other.problem, other.dim, other.method, other.run, b.dtype, b.shape)
+                and a.tobytes() == b.tobytes())
 
     @property
     def final_sco(self) -> float:

@@ -28,9 +28,9 @@ the ε base straight from the raw constraint values C, split into g and
 bound first, which ``lshade.repair_bounds``'s one pass must equal.
 ``cec12_rows`` and ``griewank`` are the evaluator formulas written with
 ``y * y`` twice and ``sqrt(1..D)`` per call, which the problems must equal.
-``reward_components`` and ``compute_reward`` are one run's reward in Python
-floats, r1, r2 and gamma first, which ``env.rewards`` over the (R,) arrays
-of all runs must equal run by run.
+``reward_components`` and ``compute_reward`` are one run's reward in two
+calls, r1, r2 and gamma first and then their blend, which ``env.rewards``'s
+one loop over the (R,) arrays of all runs must equal run by run.
 """
 
 from __future__ import annotations

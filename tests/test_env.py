@@ -150,9 +150,9 @@ def step_rows(record: np.ndarray) -> list[dict]:
 
 
 class TestReward:
-    """The array reward on worked examples; r1, r2 and gamma come from the
-    scalar oracle in tests/reference.py, which the array reward equals bit
-    for bit (TestRewardOracle)."""
+    """env.rewards on worked examples; r1, r2 and gamma come from the
+    scalar oracle in tests/reference.py, which env.rewards equals bit for
+    bit (TestRewardOracle)."""
 
     def test_violation_progress_only(self):
         # no objective gain; top-5 violation halves
@@ -259,12 +259,13 @@ class TestRewardOracle:
             self.assert_equals_oracle([row], variant)
 
 
-def make_env(seed=0, dim=10, maxfes=500, f_agentbest=None, problem=None, **settings):
-    """One run on ``problem`` (rastrigin-ring/1 at ``dim``) under a config
-    of pop_size 50 and the given ``settings``."""
+def make_env(seed=0, dim=10, maxfes=500, f_agentbest=None, problem=None, runs=1, **settings):
+    """``runs`` runs, seeded seed, seed + 1, ..., on ``problem`` (rastrigin-ring/1
+    at ``dim``) under a config of pop_size 50 and the given ``settings``."""
     problem = problem or synthetic_family("rastrigin-ring", 1, dim)
     cfg = ExperimentConfig(**{"pop_size": 50, **settings})
-    return EpsilonControlEnv(problem, [np.random.default_rng(seed)], cfg, maxfes, f_agentbest)
+    rngs = [np.random.default_rng(seed + i) for i in range(runs)]
+    return EpsilonControlEnv(problem, rngs, cfg, maxfes, f_agentbest)
 
 
 def snapshot(env) -> bytes:
@@ -514,6 +515,53 @@ class TestEnvEpisode:
         zero = run(lambda env: np.zeros(1))
         relaxed = run(lambda env: env.eps_base.values)
         assert zero == relaxed
+
+
+class TestStepRecord:
+    """The step's own reward and level wiring, at one run and at a group."""
+
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("variant", REWARD_VARIANTS)
+    @pytest.mark.parametrize("f_agentbest", [None, 3000.0])  # 3000 is crossed mid-episode
+    def test_reward_column_is_the_oracle_of_the_stats(self, runs, variant, f_agentbest):
+        # each row's reward is the scalar oracle's on the RunStats values read
+        # before and after the step, with f_agentbest already updated
+        env = make_env(seed=0, runs=runs, f_agentbest=f_agentbest, reward_variant=variant)
+        env.reset()
+        rng = np.random.default_rng(1)
+        rewarded = False
+        while not env.terminal:
+            stats = env.stats
+            f_prev, nu_prev = stats.f_gbest.tolist(), stats.nu_top5.tolist()
+            record = env.step(rng.integers(env.action_space.n_actions, size=runs))
+            after = zip(f_prev, stats.f_gbest.tolist(), stats.f_pbest_0.tolist(),
+                        env.f_agentbest.tolist(), nu_prev, stats.nu_top5.tolist(),
+                        stats.nu_top5_0.tolist())
+            oracle = np.array([compute_reward(*reward_components(*row), variant)
+                               for row in after])
+            column = record[:, STEP_COLUMNS.index("reward")]
+            assert column.tobytes() == oracle.tobytes()
+            rewarded |= bool((column > 0.0).any())
+        assert rewarded
+
+    @pytest.mark.parametrize("bad", [[0.5, np.nan, 0.5], [0.5, 1.5, 0.5], [-0.1, 0.5, 0.5]])
+    def test_one_bad_level_in_a_group_changes_nothing(self, bad):
+        env = make_env(runs=3, pop_size=20, maxfes=200)
+        env.reset()
+        env.step(1)
+        before = snapshot(env)
+        with pytest.raises(ValueError, match=re.escape("level must be finite and in [0, 1]")):
+            env.step_with_epsilon(env.eps_base.values, bad)
+        assert snapshot(env) == before
+
+    def test_signed_zero_level_accepted_and_recorded(self):
+        env = make_env(runs=3, pop_size=20, maxfes=200)
+        env.reset()
+        levels = [-0.0, 0.0, 1.0]
+        record = env.step_with_epsilon(env.eps_base.values, levels)
+        column = record[:, STEP_COLUMNS.index("level")]
+        assert column.tobytes() == np.full(3, levels, dtype=float).tobytes()
+        assert np.signbit(column).tolist() == [True, False, False]
 
 
 @pytest.fixture

@@ -537,6 +537,45 @@ class TestExport:
             export_curves([], tmp_path)
 
 
+class TestRunRecordEquality:
+    """Records compare by identity and by the bytes of their steps."""
+
+    @staticmethod
+    def record(steps=None, **identity):
+        steps = np.arange(24, dtype=float).reshape(3, 8) if steps is None else steps
+        return RunRecord(**{"problem": "p", "dim": 2, "method": "m", "run": 0, **identity},
+                         steps=steps)
+
+    def test_equal_records(self):
+        a, b = self.record(), self.record()
+        assert a == b and not a != b
+        nan = np.full((2, 8), np.nan)
+        assert self.record(nan) == self.record(nan.copy())  # NaN equals NaN, as in the files
+
+    def test_one_bit_in_one_step_differs(self):
+        steps = self.record().steps.copy()
+        steps[1, 6] = np.nextafter(steps[1, 6], np.inf)
+        assert self.record() != self.record(steps)
+
+    def test_identity_differs(self):
+        for change in ({"problem": "q"}, {"dim": 3}, {"method": "n"}, {"run": 1}):
+            assert self.record() != self.record(**change)
+
+    def test_negative_zero_differs_from_zero(self):
+        assert self.record(np.full((2, 8), -0.0)) != self.record(np.zeros((2, 8)))
+
+    def test_shape_and_dtype_differ(self):
+        steps = np.zeros((2, 8))
+        assert self.record(steps) != self.record(steps.reshape(1, 16))
+        assert self.record(steps) != self.record(np.zeros((2, 8), dtype=np.int64))
+
+    def test_other_types_are_not_equal(self):
+        record = self.record()
+        assert record.__eq__("record") is NotImplemented
+        assert record != "record" and record != None  # noqa: E711
+        assert record != (record.problem, record.dim, record.method, record.run, record.steps)
+
+
 # floats whose text is an edge of repr: a negative zero, the least subnormal,
 # the largest finite double, 17 significant digits
 EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1 / 3, -2.2250738585072014e-308)

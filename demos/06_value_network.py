@@ -1,12 +1,13 @@
 """Walkthrough: the hand-rolled value network.
 
 Forward pass, a spot finite-difference check of the hand-derived
-gradient, and a small regression showing gradient descent driving the
-value of one action toward a fixed target.
+gradient, a small regression showing gradient descent driving the
+value of one action toward a fixed target, and one update on a batch
+sampled from the replay buffer.
 """
 import numpy as np
 
-from rlrelax import Transition, forward
+from rlrelax import ReplayBuffer, Transition, forward
 from rlrelax.agent import (
     init_params,
     loss_and_grad,
@@ -55,3 +56,18 @@ for step in range(1, 401):
     if loss < 1e-6:
         break
     sgd_step(params, g, 1e-2)
+
+# a replay sample is a column batch; as a list of transitions it gives the same update
+buffer = ReplayBuffer(8)
+for i in range(12):
+    buffer.push(Transition(rng.normal(size=10), int(rng.integers(11)), float(rng.uniform()),
+                           rng.normal(size=10), i % 4 == 3))
+sample = buffer.sample(4, rng)
+loss, g = loss_and_grad(sample, params, target_net, 1.0)
+list_loss, list_g = loss_and_grad(list(sample), params, target_net, 1.0)
+print(f"\nreplay sample of {len(sample)} from {len(buffer)} stored "
+      f"(capacity {buffer.capacity}, 12 pushed):")
+print("  actions", sample.actions.tolist(), " terminal", sample.terminals.tolist())
+print(f"  loss {loss:.6e}; the same batch as a list of transitions gives equal bits:",
+      list_loss == loss and all(a.tobytes() == b.tobytes()
+                                 for a, b in zip(g.arrays(), list_g.arrays())))

@@ -10,6 +10,7 @@ matching the bounded per-step rewards.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -181,26 +182,30 @@ def loss_with_fixed_targets(states: np.ndarray, actions: np.ndarray, ys: np.ndar
     return loss, NetworkParams(dw1, db1, dw2, db2)
 
 
-def loss_and_grad(batch: list[Transition], online: NetworkParams,
+def loss_and_grad(batch: Batch | list[Transition], online: NetworkParams,
                   target: NetworkParams, discount: float) -> tuple[float, NetworkParams]:
     """Batch loss against the double-estimator targets, with its gradient.
 
-    The targets are computed once and treated as constants; no gradient
-    flows through the target network or the next-action selection.
+    ``batch`` is a ``ReplayBuffer.sample`` or a list of transitions, which is
+    first collated into the same columns.  The targets are computed once and
+    treated as constants; no gradient flows through the target network or
+    the next-action selection.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    states = np.array([tr.state for tr in batch])
-    actions = np.array([tr.action for tr in batch])
-    ys = np.array([tr.reward for tr in batch], dtype=float)
-    live = np.array([not tr.terminal for tr in batch])
+    if not isinstance(batch, Batch):
+        batch = Batch(np.array([tr.state for tr in batch]), np.array([tr.action for tr in batch]),
+                      np.array([tr.reward for tr in batch], dtype=float),
+                      np.array([tr.next_state for tr in batch]),
+                      np.array([tr.terminal for tr in batch], dtype=bool))
+    ys = batch.rewards.copy()
+    live = ~batch.terminals
     if live.any():  # equal to td_target per transition: one forward over both nets
-        next_states = np.array([tr.next_state for tr in batch if not tr.terminal])
         pair = NetworkParams(*map(np.array, zip(online.arrays(), target.arrays())))
-        q_online, q_target = forward_batch(next_states, pair)
+        q_online, q_target = forward_batch(batch.next_states[live], pair)
         a_next = q_online.argmax(axis=1)
         ys[live] = ys[live] + discount * q_target[np.arange(a_next.size), a_next]
-    return loss_with_fixed_targets(states, actions, ys, online)
+    return loss_with_fixed_targets(batch.states, batch.actions, ys, online)
 
 
 def sgd_step(params: NetworkParams, grads: NetworkParams, lr: float) -> None:
@@ -232,32 +237,73 @@ def explore_rate(step: int, total_steps: int) -> float:
     return EXPLORE_START + frac * (EXPLORE_END - EXPLORE_START)
 
 
+class Batch:
+    """Transitions as columns, row i being transition i: states and next_states
+    (n, width) float, actions int64, rewards float, terminals bool.  Iterating
+    a batch yields its rows as ``Transition``s."""
+
+    __slots__ = ("states", "actions", "rewards", "next_states", "terminals")
+
+    def __init__(self, states, actions, rewards, next_states, terminals):
+        self.states, self.actions, self.rewards = states, actions, rewards
+        self.next_states, self.terminals = next_states, terminals
+
+    def __len__(self) -> int:
+        return len(self.rewards)
+
+    def __iter__(self):
+        return map(Transition, self.states, self.actions.tolist(), self.rewards.tolist(),
+                   self.next_states, self.terminals.tolist())
+
+
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform sampling."""
+    """Fixed-capacity ring of transitions, held as a ``Batch`` of ``capacity``
+    rows that the first push allocates, with uniform sampling."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: list[Transition] = []
-        self._cursor = 0
+        self._rows: Batch | None = None
+        self._size = self._cursor = 0
 
     def push(self, tr: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(tr)
-        else:
-            self._items[self._cursor] = tr
-        self._cursor = (self._cursor + 1) % self.capacity
+        """Write ``tr`` at the ring cursor.  What a column would coerce raises
+        ``ValueError`` and changes nothing: a state or next state whose shape is
+        not (width,) (the first push sets the width), an action that is not an
+        integer, or a NaN reward."""
+        state = np.asarray(tr.state, dtype=float)
+        next_state = np.asarray(tr.next_state, dtype=float)
+        width = state.size if self._rows is None else self._rows.states.shape[1]
+        for name, value in (("state", state), ("next_state", next_state)):
+            if value.shape != (width,):
+                raise ValueError(f"{name} must have shape ({width},), got {value.shape}")
+        try:
+            action = operator.index(tr.action)
+        except TypeError:
+            raise ValueError(f"action must be an integer, got {tr.action!r}") from None
+        if math.isnan(reward := float(tr.reward)):
+            raise ValueError("reward is NaN")
+        if self._rows is None:
+            n = self.capacity
+            self._rows = Batch(np.empty((n, width)), np.empty(n, dtype=np.int64), np.empty(n),
+                               np.empty((n, width)), np.empty(n, dtype=bool))
+        rows, i = self._rows, self._cursor
+        rows.states[i], rows.actions[i], rows.rewards[i] = state, action, reward
+        rows.next_states[i], rows.terminals[i] = next_state, bool(tr.terminal)
+        self._size = max(self._size, i + 1)
+        self._cursor = (i + 1) % self.capacity
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
-        """Uniform sample without replacement within the batch."""
-        if batch_size > len(self._items):
-            raise ValueError("not enough transitions to sample")
-        idx = rng.choice(len(self._items), size=batch_size, replace=False)
-        return [self._items[i] for i in idx]
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
+        """Uniform sample without replacement within the batch, one ``take`` per column."""
+        if not 1 <= batch_size <= self._size:
+            raise ValueError(f"cannot sample {batch_size} of {self._size} transitions")
+        idx, rows = rng.choice(self._size, size=batch_size, replace=False), self._rows
+        return Batch(rows.states.take(idx, axis=0), rows.actions.take(idx), rows.rewards.take(idx),
+                     rows.next_states.take(idx, axis=0), rows.terminals.take(idx))
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def train(cfg: ExperimentConfig) -> TrainResult:
 
     params = _init_params(cfg)
     target = params.copy()
-    buffer = ReplayBuffer(cfg.buffer_capacity)
+    buffer = ReplayBuffer(min(cfg.buffer_capacity, total_steps))  # never holds more
     actor_rng = _rng(cfg.seed, 103)
 
     agentbest: dict[tuple[str, int], float] = {}

@@ -31,6 +31,9 @@ bound first, which ``lshade.repair_bounds``'s one pass must equal.
 ``reward_components`` and ``compute_reward`` are one run's reward in two
 calls, r1, r2 and gamma first and then their blend, which ``env.rewards``'s
 one loop over the (R,) arrays of all runs must equal run by run.
+``ListReplayBuffer`` is the replay ring as a list of ``Transition`` objects,
+whose samples, and the generator states they leave, the column store of
+``agent.ReplayBuffer`` must reproduce.
 """
 
 from __future__ import annotations
@@ -291,3 +294,27 @@ def compute_reward(r1: float, r2: float, gamma: float, variant: str) -> float:
     else:
         raise ValueError(f"unknown reward variant {variant!r}; choose from {REWARD_VARIANTS}")
     return float(min(max(r, 0.0), 1.0))
+
+
+class ListReplayBuffer:
+    """Fixed-capacity ring of transitions in a list, with uniform sampling."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._items: list = []
+        self._cursor = 0
+
+    def push(self, tr) -> None:
+        if len(self._items) < self.capacity:
+            self._items.append(tr)
+        else:
+            self._items[self._cursor] = tr
+        self._cursor = (self._cursor + 1) % self.capacity
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> list:
+        """Uniform sample without replacement within the batch."""
+        idx = rng.choice(len(self._items), size=batch_size, replace=False)
+        return [self._items[i] for i in idx]

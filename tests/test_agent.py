@@ -10,6 +10,7 @@ from rlrelax.agent import (
     HIDDEN_SIZE,
     SELU_LAMBDA,
     STATE_SIZE,
+    Batch,
     CheckpointMetadata,
     CheckpointParseError,
     CheckpointShapeError,
@@ -33,6 +34,7 @@ from rlrelax.agent import (
     td_target,
 )
 from rlrelax.config import ExperimentConfig
+from reference import ListReplayBuffer
 from reference import loss_with_fixed_targets as reference_loss_with_fixed_targets
 
 
@@ -475,6 +477,20 @@ class TestSyncTarget:
             assert np.array_equal(a, b)
 
 
+FIELDS = ("state", "action", "reward", "next_state", "terminal")
+
+
+def filled_buffer(capacity, pushes, seed):
+    """A buffer and its list oracle fed the same transitions, about a third terminal."""
+    rng = np.random.default_rng(seed)
+    buf, oracle = ReplayBuffer(capacity), ListReplayBuffer(capacity)
+    for _ in range(pushes):
+        tr = random_transition(rng, terminal=bool(rng.random() < 0.3))
+        buf.push(tr)
+        oracle.push(tr)
+    return buf, oracle
+
+
 class TestReplayBuffer:
     def test_ring_overwrite(self):
         rng = np.random.default_rng(15)
@@ -497,6 +513,117 @@ class TestReplayBuffer:
         buf = ReplayBuffer(4)
         with pytest.raises(ValueError):
             buf.sample(1, np.random.default_rng(0))
+
+    def test_empty_sample_rejected(self):
+        buf, _ = filled_buffer(4, 2, seed=14)
+        with pytest.raises(ValueError, match="cannot sample 0 of 2 transitions"):
+            buf.sample(0, np.random.default_rng(0))
+
+    # below capacity, exactly full, wrapped several times, capacity 1
+    @pytest.mark.parametrize("capacity, pushes", [(16, 9), (16, 16), (5, 23), (1, 1), (1, 7)])
+    def test_samples_equal_the_list_oracle(self, capacity, pushes):
+        buf, oracle = filled_buffer(capacity, pushes, seed=capacity * 100 + pushes)
+        assert len(buf) == len(oracle)
+        rng, oracle_rng = np.random.default_rng(pushes), np.random.default_rng(pushes)
+        for k in sorted({1, (len(oracle) + 1) // 2, len(oracle)}):
+            batch = buf.sample(k, rng)
+            expect = oracle.sample(k, oracle_rng)
+            assert isinstance(batch, Batch) and len(batch) == k
+            got = list(batch)
+            assert len(got) == k and all(isinstance(tr, Transition) for tr in got)
+            for tr, e in zip(got, expect):
+                for name in FIELDS:
+                    assert same_bits(getattr(tr, name), getattr(e, name)), name
+        assert same_bits(rng.random(4), oracle_rng.random(4))
+
+    def test_sampled_columns_are_contiguous_rows(self):
+        buf, _ = filled_buffer(8, 13, seed=17)
+        batch = buf.sample(5, np.random.default_rng(17))
+        assert batch.states.shape == batch.next_states.shape == (5, STATE_SIZE)
+        assert (batch.actions.dtype, batch.rewards.dtype, batch.terminals.dtype) == (
+            np.int64, np.float64, np.bool_)
+        assert batch.states.flags.c_contiguous and batch.next_states.flags.c_contiguous
+
+    def test_numpy_integer_action_and_bool_terminal_stored(self):
+        rng = np.random.default_rng(18)
+        tr = random_transition(rng)
+        buf = ReplayBuffer(2)
+        buf.push(Transition(tr.state, np.int64(7), np.float64(0.25), tr.next_state,
+                            np.bool_(True)))
+        (got,) = buf.sample(1, rng)
+        assert (got.action, got.reward, got.terminal) == (7, 0.25, True)
+
+
+def columns(batch):
+    return (batch.states, batch.actions, batch.rewards, batch.next_states, batch.terminals)
+
+
+def assert_rejected(field, bad, match):
+    """push of a transition whose ``field`` is ``bad`` raises and changes nothing."""
+    buf, _ = filled_buffer(4, 3, seed=19)
+    before = columns(buf.sample(3, np.random.default_rng(0)))
+    good = random_transition(np.random.default_rng(20))
+    fields = {name: getattr(good, name) for name in FIELDS}
+    fields[field] = bad
+    with pytest.raises(ValueError, match=match):
+        buf.push(Transition(**fields))
+    assert len(buf) == 3
+    for c, b in zip(columns(buf.sample(3, np.random.default_rng(0))), before):
+        assert same_bits(c, b)
+
+
+class TestReplayBufferRejects:
+    """The columns would coerce these silently; push raises ValueError naming the field."""
+
+    @pytest.mark.parametrize("field", ["state", "next_state"])
+    @pytest.mark.parametrize("shape", [(1,), (9,), (11,), (), (1, 10)])
+    def test_state_of_another_shape(self, field, shape):
+        assert_rejected(field, np.ones(shape), rf"{field} must have shape \(10,\)")
+
+    @pytest.mark.parametrize("action", [2.7, 2.0, np.float64(3.0), "2", None])
+    def test_action_that_is_not_an_integer(self, action):
+        assert_rejected("action", action, "action must be an integer")
+
+    @pytest.mark.parametrize("reward", [np.nan, np.float64(np.nan)])
+    def test_nan_reward(self, reward):
+        assert_rejected("reward", reward, "reward is NaN")
+
+    def test_first_push_fixes_the_width(self):
+        buf = ReplayBuffer(3)
+        buf.push(Transition(np.ones(4), 0, 0.0, np.zeros(4), False))
+        with pytest.raises(ValueError, match=r"state must have shape \(4,\)"):
+            buf.push(Transition(np.ones(10), 0, 0.0, np.zeros(10), False))
+        with pytest.raises(ValueError, match=r"next_state must have shape \(4,\)"):
+            buf.push(Transition(np.ones(4), 0, 0.0, np.zeros(10), False))
+        assert len(buf) == 1
+
+
+class TestSampledBatchLoss:
+    """One math path: a sampled batch, the same batch as a list of
+    transitions, and the per-transition oracle agree bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+           mix=st.sampled_from(["all", "none", "mixed"]),
+           discount=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_sampled_list_and_oracle_agree(self, seed, n, mix, discount):
+        rng = np.random.default_rng(seed)
+        online, target = init_params(rng=rng), init_params(rng=rng)
+        buf = ReplayBuffer(64)
+        for _ in range(64 + n):
+            terminal = {"all": True, "none": False, "mixed": bool(rng.random() < 0.3)}[mix]
+            buf.push(random_transition(rng, terminal=terminal))
+        batch = buf.sample(n, rng)
+        before = [c.copy() for c in columns(batch)]
+        loss, grads = loss_and_grad(batch, online, target, discount)
+        for c, b in zip(columns(batch), before):
+            assert same_bits(c, b)  # the batch is read, never written
+        for other_loss, other in (loss_and_grad(list(batch), online, target, discount),
+                                  per_transition_loss_and_grad(list(batch), online, target,
+                                                               discount)):
+            assert same_bits(loss, other_loss)
+            for g, e in zip(grads.arrays(), other.arrays()):
+                assert same_bits(g, e)
 
 
 class TestCheckpoint:

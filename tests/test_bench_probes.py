@@ -107,6 +107,8 @@ def test_probes_trace_training_and_restore(tmp_path):
     assert names.count("agent.sync_target") == 1  # target_sync_period 10
     assert names.count("harness.write_checkpoint") == 1
     assert tracer.counts["lshade.trials_evaluated"] == 16 * 10
+    # the probe iterates each sampled batch as transitions and reads .terminal
+    assert tracer.counts["agent.nonterminal"] == 45
     assert not [k for k in tracer.counts if k.endswith(".errors")]
 
     metrics = spans.layer_metrics(tracer, 1, 1.0)

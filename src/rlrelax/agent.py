@@ -161,24 +161,25 @@ def loss_with_fixed_targets(states: np.ndarray, actions: np.ndarray, ys: np.ndar
     layer, and are averaged over the batch.
     """
     n = states.shape[0]
+    rows = np.arange(n)
     z1 = states @ params.w1.T + params.b1          # (n, hidden)
     positive, e = z1 > 0.0, np.exp(z1)  # one exp for SELU and its derivative
     hidden = SELU_LAMBDA * np.where(positive, z1, SELU_ALPHA * (e - 1.0))
     z2 = hidden @ params.w2.T + params.b2          # (n, out)
     q = sigmoid(z2)
-    q_taken = q[np.arange(n), actions]
+    q_taken = q[rows, actions]
 
     err = q_taken - ys
-    loss = float((err ** 2).mean())
+    loss = float(np.add.reduce(err ** 2) / n)  # mean()'s ufunc calls, without its wrapper
 
     # d(loss)/d(z2): only the taken-action column is non-zero per sample
-    dz2 = np.zeros_like(z2)
-    dz2[np.arange(n), actions] = 2.0 * err * q_taken * (1.0 - q_taken) / n
+    dz2 = np.zeros(z2.shape)
+    dz2[rows, actions] = 2.0 * err * q_taken * (1.0 - q_taken) / n
     dw2 = dz2.T @ hidden
-    db2 = dz2.sum(axis=0)
+    db2 = np.add.reduce(dz2, axis=0)
     dz1 = (dz2 @ params.w2) * (SELU_LAMBDA * np.where(positive, 1.0, SELU_ALPHA * e))
     dw1 = dz1.T @ states
-    db1 = dz1.sum(axis=0)
+    db1 = np.add.reduce(dz1, axis=0)
     return loss, NetworkParams(dw1, db1, dw2, db2)
 
 

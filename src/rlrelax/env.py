@@ -124,6 +124,10 @@ def epsilon_from_action(level, base: EpsilonBase) -> np.ndarray:
     levels = levels.tolist()
     if isinstance(levels, float):
         return base.values ** levels * base.delta ** (1.0 - levels)
+    return _epsilon_rows(levels, base)
+
+
+def _epsilon_rows(levels: list[float], base: EpsilonBase) -> np.ndarray:
     # one float exponent per row: numpy's power with an array exponent rounds some differently
     return np.array([v ** a * base.delta ** (1.0 - a) for v, a in zip(base.values, levels)])
 
@@ -250,12 +254,16 @@ class EpsilonControlEnv:
         return epsilon_linear_step(self.current_eps, np.reshape(levels, (-1, 1)), self.eps_base)
 
     def step(self, actions) -> np.ndarray:
-        """Run one generation of each run under its action's level, an index."""
+        """Run one generation of each run under its action's level, an index checked once."""
         if self.terminal:  # before reset() there is no eps_base to scale
             raise RuntimeError("episode is terminal; call reset() before stepping")
-        actions = np.full(len(self.rngs), actions)
-        return self.step_with_epsilon(self.epsilon_for_action(actions),
-                                      self.action_space.normalized_level(actions))
+        space = self.action_space
+        index = space._checked(np.full(len(self.rngs), actions))
+        if space.scheme == SCHEME_EXPONENTIAL:
+            levels = space.levels[index]
+            return self.step_with_epsilon(_epsilon_rows(levels.tolist(), self.eps_base), levels)
+        eps = epsilon_linear_step(self.current_eps, space.levels[index, None], self.eps_base)
+        return self.step_with_epsilon(eps, index / (space.n_actions - 1))
 
     def step_with_epsilon(self, eps: np.ndarray, level) -> np.ndarray:
         """Advance every run one generation under its row of ``eps`` (R, p+q);
@@ -280,7 +288,8 @@ class EpsilonControlEnv:
 
         # validates eps: a rejected vector leaves the episode as it was
         generation_step(self.pop, self.problem, eps, self.rngs, stats)
-        self.current_eps = eps = np.asarray(eps, dtype=float) * np.ones((runs, 1))  # (R, p+q)
+        self.current_eps = rows = np.empty((runs, m))  # (R, p+q), eps copied onto every row
+        rows[...] = eps
         self.step_index += 1
 
         # the all-training best updates before the reward so r1 stays <= 1
@@ -290,11 +299,11 @@ class EpsilonControlEnv:
 
         reward = rewards(f_gbest_prev, stats.f_gbest, stats.f_pbest_0, self.f_agentbest,
                          nu_prev, stats.nu_top5, stats.nu_top5_0, self.cfg.reward_variant)
-        # np.add.reduce, not sum(): pairwise grouping past 8 terms, and -0.0 kept
-        eps_stats = (zip(eps.min(axis=1).tolist(), (np.add.reduce(eps, axis=1) / m).tolist(),
-                         eps.max(axis=1).tolist()) if m else [(0.0, 0.0, 0.0)] * runs)
+        # ufunc reduces, without numpy's wrappers; np.add.reduce: pairwise sums, -0.0 kept
+        eps_stats = (zip(np.minimum.reduce(rows, 1).tolist(), np.add.reduce(rows, 1).tolist(),
+                         np.maximum.reduce(rows, 1).tolist()) if m else [(0.0, 0.0, 0.0)] * runs)
         step, fes = self.step_index, stats.budget.fes
-        return np.array([[step, fes, lv, lo, mean, hi, r, sco]  # STEP_COLUMNS' order
-                         for lv, (lo, mean, hi), r, sco in zip(
+        return np.array([[step, fes, lv, lo, total / max(m, 1), hi, r, sco]  # STEP_COLUMNS' order
+                         for lv, (lo, total, hi), r, sco in zip(
                              level_list, eps_stats, reward.tolist(), stats.best_sco.tolist())],
                         dtype=float)

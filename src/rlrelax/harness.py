@@ -98,6 +98,7 @@ def train(cfg: ExperimentConfig) -> TrainResult:
     transition and, once the buffer holds a batch, makes one gradient-descent
     update; the target network is refreshed every ``qnet.TARGET_SYNC_PERIOD``
     gradient steps.  The learning rate follows the cosine schedule across epochs.
+    Training that makes fewer transitions than one batch raises ConfigError.
     """
     names = cfg.train_problems or cfg.problems
     if not names:
@@ -106,6 +107,9 @@ def train(cfg: ExperimentConfig) -> TrainResult:
     instances = [(name, dim) for dim in cfg.dims for name in names]
     total_steps = cfg.epochs * sum(episode_steps(cfg.maxfes(d), cfg.pop_size, cfg.lpsr)
                                    for _, d in instances)
+    if total_steps < cfg.batch_size:
+        raise ConfigError(f"training makes {total_steps} transitions, fewer than batch_size "
+                          f"{cfg.batch_size}: no gradient step would run")
 
     params = _init_params(cfg)
     target = params.copy()
@@ -123,7 +127,8 @@ def train(cfg: ExperimentConfig) -> TrainResult:
         action = qnet.act_eps_greedy(lambda: qnet.forward(state, params), params.b2.size,
                                      qnet.explore_rate(meta_step, total_steps), actor_rng)
         record = env.step(action)
-        buffer.push(Transition(state, action, record[0, _REWARD], env.state[0], env.terminal))
+        next_state = state if env.terminal else env.state[0]  # no target reads a terminal one
+        buffer.push(Transition(state, action, record[0, _REWARD], next_state, env.terminal))
         if len(buffer) >= cfg.batch_size:
             batch = buffer.sample(cfg.batch_size, actor_rng)
             _, grads = qnet.loss_and_grad(batch, params, target, qnet.DISCOUNT)

@@ -34,6 +34,10 @@ one loop over the (R,) arrays of all runs must equal run by run.
 ``ListReplayBuffer`` is the replay ring as a list of ``Transition`` objects,
 whose samples, and the generator states they leave, the column store of
 ``agent.ReplayBuffer`` must reproduce.
+``wrapped_loss_and_grad`` and ``wrapped_loss_with_fixed_targets`` are the
+learner's update written with numpy's Python wrappers (``mean``, ``sum`` and
+``zeros_like``), which ``agent.loss_and_grad``'s calls to the ufuncs behind
+them must equal in the loss and in every gradient.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rlrelax.agent import SELU_ALPHA, SELU_LAMBDA, NetworkParams, selu, sigmoid
+from rlrelax.agent import (SELU_ALPHA, SELU_LAMBDA, Batch, NetworkParams, forward_batch, selu,
+                           sigmoid)
 from rlrelax.cop import ProblemDefinitionError, epsilon_vector
 from rlrelax.env import REWARD_FULL, REWARD_VARIANTS
 from rlrelax.lshade import P_BEST_RATE, Draws, SuccessHistory
@@ -318,3 +323,42 @@ class ListReplayBuffer:
         """Uniform sample without replacement within the batch."""
         idx = rng.choice(len(self._items), size=batch_size, replace=False)
         return [self._items[i] for i in idx]
+
+
+def wrapped_loss_with_fixed_targets(states: np.ndarray, actions: np.ndarray, ys: np.ndarray,
+                                    params: NetworkParams) -> tuple[float, NetworkParams]:
+    """The fixed-target loss and its gradient with one exp, the mean through
+    ``ndarray.mean`` and the bias sums through ``ndarray.sum``."""
+    n = states.shape[0]
+    z1 = states @ params.w1.T + params.b1          # (n, hidden)
+    positive, e = z1 > 0.0, np.exp(z1)  # one exp for SELU and its derivative
+    hidden = SELU_LAMBDA * np.where(positive, z1, SELU_ALPHA * (e - 1.0))
+    z2 = hidden @ params.w2.T + params.b2          # (n, out)
+    q = sigmoid(z2)
+    q_taken = q[np.arange(n), actions]
+
+    err = q_taken - ys
+    loss = float((err ** 2).mean())
+
+    # d(loss)/d(z2): only the taken-action column is non-zero per sample
+    dz2 = np.zeros_like(z2)
+    dz2[np.arange(n), actions] = 2.0 * err * q_taken * (1.0 - q_taken) / n
+    dw2 = dz2.T @ hidden
+    db2 = dz2.sum(axis=0)
+    dz1 = (dz2 @ params.w2) * (SELU_LAMBDA * np.where(positive, 1.0, SELU_ALPHA * e))
+    dw1 = dz1.T @ states
+    db1 = dz1.sum(axis=0)
+    return loss, NetworkParams(dw1, db1, dw2, db2)
+
+
+def wrapped_loss_and_grad(batch: Batch, online: NetworkParams, target: NetworkParams,
+                          discount: float) -> tuple[float, NetworkParams]:
+    """The double-estimator targets of a ``Batch``, then ``wrapped_loss_with_fixed_targets``."""
+    ys = batch.rewards.copy()
+    live = ~batch.terminals
+    if live.any():
+        pair = NetworkParams(*map(np.array, zip(online.arrays(), target.arrays())))
+        q_online, q_target = forward_batch(batch.next_states[live], pair)
+        a_next = q_online.argmax(axis=1)
+        ys[live] = ys[live] + discount * q_target[np.arange(a_next.size), a_next]
+    return wrapped_loss_with_fixed_targets(batch.states, batch.actions, ys, online)

@@ -36,6 +36,7 @@ from rlrelax.agent import (
 from rlrelax.config import ExperimentConfig
 from reference import ListReplayBuffer
 from reference import loss_with_fixed_targets as reference_loss_with_fixed_targets
+from reference import wrapped_loss_and_grad
 
 
 def random_transition(rng, n_actions=11, terminal=False):
@@ -271,6 +272,24 @@ class TestLossAndGrad:
         for g, e in zip(grads.arrays(), expect.arrays()):
             assert same_bits(g, e)
         assert grads.shapes == (n_in, HIDDEN_SIZE, n_out)
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64),
+           terminals=st.sampled_from(["none", "all", "mixed"]),
+           discount=st.sampled_from([1.0, 0.9]))
+    def test_update_equals_the_wrapped_reference(self, seed, n, terminals, discount):
+        # the ufuncs behind mean, sum and zeros_like give their bits
+        rng = np.random.default_rng(seed)
+        online, target = init_params(rng=rng), init_params(rng=rng)
+        done = {"none": np.zeros(n, dtype=bool), "all": np.ones(n, dtype=bool),
+                "mixed": rng.permutation(n) < n // 2}[terminals]  # both kinds from n = 2
+        batch = Batch(rng.normal(size=(n, STATE_SIZE)), rng.integers(11, size=n),
+                      rng.uniform(size=n), rng.normal(size=(n, STATE_SIZE)), done)
+        loss, grads = loss_and_grad(batch, online, target, discount)
+        expect_loss, expect = wrapped_loss_and_grad(batch, online, target, discount)
+        assert np.float64(loss).tobytes() == np.float64(expect_loss).tobytes()
+        for g, e in zip(grads.arrays(), expect.arrays()):
+            assert g.shape == e.shape and g.tobytes() == e.tobytes()
 
     @pytest.mark.parametrize("terminals", [[False] * 6, [False, True, True, False, True],
                                            [True] * 5])

@@ -19,7 +19,7 @@ runs = 1
 seed = 3
 epochs = 1
 buffer_capacity = 64
-batch_size = 8
+batch_size = 3
 """
 
 
@@ -71,7 +71,7 @@ class TestExitCodes:
     def test_batch_larger_than_buffer_is_config_error(self, tmp_path):
         # such a buffer never holds a batch, so training would take no step
         path = tmp_path / "bad.cfg"
-        path.write_text(TOY.replace("buffer_capacity = 64", "buffer_capacity = 4"))
+        path.write_text(TOY.replace("buffer_capacity = 64", "buffer_capacity = 2"))
         code = main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
 

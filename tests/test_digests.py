@@ -5,9 +5,17 @@ changes these digests; a change that means to alter them must say so and
 record the new values here.  The digests were taken with the numpy version
 below, whose Generator streams they depend on, so on any other numpy the
 test is skipped rather than failed.
+
+To re-baseline, run ``PYTHONPATH=src python tests/test_digests.py`` from the
+repository root under that numpy version: it prints every case's current
+digests in the layout of ``CASES`` ("# changed" marks a case whose files no
+longer match), ready to replace each case's digest dict.
 """
 
 import hashlib
+import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -203,16 +211,38 @@ CASES = {
 }
 
 
-@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
-                    reason=f"digests taken with numpy {NUMPY_VERSION}")
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_result_files_match_frozen_digests(case, tmp_path):
-    verbs, problems, digests = CASES[case]
+def current_digests(case: str, tmp_path: Path) -> dict[str, str]:
+    """Run the case's verbs in tmp_path; the sha256 of every file they wrote, by name."""
+    verbs, problems, _ = CASES[case]
     cfg = tmp_path / "small.cfg"
     cfg.write_text(problems + SMALL)
     out = tmp_path / "out"
     for argv in verbs:
         rest = [a.replace("{out}", str(out)) for a in argv[1:]]
         assert main([argv[0], "--config", str(cfg), "--out", str(out)] + rest) == EXIT_OK
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
-    assert got == digests
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.skipif(np.__version__ != NUMPY_VERSION,
+                    reason=f"digests taken with numpy {NUMPY_VERSION}")
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_result_files_match_frozen_digests(case, tmp_path):
+    assert current_digests(case, tmp_path) == CASES[case][2]
+
+
+def print_digests() -> None:
+    """Every case's current digests as the dict lines of CASES; the verbs'
+    own messages go to standard error."""
+    for case, (_, _, frozen) in CASES.items():
+        with tempfile.TemporaryDirectory() as tmp, redirect_stdout(sys.stderr):
+            got = current_digests(case, Path(tmp))
+        print(f'    "{case}": {{' + ("" if got == frozen else "  # changed"))
+        for name, digest in got.items():
+            print(f'        "{name}":\n            "{digest}",')
+        print("    },")
+
+
+if __name__ == "__main__":
+    if np.__version__ != NUMPY_VERSION:
+        sys.exit(f"the digests are taken with numpy {NUMPY_VERSION}, not {np.__version__}")
+    print_digests()

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rlrelax import cop, env as env_module, harness, lshade
+from rlrelax.agent import ReplayBuffer
 from rlrelax.config import ConfigError, ExperimentConfig
 from rlrelax.cop import ConstrainedProblem
 from rlrelax.env import (
@@ -418,15 +419,20 @@ class TestEnvEpisode:
         assert s[5] == s[6] == s[8] == s[9] == 0.0
 
     def test_step_with_epsilon_matches_scheme_step(self):
-        env_a = make_env(seed=21)
-        env_b = make_env(seed=21)
-        env_a.reset()
-        env_b.reset()
-        record_a = env_a.step(4)
-        eps = env_b.epsilon_for_action(4)
-        record_b = env_b.step_with_epsilon(eps, env_b.action_space.normalized_level(4))
-        assert np.array_equal(env_a.state, env_b.state)
-        assert record_a.tobytes() == record_b.tobytes()
+        # the step's one checked index gives what the public helpers give, under
+        # every scheme, for every action, at one run and at three
+        for scheme, runs in itertools.product(SCHEMES, (1, 3)):
+            env_a, env_b = (make_env(seed=21, runs=runs, pop_size=20, maxfes=400,
+                                     action_scheme=scheme) for _ in range(2))
+            env_a.reset()
+            env_b.reset()
+            for action in range(env_a.action_space.n_actions):
+                record_a = env_a.step(action)
+                eps = env_b.epsilon_for_action(action)
+                record_b = env_b.step_with_epsilon(eps, env_b.action_space.normalized_level(action))
+                assert np.array_equal(env_a.state, env_b.state)
+                assert record_a.tobytes() == record_b.tobytes()
+                assert env_a.current_eps.tobytes() == env_b.current_eps.tobytes()
 
     def test_rejected_epsilon_leaves_episode_unchanged(self):
         env = make_env(seed=3, problem=ProblemRegistry().lookup("cec12", 10), pop_size=20,
@@ -554,6 +560,22 @@ class TestStepRecord:
             env.step_with_epsilon(env.eps_base.values, bad)
         assert snapshot(env) == before
 
+    @pytest.mark.parametrize("runs", [1, 3])
+    @pytest.mark.parametrize("bad", [-1, 11, 2.5, True])
+    def test_one_bad_action_raises_and_changes_nothing(self, runs, bad):
+        # each action, or one entry of a group's list; in a list numpy reads True as 1
+        env = make_env(runs=runs, pop_size=20, maxfes=200)
+        env.reset()
+        env.step(1)
+        before = snapshot(env)
+        batches = [bad] + ([[1, bad, 4]] if runs == 3 and bad is not True else [])
+        for actions in batches:
+            message = (f"action index must be an integer in [0, 11), "
+                       f"got {np.full(runs, actions).tolist()}")
+            with pytest.raises(ValueError, match=re.escape(message)):
+                env.step(actions)
+            assert snapshot(env) == before
+
     def test_signed_zero_level_accepted_and_recorded(self):
         env = make_env(runs=3, pop_size=20, maxfes=200)
         env.reset()
@@ -606,10 +628,26 @@ class TestLazyObservation:
         steps = episode_steps(cfg.maxfes(4), cfg.pop_size, lpsr)
         assert len(observations) == len(cfg.problems) * steps
 
-    def test_training_computes_every_observation(self, observations):
-        # learn reads the state before each step and the next state after it
+    def test_training_observes_no_terminal_state(self, observations):
+        # learn reads the state before each step; the state a step ends its episode in
+        # is never computed
         result = harness.train(harness_cfg(epochs=2))
-        assert len(observations) == sum(row["steps"] + 1 for row in result.episodes)
+        assert len(observations) == sum(row["steps"] for row in result.episodes)
+
+    def test_terminal_transition_holds_its_own_state(self, monkeypatch):
+        pushed, push = [], ReplayBuffer.push
+
+        def captured(buffer, tr):
+            pushed.append(tr)
+            push(buffer, tr)
+
+        monkeypatch.setattr(ReplayBuffer, "push", captured)
+        result = harness.train(harness_cfg(epochs=2))
+        assert len(pushed) == sum(row["steps"] for row in result.episodes)
+        assert sum(tr.terminal for tr in pushed) == len(result.episodes)
+        for tr, following in zip(pushed, pushed[1:] + [None]):
+            expected = tr.state if tr.terminal else following.state
+            assert tr.next_state.tobytes() == expected.tobytes()
 
     def test_reads_without_a_step_compute_once(self, observations):
         env = make_env()

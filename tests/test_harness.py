@@ -49,7 +49,7 @@ def toy_cfg(**overrides):
     base = dict(
         problems=["synthetic/sphere-linear/0", "synthetic/rastrigin-ring/1"],
         dims=[4], pop_size=20, maxfes_per_dim=20,  # 80 evals -> 3 meta-steps
-        runs=2, seed=3, epochs=2, buffer_capacity=64, batch_size=8,
+        runs=2, seed=3, epochs=2, buffer_capacity=64, batch_size=3,  # one episode fills it
         out_dir="unused",
     )
     base.update(overrides)
@@ -75,6 +75,14 @@ class TestTrain:
         # epochs x problems episodes, each (maxfes - n) / n steps long
         assert len(result.episodes) == 3 * 2
         assert all(row["steps"] == 3 for row in result.episodes)
+
+    def test_training_with_no_update_rejected_before_any_episode(self, monkeypatch):
+        # one problem, one epoch: 3 transitions, one short of a batch of 4
+        monkeypatch.setattr(harness, "_run", None)  # any episode would raise TypeError
+        cfg = toy_cfg(problems=["synthetic/sphere-linear/0"], epochs=1, batch_size=4)
+        with pytest.raises(ConfigError, match="training makes 3 transitions, fewer than "
+                                              "batch_size 4"):
+            train(cfg)
 
     def test_empty_problem_list_rejected(self):
         cfg = toy_cfg(problems=[])
@@ -332,7 +340,8 @@ class TestRunFailedError:
     def test_cli_exits_3_and_writes_nothing(self, boom, tmp_path, capsys):
         cfg = tmp_path / "toy.cfg"
         cfg.write_text(f"problems = synthetic/sphere-linear/0, {self.FAULTY}\n"
-                       "dims = 4\npop_size = 20\nmaxfes_per_dim = 20\nepochs = 1\n")
+                       "dims = 4\npop_size = 20\nmaxfes_per_dim = 20\nepochs = 1\n"
+                       "batch_size = 3\n")
         out = tmp_path / "out"
         assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_RUNTIME
         err = capsys.readouterr().err

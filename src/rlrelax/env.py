@@ -248,16 +248,18 @@ class EpsilonControlEnv:
 
     def epsilon_for_action(self, actions) -> np.ndarray:
         """Each run's epsilon (R, p+q) under its action; one action serves all."""
-        levels = self.action_space.level(actions)
+        levels = self.action_space.level(np.full(len(self.rngs), actions))
         if self.action_space.scheme == SCHEME_EXPONENTIAL:
             return epsilon_from_action(levels, self.eps_base)
-        return epsilon_linear_step(self.current_eps, np.reshape(levels, (-1, 1)), self.eps_base)
+        return epsilon_linear_step(self.current_eps, levels[:, None], self.eps_base)
 
     def step(self, actions) -> np.ndarray:
         """Run one generation of each run under its action's level, an index checked once."""
         if self.terminal:  # before reset() there is no eps_base to scale
             raise RuntimeError("episode is terminal; call reset() before stepping")
         space = self.action_space
+        if isinstance(actions, (list, tuple)) and any(isinstance(a, (bool, np.bool_)) for a in actions):
+            actions = np.array(actions, dtype=object)  # numpy would read a bool entry as 1
         index = space._checked(np.full(len(self.rngs), actions))
         if space.scheme == SCHEME_EXPONENTIAL:
             levels = space.levels[index]

@@ -11,6 +11,7 @@ randomness flows from named integer seed sequences.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import zlib
@@ -22,6 +23,7 @@ import numpy as np
 from . import agent as qnet
 from .agent import CheckpointMetadata, NetworkParams, ReplayBuffer, Transition
 from .config import ConfigError, ExperimentConfig
+from .cop import ConstrainedProblem, ProblemDefinitionError
 from .env import STEP_COLUMNS, ActionSpace, EpsilonControlEnv, epsilon_from_action
 from .lshade import episode_steps
 
@@ -104,9 +106,9 @@ def train(cfg: ExperimentConfig) -> TrainResult:
     if not names:
         raise ConfigError("training requires a non-empty problem list")
 
-    instances = [(name, dim) for dim in cfg.dims for name in names]
+    instances = [(name, dim, cfg.registry.lookup(name, dim)) for dim in cfg.dims for name in names]
     total_steps = cfg.epochs * sum(episode_steps(cfg.maxfes(d), cfg.pop_size, cfg.lpsr)
-                                   for _, d in instances)
+                                   for _, d, _ in instances)
     if total_steps < cfg.batch_size:
         raise ConfigError(f"training makes {total_steps} transitions, fewer than batch_size "
                           f"{cfg.batch_size}: no gradient step would run")
@@ -141,8 +143,8 @@ def train(cfg: ExperimentConfig) -> TrainResult:
 
     for epoch in range(cfg.epochs):
         lr = qnet.cosine_lr(epoch, cfg)
-        for k, (name, dim) in enumerate(instances):
-            env, steps = _run(cfg, name, dim, [(cfg.seed, 105, epoch, k)],
+        for k, (name, dim, problem) in enumerate(instances):
+            env, steps = _run(cfg, [problem], [(cfg.seed, 105, epoch, k)],
                               agentbest.get((name, dim)), learn,
                               [f"training on {name} (dim {dim}, epoch {epoch})"])
             agentbest[(name, dim)] = float(env.f_agentbest[0])
@@ -183,46 +185,81 @@ def _init_params(cfg: ExperimentConfig) -> NetworkParams:
     return qnet.init_params(n_out=n_out, rng=_rng(cfg.seed, 101))
 
 
-def _run(cfg: ExperimentConfig, name: str, dim: int, keys: list[tuple],
+def _run(cfg: ExperimentConfig, problems: list[ConstrainedProblem], keys: list[tuple],
          f_agentbest: float | None, policy,
          what: list[str]) -> tuple[EpsilonControlEnv, np.ndarray]:
-    """Reset an env on ``name`` at ``dim`` with one run per seed key of ``keys``,
-    run r drawing from ``_rng(*keys[r])``, and call ``policy(env)``, a meta-step
-    returning its step record (R, len(STEP_COLUMNS)), until it is terminal;
-    return the env and the records stacked (steps, R, len(STEP_COLUMNS)).  On
-    a failure the runs are replayed one at a time from their seed keys, and
-    the first to fail alone is re-raised as RunFailedError naming its ``what[r]``."""
+    """Reset an env with one run per seed key of ``keys``, run r on ``problems[r]``
+    drawing from ``_rng(*keys[r])``, and call ``policy(env)``, a meta-step returning
+    its step record (R, len(STEP_COLUMNS)), until it is terminal; return the env and
+    the records stacked (steps, R, len(STEP_COLUMNS)).  On a failure the runs are
+    replayed one at a time, each on its problem from its seed key, and the first
+    to fail alone is re-raised as RunFailedError naming its ``what[r]``."""
     try:
-        env = EpsilonControlEnv(cfg.registry.lookup(name, dim), [_rng(*key) for key in keys],
-                                cfg, cfg.maxfes(dim), f_agentbest)
+        env = EpsilonControlEnv(_stacked(problems), [_rng(*key) for key in keys], cfg,
+                                cfg.maxfes(problems[0].dim), f_agentbest)
         env.reset()
         steps = []
         while not env.terminal:
             steps.append(policy(env))
     except Exception as exc:
-        for key, label in zip(keys if len(keys) > 1 else [], what):
-            _run(cfg, name, dim, [key], f_agentbest, policy, [label])
+        for one, key, label in zip(problems, keys if len(keys) > 1 else [], what):
+            _run(cfg, [one], [key], f_agentbest, policy, [label])
         raise RunFailedError(f"{' / '.join(what)} failed: {exc}") from exc
     return env, np.array(steps)
+
+
+def _stacked(problems: list[ConstrainedProblem]) -> ConstrainedProblem:
+    """The problem of one run per entry of ``problems``, which share their dim,
+    constraint layout and box: the problem itself when all runs share one, else
+    one whose evaluator gives each problem its consecutive run-major rows in one
+    call, and raises ProblemDefinitionError on rows that do not split into
+    equal per-run blocks."""
+    blocks = [list(runs) for _, runs in itertools.groupby(problems, key=id)]  # one per problem
+    if len(blocks) == 1:
+        return problems[0]
+    name = " + ".join(block[0].name for block in blocks)
+
+    def evaluator(X):
+        n, extra = divmod(len(X), len(problems))
+        if extra:
+            raise ProblemDefinitionError(f"{name}: {len(X)} rows do not split into "
+                                         f"{len(problems)} equal per-run blocks")
+        out, b = [], 0
+        for block in blocks:
+            a, b = b, b + len(block) * n
+            out.append(block[0].evaluator(X[a:b]))
+        return tuple(map(np.concatenate, zip(*out)))  # f, C
+
+    return dataclasses.replace(problems[0], name=name, evaluator=evaluator, feasible_point=None)
 
 
 def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
                      f_agentbest: float | None = None) -> list[RunRecord]:
     """cfg.runs paired-seed, budget-matched runs per (problem, dim) of
-    cfg.test_problems (or problems), the runs of each (problem, dim) one
-    ``_run`` of ``policy``: run r starts from ``_rng(cfg.seed, dim, r, name)``."""
+    cfg.test_problems (or problems), run r starting from ``_rng(cfg.seed, dim, r,
+    name)``, in (dim, problem, run) order.  A dim's problems of one constraint
+    layout and box, in order of first appearance, run as one ``_run`` of ``policy``,
+    one problem's runs after another's."""
     names = cfg.test_problems or cfg.problems
     if not names:
         raise ConfigError("evaluation requires a non-empty problem list")
     records = []
     runs = range(cfg.runs)
     for dim in cfg.dims:
-        for name in names:
-            _, steps = _run(cfg, name, dim, [(cfg.seed, dim, run, name) for run in runs],
-                            f_agentbest, policy,
-                            [f"{method} on {name} (dim {dim}, run {run})" for run in runs])
-            records += [RunRecord(problem=name, dim=dim, method=method, run=run,
-                                  steps=steps[:, run]) for run in runs]
+        problems = {name: cfg.registry.lookup(name, dim) for name in names}
+        groups: dict[tuple, list[tuple[str, int]]] = {}
+        for name, p in problems.items():
+            groups.setdefault((p.n_ineq, p.n_eq, p.lower.tobytes(), p.upper.tobytes()),
+                              []).extend((name, run) for run in runs)
+        steps = {}
+        for group in groups.values():
+            _, stacked = _run(cfg, [problems[name] for name, _ in group],
+                              [(cfg.seed, dim, run, name) for name, run in group], f_agentbest,
+                              policy, [f"{method} on {name} (dim {dim}, run {run})"
+                                       for name, run in group])
+            steps.update(zip(group, stacked.transpose(1, 0, 2)))
+        records += [RunRecord(problem=name, dim=dim, method=method, run=run,
+                              steps=steps[name, run]) for name in names for run in runs]
     return records
 
 

@@ -434,6 +434,22 @@ class TestEnvEpisode:
                 assert record_a.tobytes() == record_b.tobytes()
                 assert env_a.current_eps.tobytes() == env_b.current_eps.tobytes()
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_epsilon_for_action_takes_one_action_per_run(self, scheme):
+        # one action serves every run; a list must hold one per run, as in step
+        one, three = (make_env(runs=runs, pop_size=20, maxfes=200, action_scheme=scheme)
+                      for runs in (1, 3))
+        for env in (one, three):
+            env.reset()
+        assert one.epsilon_for_action([2]).tobytes() == one.epsilon_for_action(2).tobytes()
+        for actions in ([1, 2], (1, 2, 3)):
+            with pytest.raises(ValueError, match="broadcast"):
+                one.epsilon_for_action(actions)
+        rows = three.epsilon_for_action([1, 2, 3])
+        assert rows.shape == three.eps_base.values.shape
+        for r, action in enumerate([1, 2, 3]):
+            assert rows[r].tobytes() == three.epsilon_for_action(action)[r].tobytes()
+
     def test_rejected_epsilon_leaves_episode_unchanged(self):
         env = make_env(seed=3, problem=ProblemRegistry().lookup("cec12", 10), pop_size=20,
                        maxfes=200, action_scheme="linear-aa")
@@ -563,15 +579,17 @@ class TestStepRecord:
     @pytest.mark.parametrize("runs", [1, 3])
     @pytest.mark.parametrize("bad", [-1, 11, 2.5, True])
     def test_one_bad_action_raises_and_changes_nothing(self, runs, bad):
-        # each action, or one entry of a group's list; in a list numpy reads True as 1
+        # each action, or one entry of a group's list or tuple; a bool entry is
+        # no index, though numpy reads True in a list as 1
         env = make_env(runs=runs, pop_size=20, maxfes=200)
         env.reset()
         env.step(1)
         before = snapshot(env)
-        batches = [bad] + ([[1, bad, 4]] if runs == 3 and bad is not True else [])
+        batches = [bad] + ([[1, bad, 4], (1, bad, 4)] if runs == 3 else [])
         for actions in batches:
-            message = (f"action index must be an integer in [0, 11), "
-                       f"got {np.full(runs, actions).tolist()}")
+            got = (list(actions) if isinstance(actions, (list, tuple)) and bad is True
+                   else np.full(runs, actions).tolist())
+            message = f"action index must be an integer in [0, 11), got {got}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 env.step(actions)
             assert snapshot(env) == before

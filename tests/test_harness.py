@@ -397,6 +397,35 @@ class TestBatchedRunFailure:
         assert f"feasibility-rule on {self.NAME} (dim 4, run 2) failed: " in err
         assert not out.exists()
 
+    def test_stacked_group_names_the_failing_problems_run(self, monkeypatch):
+        # rastrigin-ring/1 and griewank-plane/3 share a layout and run as one group
+        names = [self.NAME, "synthetic/griewank-plane/3"]
+        cfg = toy_cfg(problems=names, runs=2)
+        problem = cfg.registry.lookup(names[1], 4)
+        rows = harness._rng(cfg.seed, 4, 1, names[1]).uniform(
+            problem.lower, problem.upper, size=(cfg.pop_size, 4))
+        lookup = ProblemRegistry.lookup
+
+        def poisoned(registry, name, dim):
+            real = lookup(registry, name, dim)
+            if name != names[1]:
+                return real
+
+            def evaluator(X):
+                f, C = real.evaluator(X)
+                hit = (X[:, None, :] == rows[None, :, :]).all(axis=2).any(axis=1)
+                return np.where(hit, np.nan, f), C
+
+            return dataclasses.replace(real, evaluator=evaluator)
+
+        monkeypatch.setattr(ProblemRegistry, "lookup", poisoned)
+        with pytest.raises(harness.RunFailedError) as info:
+            run_baseline(cfg, "feasibility-rule")
+        message = str(info.value)
+        assert message.startswith(f"feasibility-rule on {names[1]} (dim 4, run 1) failed: "
+                                  f"{names[1]}: row 0: non-finite")
+        assert isinstance(info.value.__cause__, ProblemDefinitionError)
+
 
 SPLIT_LISTS = dict(train_problems=["synthetic/sphere-linear/0"],
                    test_problems=["synthetic/rastrigin-ring/1"])

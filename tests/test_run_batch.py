@@ -4,19 +4,23 @@ for run, the bits of R single runs on the same generators.
 The design rests on two properties, pinned here: every reduction over a
 stacked (R, N, ...) array is bitwise the reduction over each run's slice
 (the features, the ranking, the relaxation base), and a group of runs returns the step records
-of its runs made one at a time."""
+of its runs made one at a time, also when the group stacks problems of one
+constraint layout."""
+
+import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rlrelax import harness
 from rlrelax.config import ExperimentConfig
-from rlrelax.cop import BudgetCounter
+from rlrelax.cop import BudgetCounter, ProblemDefinitionError
 from rlrelax.env import SCHEMES, EpsilonBase
 from rlrelax.features import extract_state, pairwise_tradeoff, top5_violation_mean
 from rlrelax.lshade import N_MIN, Population, RunStats
-from rlrelax.problems import SYNTHETIC_KINDS
+from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry
 
 RUN_PROBLEMS = ["cec12", "cec14"] + [f"synthetic/{kind}/{seed}"
                                      for seed, kind in enumerate(SYNTHETIC_KINDS)]
@@ -50,8 +54,9 @@ class TestBatchEqualsIndependentRuns:
         keys = [(seed, run) for run in range(runs)]  # _rng(seed, run) is default_rng([seed, run])
         labels = [f"run {run}" for run in range(runs)]
 
-        env, batched = harness._run(cfg, name, dim, keys, f_agentbest, act, labels)
-        singles = [harness._run(cfg, name, dim, [key], f_agentbest, act, [label])
+        problem = cfg.registry.lookup(name, dim)
+        env, batched = harness._run(cfg, [problem] * runs, keys, f_agentbest, act, labels)
+        singles = [harness._run(cfg, [problem], [key], f_agentbest, act, [label])
                    for key, label in zip(keys, labels)]
 
         assert batched.shape[1] == runs
@@ -59,6 +64,117 @@ class TestBatchEqualsIndependentRuns:
         assert batched.shape == single.shape and batched.tobytes() == single.tobytes()
         assert env.f_agentbest.tolist() == [float(e.f_agentbest[0]) for e, _ in singles]
         assert env.state.tobytes() == np.concatenate([e.state for e, _ in singles]).tobytes()
+
+
+# the registry's problems by constraint layout (n_ineq, n_eq): a group stacks one layout
+LAYOUT_FAMILIES = [
+    ["cec12", "cec14", "synthetic/rastrigin-ring/2", "synthetic/griewank-plane/4"],  # (1, 1)
+    ["synthetic/sphere-linear/0", "synthetic/ackley-ellipsoid/3"],  # (1, 0)
+    ["synthetic/rosenbrock-cubic/1", "synthetic/schwefel-band/5"],  # (2, 0)
+]
+
+
+class TestStackedProblemsEqualIndependentRuns:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), synthetic_dim=st.integers(2, 5), n_pop=st.integers(N_MIN, 10),
+           per_dim=st.integers(2, 16), lpsr=st.booleans(), scheme=st.sampled_from(SCHEMES),
+           runs=st.integers(1, 3),
+           policy=st.sampled_from(["greedy", "scheduled-eps", "static-eps", "feasibility-rule"]),
+           f_agentbest=st.sampled_from([None, 50.0]), seed=st.integers(0, 2**32 - 1))
+    def test_step_records_equal(self, data, synthetic_dim, n_pop, per_dim, lpsr, scheme, runs,
+                                policy, f_agentbest, seed):
+        family = data.draw(st.sampled_from(LAYOUT_FAMILIES))
+        names = data.draw(st.lists(st.sampled_from(family), min_size=2, unique=True))
+        dim = 10 if any(name.startswith("cec") for name in names) else synthetic_dim
+        assume(per_dim * dim >= 2 * n_pop)
+        cfg = ExperimentConfig(problems=names, dims=[dim], pop_size=n_pop, maxfes_per_dim=per_dim,
+                               runs=runs, lpsr=lpsr, action_scheme=scheme, static_level=0.3,
+                               seed=seed % 1000)
+        act = policy_for(policy, cfg)
+        # one lookup per problem: a problem's runs are one block of the stacked evaluator
+        per_run = [problem for problem in (cfg.registry.lookup(name, dim) for name in names)
+                   for _ in range(runs)]
+        keys = [(seed, k) for k in range(len(per_run))]
+        labels = [f"run {k}" for k in range(len(per_run))]
+
+        env, stacked = harness._run(cfg, per_run, keys, f_agentbest, act, labels)
+        singles = [harness._run(cfg, [problem], [key], f_agentbest, act, [label])
+                   for problem, key, label in zip(per_run, keys, labels)]
+
+        single = np.concatenate([steps for _, steps in singles], axis=1)
+        assert stacked.shape == single.shape and stacked.tobytes() == single.tobytes()
+        assert env.f_agentbest.tolist() == [float(e.f_agentbest[0]) for e, _ in singles]
+        assert env.state.tobytes() == np.concatenate([e.state for e, _ in singles]).tobytes()
+
+
+# two layouts, interleaved: (1, 0), (1, 1), (1, 0), (1, 1)
+INTERLEAVED = ["synthetic/sphere-linear/0", "synthetic/rastrigin-ring/1",
+               "synthetic/ackley-ellipsoid/2", "synthetic/griewank-plane/3"]
+
+
+class TestGroupedEvaluation:
+    @pytest.mark.parametrize("method", ["greedy", "scheduled-eps", "feasibility-rule"])
+    def test_records_keep_their_order_and_their_bytes(self, method):
+        cfg = ExperimentConfig(problems=INTERLEAVED, dims=[3, 4], pop_size=6, maxfes_per_dim=12,
+                               runs=2, seed=7)
+
+        def records(cfg):
+            if method == "greedy":
+                return harness.evaluate(cfg, harness._init_params(cfg))
+            return harness.run_baseline(cfg, method)
+
+        grouped = records(cfg)
+        assert [(r.dim, r.problem, r.run) for r in grouped] == [
+            (dim, name, run) for dim in (3, 4) for name in INTERLEAVED for run in (0, 1)]
+        # each problem evaluated alone: the same seed keys, the same bytes
+        assert grouped == [r for dim in (3, 4) for name in INTERLEAVED
+                           for r in records(ExperimentConfig(problems=[name], dims=[dim],
+                                                             pop_size=6, maxfes_per_dim=12,
+                                                             runs=2, seed=7))]
+
+    def test_a_different_box_is_its_own_group(self, monkeypatch):
+        # rastrigin-ring/1 and griewank-plane/3 share a layout; a narrower box splits them
+        names = INTERLEAVED[1::2]
+        lookup = ProblemRegistry.lookup
+
+        def narrowed(registry, name, dim):
+            problem = lookup(registry, name, dim)
+            if name != names[1]:
+                return problem
+            return dataclasses.replace(problem, lower=problem.lower / 2, upper=problem.upper / 2)
+
+        monkeypatch.setattr(ProblemRegistry, "lookup", narrowed)
+        run, sizes = harness._run, []
+
+        def counted(cfg, problems, *args):
+            sizes.append(len(problems))
+            return run(cfg, problems, *args)
+
+        monkeypatch.setattr(harness, "_run", counted)
+        common = dict(dims=[4], pop_size=6, maxfes_per_dim=12, runs=2, seed=7)
+        grouped = harness.run_baseline(ExperimentConfig(problems=names, **common), "scheduled-eps")
+        assert sizes == [2, 2]
+        assert grouped == [r for name in names for r in harness.run_baseline(
+            ExperimentConfig(problems=[name], **common), "scheduled-eps")]
+
+    def test_one_problem_is_its_own_stack(self):
+        problem = ExperimentConfig(problems=INTERLEAVED).registry.lookup(INTERLEAVED[1], 4)
+        assert harness._stacked([problem] * 3) is problem
+
+    def test_stacked_evaluator_splits_rows_by_run(self):
+        registry = ExperimentConfig(problems=INTERLEAVED).registry
+        a, b = (registry.lookup(name, 4) for name in INTERLEAVED[1::2])
+        stacked = harness._stacked([a, a, b])
+        assert stacked.name == f"{a.name} + {b.name}"
+        X = np.random.default_rng(0).uniform(-100.0, 100.0, size=(6, 4))
+        f, C = stacked.evaluate_batch(X)
+        (f_a, C_a), (f_b, C_b) = a.evaluate_batch(X[:4]), b.evaluate_batch(X[4:])
+        assert f.tobytes() == np.concatenate([f_a, f_b]).tobytes()
+        assert C.tobytes() == np.concatenate([C_a, C_b]).tobytes()
+        for rows in (1, 4, 5):
+            with pytest.raises(ProblemDefinitionError,
+                               match=f"{rows} rows do not split into 3 equal per-run blocks"):
+                stacked.evaluate_batch(X[:rows])
 
 
 # objective and constraint values from a small set, so ties, exact zeros and

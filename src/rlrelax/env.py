@@ -62,31 +62,6 @@ class ActionSpace:
     def n_actions(self) -> int:
         return self.levels.size
 
-    def _checked(self, index) -> np.ndarray:
-        idx = np.asarray(index)
-        if idx.dtype.kind not in "iu" or not ((idx >= 0) & (idx < self.n_actions)).all():
-            raise ValueError(f"action index must be an integer in [0, {self.n_actions}), "
-                             f"got {idx.tolist()}")
-        return idx
-
-    def level(self, index):
-        """The level of an action index, or the levels of an index array."""
-        levels = self.levels[self._checked(index)]
-        return float(levels) if levels.ndim == 0 else levels
-
-    def normalized_level(self, index):
-        """Level rescaled to [0, 1] for the s9 feature and trace logs, of an
-        index or an index array.
-
-        The exponential scheme's levels already live in [0, 1]; the two
-        linear schemes report index / (n_actions - 1) instead because
-        their raw levels leave the unit interval.
-        """
-        if self.scheme == SCHEME_EXPONENTIAL:
-            return self.level(index)
-        levels = self._checked(index) / (self.n_actions - 1)
-        return float(levels) if levels.ndim == 0 else levels
-
 
 @dataclass(frozen=True)
 class EpsilonBase:
@@ -246,26 +221,32 @@ class EpsilonControlEnv:
 
     # -- stepping ------------------------------------------------------------
 
-    def epsilon_for_action(self, actions) -> np.ndarray:
-        """Each run's epsilon (R, p+q) under its action; one action serves all."""
-        levels = self.action_space.level(np.full(len(self.rngs), actions))
-        if self.action_space.scheme == SCHEME_EXPONENTIAL:
-            return epsilon_from_action(levels, self.eps_base)
-        return epsilon_linear_step(self.current_eps, levels[:, None], self.eps_base)
+    def epsilon_for_action(self, actions) -> tuple[np.ndarray, np.ndarray]:
+        """Decode each run's action index: its epsilon (R, p+q) and the level
+        (R,) that s9 and the step record keep; one action serves all runs.
 
-    def step(self, actions) -> np.ndarray:
-        """Run one generation of each run under its action's level, an index checked once."""
+        The exponential scheme's levels already live in [0, 1]; the two
+        linear schemes record index / (n_actions - 1) instead because
+        their raw levels leave the unit interval.
+        """
         if self.terminal:  # before reset() there is no eps_base to scale
             raise RuntimeError("episode is terminal; call reset() before stepping")
         space = self.action_space
         if isinstance(actions, (list, tuple)) and any(isinstance(a, (bool, np.bool_)) for a in actions):
             actions = np.array(actions, dtype=object)  # numpy would read a bool entry as 1
-        index = space._checked(np.full(len(self.rngs), actions))
+        index = np.full(len(self.rngs), actions)
+        if index.dtype.kind not in "iu" or not ((index >= 0) & (index < space.n_actions)).all():
+            raise ValueError(f"action index must be an integer in [0, {space.n_actions}), "
+                             f"got {index.tolist()}")
+        levels = space.levels[index]
         if space.scheme == SCHEME_EXPONENTIAL:
-            levels = space.levels[index]
-            return self.step_with_epsilon(_epsilon_rows(levels.tolist(), self.eps_base), levels)
-        eps = epsilon_linear_step(self.current_eps, space.levels[index, None], self.eps_base)
-        return self.step_with_epsilon(eps, index / (space.n_actions - 1))
+            return _epsilon_rows(levels.tolist(), self.eps_base), levels
+        return (epsilon_linear_step(self.current_eps, levels[:, None], self.eps_base),
+                index / (space.n_actions - 1))
+
+    def step(self, actions) -> np.ndarray:
+        """Run one generation of each run under its action's decoded epsilon and level."""
+        return self.step_with_epsilon(*self.epsilon_for_action(actions))
 
     def step_with_epsilon(self, eps: np.ndarray, level) -> np.ndarray:
         """Advance every run one generation under its row of ``eps`` (R, p+q);

@@ -433,7 +433,8 @@ def write_records_jsonl(records: list[RunRecord], path) -> None:
 
 def load_records_jsonl(path) -> list[RunRecord]:
     """Rebuild RunRecords from a trace file written by write_records_jsonl; a line
-    that is not such a trace raises ValueError naming its file, line and key."""
+    that is not such a trace, or whose step is not its run's next of 1, 2, ..., k,
+    raises ValueError naming its file and line."""
     runs: dict[tuple, list[list]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -452,8 +453,11 @@ def load_records_jsonl(path) -> list[RunRecord]:
                 if type(row[k]) is int and k in STEP_COLUMNS and not abs(row[k]) < 2**53:
                     raise ValueError(f"{path} line {lineno}: {k} must be below 2**53 in "
                                      f"magnitude, the float record's exact range, got {row[k]!r}")
-            runs.setdefault(tuple(row[k] for k in _RECORD_KEYS), []).append(
-                [row[k] for k in STEP_COLUMNS])
+            steps = runs.setdefault(tuple(row[k] for k in _RECORD_KEYS), [])
+            if row["step"] != len(steps) + 1:  # a duplicated or reordered line
+                raise ValueError(f"{path} line {lineno}: step must be {len(steps) + 1}, "
+                                 f"the run's next in file order, got {row['step']!r}")
+            steps.append([row[k] for k in STEP_COLUMNS])
     return [RunRecord(*key, np.array(steps, dtype=float)) for key, steps in runs.items()]
 
 

@@ -34,6 +34,10 @@ one loop over the (R,) arrays of all runs must equal run by run.
 ``ListReplayBuffer`` is the replay ring as a list of ``Transition`` objects,
 whose samples, and the generator states they leave, the column store of
 ``agent.ReplayBuffer`` must reproduce.
+``action_epsilon`` is each run's decoded action written out row by row, the
+exponential interpolation or the clipped linear slide and the level the
+step records, which ``env.EpsilonControlEnv.epsilon_for_action`` and the
+step through it must equal byte for byte.
 ``wrapped_loss_and_grad`` and ``wrapped_loss_with_fixed_targets`` are the
 learner's update written with numpy's Python wrappers (``mean``, ``sum`` and
 ``zeros_like``), which ``agent.loss_and_grad``'s calls to the ufuncs behind
@@ -50,7 +54,7 @@ import numpy as np
 from rlrelax.agent import (SELU_ALPHA, SELU_LAMBDA, Batch, NetworkParams, forward_batch, selu,
                            sigmoid)
 from rlrelax.cop import ProblemDefinitionError, epsilon_vector
-from rlrelax.env import REWARD_FULL, REWARD_VARIANTS
+from rlrelax.env import REWARD_FULL, REWARD_VARIANTS, SCHEME_EXPONENTIAL
 from rlrelax.lshade import P_BEST_RATE, Draws, SuccessHistory
 
 
@@ -299,6 +303,26 @@ def compute_reward(r1: float, r2: float, gamma: float, variant: str) -> float:
     else:
         raise ValueError(f"unknown reward variant {variant!r}; choose from {REWARD_VARIANTS}")
     return float(min(max(r, 0.0), 1.0))
+
+
+def action_epsilon(space, index: list[int], prev_eps: np.ndarray, base: np.ndarray,
+                   delta: float) -> tuple[np.ndarray, list[float]]:
+    """Each run's epsilon row and recorded level for its action index.
+
+    The exponential scheme gives base_r**a * delta**(1 - a) with one float
+    exponent a per row and records a; the linear schemes give
+    clip(prev_r * (1 - a), 0, base_r) and record i / (n - 1).
+    """
+    rows, recorded = [], []
+    for i, prev_row, base_row in zip(index, prev_eps, base):
+        a = float(space.levels[i])
+        if space.scheme == SCHEME_EXPONENTIAL:
+            rows.append(base_row ** a * delta ** (1.0 - a))
+            recorded.append(a)
+        else:
+            rows.append(np.clip(prev_row * (1.0 - a), 0.0, base_row))
+            recorded.append(i / (space.n_actions - 1))
+    return np.array(rows), recorded
 
 
 class ListReplayBuffer:

@@ -28,7 +28,7 @@ from rlrelax.env import (
 from rlrelax.lshade import N_MIN, episode_steps
 from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry, synthetic_family
 
-from reference import compute_reward, reward_components
+from reference import action_epsilon, compute_reward, reward_components
 
 
 class TestActionSpace:
@@ -52,30 +52,41 @@ class TestActionSpace:
             ActionSpace.for_scheme("quadratic")
 
     def test_normalized_levels_unit_interval(self):
-        for scheme in ("exponential", "linear-aa", "linear-ca"):
-            space = ActionSpace.for_scheme(scheme)
-            for i in range(space.n_actions):
-                assert 0.0 <= space.normalized_level(i) <= 1.0
+        # the level the decoder records for every action lies in [0, 1]
+        for scheme in SCHEMES:
+            env = make_env(pop_size=20, maxfes=200, action_scheme=scheme)
+            env.reset()
+            for i in range(env.action_space.n_actions):
+                (level,) = env.epsilon_for_action(i)[1].tolist()
+                assert 0.0 <= level <= 1.0
 
     def test_index_array_equals_each_index(self):
-        for scheme in ("exponential", "linear-aa", "linear-ca"):
-            space = ActionSpace.for_scheme(scheme)
-            idx = np.arange(space.n_actions)
-            for helper in (space.level, space.normalized_level):
-                assert helper(idx).tolist() == [helper(i) for i in idx.tolist()]
-                assert type(helper(np.int64(3))) is float
-            if scheme != "exponential":  # numpy's idx / (n - 1) is Python's i / (n - 1)
-                assert space.normalized_level(idx).tolist() == [
-                    i / (space.n_actions - 1) for i in range(space.n_actions)]
+        # a run's row and level under an index array are those of its index alone
+        for scheme in SCHEMES:
+            env = make_env(runs=3, pop_size=20, maxfes=200, action_scheme=scheme)
+            env.reset()
+            n = env.action_space.n_actions
+            for idx in ([0, 1, 2], [n - 1, 3, 0], np.array([2, n - 2, 5])):
+                eps, level = env.epsilon_for_action(idx)
+                for r, i in enumerate(list(idx)):
+                    eps_i, level_i = env.epsilon_for_action(i)
+                    assert eps[r].tobytes() == eps_i[r].tobytes()
+                    assert level[r].tobytes() == level_i[r].tobytes()
+                if scheme != "exponential":  # numpy's idx / (n - 1) is Python's i / (n - 1)
+                    assert level.tolist() == [int(i) / (n - 1) for i in idx]
 
     @pytest.mark.parametrize("index", [-1, 7.5, True, False, "n_actions", [0, -1]])
     def test_bad_index_rejected(self, index):
-        for scheme in ("exponential", "linear-aa", "linear-ca"):
-            space = ActionSpace.for_scheme(scheme)
-            bad = space.n_actions if index == "n_actions" else index
-            for helper in (space.level, space.normalized_level):
+        # two runs, so that [0, -1] reaches the range check; nothing changes
+        for scheme in SCHEMES:
+            env = make_env(runs=2, pop_size=20, maxfes=200, action_scheme=scheme)
+            env.reset()
+            before = snapshot(env)
+            bad = env.action_space.n_actions if index == "n_actions" else index
+            for decode in (env.epsilon_for_action, env.step):
                 with pytest.raises(ValueError, match="action index"):
-                    helper(bad)
+                    decode(bad)
+                assert snapshot(env) == before
 
 
 class TestEpsilonMapping:
@@ -419,7 +430,7 @@ class TestEnvEpisode:
         assert s[5] == s[6] == s[8] == s[9] == 0.0
 
     def test_step_with_epsilon_matches_scheme_step(self):
-        # the step's one checked index gives what the public helpers give, under
+        # the step's decoded epsilon and level are the written-out oracle's, under
         # every scheme, for every action, at one run and at three
         for scheme, runs in itertools.product(SCHEMES, (1, 3)):
             env_a, env_b = (make_env(seed=21, runs=runs, pop_size=20, maxfes=400,
@@ -427,12 +438,15 @@ class TestEnvEpisode:
             env_a.reset()
             env_b.reset()
             for action in range(env_a.action_space.n_actions):
+                eps, level = action_epsilon(env_b.action_space, [action] * runs,
+                                            env_b.current_eps, env_b.eps_base.values,
+                                            env_b.eps_base.delta)
                 record_a = env_a.step(action)
-                eps = env_b.epsilon_for_action(action)
-                record_b = env_b.step_with_epsilon(eps, env_b.action_space.normalized_level(action))
+                record_b = env_b.step_with_epsilon(eps, level)
                 assert np.array_equal(env_a.state, env_b.state)
                 assert record_a.tobytes() == record_b.tobytes()
-                assert env_a.current_eps.tobytes() == env_b.current_eps.tobytes()
+                assert record_a[:, STEP_COLUMNS.index("level")].tolist() == level
+                assert env_a.current_eps.tobytes() == eps.tobytes()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_epsilon_for_action_takes_one_action_per_run(self, scheme):
@@ -441,14 +455,38 @@ class TestEnvEpisode:
                       for runs in (1, 3))
         for env in (one, three):
             env.reset()
-        assert one.epsilon_for_action([2]).tobytes() == one.epsilon_for_action(2).tobytes()
+        for got, want in zip(one.epsilon_for_action([2]), one.epsilon_for_action(2)):
+            assert got.tobytes() == want.tobytes()
         for actions in ([1, 2], (1, 2, 3)):
             with pytest.raises(ValueError, match="broadcast"):
                 one.epsilon_for_action(actions)
-        rows = three.epsilon_for_action([1, 2, 3])
-        assert rows.shape == three.eps_base.values.shape
+        rows, levels = three.epsilon_for_action([1, 2, 3])
+        assert rows.shape == three.eps_base.values.shape and levels.shape == (3,)
         for r, action in enumerate([1, 2, 3]):
-            assert rows[r].tobytes() == three.epsilon_for_action(action)[r].tobytes()
+            eps, level = three.epsilon_for_action(action)
+            assert rows[r].tobytes() == eps[r].tobytes()
+            assert levels[r].tobytes() == level[r].tobytes()
+
+    def test_bool_entry_rejected_by_the_decoder(self):
+        # numpy reads True in a list as 1; the decoder refuses it as step does
+        env = make_env(runs=3, pop_size=20, maxfes=200)
+        env.reset()
+        env.step(1)
+        before = snapshot(env)
+        for actions in ([1, True, 4], (1, True, 4), [1, np.True_, 4]):
+            with pytest.raises(ValueError, match="action index must be an integer"):
+                env.epsilon_for_action(actions)
+            assert snapshot(env) == before
+
+    def test_decoder_before_reset_and_after_the_end(self):
+        env = make_env(pop_size=20, maxfes=100)
+        with pytest.raises(RuntimeError, match=re.escape("call reset()")):
+            env.epsilon_for_action(1)
+        env.reset()
+        while not env.terminal:
+            env.step(1)
+        with pytest.raises(RuntimeError, match=re.escape("call reset()")):
+            env.epsilon_for_action(1)
 
     def test_rejected_epsilon_leaves_episode_unchanged(self):
         env = make_env(seed=3, problem=ProblemRegistry().lookup("cec12", 10), pop_size=20,
@@ -468,8 +506,8 @@ class TestEnvEpisode:
                 call()
             assert snapshot(env) == before
         # the next linear step still scales the last valid vector
-        assert np.array_equal(env.epsilon_for_action(2), np.clip(
-            eps * (1.0 - env.action_space.level(2)), 0.0, env.eps_base.values))
+        assert np.array_equal(env.epsilon_for_action(2)[0], np.clip(
+            eps * (1.0 - env.action_space.levels[2]), 0.0, env.eps_base.values))
 
     def test_epsilon_is_validated_once_per_group_step(self, monkeypatch):
         checks, check = [], cop.epsilon_vector

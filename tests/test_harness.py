@@ -574,6 +574,38 @@ class TestExport:
         with pytest.raises(ValueError):
             export_curves([], tmp_path)
 
+    @staticmethod
+    def _two_step_file(path) -> list[str]:
+        """A records file of one run ending at sco 3.0, and its lines."""
+        steps = trace([dict(step=i + 1, fes=(i + 2) * 10, level=0.5, eps_min=0.0, eps_mean=0.0,
+                            eps_max=0.0, reward=0.0, sco=s) for i, s in enumerate((5.0, 3.0))])
+        write_records_jsonl([RunRecord("p", 2, "m", 0, steps)], path)
+        return path.read_text(encoding="utf-8").splitlines(keepends=True)
+
+    def test_duplicated_lines_rejected(self, tmp_path):
+        # the file written twice would load as one run with steps 1, 2, 1, 2
+        path = tmp_path / "records.jsonl"
+        path.write_text("".join(self._two_step_file(path) * 2), encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3: step must be 3")):
+            load_records_jsonl(path)
+
+    def test_swapped_lines_rejected(self, tmp_path):
+        # swapped, the run would load with final_sco 5.0 where it ended at 3.0
+        path = tmp_path / "records.jsonl"
+        first, second = self._two_step_file(path)
+        path.write_text(second + first, encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 1: step must be 1, "
+                                                       "the run's next in file order, got 2")):
+            load_records_jsonl(path)
+
+    def test_runs_may_interleave(self, tmp_path):
+        # the rule is per run: another run's lines may come between a run's steps
+        path = tmp_path / "records.jsonl"
+        first, second = self._two_step_file(path)
+        other = first.replace('"run": 0', '"run": 1')
+        path.write_text(first + other + second, encoding="utf-8")
+        assert [(r.run, r.final_sco) for r in load_records_jsonl(path)] == [(0, 3.0), (1, 5.0)]
+
 
 class TestRunRecordEquality:
     """Records compare by identity and by the bytes of their steps."""
@@ -632,19 +664,23 @@ class TestTraceWriterBytes:
     """write_records_jsonl's file is json.dumps of each line, byte for byte."""
 
     @staticmethod
-    def written(records) -> tuple[str, list[RunRecord]]:
-        """The file's text and, when load_records_jsonl accepts it, its records."""
+    def written(records) -> tuple[str, list[RunRecord] | ValueError]:
+        """The file's text and its records, or the error load_records_jsonl raises."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "records.jsonl"
             write_records_jsonl(records, path)
             try:
                 return path.read_text(encoding="utf-8"), load_records_jsonl(path)
-            except ValueError:  # a non-finite sco
-                return path.read_text(encoding="utf-8"), []
+            except ValueError as exc:  # a non-finite sco or a step out of order
+                return path.read_text(encoding="utf-8"), exc
 
     @settings(max_examples=300, deadline=None)
-    @given(drawn=st.lists(run_trace, max_size=3, unique_by=lambda d: d[0]))
-    def test_bytes_equal_json_dumps_per_line(self, drawn):
+    @given(drawn=st.lists(run_trace, max_size=3, unique_by=lambda d: d[0]),
+           numbered=st.booleans())
+    def test_bytes_equal_json_dumps_per_line(self, drawn, numbered):
+        if numbered:  # each run's steps 1, 2, ..., k, as the env counts them
+            drawn = [(key, [(i, *step[1:]) for i, step in enumerate(steps, start=1)])
+                     for key, steps in drawn]
         records = [RunRecord(*key, np.array(steps, dtype=float).reshape(-1, len(STEP_COLUMNS)))
                    for key, steps in drawn]
         text, loaded = self.written(records)
@@ -653,7 +689,12 @@ class TestTraceWriterBytes:
             json.dumps({**dict(zip(("problem", "dim", "method", "run"), key)),
                         **dict(zip(STEP_COLUMNS, step))}) + "\n"
             for key, steps in drawn for step in steps)
-        if all(math.isfinite(step[col("sco")]) for _, steps in drawn for step in steps):
+        in_order = all(step[0] == i for _, steps in drawn for i, step in enumerate(steps, 1))
+        if not all(math.isfinite(step[col("sco")]) for _, steps in drawn for step in steps):
+            assert isinstance(loaded, ValueError)
+        elif not in_order:
+            assert isinstance(loaded, ValueError) and "step must be" in str(loaded)
+        else:
             assert [(r.problem, r.dim, r.method, r.run) for r in loaded] == [
                 (r.problem, r.dim, r.method, r.run) for r in records if len(r.steps)]
             for r, back in zip([r for r in records if len(r.steps)], loaded):

@@ -14,7 +14,7 @@ NAMES = ["coord spread", "objective spread", "coord mean", "objective mean",
 
 problem = ProblemRegistry().lookup("synthetic/rastrigin-ring/1", 10)
 # the settings come from the experiment config; the budget is the run's own
-env = EpsilonControlEnv(problem, [np.random.default_rng(3)], ExperimentConfig(pop_size=50), 500)
+env = EpsilonControlEnv([problem], [np.random.default_rng(3)], ExperimentConfig(pop_size=50), 500)
 state = env.reset()[0]  # one run: the first row of the (runs, 10) observation
 
 print("feature".ljust(20), "reset ", sep="")

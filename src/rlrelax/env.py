@@ -5,18 +5,20 @@ into a per-constraint epsilon vector, the optimizer advances exactly one
 generation under that epsilon, and the environment emits the next
 observation plus a reward that blends objective progress and violation
 progress.  An episode ends when the evaluation budget is spent.  One
-environment runs R paired runs of a problem in lockstep, each with its own
-level, epsilon, observation and reward.
+environment runs R paired runs in lockstep, each on its own problem of one
+dim and box, with its own level, epsilon, observation and reward.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cop import BudgetCounter, ConstrainedProblem
+from .cop import BudgetCounter, ConstrainedProblem, ProblemDefinitionError
 # bench/spans.py patches top5_violation_mean here unguarded; it stays until its probe moves
 from .features import extract_state, mask_constraint_features, top5_violation_mean  # noqa: F401
 from .lshade import Population, RunStats, generation_step, init_population
@@ -78,12 +80,18 @@ class EpsilonBase:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_population(cls, pop: Population, delta: float = DELTA_DEFAULT) -> "EpsilonBase":
-        # the two term groups averaged apart: one mean over V rounds some runs differently
-        V, p = pop.V, pop.n_ineq
-        return cls(values=np.concatenate([V[..., :p].mean(axis=1), V[..., p:].mean(axis=1)],
-                                         axis=-1),
-                   delta=delta)
+    def from_population(cls, pop: Population, delta: float = DELTA_DEFAULT,
+                        layouts: list[tuple[slice, int, int]] | None = None) -> "EpsilonBase":
+        """Each stretch of runs (runs, p, q) of ``layouts``, by default pop's own, takes
+        its base from its p inequality and q equality columns, delta on the padding."""
+        V, P = pop.V, pop.n_ineq
+        values = np.zeros(V.shape[::2])
+        # each term group averaged apart, at its own width: a mean over both groups,
+        # or over a block widened by padding, rounds some runs differently
+        for runs, p, q in layouts or [(slice(None), P, V.shape[-1] - P)]:
+            values[runs, :p] = V[runs, :, :p].mean(axis=1)
+            values[runs, P:P + q] = V[runs, :, P:P + q].mean(axis=1)
+        return cls(values=values, delta=delta)
 
 
 def epsilon_from_action(level, base: EpsilonBase) -> np.ndarray:
@@ -159,9 +167,37 @@ def rewards(f_gbest_prev, f_gbest_now, f_gbest_0, f_agentbest, nu_prev, nu_now, 
     return np.array(out, dtype=float)
 
 
+def _stacked(problems: list[ConstrainedProblem]) -> ConstrainedProblem:
+    """The problem of one run per entry of ``problems``, which share dim and box: the
+    problem itself when all runs share one, else one of the widest layout (P = max
+    n_ineq, Q = max n_eq) whose evaluator calls each problem's evaluate_batch on its
+    equal per-run blocks of rows and puts its C in columns :n_ineq and P:P + n_eq, 0.0 elsewhere."""
+    blocks = [list(runs) for _, runs in itertools.groupby(problems, key=id)]  # one per problem
+    if len(blocks) == 1:
+        return problems[0]
+    name = " + ".join(block[0].name for block in blocks)
+    P, Q = max(pr.n_ineq for pr in problems), max(pr.n_eq for pr in problems)
+
+    def evaluator(X):
+        n, extra = divmod(len(X), len(problems))
+        if extra:
+            raise ProblemDefinitionError(f"{name}: {len(X)} rows do not split into "
+                                         f"{len(problems)} equal per-run blocks")
+        f, C, b = np.empty(len(X)), np.zeros((len(X), P + Q)), 0
+        for block in blocks:
+            a, b, member = b, b + len(block) * n, block[0]
+            f[a:b], C_r = member.evaluate_batch(X[a:b])
+            p = member.n_ineq
+            C[a:b, :p], C[a:b, P:P + member.n_eq] = C_r[:, :p], C_r[:, p:]
+        return f, C
+
+    return dataclasses.replace(problems[0], name=name, n_ineq=P, n_eq=Q, evaluator=evaluator,
+                               feasible_point=None)
+
+
 class EpsilonControlEnv:
-    """R paired optimization runs on one problem, one generator each in
-    ``rngs``, exposed as one episodic decision process with a run axis.
+    """R paired optimization runs, run r on ``problems[r]`` drawing from
+    ``rngs[r]``, exposed as one episodic decision process with a run axis.
 
     The settings come from ``cfg``, the budget of each run is ``maxfes``.
     Construct, ``reset()`` once, then ``step(actions)`` until ``terminal``
@@ -171,14 +207,26 @@ class EpsilonControlEnv:
     ``stats`` is kept by lshade; the env holds only the decision process, per
     run: ``eps_base`` and ``current_eps`` (R, p+q), ``f_agentbest``, and
     ``state``, the observation computed on its first read after ``reset()``
-    or a step; baselines never read it.
+    or a step; baselines never read it.  ``problem`` is the runs' stacked
+    problem (see _stacked), whose p+q columns are the widest layout's; a run's
+    epsilon statistics and base read only its own problem's columns.
     """
 
-    def __init__(self, problem: ConstrainedProblem, rngs: list[np.random.Generator],
+    def __init__(self, problems: list[ConstrainedProblem], rngs: list[np.random.Generator],
                  cfg: ExperimentConfig, maxfes: int, f_agentbest: float | None = None):
         if maxfes < 2 * cfg.pop_size:
             raise ValueError("budget must cover at least two generations")
-        self.problem, self.rngs, self.cfg, self.maxfes = problem, rngs, cfg, maxfes
+        if len(problems) != len(rngs):
+            raise ValueError(f"{len(problems)} problems for {len(rngs)} runs")
+        self.problem, self.rngs, self.cfg, self.maxfes = _stacked(problems), rngs, cfg, maxfes
+        P, b, self.layouts = self.problem.n_ineq, 0, []  # each stretch of runs: (runs, p, q)
+        for (p, q), stretch in itertools.groupby((pr.n_ineq, pr.n_eq) for pr in problems):
+            a, b = b, b + len(list(stretch))
+            self.layouts.append((slice(a, b), p, q))
+        # each stretch's own columns: a slice, so a view, unless padding splits them
+        self._own = [(runs, slice(0, p + q) if p == P or not q else np.r_[:p, P:P + q])
+                     for runs, p, q in self.layouts]
+        self._m = [max(pr.n_constraints, 1) for pr in problems]
         self.action_space = ActionSpace.for_scheme(cfg.action_scheme)
         self._initial_agentbest = np.inf if f_agentbest is None else f_agentbest
         self.pop: Population | None = None
@@ -205,7 +253,7 @@ class EpsilonControlEnv:
         self.stats = RunStats(BudgetCounter(self.maxfes), self.cfg.pop_size,
                               lpsr=self.cfg.lpsr, delta_acc=self.cfg.delta_acc)
         self.pop = init_population(self.problem, self.rngs, self.stats)
-        self.eps_base = EpsilonBase.from_population(self.pop, self.cfg.delta)
+        self.eps_base = EpsilonBase.from_population(self.pop, self.cfg.delta, self.layouts)
         self.current_eps = self.eps_base.values.copy()
         # best objective across all training so far
         self.f_agentbest = np.full(len(self.rngs), self._initial_agentbest)
@@ -282,11 +330,15 @@ class EpsilonControlEnv:
 
         reward = rewards(f_gbest_prev, stats.f_gbest, stats.f_pbest_0, self.f_agentbest,
                          nu_prev, stats.nu_top5, stats.nu_top5_0, self.cfg.reward_variant)
-        # ufunc reduces, without numpy's wrappers; np.add.reduce: pairwise sums, -0.0 kept
-        eps_stats = (zip(np.minimum.reduce(rows, 1).tolist(), np.add.reduce(rows, 1).tolist(),
-                         np.maximum.reduce(rows, 1).tolist()) if m else [(0.0, 0.0, 0.0)] * runs)
+        eps_stats = []  # over each run's own columns, 0 for a run without constraints
+        for stretch, own in self._own:  # ufunc reduces; np.add.reduce: pairwise sums, -0.0 kept
+            part = rows[stretch, own]
+            eps_stats += (zip(np.minimum.reduce(part, 1).tolist(),
+                              np.add.reduce(part, 1).tolist(), np.maximum.reduce(part, 1).tolist())
+                          if part.shape[1] else [(0.0, 0.0, 0.0)] * len(part))
         step, fes = self.step_index, stats.budget.fes
-        return np.array([[step, fes, lv, lo, total / max(m, 1), hi, r, sco]  # STEP_COLUMNS' order
-                         for lv, (lo, total, hi), r, sco in zip(
-                             level_list, eps_stats, reward.tolist(), stats.best_sco.tolist())],
+        return np.array([[step, fes, lv, lo, total / m, hi, r, sco]  # STEP_COLUMNS' order
+                         for lv, (lo, total, hi), m, r, sco in zip(
+                             level_list, eps_stats, self._m, reward.tolist(),
+                             stats.best_sco.tolist())],
                         dtype=float)

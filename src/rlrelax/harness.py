@@ -11,7 +11,6 @@ randomness flows from named integer seed sequences.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import zlib
@@ -23,7 +22,7 @@ import numpy as np
 from . import agent as qnet
 from .agent import CheckpointMetadata, NetworkParams, ReplayBuffer, Transition
 from .config import ConfigError, ExperimentConfig
-from .cop import ConstrainedProblem, ProblemDefinitionError
+from .cop import ConstrainedProblem
 from .env import STEP_COLUMNS, ActionSpace, EpsilonControlEnv, epsilon_from_action
 from .lshade import episode_steps
 
@@ -195,7 +194,7 @@ def _run(cfg: ExperimentConfig, problems: list[ConstrainedProblem], keys: list[t
     replayed one at a time, each on its problem from its seed key, and the first
     to fail alone is re-raised as RunFailedError naming its ``what[r]``."""
     try:
-        env = EpsilonControlEnv(_stacked(problems), [_rng(*key) for key in keys], cfg,
+        env = EpsilonControlEnv(problems, [_rng(*key) for key in keys], cfg,
                                 cfg.maxfes(problems[0].dim), f_agentbest)
         env.reset()
         steps = []
@@ -208,38 +207,15 @@ def _run(cfg: ExperimentConfig, problems: list[ConstrainedProblem], keys: list[t
     return env, np.array(steps)
 
 
-def _stacked(problems: list[ConstrainedProblem]) -> ConstrainedProblem:
-    """The problem of one run per entry of ``problems``, which share their dim,
-    constraint layout and box: the problem itself when all runs share one, else
-    one whose evaluator gives each problem its consecutive run-major rows in one
-    call, and raises ProblemDefinitionError on rows that do not split into
-    equal per-run blocks."""
-    blocks = [list(runs) for _, runs in itertools.groupby(problems, key=id)]  # one per problem
-    if len(blocks) == 1:
-        return problems[0]
-    name = " + ".join(block[0].name for block in blocks)
-
-    def evaluator(X):
-        n, extra = divmod(len(X), len(problems))
-        if extra:
-            raise ProblemDefinitionError(f"{name}: {len(X)} rows do not split into "
-                                         f"{len(problems)} equal per-run blocks")
-        out, b = [], 0
-        for block in blocks:
-            a, b = b, b + len(block) * n
-            out.append(block[0].evaluator(X[a:b]))
-        return tuple(map(np.concatenate, zip(*out)))  # f, C
-
-    return dataclasses.replace(problems[0], name=name, evaluator=evaluator, feasible_point=None)
-
-
 def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
                      f_agentbest: float | None = None) -> list[RunRecord]:
     """cfg.runs paired-seed, budget-matched runs per (problem, dim) of
     cfg.test_problems (or problems), run r starting from ``_rng(cfg.seed, dim, r,
-    name)``, in (dim, problem, run) order.  A dim's problems of one constraint
-    layout and box, in order of first appearance, run as one ``_run`` of ``policy``,
-    one problem's runs after another's."""
+    name)``, in (dim, problem, run) order.  A dim's problems of one box, in order of
+    first appearance, run as one ``_run`` of ``policy``, one problem's runs after
+    another's, whatever their layouts (see env._stacked); but a problem with 8 or
+    more constraints of one kind only with its own layout, as numpy sums 8 or more
+    terms with 8 partial sums, so a block padded that wide would add in another order."""
     names = cfg.test_problems or cfg.problems
     if not names:
         raise ConfigError("evaluation requires a non-empty problem list")
@@ -249,7 +225,8 @@ def _evaluate_policy(cfg: ExperimentConfig, policy, method: str,
         problems = {name: cfg.registry.lookup(name, dim) for name in names}
         groups: dict[tuple, list[tuple[str, int]]] = {}
         for name, p in problems.items():
-            groups.setdefault((p.n_ineq, p.n_eq, p.lower.tobytes(), p.upper.tobytes()),
+            wide = (p.n_ineq, p.n_eq) if max(p.n_ineq, p.n_eq) >= 8 else ()
+            groups.setdefault((p.lower.tobytes(), p.upper.tobytes(), *wide),
                               []).extend((name, run) for run in runs)
         steps = {}
         for group in groups.values():
@@ -422,12 +399,18 @@ _KINDS = {**dict.fromkeys(("problem", "method"), ((str,), "a string")),
 
 def write_records_jsonl(records: list[RunRecord], path) -> None:
     """Per-generation trace lines, one JSON object per meta-step, step and fes
-    as ints; the file is written once."""
+    as ints; the file is written once.  A run whose step column is not 1, 2, ...,
+    k, which load_records_jsonl would refuse, raises ValueError naming the run
+    before anything is written."""
     lines = []
     for r in records:  # the run's identity once, spliced before each step's "{"
         head = json.dumps({k: getattr(r, k) for k in _RECORD_KEYS})[:-1] + ", "
-        lines.extend(head + json.dumps(dict(zip(STEP_COLUMNS, (int(step), int(fes), *rest))))[1:]
-                     + "\n" for step, fes, *rest in r.steps.tolist())
+        for k, (step, fes, *rest) in enumerate(r.steps.tolist(), start=1):
+            line = head + json.dumps(dict(zip(STEP_COLUMNS, (int(step), int(fes), *rest))))[1:]
+            if step != k:  # after int(), whose error a NaN or inf step keeps
+                raise ValueError(f"{r.problem} (dim {r.dim}, {r.method}, run {r.run}): step "
+                                 f"must be {k}, the run's next, got {step!r}")
+            lines.append(line + "\n")
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 

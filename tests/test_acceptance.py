@@ -135,7 +135,7 @@ def test_criterion_3_reward_bounds_and_worked_example():
     for episode in range(100):
         kind = SYNTHETIC_KINDS[episode % len(SYNTHETIC_KINDS)]
         problem = synthetic_family(kind, int(rng.integers(100)), 5)
-        env = EpsilonControlEnv(problem, [np.random.default_rng(int(rng.integers(2**32)))],
+        env = EpsilonControlEnv([problem], [np.random.default_rng(int(rng.integers(2**32)))],
                                 ExperimentConfig(pop_size=50), 250)
         env.reset()
         while not env.terminal:
@@ -328,7 +328,7 @@ def test_criterion_10_episode_accounting():
     ok = True
     for seed in range(5):
         problem = synthetic_family("rastrigin-ring", seed, 10)
-        env = EpsilonControlEnv(problem, [np.random.default_rng(seed)],
+        env = EpsilonControlEnv([problem], [np.random.default_rng(seed)],
                                 ExperimentConfig(pop_size=50), 500)
         env.reset()
         rng = np.random.default_rng(seed + 100)

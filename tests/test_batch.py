@@ -372,7 +372,8 @@ class TestEpisodeSteps:
     @given(st.integers(4, 16), st.integers(0, 120), st.booleans())
     def test_equals_the_steps_the_env_takes(self, n_pop, extra, lpsr):
         maxfes = 2 * n_pop + extra
-        env = EpsilonControlEnv(synthetic_family("sphere-linear", 0, 3), [np.random.default_rng(0)],
+        env = EpsilonControlEnv([synthetic_family("sphere-linear", 0, 3)],
+                                [np.random.default_rng(0)],
                                 ExperimentConfig(pop_size=n_pop, lpsr=lpsr), maxfes)
         env.reset()
         steps = 0

@@ -56,14 +56,15 @@ def test_probes_install_trace_a_run_and_restore(tmp_path):
             lshade.refresh_relaxed) == originals
 
     names = [span[0] for span in tracer.spans]
-    # 2 problems x 1 run x 2 generations of 10 trials each; the evaluator
-    # runs once per batch (init and each generation), selection is vectorised
-    assert names.count("env.reset") == 2
-    assert names.count("lshade.generation_step") == 4
+    # 2 problems x 1 run x 2 generations of 10 trials each, both problems one
+    # stacked group on the shared box; each problem's evaluator runs once per
+    # batch (init and each generation), selection is vectorised
+    assert names.count("env.reset") == 1
+    assert names.count("lshade.generation_step") == 2
     # one observation per reset, plus one per greedy read before each later
     # step; the final observation is never computed
-    assert names.count("features.extract_state") == 4
-    assert names.count("features.top5_violation_mean") == 6
+    assert names.count("features.extract_state") == 2
+    assert names.count("features.top5_violation_mean") == 3
     assert names.count("problems.evaluator") == 2 * 3
     assert names.count("lshade.select_survivor") == 0
     assert tracer.counts["lshade.trials_evaluated"] == 40

@@ -35,6 +35,8 @@ test_problems = cec12, synthetic/rosenbrock-cubic/5
 
 HELD_OUT = "problems = cec12, synthetic/rosenbrock-cubic/5\n"
 TRAIN_SET = "problems = synthetic/sphere-linear/0, synthetic/rastrigin-ring/1\n"
+THREE_LAYOUTS = ("problems = cec12, synthetic/rosenbrock-cubic/5, synthetic/sphere-linear/9\n"
+                 "lpsr = true\n")
 
 SMALL = """dims = 10
 pop_size = 12
@@ -207,6 +209,19 @@ CASES = {
             "af5212b41605c9377fd373e9fae4cec9d56a1ac1728e70f4b4943c62f6f87012",
         "records.jsonl":
             "873a192bc6312548a1b0595b6081e332d464ec8bb5cfe3dc6e72f9a234fcfe9b",
+    }),
+    # three constraint layouts on one box, (1, 1), (2, 0) and (1, 0): the digests
+    # were taken when each layout ran as its own group, and hold the mixed stack to them
+    "evaluate-baseline-three-layouts": ((EVALUATE, ["baseline", "--name", "scheduled-eps"]),
+                                        THREE_LAYOUTS, {
+        "baseline_scheduled-eps.csv":
+            "569c8cb76dc59cce8f36cb93ac47f57305ce71b1db84260c6d5578789422d508",
+        "records.jsonl":
+            "377d600f96652f9b14874b785c25e98510f3474607bcf9d04d7d0df679a1aa6f",
+        "records_scheduled-eps.jsonl":
+            "21679632d10d101fba2c190cb2fcdb4da89d809f5f00a04cf9ebefad6a3d716f",
+        "results.csv":
+            "28a98aea44ceeafd20ff13c2876fdfd8cda720d5f58374a09ef0341e22c662c4",
     }),
 }
 

@@ -277,7 +277,7 @@ def make_env(seed=0, dim=10, maxfes=500, f_agentbest=None, problem=None, runs=1,
     problem = problem or synthetic_family("rastrigin-ring", 1, dim)
     cfg = ExperimentConfig(**{"pop_size": 50, **settings})
     rngs = [np.random.default_rng(seed + i) for i in range(runs)]
-    return EpsilonControlEnv(problem, rngs, cfg, maxfes, f_agentbest)
+    return EpsilonControlEnv([problem] * runs, rngs, cfg, maxfes, f_agentbest)
 
 
 def snapshot(env) -> bytes:
@@ -291,7 +291,7 @@ class TestEnvSettings:
     def test_constructor_reads_the_config(self):
         cfg = ExperimentConfig(pop_size=20, action_scheme="linear-ca", lpsr=True,
                                delta=0.5, delta_acc=0.25)
-        env = EpsilonControlEnv(synthetic_family("rastrigin-ring", 1, 4),
+        env = EpsilonControlEnv([synthetic_family("rastrigin-ring", 1, 4)],
                                 [np.random.default_rng(0)], cfg, 200)
         assert env.action_space.scheme == "linear-ca"
         env.reset()
@@ -518,8 +518,9 @@ class TestEnvEpisode:
 
         for module in (cop, env_module, lshade):  # wherever the name may be looked up
             monkeypatch.setattr(module, "epsilon_vector", counted, raising=False)
-        env = EpsilonControlEnv(ProblemRegistry().lookup("cec12", 10), [np.random.default_rng(4),
-                                np.random.default_rng(5)], ExperimentConfig(pop_size=20), 200)
+        env = EpsilonControlEnv([ProblemRegistry().lookup("cec12", 10)] * 2,
+                                [np.random.default_rng(4), np.random.default_rng(5)],
+                                ExperimentConfig(pop_size=20), 200)
         env.reset()
         for action in range(3):
             env.step(action)
@@ -673,16 +674,16 @@ class TestLazyObservation:
         cfg = harness_cfg()
         records = harness.run_baseline(cfg, kind)
         assert len(records) == 4 and all(len(r.steps) == 3 for r in records)
-        assert len(observations) == len(cfg.problems)  # one group per problem
+        assert len(observations) == 1  # one group: both problems share the box
 
     @pytest.mark.parametrize("lpsr", [False, True])
     def test_greedy_evaluation_computes_one_observation_per_step(self, observations, lpsr):
-        # the reset observation and one read before each later step; the
-        # final observation is never computed
+        # the reset observation and one read before each later step, for the
+        # one group both problems share; the final observation is never computed
         cfg = harness_cfg(maxfes_per_dim=60, lpsr=lpsr)
         harness.evaluate(cfg, harness._init_params(cfg))
         steps = episode_steps(cfg.maxfes(4), cfg.pop_size, lpsr)
-        assert len(observations) == len(cfg.problems) * steps
+        assert len(observations) == steps
 
     def test_training_observes_no_terminal_state(self, observations):
         # learn reads the state before each step; the state a step ends its episode in
@@ -790,7 +791,7 @@ class TestWholeRunInvariants:
         rng = np.random.default_rng(seed)
         cfg = ExperimentConfig(pop_size=n_pop, action_scheme=scheme, reward_variant=variant,
                                lpsr=lpsr)
-        env = EpsilonControlEnv(problem, [rng], cfg, maxfes)
+        env = EpsilonControlEnv([problem], [rng], cfg, maxfes)
         state, steps = env.reset(), 0
         assert np.all(np.isfinite(state))
         while not env.terminal:

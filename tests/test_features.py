@@ -239,7 +239,7 @@ class TestScriptedRunState:
             scripted.append(extract_state(pop, problem.lower, problem.upper, stats)[0])
         assert all(np.all(np.isfinite(s)) for s in scripted)
 
-        env = EpsilonControlEnv(problem, [np.random.default_rng(seed)],
+        env = EpsilonControlEnv([problem], [np.random.default_rng(seed)],
                                 ExperimentConfig(pop_size=n_pop, lpsr=lpsr), maxfes)
         emitted = [env.reset()[0]]
         while not env.terminal:

@@ -566,7 +566,7 @@ def test_generation_path_calls_no_numpy_wrapper(numpy_wrapper_calls, name, runs)
     calls = numpy_wrapper_calls(cop, env, features, lshade, problems)
     cfg = ExperimentConfig(pop_size=12, lpsr=True)
     # 12 + 12 + 4 evaluations: LPSR shrinks 12 -> 5 -> 4, the budget ends mid-generation
-    control = env.EpsilonControlEnv(problems.ProblemRegistry().lookup(name, 10),
+    control = env.EpsilonControlEnv([problems.ProblemRegistry().lookup(name, 10)] * runs,
                                     [np.random.default_rng(run) for run in range(runs)], cfg, 28)
     control.reset()
     for _ in range(2):

@@ -4,8 +4,8 @@ for run, the bits of R single runs on the same generators.
 The design rests on two properties, pinned here: every reduction over a
 stacked (R, N, ...) array is bitwise the reduction over each run's slice
 (the features, the ranking, the relaxation base), and a group of runs returns the step records
-of its runs made one at a time, also when the group stacks problems of one
-constraint layout."""
+of its runs made one at a time, also when the group stacks problems of several
+constraint layouts, each padded to the widest."""
 
 import dataclasses
 
@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from rlrelax import harness
 from rlrelax.config import ExperimentConfig
-from rlrelax.cop import BudgetCounter, ProblemDefinitionError
-from rlrelax.env import SCHEMES, EpsilonBase
+from rlrelax.cop import BudgetCounter, ConstrainedProblem, ProblemDefinitionError
+from rlrelax.env import SCHEMES, STEP_COLUMNS, EpsilonBase, EpsilonControlEnv, _stacked
 from rlrelax.features import extract_state, pairwise_tradeoff, top5_violation_mean
 from rlrelax.lshade import N_MIN, Population, RunStats
-from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry
+from rlrelax.problems import SYNTHETIC_KINDS, ProblemRegistry, synthetic_family
 
 RUN_PROBLEMS = ["cec12", "cec14"] + [f"synthetic/{kind}/{seed}"
                                      for seed, kind in enumerate(SYNTHETIC_KINDS)]
@@ -66,7 +66,7 @@ class TestBatchEqualsIndependentRuns:
         assert env.state.tobytes() == np.concatenate([e.state for e, _ in singles]).tobytes()
 
 
-# the registry's problems by constraint layout (n_ineq, n_eq): a group stacks one layout
+# the registry's problems by constraint layout (n_ineq, n_eq)
 LAYOUT_FAMILIES = [
     ["cec12", "cec14", "synthetic/rastrigin-ring/2", "synthetic/griewank-plane/4"],  # (1, 1)
     ["synthetic/sphere-linear/0", "synthetic/ackley-ellipsoid/3"],  # (1, 0)
@@ -75,21 +75,23 @@ LAYOUT_FAMILIES = [
 
 
 class TestStackedProblemsEqualIndependentRuns:
-    @settings(max_examples=40, deadline=None)
+    # groups drawn across the three layouts: a group of one layout stacks without
+    # padding, a group of several pads each run's terms to the widest layout
+    @settings(max_examples=80, deadline=None)
     @given(data=st.data(), synthetic_dim=st.integers(2, 5), n_pop=st.integers(N_MIN, 10),
-           per_dim=st.integers(2, 16), lpsr=st.booleans(), scheme=st.sampled_from(SCHEMES),
-           runs=st.integers(1, 3),
+           per_dim=st.integers(2, 16), lpsr=st.booleans(), mask_state=st.booleans(),
+           scheme=st.sampled_from(SCHEMES), runs=st.integers(1, 3),
            policy=st.sampled_from(["greedy", "scheduled-eps", "static-eps", "feasibility-rule"]),
            f_agentbest=st.sampled_from([None, 50.0]), seed=st.integers(0, 2**32 - 1))
-    def test_step_records_equal(self, data, synthetic_dim, n_pop, per_dim, lpsr, scheme, runs,
-                                policy, f_agentbest, seed):
-        family = data.draw(st.sampled_from(LAYOUT_FAMILIES))
-        names = data.draw(st.lists(st.sampled_from(family), min_size=2, unique=True))
+    def test_step_records_equal(self, data, synthetic_dim, n_pop, per_dim, lpsr, mask_state,
+                                scheme, runs, policy, f_agentbest, seed):
+        names = data.draw(st.lists(st.sampled_from(sum(LAYOUT_FAMILIES, [])), min_size=2,
+                                   max_size=4, unique=True))
         dim = 10 if any(name.startswith("cec") for name in names) else synthetic_dim
         assume(per_dim * dim >= 2 * n_pop)
         cfg = ExperimentConfig(problems=names, dims=[dim], pop_size=n_pop, maxfes_per_dim=per_dim,
-                               runs=runs, lpsr=lpsr, action_scheme=scheme, static_level=0.3,
-                               seed=seed % 1000)
+                               runs=runs, lpsr=lpsr, mask_state=mask_state, action_scheme=scheme,
+                               static_level=0.3, seed=seed % 1000)
         act = policy_for(policy, cfg)
         # one lookup per problem: a problem's runs are one block of the stacked evaluator
         per_run = [problem for problem in (cfg.registry.lookup(name, dim) for name in names)
@@ -105,6 +107,89 @@ class TestStackedProblemsEqualIndependentRuns:
         assert stacked.shape == single.shape and stacked.tobytes() == single.tobytes()
         assert env.f_agentbest.tolist() == [float(e.f_agentbest[0]) for e, _ in singles]
         assert env.state.tobytes() == np.concatenate([e.state for e, _ in singles]).tobytes()
+
+
+def layout(problem):
+    return problem.n_ineq, problem.n_eq
+
+
+def own_columns(problem, stacked):
+    """The columns of problem's p inequality and q equality terms in stacked's layout."""
+    P = stacked.n_ineq
+    return list(range(problem.n_ineq)) + list(range(P, P + problem.n_eq))
+
+
+def reset_env(problems, seeds, pop_size=50):
+    env = EpsilonControlEnv(problems, [np.random.default_rng(s) for s in seeds],
+                            ExperimentConfig(pop_size=pop_size), 10 * pop_size)
+    env.reset()
+    return env
+
+
+class TestPaddedLayouts:
+    # (1, 1) and (1, 0), each with inequality terms that are mostly non-zero
+    @pytest.mark.parametrize("name", ["cec14", "synthetic/sphere-linear/9"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eps_base_keeps_each_runs_own_bits(self, name, seed):
+        # the (2, 0) run widens the inequality block to 2 columns; a mean over
+        # the widened block sums member by member, not pairwise, and moves the last bit
+        registry = ProblemRegistry()
+        problem = registry.lookup(name, 10)
+        wide = registry.lookup("synthetic/rosenbrock-cubic/5", 10)
+        for problems, r in (([problem, wide], 0), ([wide, problem, problem], 1)):
+            env = reset_env(problems, [seed + k for k in range(len(problems))])
+            alone = reset_env([problem], [seed + r])
+            own = env.eps_base.values[r, own_columns(problem, env.problem)]
+            assert own.tobytes() == alone.eps_base.values[0].tobytes()
+            padding = np.delete(env.eps_base.values[r], own_columns(problem, env.problem))
+            assert (padding == env.eps_base.delta).all()
+
+    def test_run_without_constraints_records_zero_eps_statistics(self):
+        box = np.full(3, 100.0)
+        free = ConstrainedProblem(name="free", dim=3, lower=-box, upper=box, n_ineq=0, n_eq=0,
+                                  evaluator=lambda X: ((X * X).sum(-1), np.empty((len(X), 0))))
+        constrained = synthetic_family("rastrigin-ring", 1, 3)
+        cfg = ExperimentConfig(pop_size=6, maxfes_per_dim=10)
+        act = policy_for("scheduled-eps", cfg)
+        env, stacked = harness._run(cfg, [free, constrained, free], [(0,), (1,), (2,)], None,
+                                    act, ["a", "b", "c"])
+        alone = [harness._run(cfg, [problem], [key], None, act, ["x"])[1]
+                 for problem, key in ((free, (0,)), (constrained, (1,)), (free, (2,)))]
+        assert stacked.tobytes() == np.concatenate(alone, axis=1).tobytes()
+        stats = [STEP_COLUMNS.index(c) for c in ("eps_min", "eps_mean", "eps_max")]
+        assert not stacked[:, [0, 2]][..., stats].any()
+        assert stacked[:, 1][..., stats].all()
+
+    def test_member_of_the_wrong_width_raises_naming_it(self):
+        registry = ProblemRegistry()
+        good = registry.lookup("synthetic/sphere-linear/0", 4)
+        real = registry.lookup("synthetic/rastrigin-ring/1", 4)
+
+        def one_column_short(X):
+            f, C = real.evaluator(X)
+            return f, C[:, :1]
+
+        bad = dataclasses.replace(real, name="short", evaluator=one_column_short)
+        X = np.random.default_rng(0).uniform(-100.0, 100.0, size=(4, 4))
+        with pytest.raises(ProblemDefinitionError, match=r"^short: evaluator returned f \(2,\), "
+                                                         r"C \(2, 1\) for 2 rows"):
+            _stacked([good, bad]).evaluate_batch(X)
+
+    def test_each_member_fills_its_own_columns(self):
+        registry = ProblemRegistry()
+        members = [registry.lookup(name, 4) for name in ("synthetic/rastrigin-ring/1",
+                                                         "synthetic/rosenbrock-cubic/5",
+                                                         "synthetic/sphere-linear/9")]
+        stacked = _stacked(members)
+        assert layout(stacked) == (2, 1) and stacked.name == " + ".join(m.name for m in members)
+        X = np.random.default_rng(0).uniform(-100.0, 100.0, size=(6, 4))
+        f, C = stacked.evaluate_batch(X)
+        for k, member in enumerate(members):
+            f_k, C_k = member.evaluate_batch(X[2 * k:2 * k + 2])
+            own = own_columns(member, stacked)
+            assert f[2 * k:2 * k + 2].tobytes() == f_k.tobytes()
+            assert C[2 * k:2 * k + 2, own].tobytes() == C_k.tobytes()
+            assert (np.delete(C[2 * k:2 * k + 2], own, axis=1) == 0.0).all()
 
 
 # two layouts, interleaved: (1, 0), (1, 1), (1, 0), (1, 1)
@@ -157,14 +242,46 @@ class TestGroupedEvaluation:
         assert grouped == [r for name in names for r in harness.run_baseline(
             ExperimentConfig(problems=[name], **common), "scheduled-eps")]
 
+    def test_a_block_of_eight_terms_keeps_its_own_layout(self, monkeypatch):
+        # numpy sums 8 or more terms with 8 partial sums, so a narrower block padded
+        # that wide would add in another order: rastrigin-ring/1, given 8 inequality
+        # terms, leaves the two (1, 0) problems that share its box
+        names = INTERLEAVED[:3]
+        lookup = ProblemRegistry.lookup
+
+        def widened(registry, name, dim):
+            problem = lookup(registry, name, dim)
+            if name != names[1]:
+                return problem
+
+            def evaluator(X, real=problem.evaluator):
+                f, C = real(X)
+                return f, np.concatenate([C[:, :1] * np.arange(1.0, 9.0), C[:, 1:]], axis=1)
+
+            return dataclasses.replace(problem, n_ineq=8, evaluator=evaluator)
+
+        monkeypatch.setattr(ProblemRegistry, "lookup", widened)
+        run, sizes = harness._run, []
+
+        def counted(cfg, problems, *args):
+            sizes.append(len(problems))
+            return run(cfg, problems, *args)
+
+        monkeypatch.setattr(harness, "_run", counted)
+        common = dict(dims=[4], pop_size=6, maxfes_per_dim=12, runs=2, seed=7)
+        grouped = harness.run_baseline(ExperimentConfig(problems=names, **common), "scheduled-eps")
+        assert sizes == [4, 2]
+        assert grouped == [r for name in names for r in harness.run_baseline(
+            ExperimentConfig(problems=[name], **common), "scheduled-eps")]
+
     def test_one_problem_is_its_own_stack(self):
         problem = ExperimentConfig(problems=INTERLEAVED).registry.lookup(INTERLEAVED[1], 4)
-        assert harness._stacked([problem] * 3) is problem
+        assert _stacked([problem] * 3) is problem
 
     def test_stacked_evaluator_splits_rows_by_run(self):
         registry = ExperimentConfig(problems=INTERLEAVED).registry
         a, b = (registry.lookup(name, 4) for name in INTERLEAVED[1::2])
-        stacked = harness._stacked([a, a, b])
+        stacked = _stacked([a, a, b])
         assert stacked.name == f"{a.name} + {b.name}"
         X = np.random.default_rng(0).uniform(-100.0, 100.0, size=(6, 4))
         f, C = stacked.evaluate_batch(X)

@@ -37,6 +37,9 @@ HELD_OUT = "problems = cec12, synthetic/rosenbrock-cubic/5\n"
 TRAIN_SET = "problems = synthetic/sphere-linear/0, synthetic/rastrigin-ring/1\n"
 THREE_LAYOUTS = ("problems = cec12, synthetic/rosenbrock-cubic/5, synthetic/sphere-linear/9\n"
                  "lpsr = true\n")
+# at 50 members a mean over the members sums pairwise, and a padded two-column block
+# member by member: an epsilon base taken over the padding moves the last bit
+THREE_LAYOUTS_POP50 = THREE_LAYOUTS + "pop_size = 50\nmaxfes_per_dim = 50\nruns = 3\n"
 
 SMALL = """dims = 10
 pop_size = 12
@@ -223,6 +226,17 @@ CASES = {
         "results.csv":
             "28a98aea44ceeafd20ff13c2876fdfd8cda720d5f58374a09ef0341e22c662c4",
     }),
+    "evaluate-baseline-three-layouts-pop50": ((["baseline", "--name", "scheduled-eps"], EVALUATE),
+                                              THREE_LAYOUTS_POP50, {
+        "baseline_scheduled-eps.csv":
+            "c3f0c70d11233e9c78877ee81c21fe90699dc57cdab3c8102cba46eda2aee762",
+        "records.jsonl":
+            "d7c50b0fb69029f9dc14567ab842f833d97627ef54ac65c2a1ed559dde7a9774",
+        "records_scheduled-eps.jsonl":
+            "01102c061b462b2520812c596dcb0cac0ac79dc0bdf3dafdaddaeaf8cc02b08b",
+        "results.csv":
+            "b8af4f1bcf3aaa34fce0db80fd5ea155ca16f143541bb39a9f2b22532caf147b",
+    }),
 }
 
 
@@ -230,7 +244,7 @@ def current_digests(case: str, tmp_path: Path) -> dict[str, str]:
     """Run the case's verbs in tmp_path; the sha256 of every file they wrote, by name."""
     verbs, problems, _ = CASES[case]
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(problems + SMALL)
+    cfg.write_text(SMALL + problems)  # a case's own lines override SMALL's
     out = tmp_path / "out"
     for argv in verbs:
         rest = [a.replace("{out}", str(out)) for a in argv[1:]]

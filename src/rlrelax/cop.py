@@ -91,6 +91,14 @@ class ConstrainedProblem:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ProblemDefinitionError(f"{self.name}: batch shape {X.shape} for dim {self.dim}")
+        f, C = self.call_evaluator(X)
+        if not (np.isfinite(f).all() and np.isfinite(C).all()):
+            k = int(np.argmax(~(np.isfinite(f) & np.isfinite(C).all(1))))
+            raise ProblemDefinitionError(f"{self.name}: row {k}: non-finite output at x={X[k]!r}")
+        return f, C
+
+    def call_evaluator(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """evaluate_batch's evaluator call and shape check, with no check of the values."""
         n = X.shape[0]
         f, C = (np.asarray(a, dtype=float) for a in self.evaluator(X))
         if f.shape != (n,) or C.shape != (n, self.n_constraints):
@@ -98,9 +106,6 @@ class ConstrainedProblem:
                 f"{self.name}: evaluator returned f {f.shape}, C {C.shape} for {n} rows, "
                 f"declared f {(n,)}, C {(n, self.n_constraints)} "
                 f"({self.n_ineq} inequality / {self.n_eq} equality)")
-        if not (np.isfinite(f).all() and np.isfinite(C).all()):
-            k = int(np.argmax(~(np.isfinite(f) & np.isfinite(C).all(1))))
-            raise ProblemDefinitionError(f"{self.name}: row {k}: non-finite output at x={X[k]!r}")
         return f, C
 
 

@@ -12,7 +12,6 @@ dim and box, with its own level, epsilon, observation and reward.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -80,17 +79,17 @@ class EpsilonBase:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_population(cls, pop: Population, delta: float = DELTA_DEFAULT,
-                        layouts: list[tuple[slice, int, int]] | None = None) -> "EpsilonBase":
-        """Each stretch of runs (runs, p, q) of ``layouts``, by default pop's own, takes
-        its base from its p inequality and q equality columns, delta on the padding."""
+    def from_population(cls, pop: Population, delta: float,
+                        blocks: list[tuple[slice, ConstrainedProblem]]) -> "EpsilonBase":
+        """Each block (runs, member) of _stacked takes its base from the member's own
+        n_ineq inequality and n_eq equality columns, delta on the padding."""
         V, P = pop.V, pop.n_ineq
         values = np.zeros(V.shape[::2])
         # each term group averaged apart, at its own width: a mean over both groups,
         # or over a block widened by padding, rounds some runs differently
-        for runs, p, q in layouts or [(slice(None), P, V.shape[-1] - P)]:
-            values[runs, :p] = V[runs, :, :p].mean(axis=1)
-            values[runs, P:P + q] = V[runs, :, P:P + q].mean(axis=1)
+        for runs, member in blocks:
+            values[runs, :member.n_ineq] = V[runs, :, :member.n_ineq].mean(axis=1)
+            values[runs, P:P + member.n_eq] = V[runs, :, P:P + member.n_eq].mean(axis=1)
         return cls(values=values, delta=delta)
 
 
@@ -167,15 +166,18 @@ def rewards(f_gbest_prev, f_gbest_now, f_gbest_0, f_agentbest, nu_prev, nu_now, 
     return np.array(out, dtype=float)
 
 
-def _stacked(problems: list[ConstrainedProblem]) -> ConstrainedProblem:
-    """The problem of one run per entry of ``problems``, which share dim and box: the
-    problem itself when all runs share one, else one of the widest layout (P = max
-    n_ineq, Q = max n_eq) whose evaluator calls each problem's evaluate_batch on its
-    equal per-run blocks of rows and puts its C in columns :n_ineq and P:P + n_eq, 0.0 elsewhere."""
-    blocks = [list(runs) for _, runs in itertools.groupby(problems, key=id)]  # one per problem
+def _stacked(problems: list[ConstrainedProblem]
+             ) -> tuple[ConstrainedProblem, list[tuple[slice, ConstrainedProblem]]]:
+    """The problem of one run per entry of ``problems``, which share dim and box, and
+    its blocks (runs, member), one per stretch of runs on one problem: the member when
+    there is one block, else one of the widest layout (P = max n_ineq, Q = max n_eq)
+    whose evaluator makes one call_evaluator of each block's member on the block's
+    per-run rows and puts its C in columns :n_ineq and P:P + n_eq, 0.0 elsewhere."""
+    starts = [r for r, pr in enumerate(problems) if not r or pr is not problems[r - 1]]
+    blocks = [(slice(a, b), problems[a]) for a, b in zip(starts, starts[1:] + [len(problems)])]
     if len(blocks) == 1:
-        return problems[0]
-    name = " + ".join(block[0].name for block in blocks)
+        return problems[0], blocks
+    name = " + ".join(member.name for _, member in blocks)
     P, Q = max(pr.n_ineq for pr in problems), max(pr.n_eq for pr in problems)
 
     def evaluator(X):
@@ -183,16 +185,15 @@ def _stacked(problems: list[ConstrainedProblem]) -> ConstrainedProblem:
         if extra:
             raise ProblemDefinitionError(f"{name}: {len(X)} rows do not split into "
                                          f"{len(problems)} equal per-run blocks")
-        f, C, b = np.empty(len(X)), np.zeros((len(X), P + Q)), 0
-        for block in blocks:
-            a, b, member = b, b + len(block) * n, block[0]
-            f[a:b], C_r = member.evaluate_batch(X[a:b])
-            p = member.n_ineq
-            C[a:b, :p], C[a:b, P:P + member.n_eq] = C_r[:, :p], C_r[:, p:]
+        f, C = np.empty(len(X)), np.zeros((len(X), P + Q))
+        for runs, member in blocks:
+            rows, p = slice(runs.start * n, runs.stop * n), member.n_ineq
+            f[rows], C_r = member.call_evaluator(X[rows])
+            C[rows, :p], C[rows, P:P + member.n_eq] = C_r[:, :p], C_r[:, p:]
         return f, C
 
     return dataclasses.replace(problems[0], name=name, n_ineq=P, n_eq=Q, evaluator=evaluator,
-                               feasible_point=None)
+                               feasible_point=None), blocks
 
 
 class EpsilonControlEnv:
@@ -208,8 +209,10 @@ class EpsilonControlEnv:
     run: ``eps_base`` and ``current_eps`` (R, p+q), ``f_agentbest``, and
     ``state``, the observation computed on its first read after ``reset()``
     or a step; baselines never read it.  ``problem`` is the runs' stacked
-    problem (see _stacked), whose p+q columns are the widest layout's; a run's
-    epsilon statistics and base read only its own problem's columns.
+    problem and ``blocks`` its (runs, member) stretches (see _stacked), the one
+    description of which run is on which problem: the stacked p+q columns are
+    the widest layout's, and a run's epsilon base and statistics read only its
+    member's own columns.
     """
 
     def __init__(self, problems: list[ConstrainedProblem], rngs: list[np.random.Generator],
@@ -218,15 +221,8 @@ class EpsilonControlEnv:
             raise ValueError("budget must cover at least two generations")
         if len(problems) != len(rngs):
             raise ValueError(f"{len(problems)} problems for {len(rngs)} runs")
-        self.problem, self.rngs, self.cfg, self.maxfes = _stacked(problems), rngs, cfg, maxfes
-        P, b, self.layouts = self.problem.n_ineq, 0, []  # each stretch of runs: (runs, p, q)
-        for (p, q), stretch in itertools.groupby((pr.n_ineq, pr.n_eq) for pr in problems):
-            a, b = b, b + len(list(stretch))
-            self.layouts.append((slice(a, b), p, q))
-        # each stretch's own columns: a slice, so a view, unless padding splits them
-        self._own = [(runs, slice(0, p + q) if p == P or not q else np.r_[:p, P:P + q])
-                     for runs, p, q in self.layouts]
-        self._m = [max(pr.n_constraints, 1) for pr in problems]
+        self.problem, self.blocks = _stacked(problems)
+        self.rngs, self.cfg, self.maxfes = rngs, cfg, maxfes
         self.action_space = ActionSpace.for_scheme(cfg.action_scheme)
         self._initial_agentbest = np.inf if f_agentbest is None else f_agentbest
         self.pop: Population | None = None
@@ -253,7 +249,7 @@ class EpsilonControlEnv:
         self.stats = RunStats(BudgetCounter(self.maxfes), self.cfg.pop_size,
                               lpsr=self.cfg.lpsr, delta_acc=self.cfg.delta_acc)
         self.pop = init_population(self.problem, self.rngs, self.stats)
-        self.eps_base = EpsilonBase.from_population(self.pop, self.cfg.delta, self.layouts)
+        self.eps_base = EpsilonBase.from_population(self.pop, self.cfg.delta, self.blocks)
         self.current_eps = self.eps_base.values.copy()
         # best objective across all training so far
         self.f_agentbest = np.full(len(self.rngs), self._initial_agentbest)
@@ -330,15 +326,16 @@ class EpsilonControlEnv:
 
         reward = rewards(f_gbest_prev, stats.f_gbest, stats.f_pbest_0, self.f_agentbest,
                          nu_prev, stats.nu_top5, stats.nu_top5_0, self.cfg.reward_variant)
-        eps_stats = []  # over each run's own columns, 0 for a run without constraints
-        for stretch, own in self._own:  # ufunc reduces; np.add.reduce: pairwise sums, -0.0 kept
-            part = rows[stretch, own]
+        eps_stats, P = [], self.problem.n_ineq  # (0, 0, 0) for a run without constraints
+        for stretch, member in self.blocks:  # ufunc reduces; np.add.reduce: pairwise, -0.0 kept
+            p, q = member.n_ineq, member.n_eq  # its own columns: a view unless padding splits them
+            part = rows[stretch, slice(p + q) if p == P or not q else np.r_[:p, P:P + q]]
             eps_stats += (zip(np.minimum.reduce(part, 1).tolist(),
-                              np.add.reduce(part, 1).tolist(), np.maximum.reduce(part, 1).tolist())
-                          if part.shape[1] else [(0.0, 0.0, 0.0)] * len(part))
+                              [total / (p + q) for total in np.add.reduce(part, 1).tolist()],
+                              np.maximum.reduce(part, 1).tolist())
+                          if p + q else [(0.0, 0.0, 0.0)] * len(part))
         step, fes = self.step_index, stats.budget.fes
-        return np.array([[step, fes, lv, lo, total / m, hi, r, sco]  # STEP_COLUMNS' order
-                         for lv, (lo, total, hi), m, r, sco in zip(
-                             level_list, eps_stats, self._m, reward.tolist(),
-                             stats.best_sco.tolist())],
+        return np.array([[step, fes, lv, lo, mean, hi, r, sco]  # STEP_COLUMNS' order
+                         for lv, (lo, mean, hi), r, sco in zip(
+                             level_list, eps_stats, reward.tolist(), stats.best_sco.tolist())],
                         dtype=float)

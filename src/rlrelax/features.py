@@ -77,7 +77,7 @@ def extract_state(pop: Population, lower: np.ndarray, upper: np.ndarray,
     per_run = np.array([*_std_and_mean(coords, (1, 2)), f_range,
                         *_std_and_mean(norm_f, 1), fs.min(axis=1),
                         stats.f_pbest_0, stats.nu_top5, stats.nu_top5_0,
-                        pop.feasible.sum(axis=1), np.full(len(fs), stats.prev_action),
+                        pop.feasible.sum(axis=1), stats.prev_action,
                         pairwise_tradeoff(fs, pop.nu)]).T.tolist()
     s8 = stats.budget.fes / stats.budget.maxfes
     state = np.array([

@@ -11,8 +11,8 @@ member keeps its violation terms V = [max(g, 0) | |h|] in place of its raw
 constraint values, so the new epsilon of each generation re-scores the
 population with one where and two sums (see cop.term_accounting).
 
-Everything carries a leading run axis: R paired runs of one problem share
-their budget, so they advance in lockstep as one (R, N, D) population.
+Everything carries a leading run axis: R paired runs on one problem, or on a
+stack of several (env._stacked), advance in lockstep as one (R, N, D) population.
 Each run keeps its generator and draw order, its archive walk, its r2 rows
 and one reduction call over its slice of the winners; the evaluator, the
 row-wise accounting, the flat gathers of the donors and the winners and the
@@ -114,22 +114,22 @@ class SuccessHistory:
 class RunStats:
     """The record of R runs in lockstep: their shared budget, initial
     population size and LPSR flag, each run's success-history memory, and
-    per run, as (R,) arrays, the bookkeeping over every evaluation and the
-    reference values the features and the reward read, complete from
-    generation 0: init_population sets them, generation_step keeps nu_top5."""
+    per run, as (R,) arrays that init_population sets, the bookkeeping over
+    every evaluation (observe folds each batch in, from min's and max's
+    identity) and the reference values the features and the reward read."""
 
     budget: BudgetCounter            # holds fes and maxfes of each run
     n_init: int                      # initial population size, where LPSR starts
     lpsr: bool = False               # linear population size reduction
     hist: list[SuccessHistory] = field(default_factory=list)  # one per run
     delta_acc: float = DELTA_ACC_DEFAULT
-    f_gbest: float = math.inf        # best objective seen, any feasibility
-    f_max: float = -math.inf         # worst objective seen
-    best_sco: float = math.inf       # best f + violation, the violation zeroed if feasible
-    f_pbest_0: float = math.nan      # best objective at generation 0, the reward's f_gbest_0
-    nu_top5_0: float = math.nan      # top-5 violation mean at generation 0
-    nu_top5: float = math.nan        # the same for the current population
-    prev_action: float = 1.0         # last relaxation level, normalized to [0, 1]
+    f_gbest: np.ndarray = math.inf      # best objective seen, any feasibility
+    f_max: np.ndarray = -math.inf       # worst objective seen
+    best_sco: np.ndarray = math.inf     # best f + violation, the violation zeroed if feasible
+    f_pbest_0: np.ndarray = math.nan    # best objective at generation 0, the reward's f_gbest_0
+    nu_top5_0: np.ndarray = math.nan    # top-5 violation mean at generation 0
+    nu_top5: np.ndarray = math.nan      # the same for the current population
+    prev_action: np.ndarray = math.nan  # last relaxation level in [0, 1], 1 before the first step
 
     def observe(self, batch: Population) -> None:
         """Fold in a batch whose feasibility mask is taken at this delta_acc."""
@@ -157,7 +157,7 @@ def init_population(problem: ConstrainedProblem, rngs: list[np.random.Generator]
     stats.hist = stats.hist or [SuccessHistory.fresh() for _ in rngs]
     stats.observe(pop)
     stats.nu_top5 = stats.nu_top5_0 = features.top5_violation_mean(pop.nu)
-    stats.f_pbest_0 = pop.f.min(-1)
+    stats.f_pbest_0, stats.prev_action = pop.f.min(-1), np.ones(len(rngs))
     return pop
 
 

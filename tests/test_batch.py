@@ -8,6 +8,7 @@ tests/reference.py."""
 import copy
 import dataclasses
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,7 +143,8 @@ class TestViolationTerms:
         pop.nu_eps = None
         refresh_relaxed(pop, eps)
         assert same_bits(pop.nu_eps, nu_eps)
-        base = EpsilonBase.from_population(pop)
+        whole = [(slice(None), SimpleNamespace(n_ineq=p, n_eq=C.shape[-1] - p))]
+        base = EpsilonBase.from_population(pop, 1e-3, whole)
         assert same_bits(base.values, np.maximum(reference.eps_base_values(C, p), base.delta))
 
     def test_inequality_and_equality_terms_sum_apart(self):

@@ -4,6 +4,7 @@ import pickle
 import re
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -328,7 +329,8 @@ class TestEnvEpisode:
 
         pop = Population.evaluated(np.array([[np.zeros(2), np.ones(2)]]), np.array([0.0, 1.0]),
                                    np.array([[2.0], [-4.0]]), n_ineq=0)
-        base = EpsilonBase.from_population(pop)
+        base = EpsilonBase.from_population(pop, 1e-3,
+                                           [(slice(None), SimpleNamespace(n_ineq=0, n_eq=1))])
         assert base.values[0, 0] == pytest.approx(3.0)
 
     def test_episode_length_and_budget(self):

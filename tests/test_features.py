@@ -32,7 +32,7 @@ def make_hist(pop, fes=50, maxfes=500, prev_action=1.0):
     nu_top5 = top5_violation_mean(pop.nu)
     return RunStats(
         f_gbest=pop.f.min(axis=1), f_max=pop.f.max(axis=1), f_pbest_0=pop.f.min(axis=1),
-        nu_top5_0=nu_top5, nu_top5=nu_top5, prev_action=prev_action, budget=budget,
+        nu_top5_0=nu_top5, nu_top5=nu_top5, prev_action=np.array([prev_action]), budget=budget,
         n_init=pop.size,
     )
 
@@ -235,7 +235,7 @@ class TestScriptedRunState:
         scripted = [extract_state(pop, problem.lower, problem.upper, stats)[0]]
         while not stats.budget.exhausted:
             generation_step(pop, problem, eps, [rng], stats)
-            stats.prev_action = level
+            stats.prev_action = np.array([level])
             scripted.append(extract_state(pop, problem.lower, problem.upper, stats)[0])
         assert all(np.all(np.isfinite(s)) for s in scripted)
 

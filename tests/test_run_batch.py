@@ -8,6 +8,7 @@ of its runs made one at a time, also when the group stacks problems of several
 constraint layouts, each padded to the widest."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,9 +77,11 @@ LAYOUT_FAMILIES = [
 
 class TestStackedProblemsEqualIndependentRuns:
     # groups drawn across the three layouts: a group of one layout stacks without
-    # padding, a group of several pads each run's terms to the widest layout
+    # padding, a group of several pads each run's terms to the widest layout; at 50
+    # members the means over them sum pairwise, so a base over a padded block would differ
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), synthetic_dim=st.integers(2, 5), n_pop=st.integers(N_MIN, 10),
+    @given(data=st.data(), synthetic_dim=st.integers(2, 5),
+           n_pop=st.one_of(st.integers(N_MIN, 10), st.just(50)),
            per_dim=st.integers(2, 16), lpsr=st.booleans(), mask_state=st.booleans(),
            scheme=st.sampled_from(SCHEMES), runs=st.integers(1, 3),
            policy=st.sampled_from(["greedy", "scheduled-eps", "static-eps", "feasibility-rule"]),
@@ -87,7 +90,8 @@ class TestStackedProblemsEqualIndependentRuns:
                                 scheme, runs, policy, f_agentbest, seed):
         names = data.draw(st.lists(st.sampled_from(sum(LAYOUT_FAMILIES, [])), min_size=2,
                                    max_size=4, unique=True))
-        dim = 10 if any(name.startswith("cec") for name in names) else synthetic_dim
+        # 50 members need dim 10 for two generations
+        dim = 10 if n_pop == 50 or any(name.startswith("cec") for name in names) else synthetic_dim
         assume(per_dim * dim >= 2 * n_pop)
         cfg = ExperimentConfig(problems=names, dims=[dim], pop_size=n_pop, maxfes_per_dim=per_dim,
                                runs=runs, lpsr=lpsr, mask_state=mask_state, action_scheme=scheme,
@@ -173,14 +177,46 @@ class TestPaddedLayouts:
         X = np.random.default_rng(0).uniform(-100.0, 100.0, size=(4, 4))
         with pytest.raises(ProblemDefinitionError, match=r"^short: evaluator returned f \(2,\), "
                                                          r"C \(2, 1\) for 2 rows"):
-            _stacked([good, bad]).evaluate_batch(X)
+            _stacked([good, bad])[0].evaluate_batch(X)
+
+    def test_each_generation_is_checked_once(self, monkeypatch):
+        # the stacked evaluate_batch alone checks a generation's values; a member's
+        # evaluator runs once per block of its runs, with only its shape checked
+        registry, calls = ProblemRegistry(), {}
+
+        def counted(name):
+            real = registry.lookup(name, 4)
+
+            def evaluator(X):
+                calls[name] = calls.get(name, 0) + 1
+                return real.evaluator(X)
+
+            return dataclasses.replace(real, evaluator=evaluator)
+
+        a, b, c = map(counted, ("synthetic/rastrigin-ring/1", "synthetic/rosenbrock-cubic/5",
+                                "synthetic/sphere-linear/9"))
+        checked, evaluate_batch = [], ConstrainedProblem.evaluate_batch
+
+        def counting(problem, X):
+            checked.append(problem.name)
+            return evaluate_batch(problem, X)
+
+        monkeypatch.setattr(ConstrainedProblem, "evaluate_batch", counting)
+        cfg = ExperimentConfig(pop_size=6, maxfes_per_dim=12, lpsr=True)
+        env, steps = harness._run(cfg, [a, a, b, c, a], [(k,) for k in range(5)], None,
+                                  policy_for("scheduled-eps", cfg), list("abcde"))
+        evaluations = len(steps) + 1  # the initial population, then one per generation
+        assert checked == [env.problem.name] * evaluations
+        assert calls == {a.name: 2 * evaluations, b.name: evaluations, c.name: evaluations}
+        assert [runs.stop for runs, _ in env.blocks] == [2, 3, 4, 5]
 
     def test_each_member_fills_its_own_columns(self):
         registry = ProblemRegistry()
         members = [registry.lookup(name, 4) for name in ("synthetic/rastrigin-ring/1",
                                                          "synthetic/rosenbrock-cubic/5",
                                                          "synthetic/sphere-linear/9")]
-        stacked = _stacked(members)
+        stacked, blocks = _stacked(members)
+        assert blocks == [(slice(k, k + 1), member) for k, member in enumerate(members)]
         assert layout(stacked) == (2, 1) and stacked.name == " + ".join(m.name for m in members)
         X = np.random.default_rng(0).uniform(-100.0, 100.0, size=(6, 4))
         f, C = stacked.evaluate_batch(X)
@@ -276,12 +312,14 @@ class TestGroupedEvaluation:
 
     def test_one_problem_is_its_own_stack(self):
         problem = ExperimentConfig(problems=INTERLEAVED).registry.lookup(INTERLEAVED[1], 4)
-        assert _stacked([problem] * 3) is problem
+        stacked, blocks = _stacked([problem] * 3)
+        assert stacked is problem and blocks == [(slice(0, 3), problem)]
 
     def test_stacked_evaluator_splits_rows_by_run(self):
         registry = ExperimentConfig(problems=INTERLEAVED).registry
         a, b = (registry.lookup(name, 4) for name in INTERLEAVED[1::2])
-        stacked = _stacked([a, a, b])
+        stacked, blocks = _stacked([a, a, b])
+        assert blocks == [(slice(0, 2), a), (slice(2, 3), b)]
         assert stacked.name == f"{a.name} + {b.name}"
         X = np.random.default_rng(0).uniform(-100.0, 100.0, size=(6, 4))
         f, C = stacked.evaluate_batch(X)
@@ -375,7 +413,8 @@ class TestStackedReductions:
     @given(stacked_populations())
     def test_eps_base_is_each_runs_own(self, case):
         pop, p = case[0], case[0].n_ineq
-        base = EpsilonBase.from_population(pop)
+        whole = [(slice(None), SimpleNamespace(n_ineq=p, n_eq=pop.V.shape[-1] - p))]
+        base = EpsilonBase.from_population(pop, 1e-3, whole)
         assert base.values.shape == (pop.f.shape[0], pop.V.shape[-1])
         for r, V in enumerate(pop.V):  # one run's (N, p+q) alone
             own = np.concatenate([V[:, :p].mean(axis=0), V[:, p:].mean(axis=0)])

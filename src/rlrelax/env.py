@@ -222,6 +222,9 @@ class EpsilonControlEnv:
         if len(problems) != len(rngs):
             raise ValueError(f"{len(problems)} problems for {len(rngs)} runs")
         self.problem, self.blocks = _stacked(problems)
+        P = self.problem.n_ineq  # each block's own columns: a view unless padding splits them
+        self._own = [slice(m.n_constraints) if m.n_ineq == P or not m.n_eq
+                     else np.r_[:m.n_ineq, P:P + m.n_eq] for _, m in self.blocks]
         self.rngs, self.cfg, self.maxfes = rngs, cfg, maxfes
         self.action_space = ActionSpace.for_scheme(cfg.action_scheme)
         self._initial_agentbest = np.inf if f_agentbest is None else f_agentbest
@@ -326,14 +329,13 @@ class EpsilonControlEnv:
 
         reward = rewards(f_gbest_prev, stats.f_gbest, stats.f_pbest_0, self.f_agentbest,
                          nu_prev, stats.nu_top5, stats.nu_top5_0, self.cfg.reward_variant)
-        eps_stats, P = [], self.problem.n_ineq  # (0, 0, 0) for a run without constraints
-        for stretch, member in self.blocks:  # ufunc reduces; np.add.reduce: pairwise, -0.0 kept
-            p, q = member.n_ineq, member.n_eq  # its own columns: a view unless padding splits them
-            part = rows[stretch, slice(p + q) if p == P or not q else np.r_[:p, P:P + q]]
+        eps_stats = []  # over each block's own columns, (0, 0, 0) without constraints
+        for (stretch, member), own in zip(self.blocks, self._own):  # np.add.reduce: pairwise
+            part, m = rows[stretch, own], member.n_constraints  # sums, -0.0 kept
             eps_stats += (zip(np.minimum.reduce(part, 1).tolist(),
-                              [total / (p + q) for total in np.add.reduce(part, 1).tolist()],
+                              [total / m for total in np.add.reduce(part, 1).tolist()],
                               np.maximum.reduce(part, 1).tolist())
-                          if p + q else [(0.0, 0.0, 0.0)] * len(part))
+                          if m else [(0.0, 0.0, 0.0)] * len(part))
         step, fes = self.step_index, stats.budget.fes
         return np.array([[step, fes, lv, lo, mean, hi, r, sco]  # STEP_COLUMNS' order
                          for lv, (lo, mean, hi), r, sco in zip(

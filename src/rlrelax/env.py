@@ -222,9 +222,10 @@ class EpsilonControlEnv:
         if len(problems) != len(rngs):
             raise ValueError(f"{len(problems)} problems for {len(rngs)} runs")
         self.problem, self.blocks = _stacked(problems)
-        P = self.problem.n_ineq  # each block's own columns: a view unless padding splits them
-        self._own = [slice(m.n_constraints) if m.n_ineq == P or not m.n_eq
-                     else np.r_[:m.n_ineq, P:P + m.n_eq] for _, m in self.blocks]
+        P = self.problem.n_ineq  # each block's runs, own columns (a view unless padded), width
+        self._own = [(runs, slice(m.n_constraints) if m.n_ineq == P or not m.n_eq
+                      else np.r_[:m.n_ineq, P:P + m.n_eq], m.n_constraints)
+                     for runs, m in self.blocks]
         self.rngs, self.cfg, self.maxfes = rngs, cfg, maxfes
         self.action_space = ActionSpace.for_scheme(cfg.action_scheme)
         self._initial_agentbest = np.inf if f_agentbest is None else f_agentbest
@@ -330,12 +331,12 @@ class EpsilonControlEnv:
         reward = rewards(f_gbest_prev, stats.f_gbest, stats.f_pbest_0, self.f_agentbest,
                          nu_prev, stats.nu_top5, stats.nu_top5_0, self.cfg.reward_variant)
         eps_stats = []  # over each block's own columns, (0, 0, 0) without constraints
-        for (stretch, member), own in zip(self.blocks, self._own):  # np.add.reduce: pairwise
-            part, m = rows[stretch, own], member.n_constraints  # sums, -0.0 kept
+        for stretch, own, width in self._own:  # np.add.reduce: pairwise sums, -0.0 kept
+            part = rows[stretch, own]
             eps_stats += (zip(np.minimum.reduce(part, 1).tolist(),
-                              [total / m for total in np.add.reduce(part, 1).tolist()],
+                              [total / width for total in np.add.reduce(part, 1).tolist()],
                               np.maximum.reduce(part, 1).tolist())
-                          if m else [(0.0, 0.0, 0.0)] * len(part))
+                          if width else [(0.0, 0.0, 0.0)] * len(part))
         step, fes = self.step_index, stats.budget.fes
         return np.array([[step, fes, lv, lo, mean, hi, r, sco]  # STEP_COLUMNS' order
                          for lv, (lo, mean, hi), r, sco in zip(

@@ -17,6 +17,12 @@ Each run keeps its generator and draw order, its archive walk, its r2 rows
 and one reduction call over its slice of the winners; the evaluator, the
 row-wise accounting, the flat gathers of the donors and the winners and the
 memory arithmetic run once over the stack.
+The trials are built in the two buffers of the pbest and r1 gathers: the
+donor in place, in the operation order of x + F*(x_pbest - x) + F*(x_r1 - x_r2),
+then the binomial crossover as a select on the int64 bits, x ^ ((x ^ v) & sel),
+and the bound repair in place.  A where() over the random crossover mask
+branches on every element, and each (R, N, D) temporary is memory that the
+allocator returns and takes again, in page faults; the bits are the same.
 generation_step draws in one stacked draw_generation call, in
 which each run makes its vector calls on its own generator, in order.  The
 draws follow L-SHADE's distributions (Tanabe & Fukunaga, CEC 2014), not
@@ -281,15 +287,22 @@ def draw_generation(hists: list[SuccessHistory], n: int, n_archive: list[int], d
 
 def repair_bounds(t: np.ndarray, x: np.ndarray, lower: np.ndarray,
                   upper: np.ndarray) -> np.ndarray:
-    """Midpoint bound repair: a coordinate of t below lower becomes
-    (x + lower) / 2, one above upper (x + upper) / 2, for parents x in the box.
+    """Midpoint bound repair of t in place, which it returns: a coordinate of t
+    below lower becomes (x + lower) / 2, one above upper (x + upper) / 2, for
+    parents x in the box.
 
     One pass: a coordinate outside the box differs from its clamp, which is
     the bound it crossed; as x lies in the box, no midpoint crosses the other
-    bound, so this equals repairing the lower side, then the upper.
+    bound, so this equals repairing the lower side, then the upper.  The clamp
+    is the one new (R, N, D) buffer: the midpoints are taken in it.
     """
-    bound = np.minimum(np.maximum(t, lower), upper)
-    return np.where(bound != t, (x + bound) / 2.0, t)
+    bound = np.maximum(t, lower)
+    np.minimum(bound, upper, out=bound)
+    out = bound != t
+    bound += x  # x + bound, bit for bit
+    bound /= 2.0
+    np.copyto(t, bound, where=out)
+    return t
 
 
 def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarray,
@@ -327,10 +340,26 @@ def generation_step(pop: Population, problem: ConstrainedProblem, eps: np.ndarra
     flat, first = x.reshape(-1, d), run * n
     x_pbest = flat.take((ranked[run, draws.pbest] + first).ravel(), 0).reshape(x.shape)
     x_r1 = flat.take((draws.r1 + first).ravel(), 0).reshape(x.shape)
-    v = x + F * (x_pbest - x) + F * (x_r1 - x_r2)
-    mask = draws.u < draws.CR[..., None]  # a fresh C-ordered array: reshape is a view
-    mask.reshape(-1)[np.arange(0, runs * n * d, d) + draws.j.ravel()] = True
-    trials_x = repair_bounds(np.where(mask, v, x), x, problem.lower, problem.upper)
+    # v = x + F * (x_pbest - x) + F * (x_r1 - x_r2) in the two take buffers, in
+    # that operation order: IEEE + and * commute bit for bit
+    v, diff = x_pbest, x_r1
+    v -= x
+    v *= F
+    v += x
+    diff -= x_r2
+    diff *= F
+    v += diff
+    # binomial crossover as x ^ ((x ^ v) & sel) on the bits, sel all ones where
+    # the donor's coordinate is taken: where() branches on the random mask
+    sel = diff.view(np.int64)  # a fresh C-ordered buffer: reshape is a view
+    np.less(draws.u, draws.CR[..., None], out=sel)
+    sel.reshape(-1)[np.arange(0, runs * n * d, d) + draws.j.ravel()] = 1
+    np.negative(sel, out=sel)
+    bits, x_bits = v.view(np.int64), x.view(np.int64)
+    bits ^= x_bits
+    bits &= sel
+    bits ^= x_bits
+    trials_x = repair_bounds(v, x, problem.lower, problem.upper)
 
     k = min(n, budget.remaining)
     trials_x = trials_x[:, :k]

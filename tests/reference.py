@@ -26,6 +26,10 @@ the ε base straight from the raw constraint values C, split into g and
 |h|, which the accounting over the stored violation terms V must equal.
 ``repair_bounds`` is the midpoint bound repair as two passes, the lower
 bound first, which ``lshade.repair_bounds``'s one pass must equal.
+``trial_positions`` is a generation's trials written out: the
+current-to-pbest/1 donor as one expression, a ``where`` over the crossover
+mask and the two-pass repair, which the in-place donor, the bitwise select
+and the in-place repair of ``lshade.generation_step`` must equal.
 ``cec12_rows`` and ``griewank`` are the evaluator formulas written with
 ``y * y`` twice and ``sqrt(1..D)`` per call, which the problems must equal.
 ``reward_components`` and ``compute_reward`` are one run's reward in two
@@ -245,6 +249,15 @@ def repair_bounds(t: np.ndarray, x: np.ndarray, lower: np.ndarray,
     then above upper -> (x + upper) / 2."""
     t = np.where(t < lower, (x + lower) / 2.0, t)
     return np.where(t > upper, (x + upper) / 2.0, t)
+
+
+def trial_positions(x: np.ndarray, x_pbest: np.ndarray, x_r1: np.ndarray, x_r2: np.ndarray,
+                    F: np.ndarray, mask: np.ndarray, lower: np.ndarray,
+                    upper: np.ndarray) -> np.ndarray:
+    """The trials of parents x (R, N, D): donor coordinates where mask holds,
+    the parent's elsewhere, repaired into the box; F is (R, N, 1)."""
+    donor = x + F * (x_pbest - x) + F * (x_r1 - x_r2)
+    return repair_bounds(np.where(mask, donor, x), x, lower, upper)
 
 
 def cec12_rows(X: np.ndarray, o: np.ndarray):

@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import functools
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rlrelax import agent as qnet
+from rlrelax import lshade
 from rlrelax.config import ExperimentConfig
 from rlrelax.cop import (
     BudgetCounter,
@@ -186,11 +188,22 @@ def repair_cases(draw):
 
 
 class TestRepairBounds:
+    """repair_bounds repairs its first argument in place and returns it, so
+    each call gets a copy: the oracle must see the unrepaired trials."""
+
+    @staticmethod
+    def repaired(t, x, lower, upper):
+        args = [a.copy() for a in (t, x, lower, upper)]
+        out = repair_bounds(*args)
+        assert out is args[0]
+        assert all(same_bits(a, b) for a, b in zip(args[1:], (x, lower, upper)))
+        return out
+
     @settings(max_examples=300, deadline=None)
     @given(repair_cases())
     def test_one_pass_equals_the_two_pass_oracle(self, case):
         t, x, lower, upper = case
-        repaired = repair_bounds(t, x, lower, upper)
+        repaired = self.repaired(t, x, lower, upper)
         assert same_bits(repaired, reference.repair_bounds(t, x, lower, upper))
         assert ((repaired >= lower) & (repaired <= upper)).all()
 
@@ -199,7 +212,7 @@ class TestRepairBounds:
         t = np.array([[[-0.0, 0.0, below, 0.0]]])
         x = np.array([[[0.5, -0.5, 0.5, -0.5]]])
         lower, upper = np.array([0.0, -1.0, 0.0, -1.0]), np.array([1.0, -0.0, 1.0, -0.0])
-        repaired = repair_bounds(t, x, lower, upper)
+        repaired = self.repaired(t, x, lower, upper)
         assert same_bits(repaired, np.array([[[-0.0, 0.0, 0.25, 0.0]]]))
         assert same_bits(repaired, reference.repair_bounds(t, x, lower, upper))
 
@@ -553,6 +566,125 @@ class TestGenerationStepSelection:
         reference.update_memory(expected_hist, draws.F[0, won], draws.CR[0, won], weights)
         assert same_bits(hist.m_f, expected_hist.m_f) and same_bits(hist.m_cr, expected_hist.m_cr)
         assert hist.k == expected_hist.k
+
+
+def floored_evaluator(X):
+    """Finite for every row in a box up to +-1e300, with frequent ties."""
+    return (np.floor(np.abs(X).sum(-1)),
+            np.stack([np.floor(1.0 - X.sum(-1)), np.round(X[:, 0])], axis=-1))
+
+
+def edge_positions(rng, lower, upper, shape):
+    """Positions in the box: on a bound, one ulp inside one, at 0.0 or -0.0
+    clamped into the box, or uniform inside."""
+    inside = np.minimum(np.maximum(lower + rng.random(shape) * (upper - lower), lower), upper)
+    kinds = np.stack(np.broadcast_arrays(
+        lower, upper, np.nextafter(lower, np.inf), np.nextafter(upper, -np.inf),
+        np.minimum(np.maximum(0.0, lower), upper), np.minimum(np.maximum(-0.0, lower), upper),
+        inside))
+    return np.take_along_axis(kinds, rng.integers(len(kinds), size=(1, *shape)), 0)[0]
+
+
+class TestTrialChainAgainstOracle:
+    """The trials generation_step evaluates, built in place with the bitwise
+    crossover select and the in-place repair, against
+    reference.trial_positions on the same draws, bit for bit; and the
+    parents that lose keep their bits, as the select reads pop.x through a view."""
+
+    @staticmethod
+    def step(x, archive, lower, upper, edit):
+        """One generation of the runs x (R, N, D), at objectives and violations 0,
+        under the draws of draw_generation passed through edit; returns the
+        trials, the oracle's trials and the donors."""
+        runs, n, d = x.shape
+        batches, seen = [], []
+
+        def recording(X):
+            batches.append(X.copy())
+            return floored_evaluator(X)
+
+        def drawn(*args):
+            seen.append(edit(draw_generation(*args)))
+            return seen[-1]
+
+        problem = ConstrainedProblem(name="floored", dim=d, lower=lower, upper=upper, n_ineq=1,
+                                     n_eq=1, evaluator=recording)
+        pop = Population.evaluated(x.copy(), np.zeros(runs * n), np.zeros((runs * n, 2)), 1)
+        pop.archive = [a.copy() for a in archive]
+        stats = RunStats(BudgetCounter(10 * n), n)
+        stats.hist = [SuccessHistory.fresh() for _ in range(runs)]
+        parent = copy.deepcopy(pop)
+        with mock.patch.object(lshade, "draw_generation", drawn):
+            generation_step(pop, problem, np.zeros(2), [np.random.default_rng([7, r])
+                                                        for r in range(runs)], stats)
+        (draws,), trials = seen, batches[0].reshape(x.shape)
+
+        refresh_relaxed(parent, np.zeros(2))
+        run = np.arange(runs)[:, None]
+        x_pbest = x[run, parent.ranking()[run, draws.pbest]]
+        x_r2 = np.stack([np.concatenate([x[r], archive[r]])[draws.r2[r]] for r in range(runs)])
+        F = draws.F[..., None]
+        mask = draws.u < draws.CR[..., None]
+        mask[run, np.arange(n), draws.j] = True
+        want = reference.trial_positions(x, x_pbest, x[run, draws.r1], x_r2, F, mask, lower, upper)
+        donors = x + F * (x_pbest - x) + F * (x[run, draws.r1] - x_r2)
+
+        f_t, C_t = floored_evaluator(batches[0])
+        nu_t = relaxed_violations(C_t, 1, np.zeros(2))
+        won = np.array([select_survivor((0.0, 0.0), (f, nu))[1]
+                        for f, nu in zip(f_t.tolist(), nu_t.tolist())]).reshape(runs, n)
+        assert same_bits(pop.x[~won], x[~won])
+        assert same_bits(pop.x[won], trials[won])
+        return trials, want, donors
+
+    @settings(max_examples=150, deadline=None)
+    @given(runs=st.sampled_from([1, 3, 40]), n=st.integers(4, 8), d=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), unit_f=st.booleans())
+    def test_equals_the_oracle(self, runs, n, d, seed, unit_f):
+        # rows of CR = 0 take only the forced coordinate, rows of CR = 1 every
+        # one; F = 1 on parents one ulp inside a bound puts donors one ulp out
+        rng = np.random.default_rng(seed)
+        pairs = [(-100.0, 100.0), (0.0, 1.0), (-0.0, 2.5), (-1.0, 0.0), (-1.0, -0.0),
+                 (1.5, 3.0), (2.5, np.nextafter(2.5, np.inf)), (-1e300, 1e300)]
+        lower, upper = np.array([pairs[i] for i in rng.integers(len(pairs), size=d)]).T
+        x = edge_positions(rng, lower, upper, (runs, n, d))
+        archive = [edge_positions(rng, lower, upper, (int(rng.integers(n + 1)), d))
+                   for _ in range(runs)]
+        rows, ones = rng.integers(3, size=runs), rng.random((runs, n)) < 0.5
+
+        def edit(draws):
+            CR = np.where((rows == 0)[:, None], 0.0, draws.CR)
+            CR[rows == 1] = 1.0
+            return draws._replace(CR=CR, F=np.where(ones & unit_f, 1.0, draws.F))
+
+        trials, want, _ = self.step(x, archive, lower, upper, edit)
+        assert same_bits(trials, want)
+        assert ((trials >= lower) & (trials <= upper)).all()
+
+    def test_edges_one_ulp_outside_and_signed_zeros(self):
+        # members 0-2 are row a, member 3 row b, one ulp inside a's bounds; the
+        # donors a + (a - a) + (a - b) of members 0-2 lie one ulp outside the box
+        # on coordinates 0 and 1, and are +0.0 against the bound -0.0 on 2
+        lower, upper = np.array([1.5, -1.0, -1.0, 0.0]), np.array([2.0, 3.0, -0.0, 1.0])
+        a = np.array([1.5, 3.0, -0.0, 0.25])
+        b = np.array([np.nextafter(1.5, np.inf), np.nextafter(3.0, -np.inf), -0.0, 0.75])
+        x = np.tile(np.stack([a, a, a, b]), (3, 1, 1))
+        u = np.random.default_rng(0).random((3, 4, 4))
+
+        def edit(draws):
+            return draws._replace(
+                F=np.ones((3, 4)), CR=np.array([[0.0] * 4, [1.0] * 4, [0.5] * 4]),
+                pbest=np.zeros((3, 4), int), r1=np.tile([1, 2, 0, 0], (3, 1)),
+                r2=np.tile([3, 3, 3, 1], (3, 1)), u=u, j=np.tile([0, 1, 2, 3], (3, 1)))
+
+        trials, want, donors = self.step(x, [np.empty((0, 4))] * 3, lower, upper, edit)
+        assert same_bits(trials, want)
+        assert (donors[:, :3, 0] == np.nextafter(1.5, -np.inf)).all()
+        assert (donors[:, :3, 1] == np.nextafter(3.0, np.inf)).all()
+        assert same_bits(donors[:, :3, 2], np.zeros((3, 3)))
+        forced = np.eye(4, dtype=bool)  # run 0 has CR = 0: member i takes coordinate i
+        assert same_bits(trials[0][~forced], x[0][~forced])
+        assert same_bits(trials[1], reference.repair_bounds(donors[1], x[1], lower, upper))
 
 
 class TestMemoryAgainstOracle:
